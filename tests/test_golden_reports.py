@@ -1,0 +1,32 @@
+"""Golden reports: the canonical report bytes of the built-in demo
+configurations are pinned by SHA-256.
+
+A refactor or speed-up must leave these digests unchanged.  A change that
+alters a report on purpose updates the digest here and says why in
+CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from couplingcert.certify import run_all
+from couplingcert.cli import DEMO_CONFIGS, render_report
+
+GOLDEN = {
+    "identity-z": "a39985ea66b5301c23c87c5fae70c0449d76a7d573b65f153fe9fec99606105a",
+    "scale2-z": "586027c070a71b711521c105890e3456a445506742993243d69edb6823a2c7fa",
+    "shear-z2": "2310495a6e127524163ac907786d90894aa9dcba2e9a076db4887c2d0075e436",
+}
+
+
+def test_every_demo_config_is_pinned():
+    assert sorted(name for name, _ in DEMO_CONFIGS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name,cfg", DEMO_CONFIGS, ids=[n for n, _ in DEMO_CONFIGS])
+def test_golden_report_digest(name, cfg):
+    text = render_report(run_all(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
