@@ -44,7 +44,7 @@ from .errors import (
     ResolutionError,
 )
 from .groups import make_group
-from .windows import Window, build_window, resolved_distance
+from .windows import Window, build_window, distance_field, resolved_distance
 
 SAMPLE_CAP = 10_000
 
@@ -254,8 +254,10 @@ def check_sandwich(
     kappa(d) - 2*omega(s+1) - 2 and omega(d) + 2*omega(s+1) + 2.
 
     The support distance of (g.psi.h)_f1 and (g.psi.h)_f2 equals that of
-    psi_{h f1} and psi_{h f2} by left-invariance, so distinct coordinate
-    pairs are evaluated once.
+    psi_{h f1} and psi_{h f2} by left-invariance, so the witness carries no
+    g: orbit points sharing h and evaluation window are walked once, in
+    first-seen order, and counted with their multiplicity.  Distinct
+    coordinate pairs are evaluated once.
     """
     pad = 2 * P.omega_s1 + 2
     H = phi.source
@@ -266,8 +268,11 @@ def check_sandwich(
     cache: dict = {}
     population = 0
     skipped = 0
+    walks: dict = {}   # (h, id of eval window) -> [h, eval window, multiplicity]
     for pt in orbit_points:
-        fs = pt.eval_window.elements
+        walks.setdefault((pt.h, id(pt.eval_window)), [pt.h, pt.eval_window, 0])[2] += 1
+    for h, eval_window, mult in walks.values():
+        fs = eval_window.elements
         for i, f1 in enumerate(fs):
             for f2 in fs[i + 1:]:
                 t = resolved_distance(pair_window, f1, f2)
@@ -276,20 +281,20 @@ def check_sandwich(
                 kap = m.kappa_at(t)
                 ome = m.omega_at(t)
                 if kap is None or ome is None:
-                    skipped += 1
+                    skipped += mult
                     continue
-                a = H.mul(pt.h, f1)
-                b = H.mul(pt.h, f2)
+                a = H.mul(h, f1)
+                b = H.mul(h, f2)
                 key = (idx[a], idx[b]) if idx[a] <= idx[b] else (idx[b], idx[a])
                 sd = cache.get(key)
                 if sd is None:
                     sd = support_distance(psi_of(a), psi_of(b), W_G)
                     cache[key] = sd
-                wit = {"pair": [fmt(f1), fmt(f2)], "h": fmt(pt.h),
+                wit = {"pair": [fmt(f1), fmt(f2)], "h": fmt(h),
                        "distance": t, "support_distance": sd}
                 lower_worst.update(sd - (kap - pad), wit)
                 upper_worst.update((ome + pad) - sd, wit)
-                population += 1
+                population += mult
     if population == 0:
         return CheckResult("sandwich", "vacuous", None, None, 0,
                            details={"skipped_unsupported_t": skipped})
@@ -531,6 +536,9 @@ def check_g_action(
         xi_1 = act_left(g, psi_of(h))
         if xi_1.inner_product(K_set) >= epsilon:
             qualifying.append((g, h, xi_1))
+    # one BFS from K_G resolves every support-to-K_G distance that
+    # _set_distance(moved, K_G, W_G) would
+    to_K = distance_field(W_G, K_G) if g_candidates and qualifying else {}
     for gc in g_candidates:
         for g, h, xi_1 in qualifying:
             moved = [G.mul(gc, a) for a in xi_1.support()]
@@ -539,7 +547,7 @@ def check_g_action(
             if hit:
                 worst.update(-1, dict(wit, meeting_point=fmtG(hit[0])))
             else:
-                d = _set_distance(moved, K_G, W_G)
+                d = min((to_K[a] for a in moved if a in to_K), default=None)
                 if d is None:
                     margin_is_floor = True
                     d = W_G.radius + 1
@@ -691,6 +699,10 @@ def run_all(config) -> Certificate:
         orbit_pts = [orbit_point(P, phi, g, h, eval_window) for g, h in samples]
 
         K_base = psi_of(H.identity).support()
+        diam_K = _pair_diameter(K_base, W_G)
+        if diam_K is None:
+            raise ResolutionError("diameter of K does not resolve in the target window")
+        tau = 2 * P.omega_s1 + 2 + 2 * diam_K
 
         checks = []
         if "membership_x" in selected:
@@ -705,8 +717,9 @@ def run_all(config) -> Certificate:
             checks.append(check_sandwich(P, phi, orbit_pts, m, W_G, pair_window, psi_of))
         if "properness_h" in selected:
             stage = "properness_h"
+            K_set = set(K_base)
             zetas = [(g, h) for g, h in samples
-                     if act_left(g, psi_of(h)).inner_product(set(K_base)) >= epsilon]
+                     if act_left(g, psi_of(h)).inner_product(K_set) >= epsilon]
             zetas = zetas[:8] or [(G.identity, H.identity)]
             checks.append(check_properness_h(
                 P, phi, zetas, K_base, m, W_G, epsilon, psi_of))
@@ -719,8 +732,6 @@ def run_all(config) -> Certificate:
                 P, phi, cc_samples, m, R, W_G, psi_of))
         if "g_action" in selected:
             stage = "g_action"
-            diam_K = _pair_diameter(K_base, W_G)
-            tau = 2 * P.omega_s1 + 2 + 2 * diam_K
             if tau + 2 <= W_G.radius:
                 aux = W_G
             else:
@@ -745,8 +756,8 @@ def run_all(config) -> Certificate:
             "core_radius": core_radius,
             "inner_radius": P.inner_radius,
             "cocompact_K_radius": R + P.omega_s1 + 1,
-            "properness_h_threshold": _pair_diameter(K_base, W_G) + 2 * P.omega_s1 + 2,
-            "g_properness_threshold": 2 * P.omega_s1 + 2 + 2 * _pair_diameter(K_base, W_G),
+            "properness_h_threshold": diam_K + 2 * P.omega_s1 + 2,
+            "g_properness_threshold": tau,
             "g_recenter_radius": 4 * P.omega_s1 + 4,
             "net_size": len(P.net.points),
             "overlap_count": P.overlap_count,

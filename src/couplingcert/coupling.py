@@ -295,21 +295,23 @@ def act_left(g, xi: SparseDensity) -> SparseDensity:
 
 @dataclass
 class OrbitPoint:
-    """g.psi.h materialized on a finite evaluation window of f's:
-    (g.psi.h)_f = lambda(g) psi_{hf}."""
+    """g.psi.h on a finite evaluation window of f's, with coordinates
+    (g.psi.h)_f = lambda(g) psi_{hf} computed on demand."""
 
     g: object
     h: object
     eval_window: Window
-    coords: dict
+    P: PartitionOfUnity = field(repr=False)
+    phi: CoarseMap = field(repr=False)
 
     def coord(self, f) -> SparseDensity:
-        return self.coords[f]
+        return act_left(self.g, psi(self.P, self.phi, self.phi.source.mul(self.h, f)))
 
 
 def orbit_point(P: PartitionOfUnity, phi: CoarseMap, g, h, eval_window: Window) -> OrbitPoint:
+    """Check that h*f stays in the inner window for every f of the
+    evaluation window, so every coordinate is defined."""
     H = phi.source
-    coords = {}
     for f in eval_window.elements:
         hf = H.mul(h, f)
         if not P.is_inner(hf):
@@ -317,8 +319,7 @@ def orbit_point(P: PartitionOfUnity, phi: CoarseMap, g, h, eval_window: Window) 
                 f"h*f = {H.format_element(hf)} escapes the inner window; "
                 "shrink the evaluation radius or enlarge the source window"
             )
-        coords[f] = act_left(g, psi(P, phi, hf))
-    return OrbitPoint(g=g, h=h, eval_window=eval_window, coords=coords)
+    return OrbitPoint(g=g, h=h, eval_window=eval_window, P=P, phi=phi)
 
 
 def serialize_density(d: SparseDensity) -> str:

@@ -93,6 +93,42 @@ def resolved_distance(W: Window, a, b) -> Optional[int]:
     return W.length_of(G.mul(G.inv(a), b))
 
 
+def distance_field(W: Window, sources, budget: int = DEFAULT_ELEMENT_BUDGET) -> dict:
+    """Distance to the nearest source, for every element within ``W.radius``
+    of ``sources``.
+
+    One multi-source BFS steps from the sources by right multiplication with
+    the generators and stops at depth ``W.radius``.  It reaches x at depth
+    min |b^-1 x| over the sources b, which equals min d(x, b) = |x^-1 b|
+    because every built-in generating set is symmetric (|g| = |g^-1|).  So
+    ``field.get(x)`` is the minimum resolved distance from x to the sources
+    in W, and None exactly when no such distance resolves.
+    """
+    mul = W.group.mul
+    gens = W.group.generators
+    field = dict.fromkeys(sources, 0)
+    frontier = list(field)
+    level = 0
+    while frontier and level < W.radius:
+        level += 1
+        reached = []
+        for e in frontier:
+            for g in gens:
+                child = mul(e, g)
+                if child in field:
+                    continue
+                if len(field) >= budget:
+                    raise WindowBudgetError(
+                        f"distance field in {W.group.descriptor} exceeded the "
+                        f"{budget}-element budget at depth {level}",
+                        radius_reached=level - 1,
+                    )
+                field[child] = level
+                reached.append(child)
+        frontier = reached
+    return field
+
+
 @dataclass
 class Net:
     scale: Fraction

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from couplingcert.certify import _set_distance
 from couplingcert.errors import PreconditionError, ResolutionError, WindowBudgetError
 from couplingcert.groups import make_group
 from couplingcert.windows import (
     build_window,
     distance,
+    distance_field,
     greedy_net,
     is_dense,
     is_discrete,
@@ -56,6 +60,32 @@ def test_budget_error_reports_radius():
     with pytest.raises(WindowBudgetError) as exc:
         build_window(make_group("F_2"), 10, budget=50)
     assert exc.value.radius_reached >= 1
+
+
+@pytest.mark.parametrize(
+    "desc,radius,source_radius",
+    [("Z^2", 4, 3), ("Heis", 3, 2), ("F_2", 2, 2), ("C_5 x Z^1", 3, 3)],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_distance_field_matches_set_distance_oracle(desc, radius, source_radius, data):
+    G = make_group(desc)
+    W = build_window(G, radius)
+    pool = build_window(G, source_radius).elements
+    sources = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+    field = distance_field(W, sources)
+    # the probe ball reaches one step past the field's cutoff
+    probe = build_window(G, source_radius + radius + 1)
+    assert set(field) <= set(probe.index)
+    for x in probe.elements:
+        assert field.get(x) == _set_distance([x], sources, W)
+
+
+def test_distance_field_budget_error():
+    W = build_window(make_group("F_2"), 6)
+    with pytest.raises(WindowBudgetError) as exc:
+        distance_field(W, [W.group.identity], budget=20)
+    assert exc.value.radius_reached == 2
 
 
 @pytest.mark.parametrize(
