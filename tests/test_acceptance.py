@@ -180,9 +180,9 @@ def test_criterion_5_packing_oracle_equivalence():
         for r in radii:
             W = build_window(G, r)
             assert len(W) <= 25
-            for sep in (2, 3, 4, 5):
-                for diam in range(0, r + 1):
-                    if diam + sep > 2 * r:
+            for sep in (2, 3, 4, 5, Fraction(5, 2)):
+                for diam in (*range(0, r + 1), Fraction(7, 2)):
+                    if diam + sep > 2 * r or diam > r:
                         continue
                     got = packing_number(W, sep, diam)
                     want = packing_number_naive(W, sep, diam)

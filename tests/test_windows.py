@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,3 +211,47 @@ def test_packing_matches_naive_oracle_small():
             if diam + sep > 2 * W.radius:
                 continue
             assert packing_number(W, sep, diam).value == packing_number_naive(W, sep, diam)
+
+
+# Full PackingResult on a grid of windows, pinned from the list-based
+# branch and bound: a faster search must visit the same nodes in the same
+# order, so value, exact, witness, nodes and note all stay put.
+_PINNED_PACKINGS = [
+    ("Z^2", 12, 3, 6, {}, (6, True, [(0, 0), (3, 0), (1, 2), (-2, -1), (0, -3), (2, -2)],
+                           1984, "")),
+    ("Z^2", 12, 3, 8, {}, (9, True, [(0, 0), (3, 0), (1, 2), (1, -2), (-3, 0), (-2, 2),
+                                     (-2, -2), (0, 4), (0, -4)], 191345, "")),
+    ("Z^2", 30, 3, 12, {}, (73, False, None, 200001, "node budget 200000 exceeded")),
+    ("Z^2", 8, Fraction(5, 2), Fraction(7, 2), {}, (2, True, [(0, 0), (3, 0)], 12, "")),
+    ("Z^3", 6, 3, 4, {}, (6, True, [(0, 0, 0), (3, 0, 0), (1, 2, 0), (1, -2, 0), (1, 0, 2),
+                                    (1, 0, -2)], 1926, "")),
+    ("Z^3", 6, 3, 6, {"node_budget": 20000},
+     (377, False, None, 20001, "node budget 20000 exceeded")),
+    ("Heis", 6, 3, 4, {}, (6, True, [(0, 0, 0), (3, 0, 0), (2, 1, 1), (2, -1, -1),
+                                     (1, 1, 2), (1, -1, -2)], 2829, "")),
+    ("Heis", 6, Fraction(5, 2), Fraction(9, 2), {},
+     (6, True, [(0, 0, 0), (3, 0, 0), (2, 1, 1), (2, -1, -1), (1, 1, 2), (1, -1, -2)],
+      2829, "")),
+    ("Heis", 6, 3, 6, {"node_budget": 20000},
+     (593, False, None, 20001, "node budget 20000 exceeded")),
+    ("F_2", 6, 3, 4, {}, (4, True, [(), (1, 1, 1), (1, 2, 1), (1, -2, 1)], 1078, "")),
+    ("F_2", 6, 3, 5, {}, (6, True, [(), (1, 1, 1), (1, 2, 1), (1, -2, 1), (1, 1, 2, 1),
+                                    (1, 1, -2, 1)], 68684, "")),
+    ("F_2", 5, 2, 3, {}, (6, True, [(), (1, 1), (1, 2), (1, -2, 1), (1, -2, -1),
+                                    (1, -2, -2)], 87, "")),
+    ("F_2", 6, 3, 6, {}, (1457, False, None, 0, "candidate set of size 1457 exceeds cap 600")),
+    ("Z^1 x C_4", 8, 3, 6, {}, (4, True, [((0,), 0), ((3,), 0), ((1,), 2), ((-3,), 0)],
+                                232, "")),
+    ("Z^1 x C_4", 8, 2, 5, {}, (8, True, [((0,), 0), ((2,), 0), ((1,), 1), ((1,), 3),
+                                          ((-2,), 0), ((-1,), 1), ((-1,), 3), ((0,), 2)],
+                                759, "")),
+    ("Z^1 x C_4", 8, Fraction(7, 3), Fraction(11, 2), {},
+     (4, True, [((0,), 0), ((2,), 1), ((-1,), 2), ((3,), 3)], 68, "")),
+]
+
+
+@pytest.mark.parametrize("desc,radius,sep,diam,kwargs,pinned", _PINNED_PACKINGS)
+def test_packing_result_pinned(desc, radius, sep, diam, kwargs, pinned):
+    W = build_window(make_group(desc), radius)
+    res = packing_number(W, sep, diam, **kwargs)
+    assert (res.value, res.exact, res.witness, res.nodes, res.note) == pinned
