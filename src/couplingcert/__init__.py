@@ -31,7 +31,7 @@ from .coupling import (
     serialize_density,
     support_distance,
 )
-from .groups import GroupModel, inverse, make_group, multiply
+from .groups import GroupModel, make_group
 from .windows import (
     Net,
     PackingResult,
@@ -40,7 +40,6 @@ from .windows import (
     distance,
     greedy_net,
     packing_number,
-    packing_number_naive,
 )
 
 __all__ = [
@@ -65,15 +64,12 @@ __all__ = [
     "distance",
     "estimate_moduli",
     "greedy_net",
-    "inverse",
     "l1_distance",
     "load_map_table",
     "make_coarse_map",
     "make_group",
-    "multiply",
     "orbit_point",
     "packing_number",
-    "packing_number_naive",
     "psi",
     "run_all",
     "serialize_density",

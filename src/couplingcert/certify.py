@@ -17,16 +17,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
 from .coarse import (
     CoarseMap,
     Moduli,
-    analytic_moduli,
     choose_scale,
     cobounded_radius,
-    estimate_moduli,
     make_coarse_map,
+    pipeline_moduli,
 )
 from .coupling import (
     PartitionOfUnity,
@@ -321,18 +321,14 @@ def check_properness_h(
     W_G: Window,
     epsilon: Fraction,
     psi_of: Callable,
-    threshold_override=None,
+    diam_K: int,
+    threshold,
 ) -> CheckResult:
-    """For h with kappa(d(h,1)) above diam(K) + 2*omega(s+1) + 2, the h-slice
-    of any orbit point meeting [K, eps] at the identity has support disjoint
-    from K."""
+    """For h with kappa(d(h,1)) above ``threshold``, the h-slice of any
+    orbit point meeting [K, eps] at the identity has support disjoint from
+    K.  The pipeline's threshold is diam(K) + 2*omega(s+1) + 2."""
     G = phi.target
     H = phi.source
-    diam_K = _pair_diameter(K, W_G)
-    if diam_K is None:
-        raise ResolutionError("diameter of K does not resolve in the target window")
-    threshold = (diam_K + 2 * P.omega_s1 + 2 if threshold_override is None
-                 else Fraction(threshold_override))
     K_set = set(K)
     worst = _Worst()
     confinement = _Worst()
@@ -509,12 +505,14 @@ def check_g_action(
     W_G: Window,
     g_candidates: list,
     psi_of: Callable,
+    tau: int,
     recenter_bound_override=None,
 ) -> CheckResult:
     """Properness and cocompactness of the left action.
 
     (a) properness: translates of [K_G, eps] by far g miss it -- supports
-    become disjoint from K_G beyond 2*omega(s+1) + 2 + 2*diam(K_G);
+    become disjoint from K_G beyond tau = 2*omega(s+1) + 2 + 2*diam(K_G),
+    the bound the caller drew ``g_candidates`` past;
     (b) cocompactness: recentring the BFS-least support point confines any
     sampled orbit support in the ball of radius 4*omega(s+1) + 4 with full
     mass;
@@ -523,10 +521,6 @@ def check_g_action(
     """
     G = phi.target
     fmtG = G.format_element
-    diam_K = _pair_diameter(K_G, W_G)
-    if diam_K is None:
-        raise ResolutionError("diameter of K_G does not resolve")
-    tau = 2 * P.omega_s1 + 2 + 2 * diam_K
     K_set = set(K_G)
     worst = _Worst()
     pop_proper = 0
@@ -653,12 +647,7 @@ def run_all(config) -> Certificate:
         W_G = build_window(G, config.radius_G)
 
         stage = "moduli"
-        if phi.has_analytic_moduli:
-            m = analytic_moduli(phi, 2 * (config.radius_G + config.radius_H) + 8)
-        else:
-            t_req = config.t_max if config.t_max else 2 * config.radius_H
-            m = estimate_moduli(phi, W_H, W_G, min(t_req, 2 * config.radius_H),
-                                strict=False)
+        m = pipeline_moduli(phi, W_H, W_G, config.t_max)
 
         stage = "scale"
         s = config.scale_override if config.scale_override else choose_scale(m)
@@ -702,6 +691,7 @@ def run_all(config) -> Certificate:
         diam_K = _pair_diameter(K_base, W_G)
         if diam_K is None:
             raise ResolutionError("diameter of K does not resolve in the target window")
+        h_threshold = diam_K + 2 * P.omega_s1 + 2
         tau = 2 * P.omega_s1 + 2 + 2 * diam_K
 
         checks = []
@@ -718,11 +708,12 @@ def run_all(config) -> Certificate:
         if "properness_h" in selected:
             stage = "properness_h"
             K_set = set(K_base)
-            zetas = [(g, h) for g, h in samples
-                     if act_left(g, psi_of(h)).inner_product(K_set) >= epsilon]
-            zetas = zetas[:8] or [(G.identity, H.identity)]
+            zetas = list(islice(
+                ((g, h) for g, h in samples
+                 if act_left(g, psi_of(h)).inner_product(K_set) >= epsilon), 8))
             checks.append(check_properness_h(
-                P, phi, zetas, K_base, m, W_G, epsilon, psi_of))
+                P, phi, zetas or [(G.identity, H.identity)], K_base, m, W_G,
+                epsilon, psi_of, diam_K, h_threshold))
         if "cocompactness_h" in selected:
             stage = "cocompactness_h"
             h_cc = min(h_rad, max(0, (P.inner_radius - config.eval_radius) // 3))
@@ -739,7 +730,7 @@ def run_all(config) -> Certificate:
             g_candidates = [e for e, l in zip(aux.elements, aux.lengths)
                             if tau < l <= tau + 2][:512]
             checks.append(check_g_action(
-                P, phi, samples[:8], K_base, epsilon, W_G, g_candidates, psi_of))
+                P, phi, samples[:8], K_base, epsilon, W_G, g_candidates, psi_of, tau))
 
         stage = "assemble"
         constants = {
@@ -756,7 +747,7 @@ def run_all(config) -> Certificate:
             "core_radius": core_radius,
             "inner_radius": P.inner_radius,
             "cocompact_K_radius": R + P.omega_s1 + 1,
-            "properness_h_threshold": diam_K + 2 * P.omega_s1 + 2,
+            "properness_h_threshold": h_threshold,
             "g_properness_threshold": tau,
             "g_recenter_radius": 4 * P.omega_s1 + 4,
             "net_size": len(P.net.points),

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .certify import CHECK_NAMES, Certificate, fmt_rat, run_all
-from .coarse import analytic_moduli, choose_scale, estimate_moduli, make_coarse_map
+from .coarse import choose_scale, estimate_moduli, make_coarse_map, pipeline_moduli
 from .coupling import build_partition, psi, serialize_density
 from .errors import CouplingCertError, PipelineError, PreconditionError
 from .groups import make_group
@@ -168,13 +168,6 @@ def _groups_and_map(cfg: RunConfig):
     return H, G, phi
 
 
-def _moduli_for(cfg: RunConfig, phi, W_H, W_G):
-    if phi.has_analytic_moduli:
-        return analytic_moduli(phi, 2 * (cfg.radius_G + cfg.radius_H) + 8)
-    t_req = cfg.t_max if cfg.t_max else 2 * cfg.radius_H
-    return estimate_moduli(phi, W_H, W_G, min(t_req, 2 * cfg.radius_H), strict=False)
-
-
 def cmd_ball(cfg: RunConfig) -> int:
     H = make_group(cfg.group_H)
     W = build_window(H, cfg.radius_H)
@@ -228,7 +221,7 @@ def cmd_psi(cfg: RunConfig, h_text: Optional[str]) -> int:
     H, G, phi = _groups_and_map(cfg)
     W_H = build_window(H, cfg.radius_H)
     W_G = build_window(G, cfg.radius_G)
-    m = _moduli_for(cfg, phi, W_H, W_G)
+    m = pipeline_moduli(phi, W_H, W_G, cfg.t_max)
     s = cfg.scale_override if cfg.scale_override else choose_scale(m)
     P = build_partition(W_H, W_G, phi, m, s, m_slack=cfg.m_slack)
     h = H.parse_element(h_text if h_text is not None else H.format_element(H.identity))

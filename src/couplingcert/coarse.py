@@ -251,18 +251,22 @@ def estimate_moduli(
 
     mulH, invH = H.mul, H.inv
     mulG, invG = G.mul, G.inv
-    diff_len = diff.length_of
-    g_len = W_G.length_of
+    # index lookups bound once: Window.length_of costs a call per pair
+    diff_get, diff_lengths = diff.index.get, diff.lengths
+    g_get, g_lengths = W_G.index.get, W_G.lengths
     for i in range(n):
         hi = elements[i]
         inv_hi = invH(hi)
         inv_img = invG(images[i])
-        for j in range(i + 1, n):
-            dH = diff_len(mulH(inv_hi, elements[j]))
-            if dH is None or dH > t_max:
+        for hj, img_j in zip(elements[i + 1:], images[i + 1:]):
+            k = diff_get(mulH(inv_hi, hj))
+            if k is None:
                 continue
-            dG = g_len(mulG(inv_img, images[j]))
-            if dG is None:
+            dH = diff_lengths[k]
+            if dH > t_max:
+                continue
+            k = g_get(mulG(inv_img, img_j))
+            if k is None:
                 if strict:
                     raise ResolutionError(
                         f"image distance of a pair at source distance {dH} does "
@@ -271,13 +275,14 @@ def estimate_moduli(
                     )
                 t_bad = dH if t_bad is None else min(t_bad, dH)
                 continue
+            dG = g_lengths[k]
             counts[dH] += 1
             if min_img[dH] is None or dG < min_img[dH]:
                 min_img[dH] = dG
-                min_wit[dH] = (hi, elements[j], dH, dG)
+                min_wit[dH] = (hi, hj, dH, dG)
             if max_img[dH] is None or dG > max_img[dH]:
                 max_img[dH] = dG
-                max_wit[dH] = (hi, elements[j], dH, dG)
+                max_wit[dH] = (hi, hj, dH, dG)
 
     # the diagonal: every element pairs with itself at distance 0
     counts[0] += n
@@ -330,6 +335,16 @@ def estimate_moduli(
         omega_witness=o_wit,
         requested_t_max=t_max,
     )
+
+
+def pipeline_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) -> Moduli:
+    """The moduli table of the certificate pipeline: analytic when the map
+    has closed forms, else the truncating window scan up to ``t_max``
+    (``0`` means, and larger values are capped at, ``2*W_H.radius``)."""
+    if phi.has_analytic_moduli:
+        return analytic_moduli(phi, 2 * (W_G.radius + W_H.radius) + 8)
+    t_req = t_max if t_max else 2 * W_H.radius
+    return estimate_moduli(phi, W_H, W_G, min(t_req, 2 * W_H.radius), strict=False)
 
 
 def choose_scale(m: Moduli) -> int:

@@ -14,6 +14,7 @@ Theta and the alpha weights are truncation-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -39,6 +40,11 @@ class PartitionOfUnity:
     M_exact: bool
     omega_s1: int                       # omega(s+1)
     _theta_cache: dict = field(default_factory=dict, repr=False)
+    net_inverses: list = field(init=False, repr=False)  # aligned with net.points
+
+    def __post_init__(self):
+        inv = self.window_H.group.inv
+        self.net_inverses = [inv(y) for y in self.net.points]
 
     @property
     def N(self) -> Fraction:
@@ -51,11 +57,14 @@ class PartitionOfUnity:
         if hit is not None:
             return hit
         s1 = self.scale + 1
+        below = math.ceil(s1) - 1  # integer d < s+1 exactly when d <= below
+        W = self.window_H
+        index_get, lengths, mul = W.index.get, W.lengths, W.group.mul
         terms = []
-        for i, y in enumerate(self.net.points):
-            d = resolved_distance(self.window_H, y, h)
-            if d is not None and d < s1:
-                terms.append((i, s1 - d))
+        for i, y_inv in enumerate(self.net_inverses):
+            k = index_get(mul(y_inv, h))
+            if k is not None and lengths[k] <= below:
+                terms.append((i, s1 - lengths[k]))
         self._theta_cache[h] = terms
         return terms
 
@@ -71,7 +80,7 @@ class PartitionOfUnity:
                 f"Theta < 1 at {self.window_H.group.format_element(h)}; "
                 "point is outside the region covered by the net"
             )
-        return [(i, Fraction(v) / total) for i, v in terms]
+        return [(i, v / total) for i, v in terms]
 
     def is_inner(self, h) -> bool:
         l = self.window_H.length_of(h)
@@ -170,12 +179,14 @@ def build_partition(
 
     # a-priori Lipschitz constant for the alphas: 1 + C*(s+1), C the worst
     # bump overlap over the window
+    reach = math.floor(s1)  # integer d <= s+1 exactly when d <= reach
+    index_get, lengths, mulH = W_H.index.get, W_H.lengths, W_H.group.mul
     C = 0
     for h in W_H.elements:
         cnt = 0
-        for y in net.points:
-            d = resolved_distance(W_H, y, h)
-            if d is not None and d <= s1:
+        for y_inv in P.net_inverses:
+            k = index_get(mulH(y_inv, h))
+            if k is not None and lengths[k] <= reach:
                 cnt += 1
         C = max(C, cnt)
     P.overlap_count = C
@@ -183,15 +194,13 @@ def build_partition(
 
     # empirical constant: worst alpha increment over adjacent inner pairs
     H = W_H.group
-    inner_set = set(P.inner_elements)
+    alphas = {h: dict(P.alpha_terms(h)) for h in P.inner_elements}
     n_emp = Fraction(0)
-    for h in P.inner_elements:
-        a_h = dict(P.alpha_terms(h))
+    for h, a_h in alphas.items():
         for g in H.generators:
-            h2 = H.mul(h, g)
-            if h2 not in inner_set:
+            a_h2 = alphas.get(H.mul(h, g))
+            if a_h2 is None:
                 continue
-            a_h2 = dict(P.alpha_terms(h2))
             for i in set(a_h) | set(a_h2):
                 slope = abs(a_h.get(i, Fraction(0)) - a_h2.get(i, Fraction(0)))
                 if slope > n_emp:

@@ -11,6 +11,7 @@ exceeds the window radius.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,39 +155,20 @@ def greedy_net(W: Window, s) -> Net:
         length_of = lookup.length_of
     else:
         length_of = W.length_of
+    below = math.ceil(s) - 1  # integer d < s exactly when d <= below
     chosen = []
     inverses = []
     for e in W.elements:
         ok = True
         for y_inv in inverses:
             d = length_of(mul(y_inv, e))
-            if d is not None and d < s:
+            if d is not None and d <= below:
                 ok = False
                 break
         if ok:
             chosen.append(e)
             inverses.append(inv(e))
     return Net(scale=s, points=chosen)
-
-
-def is_discrete(W: Window, points, s) -> bool:
-    s = Fraction(s)
-    for i, y in enumerate(points):
-        for y2 in points[i + 1:]:
-            d = resolved_distance(W, y, y2)
-            if d is not None and d < s:
-                return False
-    return True
-
-
-def is_dense(W: Window, points, s) -> bool:
-    s = Fraction(s)
-    for e in W.elements:
-        if not any(
-            (d := resolved_distance(W, y, e)) is not None and d < s for y in points
-        ):
-            return False
-    return True
 
 
 @dataclass
@@ -210,9 +192,11 @@ def packing_number(
 
     By left-invariance any maximizing configuration translates to one
     containing the identity, so the search runs over the centered ball of
-    radius diam_bound via branch and bound.  When the candidate set or the
-    node budget is exceeded the volume upper bound is returned with the
-    exactness flag cleared; an overestimate is always safe downstream.
+    radius diam_bound via branch and bound, with the compatibility graph
+    and the branching sets held as integer bitmasks.  When the candidate
+    set or the node budget is exceeded the volume upper bound is returned
+    with the exactness flag cleared; an overestimate is always safe
+    downstream.
     """
     separation = Fraction(separation)
     diam_bound = Fraction(diam_bound)
@@ -229,8 +213,11 @@ def packing_number(
             "build a larger window"
         )
 
-    candidates = [e for e, l in zip(W.elements, W.lengths) if l <= diam_bound]
-    ub = _volume_upper_bound(W, separation, diam_bound, len(candidates))
+    # word lengths are integers: lo <= d <= hi is exactly
+    # separation <= d <= diam_bound
+    lo, hi = math.ceil(separation), math.floor(diam_bound)
+    candidates = W.elements[:bisect_right(W.lengths, hi)]  # BFS order
+    ub = _volume_upper_bound(W, lo, hi, len(candidates))
     if len(candidates) > candidate_cap:
         return PackingResult(
             value=ub,
@@ -240,105 +227,79 @@ def packing_number(
             note=f"candidate set of size {len(candidates)} exceeds cap {candidate_cap}",
         )
 
-    # adjacency under "compatible in one configuration": >= separation apart
-    # and <= diam_bound apart.  Unresolvable distances exceed the radius,
-    # hence exceed diam_bound (incompatible) and separation (discrete).
+    # compat[i] has bit j set when candidates i and j are compatible in one
+    # configuration: >= separation and <= diam_bound apart.  Unresolvable
+    # distances exceed the radius, hence exceed diam_bound (incompatible).
     n = len(candidates)
-    length_of = W.length_of
+    index_get, lengths = W.index.get, W.lengths
     mul, inv = W.group.mul, W.group.inv
-    compat = [set() for _ in range(n)]
-    for i in range(n):
-        inv_i = inv(candidates[i])
+    compat = [0] * n
+    for i, c in enumerate(candidates):
+        inv_i = inv(c)
+        bit_i = 1 << i
+        row = 0
         for j in range(i + 1, n):
-            d = length_of(mul(inv_i, candidates[j]))
-            if d is not None and separation <= d <= diam_bound:
-                compat[i].add(j)
-                compat[j].add(i)
+            k = index_get(mul(inv_i, candidates[j]))
+            if k is not None and lo <= lengths[k] <= hi:
+                row |= 1 << j
+                compat[j] |= bit_i
+        compat[i] |= row
 
-    best = [1 if n else 0]
-    best_set = [[0] if n else []]
-    nodes = [0]
-    aborted = [False]
+    best = 1 if n else 0
+    best_set = [0] if n else []
+    nodes = 0
+    aborted = False
 
-    def extend(current: list, allowed: list):
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            aborted[0] = True
+    def extend(current: list, allowed: int):
+        # branch on the members of `allowed` in increasing index order
+        nonlocal best, best_set, nodes, aborted
+        nodes += 1
+        if nodes > node_budget:
+            aborted = True
             return
-        if len(current) > best[0]:
-            best[0] = len(current)
-            best_set[0] = list(current)
-        for pos, j in enumerate(allowed):
-            if len(current) + (len(allowed) - pos) <= best[0]:
+        if len(current) > best:
+            best = len(current)
+            best_set = list(current)
+        room = allowed.bit_count()
+        while allowed:
+            if len(current) + room <= best:
                 return
-            rest = [k for k in allowed[pos + 1:] if k in compat[j]]
+            low = allowed & -allowed
+            j = low.bit_length() - 1
+            allowed ^= low
+            room -= 1
             current.append(j)
-            extend(current, rest)
+            extend(current, allowed & compat[j])
             current.pop()
-            if aborted[0]:
+            if aborted:
                 return
 
     if n:
         # configurations are translated so candidate 0 (the identity) is a member
-        extend([0], sorted(compat[0]))
-    if aborted[0]:
+        extend([0], compat[0])
+    if aborted:
         return PackingResult(
             value=ub,
             exact=False,
             witness=None,
-            nodes=nodes[0],
+            nodes=nodes,
             note=f"node budget {node_budget} exceeded",
         )
     return PackingResult(
-        value=best[0],
+        value=best,
         exact=True,
-        witness=[candidates[i] for i in best_set[0]],
-        nodes=nodes[0],
+        witness=[candidates[i] for i in best_set],
+        nodes=nodes,
     )
 
 
-def _volume_upper_bound(W: Window, separation: Fraction, diam_bound: Fraction, n_candidates: int) -> int:
-    """Disjoint-ball counting bound; falls back to the candidate count."""
-    r = (math.ceil(separation) - 1) // 2
-    big = diam_bound + r
+def _volume_upper_bound(W: Window, lo: int, hi: int, n_candidates: int) -> int:
+    """Disjoint-ball counting bound for integer bounds lo <= d <= hi; falls
+    back to the candidate count."""
+    r = (lo - 1) // 2
+    big = hi + r
     if r >= 1 and big <= W.radius:
-        outer = sum(1 for l in W.lengths if l <= big)
-        inner = sum(1 for l in W.lengths if l <= r)
+        outer = bisect_right(W.lengths, big)
+        inner = bisect_right(W.lengths, r)
         return min(n_candidates, outer // inner)
     return n_candidates
-
-
-def packing_number_naive(W: Window, separation, diam_bound) -> int:
-    """Independent oracle: exhaustive subset search over the whole window.
-
-    No translation trick, no bound pruning; only feasibility pruning.
-    Intended for windows of a few dozen elements.
-    """
-    separation = Fraction(separation)
-    diam_bound = Fraction(diam_bound)
-    n = len(W.elements)
-    length_of = W.length_of
-    mul, inv = W.group.mul, W.group.inv
-
-    def dist(i: int, j: int):
-        return length_of(mul(inv(W.elements[i]), W.elements[j]))
-
-    best = [0]
-
-    def extend(start: int, current: list):
-        if len(current) > best[0]:
-            best[0] = len(current)
-        for j in range(start, n):
-            ok = True
-            for i in current:
-                d = dist(i, j)
-                if d is None or d < separation or d > diam_bound:
-                    ok = False
-                    break
-            if ok:
-                current.append(j)
-                extend(j + 1, current)
-                current.pop()
-
-    extend(0, [])
-    return best[0]

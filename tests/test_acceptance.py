@@ -35,11 +35,10 @@ from couplingcert.windows import (
     build_window,
     distance,
     greedy_net,
-    is_dense,
-    is_discrete,
     packing_number,
-    packing_number_naive,
 )
+
+from oracles import is_dense, is_discrete, packing_number_naive
 
 CONFIG_1 = RunConfig(group_H="Z^1", group_G="Z^1", map_descriptor="identity",
                      radius_H=24, radius_G=40, eval_radius=8, seed=7)
@@ -239,8 +238,7 @@ def test_criterion_6_checker_liveness():
     # properness: threshold hand-shrunk to 0 qualifies adjacent slices
     K = psi_of(Z.identity).support()
     failures["properness_h"] = check_properness_h(
-        P, phi, [((0,), (0,))], K, m, W_G, Fraction(1, 2), psi_of,
-        threshold_override=0).status
+        P, phi, [((0,), (0,))], K, m, W_G, Fraction(1, 2), psi_of, 8, 0).status
 
     # cocompactness: an empty target set can never absorb half the mass
     failures["cocompactness_h"] = check_cocompactness_h(
@@ -249,7 +247,7 @@ def test_criterion_6_checker_liveness():
     # g-action: recentring ball shrunk to a point
     failures["g_action"] = check_g_action(
         P, phi, [((0,), (0,))], K, Fraction(1, 2), W_G, [], psi_of,
-        recenter_bound_override=0).status
+        2 * P.omega_s1 + 2 + 2 * 8, recenter_bound_override=0).status
 
     ok = all(status == "fail" for status in failures.values())
     _verdict("6 constructed violations all fail", ok, str(failures))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from couplingcert.certify import (
+    _pair_diameter,
     check_cocompactness_h,
     check_g_action,
     check_lipschitz,
@@ -156,8 +157,10 @@ def test_sandwich_fails_on_tampered_slice(pipeline):
 def test_properness_h_passes_nonvacuously(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
+    diam_K = _pair_diameter(K, W_G)
+    assert diam_K == 8
     res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G,
-                             Fraction(1, 2), psi_of)
+                             Fraction(1, 2), psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
     assert res.status == "pass"
     assert res.population == 4  # h in {+-19, +-20}: kappa(|h|) > 18
     assert res.margin == 10  # confinement slack 2w+2 - 0 beats gap 13 - 1
@@ -168,7 +171,7 @@ def test_properness_h_fails_with_zero_threshold(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
     res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G,
-                             Fraction(1, 2), psi_of, threshold_override=0)
+                             Fraction(1, 2), psi_of, 8, 0)
     assert res.status == "fail"
     assert res.witness["h"] in {"1", "-1"}  # first violators are adjacent slices
 
@@ -187,8 +190,9 @@ def test_properness_h_vacuous_in_tiny_window():
         return cache[h]
 
     K = psi_of(Z.identity).support()
+    diam_K = _pair_diameter(K, W_G)
     res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G,
-                             Fraction(1, 2), psi_of)
+                             Fraction(1, 2), psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
     assert res.status == "vacuous"
     assert res.population == 0
 
@@ -223,7 +227,7 @@ def test_g_action_passes(pipeline):
     tau = 2 * P.omega_s1 + 2 + 2 * 8  # diam K = 8
     ring = [e for e, l in zip(W_G.elements, W_G.lengths) if tau < l <= tau + 2]
     res = check_g_action(P, phi, [((0,), (0,)), ((2,), (1,))], K, Fraction(1, 2),
-                         W_G, ring, psi_of)
+                         W_G, ring, psi_of, tau)
     assert res.status == "pass"
     assert res.details["properness_population"] > 0
     assert res.details["recenter_bound"] == 20
@@ -233,7 +237,7 @@ def test_g_action_fails_with_shrunk_recenter_ball(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
     res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1, 2), W_G, [],
-                         psi_of, recenter_bound_override=0)
+                         psi_of, 2 * P.omega_s1 + 2 + 2 * 8, recenter_bound_override=0)
     assert res.status == "fail"
 
 
@@ -242,7 +246,7 @@ def test_g_action_vacuous_properness_population(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = [(0,)]
     res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1), W_G,
-                         [(30,)], psi_of)
+                         [(30,)], psi_of, 2 * P.omega_s1 + 2)  # diam K = 0
     assert res.details["properness_population"] == 0
     assert res.status == "pass"  # recentring and diameter parts still run
 

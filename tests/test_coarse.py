@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplingcert.coarse import (
     analytic_moduli,
@@ -21,7 +25,7 @@ from couplingcert.errors import (
     TableMapError,
 )
 from couplingcert.groups import make_group
-from couplingcert.windows import build_window, distance
+from couplingcert.windows import build_window, distance, resolved_distance
 
 Z = make_group("Z^1")
 Z2 = make_group("Z^2")
@@ -186,3 +190,80 @@ def test_table_map_bad_line_names_line_number(tmp_path):
     with pytest.raises(TableMapError) as exc:
         load_map_table(p, Z, Z)
     assert ":2:" in str(exc.value)
+
+
+def _seeded_table_map(seed: int, radius: int):
+    """v -> v + e(v) on the radius ball of Z^2, e(v) drawn from {0, e1, e2}:
+    not a homomorphism, and not injective."""
+    rnd = random.Random(seed)
+    mapping = {v: (v[0] + dx, v[1] + dy)
+               for v in build_window(Z2, radius).elements
+               for dx, dy in [rnd.choice(((0, 0), (1, 0), (0, 1)))]}
+    return table_map(Z2, Z2, mapping)
+
+
+def _reference_moduli(phi, W_H, W_G, t_max):
+    """The moduli table straight from its definition: every scanned pair
+    with its two distances, then minima and maxima over distance ranges.
+    Ties go to the larger source distance for kappa, the smaller for omega,
+    then to the first pair in scan order."""
+    diff = build_window(phi.source, max(t_max, W_H.radius))
+    els = W_H.elements
+    scanned = []
+    for i, a in enumerate(els):
+        for b in els[i + 1:]:
+            dH = resolved_distance(diff, a, b)
+            if dH is not None and dH <= t_max:
+                scanned.append((a, b, dH, resolved_distance(W_G, phi.fn(a), phi.fn(b))))
+    eff = min([t_max] + [dH - 1 for _, _, dH, dG in scanned if dG is None])
+    pairs = [(els[0], els[0], 0, 0)] + [p for p in scanned if p[3] is not None]
+    counts = [len(els) if t == 0 else 0 for t in range(t_max + 1)]
+    for _, _, dH, _ in pairs[1:]:
+        counts[dH] += 1
+    while eff > 0 and counts[eff] == 0:
+        eff -= 1
+    pairs = [p for p in pairs if p[2] <= eff]
+    order = {id(p): n for n, p in enumerate(pairs)}
+    kap_wit = [min((p for p in pairs if p[2] >= t),
+                   key=lambda p: (p[3], -p[2], order[id(p)])) for t in range(eff + 1)]
+    ome_wit = [min((p for p in pairs if p[2] <= t),
+                   key=lambda p: (-p[3], p[2], order[id(p)])) for t in range(eff + 1)]
+    return {
+        "t_max": eff,
+        "kappa": [w[3] for w in kap_wit],
+        "omega": [w[3] for w in ome_wit],
+        "kappa_witness": kap_wit,
+        "omega_witness": ome_wit,
+        "pair_counts": counts[: eff + 1],
+        "kappa_support": [sum(counts[t: eff + 1]) for t in range(eff + 1)],
+        "omega_support": [sum(counts[: t + 1]) for t in range(eff + 1)],
+        "requested_t_max": t_max,
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), r_H=st.integers(2, 4), t_frac=st.integers(1, 4),
+       r_G=st.integers(3, 12))
+def test_estimate_moduli_matches_reference_pair_scan(seed, r_H, t_frac, r_G):
+    # small target windows truncate the table; t_max above r_H builds the
+    # separate difference window
+    phi = _seeded_table_map(seed, r_H)
+    W_H, W_G = build_window(Z2, r_H), build_window(Z2, r_G)
+    t_max = max(1, 2 * r_H * t_frac // 4)
+    m = estimate_moduli(phi, W_H, W_G, t_max, strict=False)
+    want = _reference_moduli(phi, W_H, W_G, t_max)
+    assert m.provenance == "window-estimated"
+    for name, value in want.items():
+        assert getattr(m, name) == value, name
+
+
+def test_estimate_moduli_truncates_or_raises_on_a_small_target():
+    phi = _seeded_table_map(3, 4)
+    W_H, W_G = build_window(Z2, 4), build_window(Z2, 5)
+    m = estimate_moduli(phi, W_H, W_G, 8, strict=False)
+    want = _reference_moduli(phi, W_H, W_G, 8)
+    assert 0 < m.t_max < 8
+    for name, value in want.items():
+        assert getattr(m, name) == value, name
+    with pytest.raises(ResolutionError):
+        estimate_moduli(phi, W_H, W_G, 8, strict=True)

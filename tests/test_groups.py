@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couplingcert.errors import DescriptorError, NormalFormError
-from couplingcert.groups import inverse, make_group, multiply
+from couplingcert.groups import ZdGroup, make_group
 from couplingcert.windows import build_window
+
+from oracles import inverse, multiply
 
 
 def test_z1_standard_presentation():
@@ -204,3 +206,20 @@ def test_free_reduction_property(xs, ys):
     ab = G.mul(a, b)
     G.validate(ab)
     assert G.mul(G.inv(b), G.mul(G.inv(a), ab)) == G.identity
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_zd_arithmetic_is_componentwise(d, data):
+    # the rank-specialised mul/inv against componentwise +/-, alone and as
+    # a product factor
+    vec = st.tuples(*[st.integers(min_value=-10**9, max_value=10**9)] * d)
+    a, b = data.draw(vec), data.draw(vec)
+    G = ZdGroup(d)
+    assert G.mul(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert G.inv(a) == tuple(-x for x in a)
+    P = make_group(f"C_5 x Z^{d}")
+    u, v = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    assert P.mul((u, a), (v, b)) == ((u + v) % 5, tuple(x + y for x, y in zip(a, b)))
+    assert P.inv((u, a)) == (-u % 5, tuple(-x for x in a))

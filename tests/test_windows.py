@@ -16,11 +16,10 @@ from couplingcert.windows import (
     distance,
     distance_field,
     greedy_net,
-    is_dense,
-    is_discrete,
     packing_number,
-    packing_number_naive,
 )
+
+from oracles import is_dense, is_discrete, packing_number_naive
 
 
 @pytest.mark.parametrize(
