@@ -223,11 +223,11 @@ def _reference_moduli(phi, W_H, W_G, t_max):
     while eff > 0 and counts[eff] == 0:
         eff -= 1
     pairs = [p for p in pairs if p[2] <= eff]
-    order = {id(p): n for n, p in enumerate(pairs)}
-    kap_wit = [min((p for p in pairs if p[2] >= t),
-                   key=lambda p: (p[3], -p[2], order[id(p)])) for t in range(eff + 1)]
-    ome_wit = [min((p for p in pairs if p[2] <= t),
-                   key=lambda p: (-p[3], p[2], order[id(p)])) for t in range(eff + 1)]
+    # min keeps the first of equal keys, i.e. the first pair in scan order
+    kap_wit = [min((p for p in pairs if p[2] >= t), key=lambda p: (p[3], -p[2]))
+               for t in range(eff + 1)]
+    ome_wit = [min((p for p in pairs if p[2] <= t), key=lambda p: (-p[3], p[2]))
+               for t in range(eff + 1)]
     return {
         "t_max": eff,
         "kappa": [w[3] for w in kap_wit],
