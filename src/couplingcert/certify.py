@@ -205,13 +205,10 @@ def check_lipschitz(
     phi: CoarseMap,
     pair_window: Window,
     psi_of: Callable,
-    bound_M: Optional[int] = None,
-    bound_N: Optional[Fraction] = None,
 ) -> CheckResult:
     """L1 increments of psi are bounded by 2*M*N times the source distance,
     over every unordered pair of inner-window points."""
-    M = P.M if bound_M is None else bound_M
-    N = P.N if bound_N is None else Fraction(bound_N)
+    M, N = P.M, P.N
     coeff = 2 * M * N
     fmt = P.window_H.group.format_element
     worst = _Worst()
@@ -399,10 +396,11 @@ def check_cocompactness_h(
     R: int,
     W_G: Window,
     psi_of: Callable,
-    K_radius_override=None,
+    K_radius: int,
 ) -> CheckResult:
     """Every sampled orbit point right-translates into
-    {xi : xi_1 in [K, 1/2]} for K the ball of radius R + omega(s+1) + 1.
+    {xi : xi_1 in [K, 1/2]} for K the ball of radius ``K_radius``; the
+    pipeline's is R + omega(s+1) + 1.
 
     The witness f is searched in BFS order; integer word metrics make the
     search exhaustive over the ball of radius r, so no 1/(5MN)-dense net
@@ -412,7 +410,6 @@ def check_cocompactness_h(
     a window-size error.
     """
     H, G = phi.source, phi.target
-    K_radius = (R + P.omega_s1 + 1) if K_radius_override is None else K_radius_override
     if K_radius > W_G.radius:
         raise PreconditionError(
             f"K radius {K_radius} exceeds the target window radius {W_G.radius}"
@@ -506,7 +503,7 @@ def check_g_action(
     g_candidates: list,
     psi_of: Callable,
     tau: int,
-    recenter_bound_override=None,
+    recenter_bound: int,
 ) -> CheckResult:
     """Properness and cocompactness of the left action.
 
@@ -514,8 +511,8 @@ def check_g_action(
     become disjoint from K_G beyond tau = 2*omega(s+1) + 2 + 2*diam(K_G),
     the bound the caller drew ``g_candidates`` past;
     (b) cocompactness: recentring the BFS-least support point confines any
-    sampled orbit support in the ball of radius 4*omega(s+1) + 4 with full
-    mass;
+    sampled orbit support in the ball of radius ``recenter_bound`` (the
+    pipeline's is 4*omega(s+1) + 4) with full mass;
     (c) the ingredient diameter bound diam(supp psi_h) <= 2*omega(s+1) + 2,
     exhaustively over the inner window.
     """
@@ -548,8 +545,6 @@ def check_g_action(
                 worst.update(d - 1, wit)
             pop_proper += 1
 
-    recenter_bound = (4 * P.omega_s1 + 4 if recenter_bound_override is None
-                      else recenter_bound_override)
     pop_recenter = 0
     for g, h, xi_1 in qualifying or [
         (W_G.group.identity, phi.source.identity,
@@ -565,9 +560,9 @@ def check_g_action(
         if any(l is None for l in lengths):
             raise ResolutionError("recentred support does not resolve")
         m_len = max(lengths)
-        recentred = act_left(g_rec, xi_1)
-        K_ball = {e for e, l in zip(W_G.elements, W_G.lengths) if l <= recenter_bound}
-        ip = recentred.inner_product(K_ball)
+        # mass of the recentred density inside the recentring ball
+        ip = sum((w for w, l in zip(xi_1.atoms.values(), lengths) if l <= recenter_bound),
+                 Fraction(0)) * xi_1.normalizer
         wit = {"xi": [fmtG(g), phi.source.format_element(h)],
                "recentring_g": fmtG(g_rec), "max_length": m_len}
         worst.update(recenter_bound - m_len, wit)
@@ -667,8 +662,8 @@ def run_all(config) -> Certificate:
         P = build_partition(W_H, W_G, phi, m, s, m_slack=config.m_slack)
 
         stage = "samples"
-        eval_window = build_window(H, config.eval_radius)
-        pair_window = build_window(H, min(2 * P.inner_radius, 2 * W_H.radius))
+        if selected & {"lipschitz", "sandwich"}:
+            pair_window = build_window(H, min(2 * P.inner_radius, 2 * W_H.radius))
         cache: dict = {}
 
         def psi_of(h):
@@ -685,7 +680,6 @@ def run_all(config) -> Certificate:
                 for h, lh in zip(W_H.elements, W_H.lengths) if lh <= h_rad]
         strata = [(W_G.length_of(g) + W_H.length_of(h)) for g, h in grid]
         samples = _stratified_sample(grid, strata, SAMPLE_CAP, config.seed)
-        orbit_pts = [orbit_point(P, phi, g, h, eval_window) for g, h in samples]
 
         K_base = psi_of(H.identity).support()
         diam_K = _pair_diameter(K_base, W_G)
@@ -693,6 +687,8 @@ def run_all(config) -> Certificate:
             raise ResolutionError("diameter of K does not resolve in the target window")
         h_threshold = diam_K + 2 * P.omega_s1 + 2
         tau = 2 * P.omega_s1 + 2 + 2 * diam_K
+        K_radius = R + P.omega_s1 + 1
+        recenter_bound = 4 * P.omega_s1 + 4
 
         checks = []
         if "membership_x" in selected:
@@ -704,6 +700,8 @@ def run_all(config) -> Certificate:
             checks.append(check_lipschitz(P, phi, pair_window, psi_of))
         if "sandwich" in selected:
             stage = "sandwich"
+            eval_window = build_window(H, config.eval_radius)
+            orbit_pts = [orbit_point(P, phi, g, h, eval_window) for g, h in samples]
             checks.append(check_sandwich(P, phi, orbit_pts, m, W_G, pair_window, psi_of))
         if "properness_h" in selected:
             stage = "properness_h"
@@ -720,7 +718,7 @@ def run_all(config) -> Certificate:
             cc_samples = [(g, h) for g, h in samples
                           if W_H.length_of(h) <= h_cc][:64]
             checks.append(check_cocompactness_h(
-                P, phi, cc_samples, m, R, W_G, psi_of))
+                P, phi, cc_samples, m, R, W_G, psi_of, K_radius))
         if "g_action" in selected:
             stage = "g_action"
             if tau + 2 <= W_G.radius:
@@ -730,7 +728,8 @@ def run_all(config) -> Certificate:
             g_candidates = [e for e, l in zip(aux.elements, aux.lengths)
                             if tau < l <= tau + 2][:512]
             checks.append(check_g_action(
-                P, phi, samples[:8], K_base, epsilon, W_G, g_candidates, psi_of, tau))
+                P, phi, samples[:8], K_base, epsilon, W_G, g_candidates, psi_of, tau,
+                recenter_bound))
 
         stage = "assemble"
         constants = {
@@ -746,10 +745,10 @@ def run_all(config) -> Certificate:
             "R": R,
             "core_radius": core_radius,
             "inner_radius": P.inner_radius,
-            "cocompact_K_radius": R + P.omega_s1 + 1,
+            "cocompact_K_radius": K_radius,
             "properness_h_threshold": h_threshold,
             "g_properness_threshold": tau,
-            "g_recenter_radius": 4 * P.omega_s1 + 4,
+            "g_recenter_radius": recenter_bound,
             "net_size": len(P.net.points),
             "overlap_count": P.overlap_count,
         }

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .certify import CHECK_NAMES, Certificate, fmt_rat, run_all
-from .coarse import choose_scale, estimate_moduli, make_coarse_map, pipeline_moduli
+from .coarse import choose_scale, make_coarse_map, pipeline_moduli, window_moduli
 from .coupling import build_partition, psi, serialize_density
 from .errors import CouplingCertError, PipelineError, PreconditionError
 from .groups import make_group
@@ -79,7 +79,10 @@ DEMO_CONFIGS = (
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines into RunConfig field values."""
     values: dict = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -125,7 +128,10 @@ def build_config(args) -> RunConfig:
         unknown = set(cfg.checks) - set(CHECK_NAMES)
         if unknown:
             raise PreconditionError(f"unknown checks: {sorted(unknown)}")
-    Fraction(cfg.epsilon)  # validate exact-rational syntax
+    try:
+        Fraction(cfg.epsilon)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"epsilon must be an exact rational, got {cfg.epsilon!r}") from None
     return cfg
 
 
@@ -184,8 +190,7 @@ def cmd_moduli(cfg: RunConfig) -> int:
     H, G, phi = _groups_and_map(cfg)
     W_H = build_window(H, cfg.radius_H)
     W_G = build_window(G, cfg.radius_G)
-    t_req = cfg.t_max if cfg.t_max else 2 * cfg.radius_H
-    m = estimate_moduli(phi, W_H, W_G, min(t_req, 2 * cfg.radius_H), strict=False)
+    m = window_moduli(phi, W_H, W_G, cfg.t_max)
     print(f"# window-estimated moduli of {phi.descriptor}, t_max {m.t_max}")
     print("# t kappa omega pairs")
     for t in range(m.t_max + 1):

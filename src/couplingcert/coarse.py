@@ -4,9 +4,8 @@ moduli.
 ``kappa[t]`` is the least image distance over scanned pairs at source
 distance >= t, ``omega[t]`` the largest over pairs at source distance
 <= t.  Window estimation scans every unordered pair of window elements
-whose source distance is at most ``t_max``; per-``t`` witness pairs and
-populations are recorded so downstream checks can refuse unsupported
-table entries.  Built-in maps with easy closed forms carry analytic
+whose source distance is at most ``t_max`` and counts the scanned pairs
+per source distance.  Built-in maps with easy closed forms carry analytic
 moduli, which are valid at every scale and are preferred by the
 certificate pipeline.
 """
@@ -14,6 +13,7 @@ certificate pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -128,7 +128,10 @@ def load_map_table(path, H: GroupModel, G: GroupModel) -> CoarseMap:
     """Read a lookup table: one ``<source> -> <target>`` per line, ``#``
     comments and blank lines ignored."""
     mapping = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TableMapError(f"cannot read lookup table {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -180,31 +183,17 @@ class Moduli:
     kappa: list
     omega: list
     provenance: str  # "window-estimated" | "analytic"
-    # per t: number of scanned pairs at source distance exactly / >= / <= t
+    # per t: number of scanned pairs at source distance exactly t
     pair_counts: Optional[list] = None
-    kappa_support: Optional[list] = None
-    omega_support: Optional[list] = None
-    # per t: a pair (h1, h2, d_H, d_G) attaining the extremum
-    kappa_witness: Optional[list] = None
-    omega_witness: Optional[list] = None
     requested_t_max: Optional[int] = None
 
     def kappa_at(self, t: int) -> Optional[int]:
-        """kappa at integer t (step interpolation); None when unsupported."""
-        if t < 0:
-            t = 0
-        if t > self.t_max:
-            return None
-        if self.kappa_support is not None and self.kappa_support[t] == 0:
-            return None
-        return self.kappa[t]
+        """kappa at integer t (step interpolation); None beyond the table."""
+        return None if t > self.t_max else self.kappa[max(t, 0)]
 
     def omega_at(self, t: int) -> Optional[int]:
-        if t < 0:
-            t = 0
-        if t > self.t_max:
-            return None
-        return self.omega[t]
+        """omega at integer t (step interpolation); None beyond the table."""
+        return None if t > self.t_max else self.omega[max(t, 0)]
 
 
 def analytic_moduli(phi: CoarseMap, t_max: int) -> Moduli:
@@ -216,20 +205,15 @@ def analytic_moduli(phi: CoarseMap, t_max: int) -> Moduli:
                   requested_t_max=t_max)
 
 
-def estimate_moduli(
-    phi: CoarseMap,
-    W_H: Window,
-    W_G: Window,
-    t_max: int,
-    strict: bool = True,
-) -> Moduli:
+def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:
     """Exhaustive pair scan over the source window.
 
     Pairs at source distance above ``t_max`` are outside the scan.  An
-    image distance that does not resolve in ``W_G`` raises in strict mode;
-    otherwise the table is truncated below the first affected distance
-    (enlarging the source window can only shrink kappa and grow omega, so
-    truncation keeps every recorded entry exact for the scanned window).
+    image distance that does not resolve in ``W_G`` truncates the table
+    below the first affected distance (enlarging the source window can
+    only shrink kappa and grow omega, so truncation keeps every recorded
+    entry exact for the scanned window).  The table is also trimmed to
+    the last distance with a scanned pair, so every entry is supported.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
@@ -242,12 +226,12 @@ def estimate_moduli(
     n = len(elements)
     images = [apply(phi, h) for h in elements]
 
-    min_img = [None] * (t_max + 1)
-    max_img = [None] * (t_max + 1)
+    # resolved image distances lie in [0, W_G.radius]: the sentinels mark
+    # source distances without a resolved pair
+    min_img = [W_G.radius + 1] * (t_max + 1)
+    max_img = [-1] * (t_max + 1)
     counts = [0] * (t_max + 1)
-    min_wit = [None] * (t_max + 1)
-    max_wit = [None] * (t_max + 1)
-    t_bad = None
+    t_bad = t_max + 1
 
     mulH, invH = H.mul, H.inv
     mulG, invG = G.mul, G.inv
@@ -267,61 +251,28 @@ def estimate_moduli(
                 continue
             k = g_get(mulG(inv_img, img_j))
             if k is None:
-                if strict:
-                    raise ResolutionError(
-                        f"image distance of a pair at source distance {dH} does "
-                        f"not resolve in the target window (radius {W_G.radius}); "
-                        "enlarge the target window or lower t_max"
-                    )
-                t_bad = dH if t_bad is None else min(t_bad, dH)
+                if dH < t_bad:
+                    t_bad = dH
                 continue
             dG = g_lengths[k]
             counts[dH] += 1
-            if min_img[dH] is None or dG < min_img[dH]:
+            if dG < min_img[dH]:
                 min_img[dH] = dG
-                min_wit[dH] = (hi, hj, dH, dG)
-            if max_img[dH] is None or dG > max_img[dH]:
+            if dG > max_img[dH]:
                 max_img[dH] = dG
-                max_wit[dH] = (hi, hj, dH, dG)
 
-    # the diagonal: every element pairs with itself at distance 0
+    # the diagonal: every element pairs with itself at distance 0 (distinct
+    # elements never do)
     counts[0] += n
-    if min_img[0] is None or min_img[0] > 0:
-        min_img[0] = 0
-        min_wit[0] = (elements[0], elements[0], 0, 0)
-    if max_img[0] is None:
-        max_img[0] = 0
-        max_wit[0] = (elements[0], elements[0], 0, 0)
+    min_img[0] = max_img[0] = 0
 
-    eff = t_max if t_bad is None else min(t_max, t_bad - 1)
+    eff = min(t_max, t_bad - 1)
     while eff > 0 and counts[eff] == 0:
         eff -= 1
-
-    kappa = [0] * (eff + 1)
-    omega = [0] * (eff + 1)
-    k_wit = [None] * (eff + 1)
-    o_wit = [None] * (eff + 1)
-    k_support = [0] * (eff + 1)
-    o_support = [0] * (eff + 1)
-
-    running_min, running_wit, running_count = None, None, 0
-    for t in range(eff, -1, -1):
-        if min_img[t] is not None and (running_min is None or min_img[t] < running_min):
-            running_min = min_img[t]
-            running_wit = min_wit[t]
-        running_count += counts[t]
-        kappa[t] = running_min if running_min is not None else 0
-        k_wit[t] = running_wit
-        k_support[t] = running_count
-    running_max, running_wit, running_count = None, None, 0
-    for t in range(eff + 1):
-        if max_img[t] is not None and (running_max is None or max_img[t] > running_max):
-            running_max = max_img[t]
-            running_wit = max_wit[t]
-        running_count += counts[t]
-        omega[t] = running_max if running_max is not None else 0
-        o_wit[t] = running_wit
-        o_support[t] = running_count
+    # counts[eff] > 0, so the running minimum from eff down and the running
+    # maximum from 0 up never hold a sentinel
+    kappa = list(accumulate(reversed(min_img[: eff + 1]), min))[::-1]
+    omega = list(accumulate(max_img[: eff + 1], max))
 
     return Moduli(
         t_max=eff,
@@ -329,22 +280,23 @@ def estimate_moduli(
         omega=omega,
         provenance="window-estimated",
         pair_counts=counts[: eff + 1],
-        kappa_support=k_support,
-        omega_support=o_support,
-        kappa_witness=k_wit,
-        omega_witness=o_wit,
         requested_t_max=t_max,
     )
 
 
+def window_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) -> Moduli:
+    """The truncating window scan up to ``t_max``: ``0`` means, and larger
+    values are capped at, ``2*W_H.radius``."""
+    cap = 2 * W_H.radius
+    return estimate_moduli(phi, W_H, W_G, min(t_max, cap) if t_max else cap)
+
+
 def pipeline_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) -> Moduli:
     """The moduli table of the certificate pipeline: analytic when the map
-    has closed forms, else the truncating window scan up to ``t_max``
-    (``0`` means, and larger values are capped at, ``2*W_H.radius``)."""
+    has closed forms, else :func:`window_moduli` up to ``t_max``."""
     if phi.has_analytic_moduli:
         return analytic_moduli(phi, 2 * (W_G.radius + W_H.radius) + 8)
-    t_req = t_max if t_max else 2 * W_H.radius
-    return estimate_moduli(phi, W_H, W_G, min(t_req, 2 * W_H.radius), strict=False)
+    return window_moduli(phi, W_H, W_G, t_max)
 
 
 def choose_scale(m: Moduli) -> int:

@@ -30,7 +30,6 @@ class PartitionOfUnity:
     net: Net                            # Y, subset of the H-window
     images: list                        # Z = phi[Y], aligned with net.points
     window_H: Window
-    window_G: Window
     inner_radius: int
     inner_elements: list
     N_empirical: Fraction
@@ -105,7 +104,6 @@ class SparseDensity:
     normalizer: Fraction
     atoms: dict
     blocks: Optional[list] = None
-    base: Optional[tuple] = None
 
     def mass(self) -> Fraction:
         return sum(self.atoms.values(), Fraction(0)) * self.normalizer
@@ -131,7 +129,6 @@ def build_partition(
     m: Moduli,
     s,
     m_slack: int = 0,
-    packing_kwargs: Optional[dict] = None,
 ) -> PartitionOfUnity:
     """Assemble net, bumps, weights and the constants N and M."""
     s = Fraction(s)
@@ -166,7 +163,6 @@ def build_partition(
         net=net,
         images=images,
         window_H=W_H,
-        window_G=W_G,
         inner_radius=inner_radius,
         inner_elements=[e for e, l in zip(W_H.elements, W_H.lengths) if l <= inner_radius],
         N_empirical=Fraction(0),
@@ -207,7 +203,7 @@ def build_partition(
                     n_emp = slope
     P.N_empirical = n_emp
 
-    pk = packing_number(W_G, 3, 2 * omega_s1, **(packing_kwargs or {}))
+    pk = packing_number(W_G, 3, 2 * omega_s1)
     P.M = pk.value + m_slack
     P.M_exact = pk.exact and m_slack == 0
     return P
@@ -248,7 +244,6 @@ def psi(P: PartitionOfUnity, phi: CoarseMap, h) -> SparseDensity:
         normalizer=Fraction(1, len(B)),
         atoms=atoms,
         blocks=blocks,
-        base=B,
     )
     if d.mass() != 1:
         raise CouplingCertError(f"psi mass {d.mass()} != 1")
@@ -298,7 +293,6 @@ def act_left(g, xi: SparseDensity) -> SparseDensity:
         normalizer=xi.normalizer,
         atoms={mul(g, a): w for a, w in xi.atoms.items()},
         blocks=None if xi.blocks is None else [(mul(g, z), a) for z, a in xi.blocks],
-        base=xi.base,
     )
 
 

@@ -7,6 +7,7 @@ are asserted with wall-clock measurements of the full pipeline runs.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -127,7 +128,7 @@ def test_criterion_3_planar_gl2_pipeline(cert3):
     phi = make_coarse_map("matrix:1,1,0,1", Z2, Z2)
     W_H = build_window(Z2, 10)
     W_G = build_window(Z2, 30)
-    m = estimate_moduli(phi, W_H, W_G, 20, strict=False)
+    m = estimate_moduli(phi, W_H, W_G, 20)
     ok &= all(a <= b for a, b in zip(m.kappa, m.kappa[1:]))
     ok &= all(a <= b for a, b in zip(m.omega, m.omega[1:]))
 
@@ -216,13 +217,12 @@ def test_criterion_6_checker_liveness():
         for b in B:
             atoms[Z.mul(z, b)] = Fraction(1, 2)
     bad = SparseDensity(group=Z, normalizer=Fraction(1, 3), atoms=atoms,
-                        blocks=[((0,), Fraction(1, 2)), ((2,), Fraction(1, 2))],
-                        base=B)
+                        blocks=[((0,), Fraction(1, 2)), ((2,), Fraction(1, 2))])
     failures["membership_x"] = check_membership_x([("bad", bad)], W_G, 8).status
 
     # lipschitz: a constant far below the true slope
-    failures["lipschitz"] = check_lipschitz(
-        P, phi, pair_window, psi_of, bound_N=Fraction(1, 1000)).status
+    tiny_N = replace(P, N_empirical=Fraction(1, 1000), N_apriori=Fraction(1, 1000))
+    failures["lipschitz"] = check_lipschitz(tiny_N, phi, pair_window, psi_of).status
 
     # sandwich: one slice translated far beyond the expansion bound
     ew = build_window(Z, 2)
@@ -242,12 +242,12 @@ def test_criterion_6_checker_liveness():
 
     # cocompactness: an empty target set can never absorb half the mass
     failures["cocompactness_h"] = check_cocompactness_h(
-        P, phi, [((0,), (0,))], m, 0, W_G, psi_of, K_radius_override=-1).status
+        P, phi, [((0,), (0,))], m, 0, W_G, psi_of, -1).status
 
     # g-action: recentring ball shrunk to a point
     failures["g_action"] = check_g_action(
         P, phi, [((0,), (0,))], K, Fraction(1, 2), W_G, [], psi_of,
-        2 * P.omega_s1 + 2 + 2 * 8, recenter_bound_override=0).status
+        2 * P.omega_s1 + 2 + 2 * 8, 0).status
 
     ok = all(status == "fail" for status in failures.values())
     _verdict("6 constructed violations all fail", ok, str(failures))

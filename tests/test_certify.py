@@ -3,6 +3,7 @@ violations, and compose deterministically."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -68,8 +69,7 @@ def test_membership_fails_on_two_close_blocks():
         for b in B:
             atoms[Z.mul(z, b)] = Fraction(1, 2)
     dens = SparseDensity(group=Z, normalizer=Fraction(1, 3), atoms=atoms,
-                         blocks=[((0,), Fraction(1, 2)), ((2,), Fraction(1, 2))],
-                         base=B)
+                         blocks=[((0,), Fraction(1, 2)), ((2,), Fraction(1, 2))])
     res = check_membership_x([("bad", dens)], build_window(Z, 12), 8)
     assert res.status == "fail"
     assert res.margin == -1  # separation 2 against the 3-discreteness bound
@@ -79,7 +79,7 @@ def test_membership_passes_single_block():
     B = unit_ball(Z)
     dens = SparseDensity(group=Z, normalizer=Fraction(1, 3),
                          atoms={b: Fraction(1) for b in B},
-                         blocks=[((0,), Fraction(1))], base=B)
+                         blocks=[((0,), Fraction(1))])
     res = check_membership_x([("one", dens)], build_window(Z, 12), 8)
     assert res.status == "pass"
     assert res.details["worst_diameter_margin"] == 8
@@ -96,7 +96,8 @@ def test_lipschitz_passes_and_reports_tightest(pipeline):
 
 def test_lipschitz_fails_with_shrunk_constant(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
-    res = check_lipschitz(P, phi, pair_window, psi_of, bound_N=Fraction(1, 1000))
+    tiny_N = replace(P, N_empirical=Fraction(1, 1000), N_apriori=Fraction(1, 1000))
+    res = check_lipschitz(tiny_N, phi, pair_window, psi_of)
     assert res.status == "fail"
     assert res.margin < 0
 
@@ -200,7 +201,7 @@ def test_properness_h_vacuous_in_tiny_window():
 def test_cocompactness_passes(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     res = check_cocompactness_h(P, phi, [((0,), (0,)), ((4,), (4,)), ((20,), (0,))],
-                                m, 1, W_G, psi_of)
+                                m, 1, W_G, psi_of, 1 + P.omega_s1 + 1)
     assert res.status == "pass"
     assert res.margin >= 0
     assert "no 1/(5MN) net" in res.details["search"]
@@ -208,7 +209,8 @@ def test_cocompactness_passes(pipeline):
 
 def test_cocompactness_trivial_witness_at_identity(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
-    res = check_cocompactness_h(P, phi, [((0,), (0,))], m, 1, W_G, psi_of)
+    res = check_cocompactness_h(P, phi, [((0,), (0,))], m, 1, W_G, psi_of,
+                                1 + P.omega_s1 + 1)
     assert res.status == "pass"
     assert res.witness["f"] == "0"  # f = identity already recenters fully
     assert res.margin == Fraction(1, 2)  # inner product 1 against 1/2
@@ -216,8 +218,7 @@ def test_cocompactness_trivial_witness_at_identity(pipeline):
 
 def test_cocompactness_fails_with_empty_target_set(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
-    res = check_cocompactness_h(P, phi, [((0,), (0,))], m, 0, W_G, psi_of,
-                                K_radius_override=-1)
+    res = check_cocompactness_h(P, phi, [((0,), (0,))], m, 0, W_G, psi_of, -1)
     assert res.status == "fail"
 
 
@@ -227,7 +228,7 @@ def test_g_action_passes(pipeline):
     tau = 2 * P.omega_s1 + 2 + 2 * 8  # diam K = 8
     ring = [e for e, l in zip(W_G.elements, W_G.lengths) if tau < l <= tau + 2]
     res = check_g_action(P, phi, [((0,), (0,)), ((2,), (1,))], K, Fraction(1, 2),
-                         W_G, ring, psi_of, tau)
+                         W_G, ring, psi_of, tau, 4 * P.omega_s1 + 4)
     assert res.status == "pass"
     assert res.details["properness_population"] > 0
     assert res.details["recenter_bound"] == 20
@@ -237,8 +238,19 @@ def test_g_action_fails_with_shrunk_recenter_ball(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
     res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1, 2), W_G, [],
-                         psi_of, 2 * P.omega_s1 + 2 + 2 * 8, recenter_bound_override=0)
+                         psi_of, 2 * P.omega_s1 + 2 + 2 * 8, 0)
     assert res.status == "fail"
+
+
+def test_g_action_recentring_ball_is_closed(pipeline):
+    # psi_0 is supported on [-4, 4]: the closed ball of radius 4 holds all
+    # of its mass, so the recentring part of the margin is exactly 0
+    P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
+    K = psi_of(Z.identity).support()
+    res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1, 2), W_G, [],
+                         psi_of, 2 * P.omega_s1 + 2 + 2 * 8, 4)
+    assert res.status == "pass"
+    assert res.margin == 0
 
 
 def test_g_action_vacuous_properness_population(pipeline):
@@ -246,7 +258,8 @@ def test_g_action_vacuous_properness_population(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = [(0,)]
     res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1), W_G,
-                         [(30,)], psi_of, 2 * P.omega_s1 + 2)  # diam K = 0
+                         [(30,)], psi_of, 2 * P.omega_s1 + 2,  # diam K = 0
+                         4 * P.omega_s1 + 4)
     assert res.details["properness_population"] == 0
     assert res.status == "pass"  # recentring and diameter parts still run
 

@@ -83,6 +83,19 @@ def test_moduli_subcommand(capsys):
     assert table == {t: (2 * t, 2 * t) for t in range(9)}
 
 
+@pytest.mark.parametrize("tmax", [None, "50"])
+def test_moduli_subcommand_scans_to_twice_the_source_radius(capsys, tmax):
+    # no --tmax, or one above 2*rH, scans the full 2*rH = 20
+    argv = ["moduli", "--H", "Z^1", "--G", "Z^1", "--map", "scale:2",
+            "--rH", "10", "--rG", "40"]
+    assert main(argv + (["--tmax", tmax] if tmax else [])) == 0
+    out = capsys.readouterr().out
+    assert "t_max 20" in out.splitlines()[0]
+    rows = [l.split() for l in out.splitlines() if l and not l.startswith("#")]
+    assert [int(r[0]) for r in rows] == list(range(21))
+    assert all(int(r[1]) == int(r[2]) == 2 * int(r[0]) for r in rows)
+
+
 def test_net_subcommand(capsys):
     assert main(["net", "--H", "Z^1", "--rH", "10", "--s", "3"]) == 0
     out = capsys.readouterr().out
@@ -161,6 +174,24 @@ def test_pipeline_error_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "[scale]" in err and "bounded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--epsilon", "abc"],
+    ["certify", "--epsilon", "1/0"],
+    ["certify", "--config", "{tmp}/absent.cfg"],
+    ["certify", "--config", "{tmp}/binary.cfg"],
+    ["certify", "--map", "table:{tmp}/absent.map"],
+    ["moduli", "--map", "table:{tmp}/absent.map"],
+], ids=["epsilon-syntax", "epsilon-zero-denominator", "missing-config",
+        "undecodable-config", "missing-table", "missing-table-moduli"])
+def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
+    # exit 1 means a check failed; unusable input is an error, exit 2
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--rH", "12", "--rG", "24", "--eval", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_demo_subcommand(capsys):

@@ -64,7 +64,17 @@ def test_estimate_moduli_identity_on_z():
     assert m.omega == list(range(9))
     assert m.provenance == "window-estimated"
     assert all(c > 0 for c in m.pair_counts)
-    assert all(w is not None for w in m.kappa_witness)
+
+
+def test_estimate_moduli_trims_distances_without_pairs():
+    # C_5 has diameter 2: no pair lies at distance 3..8, so the table ends
+    # at 2 and every entry it keeps answers
+    C5 = make_group("C_5")
+    m = estimate_moduli(make_coarse_map("identity", C5, C5),
+                        build_window(C5, 4), build_window(C5, 4), 8)
+    assert (m.t_max, m.requested_t_max, m.pair_counts) == (2, 8, [5, 5, 5])
+    assert [m.kappa_at(t) for t in range(4)] == [0, 1, 2, None]
+    assert [m.omega_at(t) for t in range(4)] == [0, 1, 2, None]
 
 
 def test_estimate_moduli_scaling():
@@ -148,13 +158,11 @@ def test_window_estimates_bracket_analytic_moduli(desc, H, G):
         assert est.omega[t] <= ana.omega[t]
 
 
-def test_strict_estimation_raises_on_unresolvable_images():
+def test_estimation_truncates_on_unresolvable_images():
     phi = make_coarse_map("identity", Z, Z)
     W_H = build_window(Z, 10)
     W_G = build_window(Z, 6)
-    with pytest.raises(ResolutionError):
-        estimate_moduli(phi, W_H, W_G, 12, strict=True)
-    m = estimate_moduli(phi, W_H, W_G, 12, strict=False)
+    m = estimate_moduli(phi, W_H, W_G, 12)
     assert m.t_max == 6  # truncated below the first unresolvable distance
     assert m.kappa == list(range(7))
 
@@ -204,9 +212,7 @@ def _seeded_table_map(seed: int, radius: int):
 
 def _reference_moduli(phi, W_H, W_G, t_max):
     """The moduli table straight from its definition: every scanned pair
-    with its two distances, then minima and maxima over distance ranges.
-    Ties go to the larger source distance for kappa, the smaller for omega,
-    then to the first pair in scan order."""
+    with its two distances, then minima and maxima over distance ranges."""
     diff = build_window(phi.source, max(t_max, W_H.radius))
     els = W_H.elements
     scanned = []
@@ -223,20 +229,11 @@ def _reference_moduli(phi, W_H, W_G, t_max):
     while eff > 0 and counts[eff] == 0:
         eff -= 1
     pairs = [p for p in pairs if p[2] <= eff]
-    # min keeps the first of equal keys, i.e. the first pair in scan order
-    kap_wit = [min((p for p in pairs if p[2] >= t), key=lambda p: (p[3], -p[2]))
-               for t in range(eff + 1)]
-    ome_wit = [min((p for p in pairs if p[2] <= t), key=lambda p: (-p[3], p[2]))
-               for t in range(eff + 1)]
     return {
         "t_max": eff,
-        "kappa": [w[3] for w in kap_wit],
-        "omega": [w[3] for w in ome_wit],
-        "kappa_witness": kap_wit,
-        "omega_witness": ome_wit,
+        "kappa": [min(p[3] for p in pairs if p[2] >= t) for t in range(eff + 1)],
+        "omega": [max(p[3] for p in pairs if p[2] <= t) for t in range(eff + 1)],
         "pair_counts": counts[: eff + 1],
-        "kappa_support": [sum(counts[t: eff + 1]) for t in range(eff + 1)],
-        "omega_support": [sum(counts[: t + 1]) for t in range(eff + 1)],
         "requested_t_max": t_max,
     }
 
@@ -250,20 +247,22 @@ def test_estimate_moduli_matches_reference_pair_scan(seed, r_H, t_frac, r_G):
     phi = _seeded_table_map(seed, r_H)
     W_H, W_G = build_window(Z2, r_H), build_window(Z2, r_G)
     t_max = max(1, 2 * r_H * t_frac // 4)
-    m = estimate_moduli(phi, W_H, W_G, t_max, strict=False)
+    m = estimate_moduli(phi, W_H, W_G, t_max)
     want = _reference_moduli(phi, W_H, W_G, t_max)
     assert m.provenance == "window-estimated"
     for name, value in want.items():
         assert getattr(m, name) == value, name
+    # the table is trimmed to supported entries: every one answers
+    for t in range(m.t_max + 1):
+        assert m.kappa_at(t) == m.kappa[t] and m.omega_at(t) == m.omega[t]
+    assert m.kappa_at(m.t_max + 1) is None and m.omega_at(m.t_max + 1) is None
 
 
-def test_estimate_moduli_truncates_or_raises_on_a_small_target():
+def test_estimate_moduli_truncates_on_a_small_target():
     phi = _seeded_table_map(3, 4)
     W_H, W_G = build_window(Z2, 4), build_window(Z2, 5)
-    m = estimate_moduli(phi, W_H, W_G, 8, strict=False)
+    m = estimate_moduli(phi, W_H, W_G, 8)
     want = _reference_moduli(phi, W_H, W_G, 8)
     assert 0 < m.t_max < 8
     for name, value in want.items():
         assert getattr(m, name) == value, name
-    with pytest.raises(ResolutionError):
-        estimate_moduli(phi, W_H, W_G, 8, strict=True)

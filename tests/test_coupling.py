@@ -99,11 +99,10 @@ def test_psi_single_block_case():
     # a one-point net makes alpha identically 1 and psi a single block
     phi = make_coarse_map("identity", Z, Z)
     W_H = build_window(Z, 8)
-    W_G = build_window(Z, 12)
     m = analytic_moduli(phi, 40)
     P = PartitionOfUnity(
         scale=Fraction(3), net=Net(scale=Fraction(3), points=[(0,)]),
-        images=[(0,)], window_H=W_H, window_G=W_G, inner_radius=2,
+        images=[(0,)], window_H=W_H, inner_radius=2,
         inner_elements=[e for e, l in zip(W_H.elements, W_H.lengths) if l <= 2],
         N_empirical=Fraction(0), N_apriori=Fraction(1), overlap_count=1,
         M=1, M_exact=True, omega_s1=4,
@@ -177,7 +176,7 @@ def _single_block(G):
     B = unit_ball(G)
     return SparseDensity(group=G, normalizer=Fraction(1, len(B)),
                          atoms={b: Fraction(1) for b in B},
-                         blocks=[(G.identity, Fraction(1))], base=B)
+                         blocks=[(G.identity, Fraction(1))])
 
 
 def test_act_left_examples(z_identity):
