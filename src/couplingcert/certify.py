@@ -99,6 +99,14 @@ def fmt_rat(x) -> str:
     return str(Fraction(x))
 
 
+def parse_epsilon(value) -> Fraction:
+    """The [K, eps] membership threshold as an exact rational."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise PreconditionError(f"epsilon must be an exact rational, got {value!r}") from None
+
+
 def _canon(value):
     """Canonical JSON form: rationals become num/den strings, dict keys
     are sorted, tuples become lists."""
@@ -167,7 +175,7 @@ def check_membership_x(
         if dens.blocks is None:
             worst.update(-1, {"point": label, "reason": "no block structure"})
             continue
-        coeffs = [a for _, a in dens.blocks]
+        coeffs = [a for _, a in dens.block_coefficients()]
         if any(a < 0 for a in coeffs) or sum(coeffs, Fraction(0)) != 1:
             worst.update(-1, {"point": label, "reason": "not a convex combination"})
             continue
@@ -210,9 +218,11 @@ def check_lipschitz(
     over every unordered pair of inner-window points."""
     M, N = P.M, P.N
     coeff = 2 * M * N
-    fmt = P.window_H.group.format_element
-    worst = _Worst()
-    tightest = Fraction(0)
+    c_num, c_den = coeff.numerator, coeff.denominator
+    # rationals are compared as integer pairs by cross-multiplication: the
+    # least margin coeff*t - l1 (first one wins ties) and the largest l1/t
+    worst = None  # (margin numerator, margin denominator, f1, f2, t, l1)
+    top_num, top_den = 0, 1
     population = 0
     inner = P.inner_elements
     for i, f1 in enumerate(inner):
@@ -224,17 +234,23 @@ def check_lipschitz(
                     "inner pair distance does not resolve; pair window too small"
                 )
             val = l1_distance(d1, psi_of(f2))
-            worst.update(coeff * t - val, {"pair": [fmt(f1), fmt(f2)],
-                                           "distance": t, "l1": val})
-            tightest = max(tightest, Fraction(val) / t)
+            p, r = val.numerator, val.denominator
+            m_num, m_den = c_num * t * r - p * c_den, c_den * r
+            if worst is None or m_num * worst[1] < worst[0] * m_den:
+                worst = (m_num, m_den, f1, f2, t, val)
+            if p * top_den > top_num * r * t:
+                top_num, top_den = p, r * t
             population += 1
     if population == 0:
         return CheckResult("lipschitz", "vacuous", None, None, 0)
-    status = "pass" if worst.margin >= 0 else "fail"
+    m_num, m_den, f1, f2, t, val = worst
+    fmt = P.window_H.group.format_element
+    status = "pass" if m_num >= 0 else "fail"
     return CheckResult(
-        "lipschitz", status, worst.witness, worst.margin, population,
-        details={"bound_coefficient": coeff, "tightest_constant": tightest,
-                 "M": M, "N": N},
+        "lipschitz", status, {"pair": [fmt(f1), fmt(f2)], "distance": t, "l1": val},
+        Fraction(m_num, m_den), population,
+        details={"bound_coefficient": coeff,
+                 "tightest_constant": Fraction(top_num, top_den), "M": M, "N": N},
     )
 
 
@@ -561,8 +577,7 @@ def check_g_action(
             raise ResolutionError("recentred support does not resolve")
         m_len = max(lengths)
         # mass of the recentred density inside the recentring ball
-        ip = sum((w for w, l in zip(xi_1.atoms.values(), lengths) if l <= recenter_bound),
-                 Fraction(0)) * xi_1.normalizer
+        ip = xi_1.inner_product({a for a, l in zip(supp, lengths) if l <= recenter_bound})
         wit = {"xi": [fmtG(g), phi.source.format_element(h)],
                "recentring_g": fmtG(g_rec), "max_length": m_len}
         worst.update(recenter_bound - m_len, wit)
@@ -628,7 +643,7 @@ def run_all(config) -> Certificate:
         unknown = selected - set(CHECK_NAMES)
         if unknown:
             raise PreconditionError(f"unknown checks: {sorted(unknown)}")
-        epsilon = Fraction(config.epsilon)
+        epsilon = parse_epsilon(config.epsilon)
 
         stage = "groups"
         H = make_group(config.group_H)

@@ -16,11 +16,10 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .certify import CHECK_NAMES, Certificate, fmt_rat, run_all
+from .certify import CHECK_NAMES, Certificate, fmt_rat, parse_epsilon, run_all
 from .coarse import choose_scale, make_coarse_map, pipeline_moduli, window_moduli
 from .coupling import build_partition, psi, serialize_density
 from .errors import CouplingCertError, PipelineError, PreconditionError
@@ -128,10 +127,7 @@ def build_config(args) -> RunConfig:
         unknown = set(cfg.checks) - set(CHECK_NAMES)
         if unknown:
             raise PreconditionError(f"unknown checks: {sorted(unknown)}")
-    try:
-        Fraction(cfg.epsilon)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"epsilon must be an exact rational, got {cfg.epsilon!r}") from None
+    parse_epsilon(cfg.epsilon)
     return cfg
 
 

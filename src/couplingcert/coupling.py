@@ -7,6 +7,12 @@ counting measure scaled by 1/|B|, where B is the closed unit ball
 exactly 1 and every ``psi_h`` is a convex combination of disjointly
 supported blocks.
 
+Weights are held as integer numerators over one integer denominator:
+theta_y(h) = n_y / q with q = (s+1).denominator, and every atom of the
+block zB of ``psi_h`` carries n_z over the denominator Theta(h)*q*|B|.
+Masses, inner products and L1 distances sum integers and build one
+``Fraction`` per call, at the boundary where a margin or report reads it.
+
 The inner window is the ball of radius ``window_radius - (s+1)``: for h
 inside it, every net point whose bump touches h lies in the window, so
 Theta and the alpha weights are truncation-free.
@@ -50,12 +56,18 @@ class PartitionOfUnity:
         """Lipschitz constant used in certified bounds: the safe maximum."""
         return max(self.N_empirical, self.N_apriori)
 
+    @property
+    def theta_denominator(self) -> int:
+        """q = (s+1).denominator: every theta_y(h) is an integer over q."""
+        return (self.scale + 1).denominator
+
     def theta_terms(self, h) -> list:
-        """[(net index, theta_y(h))] for the net points with theta > 0."""
+        """[(net index, n)] for the net points with theta_y(h) = n/q > 0."""
         hit = self._theta_cache.get(h)
         if hit is not None:
             return hit
         s1 = self.scale + 1
+        top, q = s1.numerator, s1.denominator
         below = math.ceil(s1) - 1  # integer d < s+1 exactly when d <= below
         W = self.window_H
         index_get, lengths, mul = W.index.get, W.lengths, W.group.mul
@@ -63,23 +75,22 @@ class PartitionOfUnity:
         for i, y_inv in enumerate(self.net_inverses):
             k = index_get(mul(y_inv, h))
             if k is not None and lengths[k] <= below:
-                terms.append((i, s1 - lengths[k]))
+                terms.append((i, top - q * lengths[k]))
         self._theta_cache[h] = terms
         return terms
 
-    def Theta(self, h) -> Fraction:
-        return sum((v for _, v in self.theta_terms(h)), Fraction(0))
-
-    def alpha_terms(self, h) -> list:
-        """[(net index, alpha_z(h))] over the support Z_h, in net order."""
+    def alpha_terms(self, h) -> tuple:
+        """(terms, total): alpha_y(h) = n/total for each (net index, n) of
+        ``theta_terms(h)``, over the support Z_h in net order; total is
+        Theta(h)*q."""
         terms = self.theta_terms(h)
-        total = sum((v for _, v in terms), Fraction(0))
-        if total < 1:
+        total = sum(n for _, n in terms)
+        if total < self.theta_denominator:
             raise CouplingCertError(
                 f"Theta < 1 at {self.window_H.group.format_element(h)}; "
                 "point is outside the region covered by the net"
             )
-        return [(i, v / total) for i, v in terms]
+        return terms, total
 
     def is_inner(self, h) -> bool:
         l = self.window_H.length_of(h)
@@ -95,31 +106,37 @@ def unit_ball(G) -> tuple:
 class SparseDensity:
     """Finitely supported nonnegative rational density on the target group.
 
-    ``atoms`` maps group elements to coefficients; the L1 mass of the
-    density is ``sum(atoms.values()) * normalizer``.  Densities produced
-    by ``psi`` keep their block decomposition ``[(z, alpha_z)]``.
+    ``atoms`` maps group elements to integer numerators over the one
+    integer ``denominator``: atom ``a`` carries measure
+    ``atoms[a] / denominator``, so the L1 mass is
+    ``sum(atoms.values()) / denominator``.  Densities produced by ``psi``
+    keep their block decomposition ``[(z, n_z)]``, where ``n_z`` is the
+    numerator of every atom of the block ``zB``.
     """
 
     group: object
-    normalizer: Fraction
+    denominator: int
     atoms: dict
     blocks: Optional[list] = None
 
     def mass(self) -> Fraction:
-        return sum(self.atoms.values(), Fraction(0)) * self.normalizer
+        return Fraction(sum(self.atoms.values()), self.denominator)
 
     def support(self) -> list:
         return list(self.atoms.keys())
 
     def inner_product(self, subset) -> Fraction:
-        """<xi | chi_K> = sum of atom weights over K, scaled by the measure."""
+        """<xi | chi_K> = the measure of the atoms in K."""
         if not isinstance(subset, (set, frozenset, dict)):
             subset = set(subset)
-        total = Fraction(0)
-        for a, w in self.atoms.items():
-            if a in subset:
-                total += w
-        return total * self.normalizer
+        return Fraction(sum(n for a, n in self.atoms.items() if a in subset),
+                        self.denominator)
+
+    def block_coefficients(self) -> list:
+        """[(z, alpha_z)]: the convex weight of each block zB, so that the
+        density is the sum of alpha_z * chi_{zB} under Haar measure."""
+        size = len(unit_ball(self.group))
+        return [(z, Fraction(n * size, self.denominator)) for z, n in self.blocks]
 
 
 def build_partition(
@@ -188,20 +205,26 @@ def build_partition(
     P.overlap_count = C
     P.N_apriori = Fraction(1) + C * s1
 
-    # empirical constant: worst alpha increment over adjacent inner pairs
+    # empirical constant: worst alpha increment over adjacent inner pairs;
+    # |n1/T1 - n2/T2| is compared as |n1*T2 - n2*T1| over T1*T2
     H = W_H.group
-    alphas = {h: dict(P.alpha_terms(h)) for h in P.inner_elements}
-    n_emp = Fraction(0)
-    for h, a_h in alphas.items():
+    alphas = {}
+    for h in P.inner_elements:
+        terms, total = P.alpha_terms(h)
+        alphas[h] = (dict(terms), total)
+    best_num, best_den = 0, 1
+    for h, (a_h, t_h) in alphas.items():
         for g in H.generators:
-            a_h2 = alphas.get(H.mul(h, g))
-            if a_h2 is None:
+            hit = alphas.get(H.mul(h, g))
+            if hit is None:
                 continue
-            for i in set(a_h) | set(a_h2):
-                slope = abs(a_h.get(i, Fraction(0)) - a_h2.get(i, Fraction(0)))
-                if slope > n_emp:
-                    n_emp = slope
-    P.N_empirical = n_emp
+            a_h2, t_h2 = hit
+            den = t_h * t_h2
+            for i in a_h.keys() | a_h2.keys():
+                num = abs(a_h.get(i, 0) * t_h2 - a_h2.get(i, 0) * t_h)
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+    P.N_empirical = Fraction(best_num, best_den)
 
     pk = packing_number(W_G, 3, 2 * omega_s1)
     P.M = pk.value + m_slack
@@ -218,49 +241,45 @@ def psi(P: PartitionOfUnity, phi: CoarseMap, h) -> SparseDensity:
         )
     G = phi.target
     B = unit_ball(G)
-    weights = P.alpha_terms(h)
-    total = sum((a for _, a in weights), Fraction(0))
-    if total != 1:
-        raise CouplingCertError(f"partition weights sum to {total} != 1")
+    weights, total = P.alpha_terms(h)
     if len(weights) > P.M:
         raise CouplingCertError(
             f"|Z_h| = {len(weights)} exceeds M = {P.M}; the packing bound is broken"
         )
+    mul = G.mul
     atoms = {}
     blocks = []
-    for i, a in weights:
+    for i, n in weights:
         z = P.images[i]
-        blocks.append((z, a))
+        blocks.append((z, n))
         for b in B:
-            pt = G.mul(z, b)
+            pt = mul(z, b)
             if pt in atoms:
                 raise CouplingCertError(
                     f"blocks overlap at {G.format_element(pt)}; "
                     "Z_h is not 3-discrete (internal bug)"
                 )
-            atoms[pt] = a
-    d = SparseDensity(
-        group=G,
-        normalizer=Fraction(1, len(B)),
-        atoms=atoms,
-        blocks=blocks,
-    )
-    if d.mass() != 1:
+            atoms[pt] = n
+    d = SparseDensity(group=G, denominator=total * len(B), atoms=atoms, blocks=blocks)
+    if sum(atoms.values()) != d.denominator:
         raise CouplingCertError(f"psi mass {d.mass()} != 1")
     return d
 
 
 def l1_distance(xi: SparseDensity, eta: SparseDensity) -> Fraction:
-    """Exact L1 distance with respect to the scaled counting measure."""
-    if xi.normalizer != eta.normalizer or xi.group.descriptor != eta.group.descriptor:
+    """Exact L1 distance with respect to Haar measure:
+    sum_a |n_a*D_eta - m_a*D_xi| / (D_xi*D_eta)."""
+    if xi.group.descriptor != eta.group.descriptor:
         raise PreconditionError("densities live on different measured groups")
-    total = Fraction(0)
-    for a, w in xi.atoms.items():
-        total += abs(w - eta.atoms.get(a, Fraction(0)))
-    for a, w in eta.atoms.items():
-        if a not in xi.atoms:
-            total += abs(w)
-    return total * xi.normalizer
+    d_xi, d_eta = xi.denominator, eta.denominator
+    xi_atoms, eta_get = xi.atoms, eta.atoms.get
+    total = 0
+    for a, n in xi_atoms.items():
+        total += abs(n * d_eta - eta_get(a, 0) * d_xi)
+    for a, m in eta.atoms.items():
+        if a not in xi_atoms:
+            total += abs(m) * d_xi
+    return Fraction(total, d_xi * d_eta)
 
 
 def support_distance(xi: SparseDensity, eta: SparseDensity, W_G: Window) -> int:
@@ -290,9 +309,9 @@ def act_left(g, xi: SparseDensity) -> SparseDensity:
     mul = G.mul
     return SparseDensity(
         group=G,
-        normalizer=xi.normalizer,
-        atoms={mul(g, a): w for a, w in xi.atoms.items()},
-        blocks=None if xi.blocks is None else [(mul(g, z), a) for z, a in xi.blocks],
+        denominator=xi.denominator,
+        atoms={mul(g, a): n for a, n in xi.atoms.items()},
+        blocks=None if xi.blocks is None else [(mul(g, z), n) for z, n in xi.blocks],
     )
 
 
@@ -326,14 +345,20 @@ def orbit_point(P: PartitionOfUnity, phi: CoarseMap, g, h, eval_window: Window) 
 
 
 def serialize_density(d: SparseDensity) -> str:
-    """Stable text form: sorted atom lines, then block structure as comments."""
+    """Stable text form: sorted atom lines, then block structure as comments.
+
+    Weights are printed against Haar measure 1/|B| (the ``# normalizer``
+    line): an atom line shows its measure times |B|, a block line its
+    convex weight alpha_z.
+    """
     G = d.group
+    size = len(unit_ball(G))
     lines = []
     for a in sorted(d.atoms.keys()):
-        w = d.atoms[a]
+        w = Fraction(d.atoms[a] * size, d.denominator)
         lines.append(f"{G.format_element(a)} {w.numerator}/{w.denominator}")
-    lines.append(f"# normalizer 1/{d.normalizer.denominator}")
+    lines.append(f"# normalizer 1/{size}")
     if d.blocks is not None:
-        for z, a in d.blocks:
+        for z, a in d.block_coefficients():
             lines.append(f"# block {G.format_element(z)} {a.numerator}/{a.denominator}")
     return "\n".join(lines) + "\n"

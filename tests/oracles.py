@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from couplingcert.coupling import PartitionOfUnity, SparseDensity
+from couplingcert.errors import PreconditionError
 from couplingcert.groups import GroupModel
 from couplingcert.windows import Window, resolved_distance
 
@@ -76,3 +78,60 @@ def packing_number_naive(W: Window, separation, diam_bound) -> int:
 
     extend(0, [])
     return best[0]
+
+
+def _weights(d: SparseDensity) -> dict:
+    """Each atom's measure as its own Fraction."""
+    return {a: Fraction(n, d.denominator) for a, n in d.atoms.items()}
+
+
+def mass(d: SparseDensity) -> Fraction:
+    return sum(_weights(d).values(), Fraction(0))
+
+
+def inner_product(d: SparseDensity, subset) -> Fraction:
+    total = Fraction(0)
+    for a, w in _weights(d).items():
+        if a in subset:
+            total += w
+    return total
+
+
+def l1_distance(xi: SparseDensity, eta: SparseDensity) -> Fraction:
+    """Fraction add and abs per atom, no shared denominator."""
+    if xi.group.descriptor != eta.group.descriptor:
+        raise PreconditionError("densities live on different measured groups")
+    w_xi, w_eta = _weights(xi), _weights(eta)
+    total = Fraction(0)
+    for a, w in w_xi.items():
+        total += abs(w - w_eta.get(a, Fraction(0)))
+    for a, w in w_eta.items():
+        if a not in w_xi:
+            total += abs(w)
+    return total
+
+
+def n_empirical(P: PartitionOfUnity) -> Fraction:
+    """Worst alpha increment over adjacent inner pairs, with the bumps
+    theta_y(h) = s+1 - d(y, h) computed from distances, in Fractions."""
+    W = P.window_H
+    H = W.group
+    s1 = P.scale + 1
+    alphas = {}
+    for h in P.inner_elements:
+        thetas = {}
+        for i, y in enumerate(P.net.points):
+            d = resolved_distance(W, y, h)
+            if d is not None and d < s1:
+                thetas[i] = s1 - d
+        Theta = sum(thetas.values(), Fraction(0))
+        alphas[h] = {i: v / Theta for i, v in thetas.items()}
+    worst = Fraction(0)
+    for h, a_h in alphas.items():
+        for g in H.generators:
+            a_h2 = alphas.get(H.mul(h, g))
+            if a_h2 is None:
+                continue
+            for i in set(a_h) | set(a_h2):
+                worst = max(worst, abs(a_h.get(i, Fraction(0)) - a_h2.get(i, Fraction(0))))
+    return worst

@@ -99,7 +99,8 @@ def test_criterion_1_identity_pipeline(cert1):
     m = analytic_moduli(phi, 136)
     P = build_partition(W_H, W_G, phi, m, 3)
     for h in P.inner_elements:
-        assert sum(a for _, a in P.alpha_terms(h)) == 1
+        terms, total = P.alpha_terms(h)
+        assert sum(Fraction(n, total) for _, n in terms) == 1
         assert psi(P, phi, h).mass() == 1
     ok &= elapsed < 10
     _verdict("1 identity pipeline (s=3, all checks, <10s)", ok,
@@ -215,9 +216,10 @@ def test_criterion_6_checker_liveness():
     atoms = {}
     for z in ((0,), (2,)):
         for b in B:
-            atoms[Z.mul(z, b)] = Fraction(1, 2)
-    bad = SparseDensity(group=Z, normalizer=Fraction(1, 3), atoms=atoms,
-                        blocks=[((0,), Fraction(1, 2)), ((2,), Fraction(1, 2))])
+            atoms[Z.mul(z, b)] = 1
+    # each block has weight 1/2: atoms 1 over the denominator 2*|B| = 6
+    bad = SparseDensity(group=Z, denominator=6, atoms=atoms,
+                        blocks=[((0,), 1), ((2,), 1)])
     failures["membership_x"] = check_membership_x([("bad", bad)], W_G, 8).status
 
     # lipschitz: a constant far below the true slope

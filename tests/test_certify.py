@@ -67,9 +67,10 @@ def test_membership_fails_on_two_close_blocks():
     atoms = {}
     for z in ((0,), (2,)):
         for b in B:
-            atoms[Z.mul(z, b)] = Fraction(1, 2)
-    dens = SparseDensity(group=Z, normalizer=Fraction(1, 3), atoms=atoms,
-                         blocks=[((0,), Fraction(1, 2)), ((2,), Fraction(1, 2))])
+            atoms[Z.mul(z, b)] = 1
+    # each block has weight 1/2: atoms 1 over the denominator 2*|B| = 6
+    dens = SparseDensity(group=Z, denominator=6, atoms=atoms,
+                         blocks=[((0,), 1), ((2,), 1)])
     res = check_membership_x([("bad", dens)], build_window(Z, 12), 8)
     assert res.status == "fail"
     assert res.margin == -1  # separation 2 against the 3-discreteness bound
@@ -77,9 +78,8 @@ def test_membership_fails_on_two_close_blocks():
 
 def test_membership_passes_single_block():
     B = unit_ball(Z)
-    dens = SparseDensity(group=Z, normalizer=Fraction(1, 3),
-                         atoms={b: Fraction(1) for b in B},
-                         blocks=[((0,), Fraction(1))])
+    dens = SparseDensity(group=Z, denominator=len(B), atoms={b: 1 for b in B},
+                         blocks=[((0,), 1)])
     res = check_membership_x([("one", dens)], build_window(Z, 12), 8)
     assert res.status == "pass"
     assert res.details["worst_diameter_margin"] == 8
@@ -300,6 +300,13 @@ def test_run_all_stage_tagged_error_on_constant_map(tmp_path):
     with pytest.raises(PipelineError) as exc:
         run_all(cfg)
     assert exc.value.stage == "scale"
+
+
+@pytest.mark.parametrize("epsilon", ["abc", "1/0"])
+def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
+    with pytest.raises(PipelineError) as exc:
+        run_all(RunConfig(epsilon=epsilon))
+    assert exc.value.stage == "configure"
 
 
 def test_monotone_safety_of_m():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couplingcert.coarse import analytic_moduli, make_coarse_map
+from couplingcert.coarse import analytic_moduli, choose_scale, make_coarse_map, pipeline_moduli
 from couplingcert.coupling import (
     PartitionOfUnity,
     SparseDensity,
@@ -25,6 +25,8 @@ from couplingcert.errors import PreconditionError
 from couplingcert.groups import make_group
 from couplingcert.windows import Net, build_window, distance
 
+import oracles
+
 Z = make_group("Z^1")
 
 
@@ -39,13 +41,22 @@ def z_identity():
     return P, phi, W_H, W_G
 
 
+def _Theta(P, h) -> Fraction:
+    return Fraction(sum(n for _, n in P.theta_terms(h)), P.theta_denominator)
+
+
+def _alphas(P, h) -> dict:
+    terms, total = P.alpha_terms(h)
+    return {P.net.points[i]: Fraction(n, total) for i, n in terms}
+
+
 def test_partition_reference_values(z_identity):
     P, phi, W_H, W_G = z_identity
-    assert P.Theta((0,)) == 6  # 4 + 1 + 1
-    assert P.Theta((1,)) == 5  # 3 + 2, only y = 0 and y = 3 contribute
-    alpha0 = {P.net.points[i]: a for i, a in P.alpha_terms((0,))}
+    assert _Theta(P, (0,)) == 6  # 4 + 1 + 1
+    assert _Theta(P, (1,)) == 5  # 3 + 2, only y = 0 and y = 3 contribute
+    alpha0 = _alphas(P, (0,))
     assert alpha0 == {(0,): Fraction(2, 3), (3,): Fraction(1, 6), (-3,): Fraction(1, 6)}
-    alpha1 = {P.net.points[i]: a for i, a in P.alpha_terms((1,))}
+    alpha1 = _alphas(P, (1,))
     assert alpha1 == {(0,): Fraction(3, 5), (3,): Fraction(2, 5)}
     assert sum(alpha1.values()) == 1
 
@@ -63,8 +74,8 @@ def test_partition_constants(z_identity):
 def test_partition_sums_exactly_one_everywhere(z_identity):
     P, *_ = z_identity
     for h in P.inner_elements:
-        assert sum(a for _, a in P.alpha_terms(h)) == 1
-        assert P.Theta(h) >= 1
+        assert sum(_alphas(P, h).values()) == 1
+        assert _Theta(P, h) >= 1
 
 
 def test_bumps_are_one_lipschitz(z_identity):
@@ -87,9 +98,9 @@ def test_bumps_are_one_lipschitz(z_identity):
 def test_psi_reference_density(z_identity):
     P, phi, _, _ = z_identity
     d0 = psi(P, phi, (0,))
-    assert d0.blocks == [((0,), Fraction(2, 3)), ((3,), Fraction(1, 6)),
-                         ((-3,), Fraction(1, 6))]
-    assert d0.normalizer == Fraction(1, 3)  # B = {-1, 0, 1}
+    assert d0.block_coefficients() == [((0,), Fraction(2, 3)), ((3,), Fraction(1, 6)),
+                                       ((-3,), Fraction(1, 6))]
+    assert d0.denominator == 6 * 3  # Theta(0) = 6, B = {-1, 0, 1}
     assert d0.mass() == 1
     assert sorted(d0.support()) == [(-4,), (-3,), (-2,), (-1,), (0,), (1,),
                                     (2,), (3,), (4,)]
@@ -108,7 +119,7 @@ def test_psi_single_block_case():
         M=1, M_exact=True, omega_s1=4,
     )
     d = psi(P, phi, (0,))
-    assert d.blocks == [((0,), Fraction(1))]
+    assert d.block_coefficients() == [((0,), Fraction(1))]
     assert d.mass() == 1
 
 
@@ -174,9 +185,8 @@ def test_support_distance_examples(z_identity):
 
 def _single_block(G):
     B = unit_ball(G)
-    return SparseDensity(group=G, normalizer=Fraction(1, len(B)),
-                         atoms={b: Fraction(1) for b in B},
-                         blocks=[(G.identity, Fraction(1))])
+    return SparseDensity(group=G, denominator=len(B), atoms={b: 1 for b in B},
+                         blocks=[(G.identity, 1)])
 
 
 def test_act_left_examples(z_identity):
@@ -260,3 +270,66 @@ def test_serialization_is_stable(z_identity):
     assert d1.endswith("\n")
     first = d1.splitlines()[0].split()
     assert first[0] == "-1"  # atoms sorted by element
+
+
+# psi partitions for the integer-arithmetic oracle tests; the last one has a
+# non-integer scale, so its theta numerators sit over q = 2
+ORACLE_CASES = {
+    "shear Z^2": ("Z^2", "matrix:1,1,0,1", 10, 30, None),
+    "Heis": ("Heis", "identity", 6, 10, None),
+    "F_2": ("F_2", "identity", 5, 8, None),
+    "C_5 x Z^1": ("C_5 x Z^1", "identity", 8, 14, None),
+    "Z^1, s = 7/2": ("Z^1", "identity", 16, 40, Fraction(7, 2)),
+}
+_oracle_partitions: dict = {}
+
+
+def _oracle_partition(name):
+    if name not in _oracle_partitions:
+        desc, descriptor, rH, rG, s = ORACLE_CASES[name]
+        G = make_group(desc)
+        phi = make_coarse_map(descriptor, G, G)
+        W_H, W_G = build_window(G, rH), build_window(G, rG)
+        m = pipeline_moduli(phi, W_H, W_G, 0)
+        P = build_partition(W_H, W_G, phi, m, choose_scale(m) if s is None else s)
+        _oracle_partitions[name] = (P, phi, W_G)
+    return _oracle_partitions[name]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_CASES)), st.data())
+def test_integer_density_arithmetic_matches_fraction_oracle(name, data):
+    P, phi, W_G = _oracle_partition(name)
+    near = [g for g, l in zip(W_G.elements, W_G.lengths) if l <= 2]
+    f1, f2 = (data.draw(st.sampled_from(P.inner_elements)) for _ in range(2))
+    g1, g2 = (data.draw(st.sampled_from(near)) for _ in range(2))
+    xi = act_left(g1, psi(P, phi, f1))
+    eta = act_left(g2, psi(P, phi, f2))
+    assert l1_distance(xi, eta) == oracles.l1_distance(xi, eta)
+    assert l1_distance(eta, xi) == oracles.l1_distance(eta, xi)
+    assert xi.mass() == oracles.mass(xi) == 1
+    pool = sorted(set(xi.support()) | set(eta.support()) | set(near))
+    K = data.draw(st.sets(st.sampled_from(pool)))
+    assert xi.inner_product(K) == oracles.inner_product(xi, K)
+    assert eta.inner_product(K) == oracles.inner_product(eta, K)
+
+
+def test_oracle_pairs_have_different_denominators():
+    # the cross-multiplication in l1_distance is exercised, not only the
+    # shared-denominator case
+    for name in ORACLE_CASES:
+        P, phi, _ = _oracle_partition(name)
+        dens = {psi(P, phi, h).denominator for h in P.inner_elements}
+        assert len(dens) > 1, name
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_empirical_constant_matches_fraction_oracle(name):
+    P, *_ = _oracle_partition(name)
+    assert P.N_empirical == oracles.n_empirical(P)
+
+
+def test_l1_rejects_densities_on_different_groups():
+    Z2 = make_group("Z^2")
+    with pytest.raises(PreconditionError):
+        l1_distance(_single_block(Z), _single_block(Z2))
