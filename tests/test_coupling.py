@@ -281,25 +281,25 @@ ORACLE_CASES = {
     "C_5 x Z^1": ("C_5 x Z^1", "identity", 8, 14, None),
     "Z^1, s = 7/2": ("Z^1", "identity", 16, 40, Fraction(7, 2)),
 }
-_oracle_partitions: dict = {}
 
 
-def _oracle_partition(name):
-    if name not in _oracle_partitions:
-        desc, descriptor, rH, rG, s = ORACLE_CASES[name]
+@pytest.fixture(scope="module")
+def oracle_partitions():
+    out = {}
+    for name, (desc, descriptor, rH, rG, s) in ORACLE_CASES.items():
         G = make_group(desc)
         phi = make_coarse_map(descriptor, G, G)
         W_H, W_G = build_window(G, rH), build_window(G, rG)
         m = pipeline_moduli(phi, W_H, W_G, 0)
         P = build_partition(W_H, W_G, phi, m, choose_scale(m) if s is None else s)
-        _oracle_partitions[name] = (P, phi, W_G)
-    return _oracle_partitions[name]
+        out[name] = (P, phi, W_G)
+    return out
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(ORACLE_CASES)), st.data())
-def test_integer_density_arithmetic_matches_fraction_oracle(name, data):
-    P, phi, W_G = _oracle_partition(name)
+def test_integer_density_arithmetic_matches_fraction_oracle(oracle_partitions, name, data):
+    P, phi, W_G = oracle_partitions[name]
     near = [g for g, l in zip(W_G.elements, W_G.lengths) if l <= 2]
     f1, f2 = (data.draw(st.sampled_from(P.inner_elements)) for _ in range(2))
     g1, g2 = (data.draw(st.sampled_from(near)) for _ in range(2))
@@ -314,18 +314,17 @@ def test_integer_density_arithmetic_matches_fraction_oracle(name, data):
     assert eta.inner_product(K) == oracles.inner_product(eta, K)
 
 
-def test_oracle_pairs_have_different_denominators():
+def test_oracle_pairs_have_different_denominators(oracle_partitions):
     # the cross-multiplication in l1_distance is exercised, not only the
     # shared-denominator case
-    for name in ORACLE_CASES:
-        P, phi, _ = _oracle_partition(name)
+    for name, (P, phi, _) in oracle_partitions.items():
         dens = {psi(P, phi, h).denominator for h in P.inner_elements}
         assert len(dens) > 1, name
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
-def test_empirical_constant_matches_fraction_oracle(name):
-    P, *_ = _oracle_partition(name)
+def test_empirical_constant_matches_fraction_oracle(oracle_partitions, name):
+    P, *_ = oracle_partitions[name]
     assert P.N_empirical == oracles.n_empirical(P)
 
 
