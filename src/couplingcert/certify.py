@@ -122,28 +122,36 @@ def _canon(value):
 
 
 class _Worst:
-    """Track the minimum margin and its witness."""
+    """Track the minimum margin and its witness; the first one wins ties.
+
+    ``update`` compares the raw int or Fraction margin, and only a strict
+    improvement builds the Fraction and the witness: a callable witness is
+    called then, so hot loops format nothing for the instances that lose.
+    """
 
     def __init__(self):
         self.margin: Optional[Fraction] = None
         self.witness: Optional[dict] = None
 
     def update(self, margin, witness) -> None:
-        margin = Fraction(margin)
         if self.margin is None or margin < self.margin:
-            self.margin = margin
-            self.witness = witness
+            self.margin = Fraction(margin)
+            self.witness = witness() if callable(witness) else witness
 
 
 def _pair_diameter(points: list, W: Window) -> Optional[int]:
     """Max pairwise distance; None when some pair does not resolve."""
+    G = W.group
+    index_get, lengths, mul, inv = W.index.get, W.lengths, G.mul, G.inv
     worst = 0
     for i, a in enumerate(points):
+        inv_a = inv(a)
         for b in points[i + 1:]:
-            d = resolved_distance(W, a, b)
-            if d is None:
+            k = index_get(mul(inv_a, b))
+            if k is None:
                 return None
-            worst = max(worst, d)
+            if lengths[k] > worst:
+                worst = lengths[k]
     return worst
 
 
@@ -185,8 +193,8 @@ def check_membership_x(
                 d = resolved_distance(W_G, z, z2)
                 # an unresolved distance exceeds the window radius >= 3
                 if d is not None:
-                    sep_worst.update(d - 3, {"point": label, "pair": [fmt(z), fmt(z2)],
-                                             "reason": "center separation"})
+                    sep_worst.update(d - 3, lambda: {"point": label, "pair": [fmt(z), fmt(z2)],
+                                                     "reason": "center separation"})
         diam = _pair_diameter(centers, W_G)
         if diam is None:
             diam_worst.update(two_omega - (W_G.radius + 1),
@@ -303,8 +311,8 @@ def check_sandwich(
                 if sd is None:
                     sd = support_distance(psi_of(a), psi_of(b), W_G)
                     cache[key] = sd
-                wit = {"pair": [fmt(f1), fmt(f2)], "h": fmt(h),
-                       "distance": t, "support_distance": sd}
+                wit = lambda: {"pair": [fmt(f1), fmt(f2)], "h": fmt(h),
+                               "distance": t, "support_distance": sd}
                 lower_worst.update(sd - (kap - pad), wit)
                 upper_worst.update((ome + pad) - sd, wit)
                 population += mult
@@ -360,8 +368,8 @@ def check_properness_h(
             if d is None:
                 raise ResolutionError("support-to-K distance does not resolve")
             confinement.update(2 * P.omega_s1 + 2 - d,
-                               {"zeta": [G.format_element(g), H.format_element(h0)],
-                                "atom": G.format_element(a)})
+                               lambda: {"zeta": [G.format_element(g), H.format_element(h0)],
+                                        "atom": G.format_element(a)})
         # work with g^-1 K so every test runs on untranslated psi slices
         g_inv = G.inv(g)
         K_back = [G.mul(g_inv, k) for k in K]
@@ -375,10 +383,10 @@ def check_properness_h(
                 continue
             slice_supp = psi_of(h0h).support()
             hit = [a for a in slice_supp if a in K_back_set]
-            wit = {"h": H.format_element(h), "zeta": [G.format_element(g),
-                                                      H.format_element(h0)]}
+            wit = lambda: {"h": H.format_element(h), "zeta": [G.format_element(g),
+                                                              H.format_element(h0)]}
             if hit:
-                worst.update(-1, dict(wit, meeting_point=G.format_element(hit[0])))
+                worst.update(-1, lambda: dict(wit(), meeting_point=G.format_element(hit[0])))
             else:
                 d = _set_distance(slice_supp, K_back, W_G)
                 if d is None:
@@ -509,6 +517,60 @@ def _kappa_sublevel_radius(m: Moduli, bound) -> Optional[int]:
     return r
 
 
+def _g_properness(
+    phi: CoarseMap,
+    qualifying: list,
+    K_G: list,
+    W_G: Window,
+    g_candidates: list,
+) -> tuple:
+    """The properness part of :func:`check_g_action`: (least margin, its
+    witness, margin_is_floor, population) over every (candidate, sample)
+    pair, the first pair winning ties; margin and witness are None when
+    the population is empty.
+
+    A pair's margin is -1 when the candidate moves the sample's support
+    onto K_G, else the least support-to-K_G distance minus 1; a distance
+    that does not resolve in the window counts as the floor radius + 1.
+    """
+    if not (g_candidates and qualifying):
+        return None, None, False, 0
+    # one BFS from K_G resolves every support-to-K_G distance; the field
+    # holds exactly the points of K_G at 0, so a 0 is a meeting point
+    to_K = distance_field(W_G, K_G)
+    to_K_get = to_K.get
+    mul = phi.target.mul
+    floor_margin = W_G.radius
+    margin_is_floor = False
+    best = None  # (margin, candidate, sample g, sample h, meeting point)
+    for gc in g_candidates:
+        for g, h, xi_1 in qualifying:
+            d = meet = None
+            for a in xi_1.atoms:
+                p = mul(gc, a)
+                da = to_K_get(p)
+                if da == 0:
+                    meet = p
+                    break
+                if da is not None and (d is None or da < d):
+                    d = da
+            if meet is not None:
+                margin = -1
+            elif d is None:
+                margin_is_floor = True
+                margin = floor_margin
+            else:
+                margin = d - 1
+            if best is None or margin < best[0]:
+                best = (margin, gc, g, h, meet)
+    margin, gc, g, h, meet = best
+    fmtG = phi.target.format_element
+    witness = {"g": fmtG(gc), "xi": [fmtG(g), phi.source.format_element(h)]}
+    if meet is not None:
+        witness["meeting_point"] = fmtG(meet)
+    return margin, witness, margin_is_floor, len(g_candidates) * len(qualifying)
+
+
 def check_g_action(
     P: PartitionOfUnity,
     phi: CoarseMap,
@@ -536,30 +598,15 @@ def check_g_action(
     fmtG = G.format_element
     K_set = set(K_G)
     worst = _Worst()
-    pop_proper = 0
-    margin_is_floor = False
     qualifying = []
     for g, h in xi_samples:
         xi_1 = act_left(g, psi_of(h))
         if xi_1.inner_product(K_set) >= epsilon:
             qualifying.append((g, h, xi_1))
-    # one BFS from K_G resolves every support-to-K_G distance that
-    # _set_distance(moved, K_G, W_G) would
-    to_K = distance_field(W_G, K_G) if g_candidates and qualifying else {}
-    for gc in g_candidates:
-        for g, h, xi_1 in qualifying:
-            moved = [G.mul(gc, a) for a in xi_1.support()]
-            hit = [a for a in moved if a in K_set]
-            wit = {"g": fmtG(gc), "xi": [fmtG(g), phi.source.format_element(h)]}
-            if hit:
-                worst.update(-1, dict(wit, meeting_point=fmtG(hit[0])))
-            else:
-                d = min((to_K[a] for a in moved if a in to_K), default=None)
-                if d is None:
-                    margin_is_floor = True
-                    d = W_G.radius + 1
-                worst.update(d - 1, wit)
-            pop_proper += 1
+    margin, witness, margin_is_floor, pop_proper = _g_properness(
+        phi, qualifying, K_G, W_G, g_candidates)
+    if pop_proper:
+        worst.update(margin, witness)
 
     pop_recenter = 0
     for g, h, xi_1 in qualifying or [
@@ -591,8 +638,8 @@ def check_g_action(
         if diam is None:
             raise ResolutionError("inner support diameter does not resolve")
         worst.update(two_omega_2 - diam,
-                     {"h": phi.source.format_element(h), "diameter": diam,
-                      "reason": "support diameter"})
+                     lambda: {"h": phi.source.format_element(h), "diameter": diam,
+                              "reason": "support diameter"})
         pop_diam += 1
 
     population = pop_proper + pop_recenter + pop_diam
@@ -678,7 +725,8 @@ def run_all(config) -> Certificate:
 
         stage = "samples"
         if selected & {"lipschitz", "sandwich"}:
-            pair_window = build_window(H, min(2 * P.inner_radius, 2 * W_H.radius))
+            pair_radius = min(2 * P.inner_radius, 2 * W_H.radius)
+            pair_window = W_H if pair_radius == W_H.radius else build_window(H, pair_radius)
         cache: dict = {}
 
         def psi_of(h):

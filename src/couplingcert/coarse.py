@@ -7,7 +7,10 @@ distance >= t, ``omega[t]`` the largest over pairs at source distance
 whose source distance is at most ``t_max`` and counts the scanned pairs
 per source distance.  Built-in maps with easy closed forms carry analytic
 moduli, which are valid at every scale and are preferred by the
-certificate pipeline.
+certificate pipeline.  For a homomorphism without closed forms (the
+``matrix:`` maps) the pipeline reads the same table off one pass over the
+difference ball ``B(t_max)``; the pair scan serves every other map and
+the ``moduli`` subcommand, which prints the pair counts.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ class CoarseMap:
     # exact integer-valued closed forms t -> kappa(t), t -> omega(t)
     analytic_kappa: Optional[Callable[[int], int]] = None
     analytic_omega: Optional[Callable[[int], int]] = None
+    # fn is a group homomorphism: d(fn(a), fn(b)) = |fn(a^-1 b)|
+    homomorphic: bool = False
 
     @property
     def has_analytic_moduli(self) -> bool:
@@ -58,7 +63,8 @@ def identity_map(H: GroupModel, G: GroupModel) -> CoarseMap:
             f"identity map needs matching groups, got {H.descriptor} vs {G.descriptor}"
         )
     return CoarseMap(H, G, "identity", "identity", lambda h: h,
-                     analytic_kappa=lambda t: t, analytic_omega=lambda t: t)
+                     analytic_kappa=lambda t: t, analytic_omega=lambda t: t,
+                     homomorphic=True)
 
 
 def scale_map(H: GroupModel, G: GroupModel, k: int) -> CoarseMap:
@@ -70,7 +76,8 @@ def scale_map(H: GroupModel, G: GroupModel, k: int) -> CoarseMap:
         raise DescriptorError(f"scale factor must be >= 1, got {k}")
     return CoarseMap(H, G, "scale", f"scale:{k}",
                      lambda h: tuple(k * x for x in h),
-                     analytic_kappa=lambda t: k * t, analytic_omega=lambda t: k * t)
+                     analytic_kappa=lambda t: k * t, analytic_omega=lambda t: k * t,
+                     homomorphic=True)
 
 
 def embed_map(H: GroupModel, G: GroupModel) -> CoarseMap:
@@ -79,7 +86,8 @@ def embed_map(H: GroupModel, G: GroupModel) -> CoarseMap:
         raise DescriptorError("embed map needs Z^d -> Z^e with d <= e")
     pad = (0,) * (G.d - H.d)
     return CoarseMap(H, G, "embed", "embed", lambda h: h + pad,
-                     analytic_kappa=lambda t: t, analytic_omega=lambda t: t)
+                     analytic_kappa=lambda t: t, analytic_omega=lambda t: t,
+                     homomorphic=True)
 
 
 def swap_map(H: GroupModel, G: GroupModel) -> CoarseMap:
@@ -97,7 +105,8 @@ def swap_map(H: GroupModel, G: GroupModel) -> CoarseMap:
         return a if x > 0 else -a
 
     return CoarseMap(H, G, "swap", "swap", lambda h: tuple(sw(x) for x in h),
-                     analytic_kappa=lambda t: t, analytic_omega=lambda t: t)
+                     analytic_kappa=lambda t: t, analytic_omega=lambda t: t,
+                     homomorphic=True)
 
 
 def matrix_map(H: GroupModel, G: GroupModel, entries: tuple) -> CoarseMap:
@@ -109,7 +118,8 @@ def matrix_map(H: GroupModel, G: GroupModel, entries: tuple) -> CoarseMap:
         raise DescriptorError(f"matrix {entries} is not in GL_2(Z)")
     desc = "matrix:" + ",".join(str(x) for x in entries)
     return CoarseMap(H, G, "matrix", desc,
-                     lambda h: (a * h[0] + b * h[1], c * h[0] + d * h[1]))
+                     lambda h: (a * h[0] + b * h[1], c * h[0] + d * h[1]),
+                     homomorphic=True)
 
 
 def table_map(H: GroupModel, G: GroupModel, mapping: dict, descriptor: str = "table") -> CoarseMap:
@@ -284,18 +294,69 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     )
 
 
-def window_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) -> Moduli:
-    """The truncating window scan up to ``t_max``: ``0`` means, and larger
-    values are capped at, ``2*W_H.radius``."""
+def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:
+    """The table of :func:`estimate_moduli` for a homomorphism, from one
+    pass over the difference ball ``B(t_max)``.
+
+    In a word metric ``{a^-1 b : a, b in B(R)} = B(2R)``: split a geodesic
+    word for ``x`` in two halves of length <= R.  A homomorphism has
+    ``d(phi a, phi b) = |phi(a^-1 b)|``, so the scanned pairs at source
+    distance t have exactly the image distances ``|phi x|`` over the
+    sphere of radius t, for every t <= t_max <= 2R.  Truncation and trim
+    follow the pair scan; ``pair_counts`` is not computed.
+    """
+    if t_max < 0 or t_max > 2 * W_H.radius:
+        raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
+    diff = W_H if W_H.radius >= t_max else build_window(phi.source, t_max)
+    min_img = [W_G.radius + 1] * (t_max + 1)
+    max_img = [-1] * (t_max + 1)
+    g_get, g_lengths = W_G.index.get, W_G.lengths
+    eff = t_max
+    for x, dH in zip(diff.elements, diff.lengths):
+        if dH > t_max:
+            break
+        k = g_get(apply(phi, x))
+        if k is None:
+            # BFS order: every later x is at least as long
+            eff = dH - 1
+            break
+        dG = g_lengths[k]
+        if dG < min_img[dH]:
+            min_img[dH] = dG
+        if dG > max_img[dH]:
+            max_img[dH] = dG
+    # trim to the last distance with a resolved element (a finite group's
+    # spheres run out); the identity fills distance 0
+    while eff > 0 and max_img[eff] < 0:
+        eff -= 1
+    kappa = list(accumulate(reversed(min_img[: eff + 1]), min))[::-1]
+    omega = list(accumulate(max_img[: eff + 1], max))
+    return Moduli(t_max=eff, kappa=kappa, omega=omega, provenance="window-estimated",
+                  requested_t_max=t_max)
+
+
+def _scan_t_max(W_H: Window, t_max: int) -> int:
+    """``t_max`` of the window scans: ``0`` means, and larger values are
+    capped at, ``2*W_H.radius``."""
     cap = 2 * W_H.radius
-    return estimate_moduli(phi, W_H, W_G, min(t_max, cap) if t_max else cap)
+    return min(t_max, cap) if t_max else cap
+
+
+def window_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) -> Moduli:
+    """The truncating window pair scan up to ``t_max``, capped as in
+    :func:`_scan_t_max`."""
+    return estimate_moduli(phi, W_H, W_G, _scan_t_max(W_H, t_max))
 
 
 def pipeline_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) -> Moduli:
     """The moduli table of the certificate pipeline: analytic when the map
-    has closed forms, else :func:`window_moduli` up to ``t_max``."""
+    has closed forms, else the window table up to ``t_max`` -- one pass
+    over the difference ball for a homomorphism, the pair scan of
+    :func:`window_moduli` for any other map."""
     if phi.has_analytic_moduli:
         return analytic_moduli(phi, 2 * (W_G.radius + W_H.radius) + 8)
+    if phi.homomorphic:
+        return homomorphic_moduli(phi, W_H, W_G, _scan_t_max(W_H, t_max))
     return window_moduli(phi, W_H, W_G, t_max)
 
 

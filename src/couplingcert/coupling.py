@@ -21,6 +21,7 @@ Theta and the alpha weights are truncation-free.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -193,15 +194,7 @@ def build_partition(
     # a-priori Lipschitz constant for the alphas: 1 + C*(s+1), C the worst
     # bump overlap over the window
     reach = math.floor(s1)  # integer d <= s+1 exactly when d <= reach
-    index_get, lengths, mulH = W_H.index.get, W_H.lengths, W_H.group.mul
-    C = 0
-    for h in W_H.elements:
-        cnt = 0
-        for y_inv in P.net_inverses:
-            k = index_get(mulH(y_inv, h))
-            if k is not None and lengths[k] <= reach:
-                cnt += 1
-        C = max(C, cnt)
+    C = _overlap_count(W_H, net.points, reach)
     P.overlap_count = C
     P.N_apriori = Fraction(1) + C * s1
 
@@ -230,6 +223,24 @@ def build_partition(
     P.M = pk.value + m_slack
     P.M_exact = pk.exact and m_slack == 0
     return P
+
+
+def _overlap_count(W: Window, points: list, reach: int) -> int:
+    """The most ``points`` within distance ``reach`` of one element of W.
+
+    The elements within ``reach`` of y are y*B(reach), so each point walks
+    its ball and counts the hits inside W; B(reach) is the BFS prefix of W
+    (``reach <= W.radius``).
+    """
+    ball = W.elements[:bisect_right(W.lengths, reach)]
+    index_get, mul = W.index.get, W.group.mul
+    counts = [0] * len(W.elements)
+    for y in points:
+        for b in ball:
+            k = index_get(mul(y, b))
+            if k is not None:
+                counts[k] += 1
+    return max(counts)
 
 
 def psi(P: PartitionOfUnity, phi: CoarseMap, h) -> SparseDensity:

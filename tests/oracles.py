@@ -135,3 +135,49 @@ def n_empirical(P: PartitionOfUnity) -> Fraction:
             for i in set(a_h) | set(a_h2):
                 worst = max(worst, abs(a_h.get(i, Fraction(0)) - a_h2.get(i, Fraction(0))))
     return worst
+
+
+def overlap_count(W: Window, points, reach: int) -> int:
+    """The most ``points`` within ``reach`` of one element of W, from every
+    element against every point inverse."""
+    mul, inv, length_of = W.group.mul, W.group.inv, W.length_of
+    inverses = [inv(y) for y in points]
+    best = 0
+    for h in W.elements:
+        cnt = 0
+        for y_inv in inverses:
+            d = length_of(mul(y_inv, h))
+            if d is not None and d <= reach:
+                cnt += 1
+        best = max(best, cnt)
+    return best
+
+
+def g_properness(phi, qualifying: list, K_G: list, W_G: Window, g_candidates: list) -> tuple:
+    """(margin, witness, margin_is_floor, population) of the left-action
+    properness loop, with a witness built for every (candidate, sample) pair
+    and every support-to-K_G distance looked up pair by pair."""
+    G = phi.target
+    fmtG = G.format_element
+    K_set = set(K_G)
+    margin = witness = None
+    margin_is_floor = False
+    population = 0
+    for gc in g_candidates:
+        for g, h, xi_1 in qualifying:
+            moved = [G.mul(gc, a) for a in xi_1.support()]
+            hit = [a for a in moved if a in K_set]
+            wit = {"g": fmtG(gc), "xi": [fmtG(g), phi.source.format_element(h)]}
+            if hit:
+                m, wit = Fraction(-1), dict(wit, meeting_point=fmtG(hit[0]))
+            else:
+                ds = [d for a in moved for k in K_G
+                      if (d := resolved_distance(W_G, a, k)) is not None]
+                if not ds:
+                    margin_is_floor = True
+                    ds = [W_G.radius + 1]
+                m = Fraction(min(ds) - 1)
+            if margin is None or m < margin:
+                margin, witness = m, wit
+            population += 1
+    return margin, witness, margin_is_floor, population

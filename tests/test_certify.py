@@ -7,8 +7,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplingcert.certify import (
+    _g_properness,
     _pair_diameter,
     check_cocompactness_h,
     check_g_action,
@@ -19,7 +22,7 @@ from couplingcert.certify import (
     run_all,
 )
 from couplingcert.cli import RunConfig
-from couplingcert.coarse import analytic_moduli, make_coarse_map
+from couplingcert.coarse import analytic_moduli, choose_scale, make_coarse_map, pipeline_moduli
 from couplingcert.coupling import (
     SparseDensity,
     act_left,
@@ -31,6 +34,8 @@ from couplingcert.coupling import (
 from couplingcert.errors import PipelineError
 from couplingcert.groups import make_group
 from couplingcert.windows import build_window
+
+import oracles
 
 Z = make_group("Z^1")
 
@@ -262,6 +267,79 @@ def test_g_action_vacuous_properness_population(pipeline):
                          4 * P.omega_s1 + 4)
     assert res.details["properness_population"] == 0
     assert res.status == "pass"  # recentring and diameter parts still run
+
+
+def test_g_action_fails_where_a_candidate_translate_meets_k(pipeline):
+    P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
+    K = psi_of(Z.identity).support()
+    res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1, 2), W_G,
+                         [(3,), (1,)], psi_of, 2 * P.omega_s1 + 2 + 2 * 8,
+                         4 * P.omega_s1 + 4)
+    assert res.status == "fail"
+    assert res.margin == -1
+    # the first candidate wins; its first moved atom inside K is the witness
+    assert res.witness == {"g": "3", "xi": ["0", "0"], "meeting_point": "3"}
+    assert res.details["margin_is_floor"] is False
+
+
+# (group, map, rH, rG) of the left-action properness cases: the samples
+# xi_1 = g.psi_h sit near the identity, the candidates are W_G's elements,
+# and a small distance window makes some translates meet K_G, some resolve
+# and some lie past the window floor
+G_ACTION_CASES = {
+    "Z^1": ("Z^1", "identity", 16, 24),
+    "shear Z^2": ("Z^2", "matrix:1,1,0,1", 10, 30),
+    "Heis": ("Heis", "identity", 6, 10),
+}
+
+
+@pytest.fixture(scope="module")
+def g_action_cases():
+    out = {}
+    for name, (desc, descriptor, rH, rG) in G_ACTION_CASES.items():
+        H = make_group(desc)
+        phi = make_coarse_map(descriptor, H, H)
+        W_H, W_G = build_window(H, rH), build_window(H, rG)
+        m = pipeline_moduli(phi, W_H, W_G, 0)
+        P = build_partition(W_H, W_G, phi, m, choose_scale(m))
+        K = psi(P, phi, H.identity).support()
+        near_h = [h for h in P.inner_elements if W_H.length_of(h) <= 1]
+        xis = [(g, h, act_left(g, psi(P, phi, h)))
+                      for g in W_G.elements[:3] for h in near_h[:2]]
+        out[name] = (phi, xis, K, W_G)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(G_ACTION_CASES))
+def test_g_properness_matches_per_pair_oracle_on_each_kind(g_action_cases, name):
+    phi, xis, K, W_G = g_action_cases[name]
+    dist_window = build_window(phi.target, 3)
+    kinds = {"meets": [], "resolved": [], "floor": []}
+    for g in W_G.elements[::len(W_G.elements) // 400 + 1]:
+        margin, _, floor, _ = _g_properness(phi, xis[:1], K, dist_window, [g])
+        kind = "meets" if margin == -1 else "floor" if floor else "resolved"
+        kinds[kind].append(g)
+    for kind, pool in kinds.items():
+        candidates = pool[:3] + pool[-3:]
+        got = _g_properness(phi, xis, K, dist_window, candidates)
+        assert got == oracles.g_properness(phi, xis, K, dist_window, candidates), kind
+        assert got[3] == len(candidates) * len(xis)
+    assert "meeting_point" in _g_properness(phi, xis, K, dist_window,
+                                            kinds["meets"][:1])[1]
+    assert 0 <= _g_properness(phi, xis[:1], K, dist_window,
+                              kinds["resolved"])[0] < dist_window.radius
+    assert _g_properness(phi, xis, K, dist_window, kinds["floor"][-3:])[2] is True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(G_ACTION_CASES)), st.integers(1, 6), st.data())
+def test_g_properness_matches_per_pair_oracle(g_action_cases, name, dist_radius, data):
+    phi, xis, K, W_G = g_action_cases[name]
+    dist_window = build_window(phi.target, dist_radius)
+    candidates = data.draw(st.lists(st.sampled_from(W_G.elements), max_size=12))
+    drawn = data.draw(st.lists(st.sampled_from(xis), max_size=4))
+    assert (_g_properness(phi, drawn, K, dist_window, candidates)
+            == oracles.g_properness(phi, drawn, K, dist_window, candidates))
 
 
 def test_run_all_reports_every_check_pass():

@@ -14,8 +14,10 @@ from couplingcert.coarse import (
     choose_scale,
     cobounded_radius,
     estimate_moduli,
+    homomorphic_moduli,
     load_map_table,
     make_coarse_map,
+    pipeline_moduli,
     table_map,
 )
 from couplingcert.errors import (
@@ -266,3 +268,80 @@ def test_estimate_moduli_truncates_on_a_small_target():
     assert 0 < m.t_max < 8
     for name, value in want.items():
         assert getattr(m, name) == value, name
+
+
+MODULI_FIELDS = ("t_max", "kappa", "omega", "requested_t_max", "provenance")
+
+# generators of GL_2(Z): elementary shears, the coordinate swap, a reflection
+GL2_GENERATORS = [(1, k, 0, 1) for k in (-2, -1, 1, 2)] + [
+    (1, 0, k, 1) for k in (-2, -1, 1, 2)] + [(0, 1, 1, 0), (-1, 0, 0, 1)]
+
+
+def _matmul(A, B):
+    a, b, c, d = A
+    e, f, g, h = B
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(word=st.lists(st.sampled_from(GL2_GENERATORS), max_size=4),
+       r_H=st.integers(1, 5), t_frac=st.integers(1, 4), r_G=st.integers(1, 16))
+def test_homomorphic_pass_matches_the_pair_scan_on_gl2z(word, r_H, t_frac, r_G):
+    # small target windows truncate the table; t_max above r_H builds the
+    # separate difference ball
+    A = (1, 0, 0, 1)
+    for M in word:
+        A = _matmul(A, M)
+    phi = make_coarse_map("matrix:" + ",".join(map(str, A)), Z2, Z2)
+    assert phi.homomorphic and not phi.has_analytic_moduli
+    W_H, W_G = build_window(Z2, r_H), build_window(Z2, r_G)
+    t_max = max(1, 2 * r_H * t_frac // 4)
+    fast = homomorphic_moduli(phi, W_H, W_G, t_max)
+    scan = estimate_moduli(phi, W_H, W_G, t_max)
+    for name in MODULI_FIELDS:
+        assert getattr(fast, name) == getattr(scan, name), name
+
+
+@pytest.mark.parametrize("desc,r_H,r_G,t_max", [
+    ("C_5 x Z^1", 4, 3, 8),
+    ("C_5", 4, 4, 8),
+    ("F_2", 3, 4, 6),
+    ("Heis", 3, 3, 5),
+    ("Heis", 3, 8, 6),
+])
+def test_homomorphic_pass_matches_the_pair_scan_on_other_groups(desc, r_H, r_G, t_max):
+    # C_5 runs out of spheres (trim); the small targets truncate
+    G = make_group(desc)
+    phi = make_coarse_map("identity", G, G)
+    W_H, W_G = build_window(G, r_H), build_window(G, r_G)
+    fast = homomorphic_moduli(phi, W_H, W_G, t_max)
+    scan = estimate_moduli(phi, W_H, W_G, t_max)
+    for name in MODULI_FIELDS:
+        assert getattr(fast, name) == getattr(scan, name), name
+
+
+def test_pipeline_takes_the_homomorphic_pass_only_for_homomorphisms():
+    # t_max 0 is capped at 2*rH, as in the pair scan
+    W_H, W_G = build_window(Z2, 4), build_window(Z2, 16)
+    shear = make_coarse_map("matrix:1,1,0,1", Z2, Z2)
+    m = pipeline_moduli(shear, W_H, W_G)
+    assert (m.t_max, m.requested_t_max, m.pair_counts) == (8, 8, None)
+    table = _seeded_table_map(1, 4)
+    assert not table.homomorphic
+    assert pipeline_moduli(table, W_H, W_G).pair_counts is not None
+
+
+@pytest.mark.parametrize("desc,H,G", [
+    ("identity", Z2, Z2),
+    ("scale:2", Z2, Z2),
+    ("embed", Z, Z2),
+    ("swap", F2, F2),
+    ("matrix:2,1,1,1", Z2, Z2),
+])
+def test_homomorphic_flag_is_truthful(desc, H, G):
+    phi = make_coarse_map(desc, H, G)
+    assert phi.homomorphic
+    ball = build_window(H, 3).elements
+    for a in ball:
+        for b in ball:
+            assert apply(phi, H.mul(a, b)) == G.mul(apply(phi, a), apply(phi, b))

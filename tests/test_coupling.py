@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from couplingcert.coarse import analytic_moduli, choose_scale, make_coarse_map, pipeline_moduli
 from couplingcert.coupling import (
     PartitionOfUnity,
+    _overlap_count,
     SparseDensity,
     act_left,
     build_partition,
@@ -23,7 +24,7 @@ from couplingcert.coupling import (
 )
 from couplingcert.errors import PreconditionError
 from couplingcert.groups import make_group
-from couplingcert.windows import Net, build_window, distance
+from couplingcert.windows import Net, build_window, distance, greedy_net
 
 import oracles
 
@@ -326,6 +327,27 @@ def test_oracle_pairs_have_different_denominators(oracle_partitions):
 def test_empirical_constant_matches_fraction_oracle(oracle_partitions, name):
     P, *_ = oracle_partitions[name]
     assert P.N_empirical == oracles.n_empirical(P)
+
+
+OVERLAP_GROUPS = {desc: build_window(make_group(desc), r)
+                  for desc, r in (("Z^2", 6), ("Heis", 4), ("F_2", 4), ("C_5 x Z^1", 5))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(OVERLAP_GROUPS)), st.integers(0, 4), st.data())
+def test_overlap_walk_matches_the_double_loop(desc, reach, data):
+    W = OVERLAP_GROUPS[desc]
+    reach = min(reach, W.radius)
+    points = data.draw(st.lists(st.sampled_from(W.elements), max_size=20, unique=True))
+    assert _overlap_count(W, points, reach) == oracles.overlap_count(W, points, reach)
+
+
+@pytest.mark.parametrize("desc", sorted(OVERLAP_GROUPS))
+def test_overlap_walk_matches_the_double_loop_on_nets(desc):
+    W = OVERLAP_GROUPS[desc]
+    for s in (1, 2, 3):
+        net = greedy_net(W, s).points
+        assert _overlap_count(W, net, s + 1) == oracles.overlap_count(W, net, s + 1)
 
 
 def test_l1_rejects_densities_on_different_groups():

@@ -9,11 +9,13 @@ CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from couplingcert.certify import run_all
-from couplingcert.cli import DEMO_CONFIGS, render_report
+from couplingcert.cli import DEMO_CONFIGS, RunConfig, render_report
 
 GOLDEN = {
     "identity-z": "a39985ea66b5301c23c87c5fae70c0449d76a7d573b65f153fe9fec99606105a",
@@ -30,3 +32,23 @@ def test_every_demo_config_is_pinned():
 def test_golden_report_digest(name, cfg):
     text = render_report(run_all(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, which pins the benchmark's reports."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+# the benchmark workloads outside the demo configurations, at their pinned seed
+@pytest.mark.parametrize("name", ["heis-id", "f2-id"])
+def test_benchmark_workload_report_digest(name):
+    cfg = RunConfig(**WORKLOADS.config(name, WORKLOADS.DEFAULT_SEED))
+    text = render_report(run_all(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == WORKLOADS.WORKLOADS[name]["digest"]
