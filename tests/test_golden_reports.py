@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from couplingcert.certify import run_all
-from couplingcert.cli import DEMO_CONFIGS, RunConfig, render_report
+from couplingcert.cli import DEMO_CONFIGS, RunConfig, main, render_report
 
 GOLDEN = {
     "identity-z": "a39985ea66b5301c23c87c5fae70c0449d76a7d573b65f153fe9fec99606105a",
@@ -52,3 +52,33 @@ def test_benchmark_workload_report_digest(name):
     cfg = RunConfig(**WORKLOADS.config(name, WORKLOADS.DEFAULT_SEED))
     text = render_report(run_all(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == WORKLOADS.WORKLOADS[name]["digest"]
+
+
+@pytest.fixture
+def table_z2_checkout(tmp_path, monkeypatch):
+    """A working directory holding the ``table-z2`` lookup table at seed 0
+    under its relative path, which the report's ``map`` field names."""
+    table = tmp_path / WORKLOADS.TABLE_PATH
+    table.parent.mkdir(parents=True)
+    table.write_text(WORKLOADS.table_text(WORKLOADS.DEFAULT_SEED))
+    monkeypatch.chdir(tmp_path)
+    return WORKLOADS.TABLE_PATH
+
+
+def test_table_workload_report_digest(table_z2_checkout):
+    # the one pinned workload whose moduli come from the window pair scan
+    cfg = RunConfig(**WORKLOADS.config("table-z2", WORKLOADS.DEFAULT_SEED))
+    text = render_report(run_all(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == WORKLOADS.WORKLOADS["table-z2"]["digest"]
+
+
+def test_moduli_subcommand_output_on_the_table_workload(table_z2_checkout, capsys):
+    # the only output that prints pair_counts; W_G = B(20) truncates the
+    # table at 18 of the 24 requested distances
+    argv = ["moduli", "--H", "Z^2", "--G", "Z^2", "--map", f"table:{table_z2_checkout}",
+            "--rH", "12", "--rG", "20"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"# window-estimated moduli of table:{table_z2_checkout}, t_max 18\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "41dfc8adde0b0df5dcbd4a3df794a1f27bd3ad45ab301d8b3725919178a13e30")
