@@ -10,13 +10,20 @@ moduli, which are valid at every scale and are preferred by the
 certificate pipeline.  For a homomorphism without closed forms (the
 ``matrix:`` maps) the pipeline reads the same table off one pass over the
 difference ball ``B(t_max)``; the pair scan serves every other map and
-the ``moduli`` subcommand, which prints the pair counts.
+the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
+Z^e`` with every image inside the target window, the pair scan reads both
+distances as closed-form l1 norms, column by column, and counts pairs by
+``(source, image)`` distance; that count has at most ``(2*R_H+1)(2*R_G+1)``
+keys.  Other groups, and images outside the target window, take the scan
+that looks both distances up in windows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, sub
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -136,8 +143,10 @@ def table_map(H: GroupModel, G: GroupModel, mapping: dict, descriptor: str = "ta
 
 def load_map_table(path, H: GroupModel, G: GroupModel) -> CoarseMap:
     """Read a lookup table: one ``<source> -> <target>`` per line, ``#``
-    comments and blank lines ignored."""
+    comments and blank lines ignored.  A source on two lines is an error,
+    even with equal targets: the file must define the map uniquely."""
     mapping = {}
+    line_of = {}
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -154,6 +163,12 @@ def load_map_table(path, H: GroupModel, G: GroupModel) -> CoarseMap:
             tgt = G.parse_element(right.strip())
         except Exception as exc:
             raise TableMapError(f"{path}:{lineno}: {exc}") from None
+        if src in line_of:
+            raise TableMapError(
+                f"{path}:{lineno}: source {H.format_element(src)} already "
+                f"mapped on line {line_of[src]}"
+            )
+        line_of[src] = lineno
         mapping[src] = tgt
     return table_map(H, G, mapping, descriptor=f"table:{path}")
 
@@ -224,14 +239,21 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     only shrink kappa and grow omega, so truncation keeps every recorded
     entry exact for the scanned window).  The table is also trimmed to
     the last distance with a scanned pair, so every entry is supported.
+
+    When source and target are both ``Z^d`` and every image lies in
+    ``W_G``, both distances are closed-form l1 norms:
+    :func:`_l1_pair_keys` counts the pairs by ``(dH, dG)`` with no group
+    product, window lookup or difference ball, and a pair with ``dG >
+    W_G.radius`` is exactly what the lookup would miss.  The
+    images-in-``W_G`` condition bounds ``dG`` by ``2*W_G.radius``, so the
+    count holds at most ``(2*W_H.radius+1)(2*W_G.radius+1)`` keys; far
+    images could make it one key per pair.  Every other input (other
+    groups, images outside ``W_G``) takes the lookup loop, which reads
+    both distances off windows as lengths of ``a^-1 b``.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
     H, G = phi.source, phi.target
-    if W_H.radius >= t_max:
-        diff = W_H
-    else:
-        diff = build_window(H, t_max)
     elements = W_H.elements
     n = len(elements)
     images = [apply(phi, h) for h in elements]
@@ -243,33 +265,57 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     counts = [0] * (t_max + 1)
     t_bad = t_max + 1
 
-    mulH, invH = H.mul, H.inv
-    mulG, invG = G.mul, G.inv
-    # index lookups bound once: Window.length_of costs a call per pair
-    diff_get, diff_lengths = diff.index.get, diff.lengths
-    g_get, g_lengths = W_G.index.get, W_G.lengths
-    for i in range(n):
-        hi = elements[i]
-        inv_hi = invH(hi)
-        inv_img = invG(images[i])
-        for hj, img_j in zip(elements[i + 1:], images[i + 1:]):
-            k = diff_get(mulH(inv_hi, hj))
-            if k is None:
-                continue
-            dH = diff_lengths[k]
+    if (isinstance(H, ZdGroup) and isinstance(G, ZdGroup)
+            and all(map(W_G.index.__contains__, images))):
+        # key = dH + T*dG with dH <= 2*W_H.radius < T
+        T = 2 * W_H.radius + 1
+        keys = _l1_pair_keys(elements, images, T)
+        assert len(keys) <= T * (2 * W_G.radius + 1)
+        for key, c in keys.items():
+            dG, dH = divmod(key, T)
             if dH > t_max:
                 continue
-            k = g_get(mulG(inv_img, img_j))
-            if k is None:
+            if dG > W_G.radius:
                 if dH < t_bad:
                     t_bad = dH
                 continue
-            dG = g_lengths[k]
-            counts[dH] += 1
+            counts[dH] += c
             if dG < min_img[dH]:
                 min_img[dH] = dG
             if dG > max_img[dH]:
                 max_img[dH] = dG
+    else:
+        if W_H.radius >= t_max:
+            diff = W_H
+        else:
+            diff = build_window(H, t_max)
+        mulH, invH = H.mul, H.inv
+        mulG, invG = G.mul, G.inv
+        # index lookups bound once: Window.length_of costs a call per pair
+        diff_get, diff_lengths = diff.index.get, diff.lengths
+        g_get, g_lengths = W_G.index.get, W_G.lengths
+        for i in range(n):
+            hi = elements[i]
+            inv_hi = invH(hi)
+            inv_img = invG(images[i])
+            for hj, img_j in zip(elements[i + 1:], images[i + 1:]):
+                k = diff_get(mulH(inv_hi, hj))
+                if k is None:
+                    continue
+                dH = diff_lengths[k]
+                if dH > t_max:
+                    continue
+                k = g_get(mulG(inv_img, img_j))
+                if k is None:
+                    if dH < t_bad:
+                        t_bad = dH
+                    continue
+                dG = g_lengths[k]
+                counts[dH] += 1
+                if dG < min_img[dH]:
+                    min_img[dH] = dG
+                if dG > max_img[dH]:
+                    max_img[dH] = dG
 
     # the diagonal: every element pairs with itself at distance 0 (distinct
     # elements never do)
@@ -292,6 +338,27 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
         pair_counts=counts[: eff + 1],
         requested_t_max=t_max,
     )
+
+
+def _l1_pair_keys(elements: list, images: list, T: int) -> Counter:
+    """Counter of ``dH + T*dG`` over the unordered pairs of ``elements``,
+    with ``dH``, ``dG`` the l1 distances of the elements and of their
+    ``images``.
+
+    Each element is the point ``(h, T*phi(h))`` of ``Z^(d+e)``, held as
+    one list per coordinate, so the l1 distances from row ``i`` to every
+    later row are a chain of ``map`` calls over the column slices: no
+    per-pair Python bytecode.
+    """
+    cols = [list(c) for c in zip(*elements)] + [[T * x for x in c] for c in zip(*images)]
+    keys = Counter()
+    for i in range(len(elements)):
+        dist = None
+        for col in cols:
+            d = map(abs, map(sub, col[i + 1:], repeat(col[i])))
+            dist = d if dist is None else map(add, dist, d)
+        keys.update(dist)
+    return keys
 
 
 def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:

@@ -183,11 +183,14 @@ def test_pipeline_error_exit_code(tmp_path, capsys):
     ["certify", "--config", "{tmp}/binary.cfg"],
     ["certify", "--map", "table:{tmp}/absent.map"],
     ["moduli", "--map", "table:{tmp}/absent.map"],
+    ["certify", "--map", "table:{tmp}/repeated.map"],
 ], ids=["epsilon-syntax", "epsilon-zero-denominator", "missing-config",
-        "undecodable-config", "missing-table", "missing-table-moduli"])
+        "undecodable-config", "missing-table", "missing-table-moduli", "repeated-source"])
 def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     # exit 1 means a check failed; unusable input is an error, exit 2
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
+    (tmp_path / "repeated.map").write_text(
+        "\n".join(f"{n} -> {n}" for n in range(-12, 13)) + "\n0 -> 7\n")
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--rH", "12", "--rG", "24", "--eval", "3"]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from couplingcert.coarse import (
@@ -26,7 +26,7 @@ from couplingcert.errors import (
     ScaleSelectionError,
     TableMapError,
 )
-from couplingcert.groups import make_group
+from couplingcert.groups import ZdGroup, make_group
 from couplingcert.windows import build_window, distance, resolved_distance
 
 Z = make_group("Z^1")
@@ -202,6 +202,19 @@ def test_table_map_bad_line_names_line_number(tmp_path):
     assert ":2:" in str(exc.value)
 
 
+@pytest.mark.parametrize("text,lines", [
+    ("(0,0) -> (0,0)\n(1,0) -> (1,0)\n\n# again\n(0, 0) -> (7,7)\n", (":5:", "line 1")),
+    ("(1,0) -> (1,0)\n(1,0) -> (1,0)\n", (":2:", "line 1")),
+], ids=["other-target", "same-target"])
+def test_table_map_repeated_source_names_both_lines(tmp_path, text, lines):
+    # the file must define the map uniquely, whichever target the repeat names
+    p = tmp_path / "phi.txt"
+    p.write_text(text)
+    with pytest.raises(TableMapError) as exc:
+        load_map_table(p, Z2, Z2)
+    assert all(line in str(exc.value) for line in lines)
+
+
 def _seeded_table_map(seed: int, radius: int):
     """v -> v + e(v) on the radius ball of Z^2, e(v) drawn from {0, e1, e2}:
     not a homomorphism, and not injective."""
@@ -240,14 +253,38 @@ def _reference_moduli(phi, W_H, W_G, t_max):
     }
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**16), r_H=st.integers(2, 4), t_frac=st.integers(1, 4),
-       r_G=st.integers(3, 12))
-def test_estimate_moduli_matches_reference_pair_scan(seed, r_H, t_frac, r_G):
-    # small target windows truncate the table; t_max above r_H builds the
-    # separate difference window
-    phi = _seeded_table_map(seed, r_H)
-    W_H, W_G = build_window(Z2, r_H), build_window(Z2, r_G)
+def _random_table_map(seed: int, H, e: int, radius: int, spread: int):
+    """A table on the radius ball of ``H`` into ``Z^e``: a ``Z^d`` source
+    element padded or cut to ``e`` coordinates (any other source: the
+    origin), plus noise uniform in ``[-spread, spread]`` per coordinate.
+    A large ``spread`` puts images outside a small target window."""
+    rnd = random.Random(seed)
+    G = make_group(f"Z^{e}")
+    mapping = {}
+    for h in build_window(H, radius).elements:
+        base = (h if isinstance(H, ZdGroup) else ()) + (0,) * e
+        mapping[h] = tuple(x + rnd.randint(-spread, spread) for x in base[:e])
+    return table_map(H, G, mapping)
+
+
+# Z^d -> Z^e tables with images inside the target window take the
+# closed-form l1 scan, the rest the lookup scan; small targets truncate and
+# t_max above r_H builds the separate difference window.  The first three
+# examples run the l1 scan and truncate, the fourth has far images.
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       source=st.sampled_from(["Z^1", "Z^2", "Z^3", "C_5 x Z^1"]), e=st.integers(1, 3),
+       r_H=st.integers(2, 4), t_frac=st.integers(1, 4), r_G=st.integers(1, 12),
+       spread=st.sampled_from([0, 1, 2, 30]))
+@example(seed=1, source="Z^2", e=2, r_H=3, t_frac=3, r_G=6, spread=1)
+@example(seed=1, source="Z^1", e=3, r_H=4, t_frac=4, r_G=10, spread=1)
+@example(seed=1, source="Z^3", e=1, r_H=2, t_frac=3, r_G=3, spread=1)
+@example(seed=4, source="Z^2", e=2, r_H=3, t_frac=4, r_G=4, spread=30)
+@example(seed=5, source="C_5 x Z^1", e=2, r_H=3, t_frac=4, r_G=5, spread=2)
+def test_estimate_moduli_matches_reference_pair_scan(seed, source, e, r_H, t_frac, r_G, spread):
+    H = make_group(source)
+    phi = _random_table_map(seed, H, e, r_H, spread)
+    W_H, W_G = build_window(H, r_H), build_window(phi.target, r_G)
     t_max = max(1, 2 * r_H * t_frac // 4)
     m = estimate_moduli(phi, W_H, W_G, t_max)
     want = _reference_moduli(phi, W_H, W_G, t_max)
