@@ -9,12 +9,16 @@ is always reported, never silently passed.
 
 Checks run on orbit points g.psi.h only; the closure of the orbit is not
 materializable, and the underlying estimates transfer to limits by
-continuity.  Certificates are orbit-scale statements.
+continuity.  Certificates are orbit-scale statements.  The pipeline
+certifies an orbit point from its ``(g, h)`` pair: each check reads the
+coordinates it needs through ``psi`` and builds no orbit-point object.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -33,7 +37,6 @@ from .coupling import (
     act_left,
     build_partition,
     l1_distance,
-    orbit_point,
     psi,
     support_distance,
 )
@@ -44,7 +47,8 @@ from .errors import (
     ResolutionError,
 )
 from .groups import make_group
-from .windows import Window, build_window, distance_field, resolved_distance
+from .windows import (Window, build_window, distance, distance_field, resolved_distance,
+                      set_distance)
 
 SAMPLE_CAP = 10_000
 
@@ -155,19 +159,6 @@ def _pair_diameter(points: list, W: Window) -> Optional[int]:
     return worst
 
 
-def _set_distance(xs: list, ys: list, W: Window) -> Optional[int]:
-    """Min pairwise distance between two finite sets; None if nothing resolves."""
-    best = None
-    for a in xs:
-        for b in ys:
-            d = resolved_distance(W, a, b)
-            if d is not None and (best is None or d < best):
-                best = d
-                if best == 0:
-                    return 0
-    return best
-
-
 def check_membership_x(
     labeled_points: list,
     W_G: Window,
@@ -218,7 +209,6 @@ def check_membership_x(
 
 def check_lipschitz(
     P: PartitionOfUnity,
-    phi: CoarseMap,
     pair_window: Window,
     psi_of: Callable,
 ) -> CheckResult:
@@ -236,11 +226,7 @@ def check_lipschitz(
     for i, f1 in enumerate(inner):
         d1 = psi_of(f1)
         for f2 in inner[i + 1:]:
-            t = resolved_distance(pair_window, f1, f2)
-            if t is None:
-                raise ResolutionError(
-                    "inner pair distance does not resolve; pair window too small"
-                )
+            t = distance(pair_window, f1, f2)
             val = l1_distance(d1, psi_of(f2))
             p, r = val.numerator, val.denominator
             m_num, m_den = c_num * t * r - p * c_den, c_den * r
@@ -264,8 +250,8 @@ def check_lipschitz(
 
 def check_sandwich(
     P: PartitionOfUnity,
-    phi: CoarseMap,
-    orbit_points: list,
+    samples: list,
+    eval_radius: int,
     m: Moduli,
     W_G: Window,
     pair_window: Window,
@@ -274,48 +260,49 @@ def check_sandwich(
     """Support distances of orbit coordinates are sandwiched between
     kappa(d) - 2*omega(s+1) - 2 and omega(d) + 2*omega(s+1) + 2.
 
-    The support distance of (g.psi.h)_f1 and (g.psi.h)_f2 equals that of
-    psi_{h f1} and psi_{h f2} by left-invariance, so the witness carries no
-    g: orbit points sharing h and evaluation window are walked once, in
-    first-seen order, and counted with their multiplicity.  Distinct
-    coordinate pairs are evaluated once.
+    A sample (g, h) is the orbit point g.psi.h on the f's of B(eval_radius).
+    By left-invariance the support distance of (g.psi.h)_f1 and
+    (g.psi.h)_f2 is that of psi_{h f1} and psi_{h f2}, so the witness
+    carries no g: distinct h are walked once, in first-seen order, and
+    counted with their multiplicity.  The evaluation pairs do not depend
+    on h and distinct coordinate pairs are evaluated once.
     """
-    pad = 2 * P.omega_s1 + 2
-    H = phi.source
+    if not 0 <= eval_radius <= P.inner_radius:
+        raise PreconditionError(f"eval radius {eval_radius} is outside [0, {P.inner_radius}]")
+    fs = P.window_H.ball(eval_radius)
+    pairs = []   # (i, j, t, kappa(t), omega(t)) for f_i, f_j at distance t
+    unsupported = 0
+    for i, f1 in enumerate(fs):
+        for j in range(i + 1, len(fs)):
+            t = distance(pair_window, f1, fs[j])
+            kap, ome = m.kappa_at(t), m.omega_at(t)
+            if kap is None or ome is None:
+                unsupported += 1
+            else:
+                pairs.append((i, j, t, kap, ome))
+    pad = P.support_diameter_bound
     idx = P.window_H.index
-    fmt = H.format_element
+    fmt = P.window_H.group.format_element
     lower_worst = _Worst()
     upper_worst = _Worst()
     cache: dict = {}
     population = 0
     skipped = 0
-    walks: dict = {}   # (h, id of eval window) -> [h, eval window, multiplicity]
-    for pt in orbit_points:
-        walks.setdefault((pt.h, id(pt.eval_window)), [pt.h, pt.eval_window, 0])[2] += 1
-    for h, eval_window, mult in walks.values():
-        fs = eval_window.elements
-        for i, f1 in enumerate(fs):
-            for f2 in fs[i + 1:]:
-                t = resolved_distance(pair_window, f1, f2)
-                if t is None:
-                    raise ResolutionError("eval pair distance does not resolve")
-                kap = m.kappa_at(t)
-                ome = m.omega_at(t)
-                if kap is None or ome is None:
-                    skipped += mult
-                    continue
-                a = H.mul(h, f1)
-                b = H.mul(h, f2)
-                key = (idx[a], idx[b]) if idx[a] <= idx[b] else (idx[b], idx[a])
-                sd = cache.get(key)
-                if sd is None:
-                    sd = support_distance(psi_of(a), psi_of(b), W_G)
-                    cache[key] = sd
-                wit = lambda: {"pair": [fmt(f1), fmt(f2)], "h": fmt(h),
-                               "distance": t, "support_distance": sd}
-                lower_worst.update(sd - (kap - pad), wit)
-                upper_worst.update((ome + pad) - sd, wit)
-                population += mult
+    for h, mult in Counter(h for _, h in samples).items():
+        hf = P.inner_translates(h, fs)
+        k = [idx[a] for a in hf]
+        for i, j, t, kap, ome in pairs:
+            key = (k[i], k[j]) if k[i] <= k[j] else (k[j], k[i])
+            sd = cache.get(key)
+            if sd is None:
+                sd = support_distance(psi_of(hf[i]), psi_of(hf[j]), W_G)
+                cache[key] = sd
+            wit = lambda: {"pair": [fmt(fs[i]), fmt(fs[j])], "h": fmt(h),
+                           "distance": t, "support_distance": sd}
+            lower_worst.update(sd - (kap - pad), wit)
+            upper_worst.update((ome + pad) - sd, wit)
+        population += len(pairs) * mult
+        skipped += unsupported * mult
     if population == 0:
         return CheckResult("sandwich", "vacuous", None, None, 0,
                            details={"skipped_unsupported_t": skipped})
@@ -364,10 +351,10 @@ def check_properness_h(
         # members of [K, eps] stay confined near K: the finite-window
         # analogue of the compactness of [K, eps]
         for a in zeta_1.support():
-            d = _set_distance([a], K, W_G)
+            d = set_distance(W_G, [a], K)
             if d is None:
                 raise ResolutionError("support-to-K distance does not resolve")
-            confinement.update(2 * P.omega_s1 + 2 - d,
+            confinement.update(P.support_diameter_bound - d,
                                lambda: {"zeta": [G.format_element(g), H.format_element(h0)],
                                         "atom": G.format_element(a)})
         # work with g^-1 K so every test runs on untranslated psi slices
@@ -388,7 +375,7 @@ def check_properness_h(
             if hit:
                 worst.update(-1, lambda: dict(wit(), meeting_point=G.format_element(hit[0])))
             else:
-                d = _set_distance(slice_supp, K_back, W_G)
+                d = set_distance(W_G, slice_supp, K_back)
                 if d is None:
                     # every gap exceeds the window radius; report the floor
                     margin_is_floor = True
@@ -438,7 +425,7 @@ def check_cocompactness_h(
         raise PreconditionError(
             f"K radius {K_radius} exceeds the target window radius {W_G.radius}"
         )
-    K_set = {e for e, l in zip(W_G.elements, W_G.lengths) if l <= K_radius}
+    K_set = set(W_G.ball(K_radius))
     half = Fraction(1, 2)
     worst = _Worst()
     population = 0
@@ -457,14 +444,11 @@ def check_cocompactness_h(
         d_C1 = min(dists)
         bound = P.omega_s1 + 1 + diam_C + d_C1 + R
         r = _kappa_sublevel_radius(m, bound)
-        lh = P.window_H.length_of(h)
-        f_cap = P.inner_radius - lh
+        f_cap = P.inner_radius - P.window_H.length_of(h)
         search_radius = f_cap if r is None else min(r, f_cap)
         found = None
         best_ip = Fraction(0)
-        for f, lf in zip(P.window_H.elements, P.window_H.lengths):
-            if lf > search_radius:
-                break  # BFS order is nondecreasing in length
+        for f in P.window_H.ball(search_radius):
             ip = act_left(g, psi_of(H.mul(h, f))).inner_product(K_set)
             if ip > best_ip:
                 best_ip = ip
@@ -502,19 +486,10 @@ def check_cocompactness_h(
 
 
 def _kappa_sublevel_radius(m: Moduli, bound) -> Optional[int]:
-    """Largest t in the table with kappa(t) <= bound; None when the whole
-    table stays below the bound (r exceeds the table)."""
-    if bound < 0:
-        return -1
-    top = m.kappa_at(m.t_max)
-    if top is not None and top <= bound:
-        return None
-    r = -1
-    for t in range(m.t_max + 1):
-        k = m.kappa_at(t)
-        if k is not None and k <= bound:
-            r = t
-    return r
+    """Largest t with kappa(t) <= bound, -1 if none; None when the whole table
+    stays below the bound.  Every kappa table is nondecreasing: one bisection."""
+    r = bisect_right(m.kappa, bound, 0, m.t_max + 1) - 1
+    return None if r == m.t_max else r
 
 
 def _g_properness(
@@ -631,13 +606,12 @@ def check_g_action(
         worst.update(ip - 1, wit)  # full mass must sit inside the ball
         pop_recenter += 1
 
-    two_omega_2 = 2 * P.omega_s1 + 2
     pop_diam = 0
     for h in P.inner_elements:
         diam = _pair_diameter(psi_of(h).support(), W_G)
         if diam is None:
             raise ResolutionError("inner support diameter does not resolve")
-        worst.update(two_omega_2 - diam,
+        worst.update(P.support_diameter_bound - diam,
                      lambda: {"h": phi.source.format_element(h), "diameter": diam,
                               "reason": "support diameter"})
         pop_diam += 1
@@ -660,19 +634,19 @@ def check_g_action(
     )
 
 
-def _stratified_sample(pairs: list, strata: list, cap: int, seed: int) -> list:
-    """Deterministic seeded subsample, proportionally by stratum."""
+def _stratified_sample(pairs: list, stratum: Callable, cap: int, seed: int) -> list:
+    """Deterministic seeded subsample, proportionally by ``stratum(pair)``;
+    strata are computed only when the pairs exceed the cap."""
     if len(pairs) <= cap:
         return pairs
     rnd = random.Random(seed)
     by_stratum: dict = {}
-    for p, s in zip(pairs, strata):
-        by_stratum.setdefault(s, []).append(p)
+    for p in pairs:
+        by_stratum.setdefault(stratum(p), []).append(p)
     out = []
-    total = len(pairs)
     for s in sorted(by_stratum):
         bucket = by_stratum[s]
-        want = max(1, cap * len(bucket) // total)
+        want = max(1, cap * len(bucket) // len(pairs))
         out.extend(bucket if len(bucket) <= want else rnd.sample(bucket, want))
     return out
 
@@ -698,8 +672,8 @@ def run_all(config) -> Certificate:
         phi = make_coarse_map(config.map_descriptor, H, G)
 
         stage = "windows"
-        if config.radius_H <= 0 or config.radius_G <= 0:
-            raise PreconditionError("window radii must be positive")
+        if config.radius_H <= 0 or config.radius_G <= 0 or config.eval_radius < 0:
+            raise PreconditionError("window radii must be positive and eval radius nonnegative")
         W_H = build_window(H, config.radius_H)
         W_G = build_window(G, config.radius_G)
 
@@ -725,8 +699,8 @@ def run_all(config) -> Certificate:
 
         stage = "samples"
         if selected & {"lipschitz", "sandwich"}:
-            pair_radius = min(2 * P.inner_radius, 2 * W_H.radius)
-            pair_window = W_H if pair_radius == W_H.radius else build_window(H, pair_radius)
+            pair_radius = 2 * P.inner_radius
+            pair_window = W_H if pair_radius <= W_H.radius else build_window(H, pair_radius)
         cache: dict = {}
 
         def psi_of(h):
@@ -738,20 +712,21 @@ def run_all(config) -> Certificate:
 
         h_rad = max(0, min(4, P.inner_radius - config.eval_radius))
         g_rad = min(core_radius, 4)
-        grid = [(g, h)
-                for g, lg in zip(W_G.elements, W_G.lengths) if lg <= g_rad
-                for h, lh in zip(W_H.elements, W_H.lengths) if lh <= h_rad]
-        strata = [(W_G.length_of(g) + W_H.length_of(h)) for g, h in grid]
-        samples = _stratified_sample(grid, strata, SAMPLE_CAP, config.seed)
+        hs = W_H.ball(h_rad)
+        grid = [(g, h) for g in W_G.ball(g_rad) for h in hs]
+        samples = _stratified_sample(
+            grid, lambda p: W_G.length_of(p[0]) + W_H.length_of(p[1]),
+            SAMPLE_CAP, config.seed)
 
         K_base = psi_of(H.identity).support()
         diam_K = _pair_diameter(K_base, W_G)
         if diam_K is None:
             raise ResolutionError("diameter of K does not resolve in the target window")
-        h_threshold = diam_K + 2 * P.omega_s1 + 2
-        tau = 2 * P.omega_s1 + 2 + 2 * diam_K
+        supp_bound = P.support_diameter_bound
+        h_threshold = diam_K + supp_bound
+        tau = supp_bound + 2 * diam_K
         K_radius = R + P.omega_s1 + 1
-        recenter_bound = 4 * P.omega_s1 + 4
+        recenter_bound = 2 * supp_bound
 
         checks = []
         if "membership_x" in selected:
@@ -760,12 +735,11 @@ def run_all(config) -> Certificate:
             checks.append(check_membership_x(pts, W_G, 2 * P.omega_s1))
         if "lipschitz" in selected:
             stage = "lipschitz"
-            checks.append(check_lipschitz(P, phi, pair_window, psi_of))
+            checks.append(check_lipschitz(P, pair_window, psi_of))
         if "sandwich" in selected:
             stage = "sandwich"
-            eval_window = build_window(H, config.eval_radius)
-            orbit_pts = [orbit_point(P, phi, g, h, eval_window) for g, h in samples]
-            checks.append(check_sandwich(P, phi, orbit_pts, m, W_G, pair_window, psi_of))
+            checks.append(check_sandwich(P, samples, config.eval_radius, m, W_G,
+                                         pair_window, psi_of))
         if "properness_h" in selected:
             stage = "properness_h"
             K_set = set(K_base)
@@ -784,12 +758,10 @@ def run_all(config) -> Certificate:
                 P, phi, cc_samples, m, R, W_G, psi_of, K_radius))
         if "g_action" in selected:
             stage = "g_action"
-            if tau + 2 <= W_G.radius:
-                aux = W_G
-            else:
-                aux = build_window(G, tau + 2)
-            g_candidates = [e for e, l in zip(aux.elements, aux.lengths)
-                            if tau < l <= tau + 2][:512]
+            aux = W_G if tau + 2 <= W_G.radius else build_window(G, tau + 2)
+            # the shell tau < length <= tau + 2, in BFS order
+            lo, hi = bisect_right(aux.lengths, tau), bisect_right(aux.lengths, tau + 2)
+            g_candidates = aux.elements[lo:min(hi, lo + 512)]
             checks.append(check_g_action(
                 P, phi, samples[:8], K_base, epsilon, W_G, g_candidates, psi_of, tau,
                 recenter_bound))

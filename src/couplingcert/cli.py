@@ -22,7 +22,7 @@ from typing import Optional
 from .certify import CHECK_NAMES, Certificate, fmt_rat, parse_epsilon, run_all
 from .coarse import choose_scale, make_coarse_map, pipeline_moduli, window_moduli
 from .coupling import build_partition, psi, serialize_density
-from .errors import CouplingCertError, PipelineError, PreconditionError
+from .errors import CouplingCertError, PreconditionError
 from .groups import make_group
 from .windows import build_window, greedy_net, packing_number
 
@@ -76,8 +76,10 @@ DEMO_CONFIGS = (
 
 
 def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines into RunConfig field values."""
+    """Read ``key = value`` lines into RunConfig field values.  A key on
+    two lines is an error, naming both."""
     values: dict = {}
+    line_of: dict = {}
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -93,6 +95,10 @@ def parse_config_file(path) -> dict:
         value = value.strip()
         if key not in _CONFIG_KEYS:
             raise PreconditionError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise PreconditionError(
+                f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
         values[_CONFIG_KEYS[key]] = value
     return values
 
@@ -291,9 +297,6 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "certify":
             return cmd_certify(cfg)
         raise PreconditionError(f"unknown command {args.command!r}")
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CouplingCertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

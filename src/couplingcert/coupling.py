@@ -21,14 +21,13 @@ Theta and the alpha weights are truncation-free.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .coarse import CoarseMap, Moduli, apply
 from .errors import CouplingCertError, PreconditionError, ResolutionError
-from .windows import Net, Window, greedy_net, packing_number, resolved_distance
+from .windows import Net, Window, greedy_net, packing_number, resolved_distance, set_distance
 
 
 @dataclass
@@ -38,7 +37,6 @@ class PartitionOfUnity:
     images: list                        # Z = phi[Y], aligned with net.points
     window_H: Window
     inner_radius: int
-    inner_elements: list
     N_empirical: Fraction
     N_apriori: Fraction
     overlap_count: int                  # max net points within s+1 of a window point
@@ -56,6 +54,16 @@ class PartitionOfUnity:
     def N(self) -> Fraction:
         """Lipschitz constant used in certified bounds: the safe maximum."""
         return max(self.N_empirical, self.N_apriori)
+
+    @property
+    def inner_elements(self) -> list:
+        """The inner window, in BFS order."""
+        return self.window_H.ball(self.inner_radius)
+
+    @property
+    def support_diameter_bound(self) -> int:
+        """2*omega(s+1) + 2: every supp psi_h has at most this diameter."""
+        return 2 * self.omega_s1 + 2
 
     @property
     def theta_denominator(self) -> int:
@@ -96,6 +104,18 @@ class PartitionOfUnity:
     def is_inner(self, h) -> bool:
         l = self.window_H.length_of(h)
         return l is not None and l <= self.inner_radius
+
+    def inner_translates(self, h, fs) -> list:
+        """[h*f for f in fs], each checked to lie in the inner window."""
+        H = self.window_H.group
+        out = [H.mul(h, f) for f in fs]
+        for hf in out:
+            if not self.is_inner(hf):
+                raise PreconditionError(
+                    f"h*f = {H.format_element(hf)} escapes the inner window; "
+                    "shrink the evaluation radius or enlarge the source window"
+                )
+        return out
 
 
 def unit_ball(G) -> tuple:
@@ -182,7 +202,6 @@ def build_partition(
         images=images,
         window_H=W_H,
         inner_radius=inner_radius,
-        inner_elements=[e for e, l in zip(W_H.elements, W_H.lengths) if l <= inner_radius],
         N_empirical=Fraction(0),
         N_apriori=Fraction(0),
         overlap_count=0,
@@ -232,7 +251,7 @@ def _overlap_count(W: Window, points: list, reach: int) -> int:
     its ball and counts the hits inside W; B(reach) is the BFS prefix of W
     (``reach <= W.radius``).
     """
-    ball = W.elements[:bisect_right(W.lengths, reach)]
+    ball = W.ball(reach)
     index_get, mul = W.index.get, W.group.mul
     counts = [0] * len(W.elements)
     for y in points:
@@ -295,22 +314,10 @@ def l1_distance(xi: SparseDensity, eta: SparseDensity) -> Fraction:
 
 def support_distance(xi: SparseDensity, eta: SparseDensity, W_G: Window) -> int:
     """min d_G over supp(xi) x supp(eta); supports are genuine (no null sets)."""
-    G = W_G.group
-    mul, inv = G.mul, G.inv
-    length_of = W_G.length_of
-    best = None
-    for a in xi.atoms:
-        inv_a = inv(a)
-        for b in eta.atoms:
-            d = length_of(mul(inv_a, b))
-            if d is not None and (best is None or d < best):
-                best = d
-                if best == 0:
-                    return 0
+    best = set_distance(W_G, xi.atoms, eta.atoms)
     if best is None:
         raise ResolutionError(
-            "no support distance resolves within the target window; enlarge it"
-        )
+            "no support distance resolves within the target window; enlarge it")
     return best
 
 
@@ -344,14 +351,7 @@ class OrbitPoint:
 def orbit_point(P: PartitionOfUnity, phi: CoarseMap, g, h, eval_window: Window) -> OrbitPoint:
     """Check that h*f stays in the inner window for every f of the
     evaluation window, so every coordinate is defined."""
-    H = phi.source
-    for f in eval_window.elements:
-        hf = H.mul(h, f)
-        if not P.is_inner(hf):
-            raise PreconditionError(
-                f"h*f = {H.format_element(hf)} escapes the inner window; "
-                "shrink the evaluation radius or enlarge the source window"
-            )
+    P.inner_translates(h, eval_window.elements)
     return OrbitPoint(g=g, h=h, eval_window=eval_window, P=P, phi=phi)
 
 

@@ -40,6 +40,11 @@ class Window:
         i = self.index.get(a)
         return None if i is None else self.lengths[i]
 
+    def ball(self, r: int) -> list:
+        """The elements of length <= r: a prefix of ``elements`` in BFS
+        order, the whole window when r >= radius."""
+        return self.elements[:bisect_right(self.lengths, r)]
+
     def __len__(self):
         return len(self.elements)
 
@@ -94,6 +99,24 @@ def resolved_distance(W: Window, a, b) -> Optional[int]:
     return W.length_of(G.mul(G.inv(a), b))
 
 
+def set_distance(W: Window, xs, ys) -> Optional[int]:
+    """Least resolved distance between two finite sets; None when no pair
+    resolves within the window."""
+    G = W.group
+    mul, inv = G.mul, G.inv
+    length_of = W.length_of
+    best = None
+    for a in xs:
+        inv_a = inv(a)
+        for b in ys:
+            d = length_of(mul(inv_a, b))
+            if d is not None and (best is None or d < best):
+                best = d
+                if best == 0:
+                    return 0
+    return best
+
+
 def distance_field(W: Window, sources, budget: int = DEFAULT_ELEMENT_BUDGET) -> dict:
     """Distance to the nearest source, for every element within ``W.radius``
     of ``sources``.
@@ -102,8 +125,8 @@ def distance_field(W: Window, sources, budget: int = DEFAULT_ELEMENT_BUDGET) -> 
     the generators and stops at depth ``W.radius``.  It reaches x at depth
     min |b^-1 x| over the sources b, which equals min d(x, b) = |x^-1 b|
     because every built-in generating set is symmetric (|g| = |g^-1|).  So
-    ``field.get(x)`` is the minimum resolved distance from x to the sources
-    in W, and None exactly when no such distance resolves.
+    ``field.get(x)`` is ``set_distance(W, [x], sources)``: None exactly when
+    no distance from x to the sources resolves.
     """
     mul = W.group.mul
     gens = W.group.generators
@@ -216,7 +239,7 @@ def packing_number(
     # word lengths are integers: lo <= d <= hi is exactly
     # separation <= d <= diam_bound
     lo, hi = math.ceil(separation), math.floor(diam_bound)
-    candidates = W.elements[:bisect_right(W.lengths, hi)]  # BFS order
+    candidates = W.ball(hi)
     ub = _volume_upper_bound(W, lo, hi, len(candidates))
     if len(candidates) > candidate_cap:
         return PackingResult(

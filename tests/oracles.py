@@ -4,7 +4,9 @@ package against.  They are not part of the runtime API."""
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
+from couplingcert.coarse import Moduli
 from couplingcert.coupling import PartitionOfUnity, SparseDensity
 from couplingcert.errors import PreconditionError
 from couplingcert.groups import GroupModel
@@ -181,3 +183,19 @@ def g_properness(phi, qualifying: list, K_G: list, W_G: Window, g_candidates: li
                 margin, witness = m, wit
             population += 1
     return margin, witness, margin_is_floor, population
+
+
+def kappa_sublevel_radius(m: Moduli, bound) -> Optional[int]:
+    """Largest t with kappa(t) <= bound (-1 when there is none), by a scan of
+    the whole table; None when the whole table stays below the bound."""
+    if bound < 0:
+        return -1
+    top = m.kappa_at(m.t_max)
+    if top is not None and top <= bound:
+        return None
+    r = -1
+    for t in range(m.t_max + 1):
+        k = m.kappa_at(t)
+        if k is not None and k <= bound:
+            r = t
+    return r

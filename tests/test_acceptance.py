@@ -27,7 +27,6 @@ from couplingcert.coupling import (
     SparseDensity,
     act_left,
     build_partition,
-    orbit_point,
     psi,
     unit_ball,
 )
@@ -224,18 +223,16 @@ def test_criterion_6_checker_liveness():
 
     # lipschitz: a constant far below the true slope
     tiny_N = replace(P, N_empirical=Fraction(1, 1000), N_apriori=Fraction(1, 1000))
-    failures["lipschitz"] = check_lipschitz(tiny_N, phi, pair_window, psi_of).status
+    failures["lipschitz"] = check_lipschitz(tiny_N, pair_window, psi_of).status
 
     # sandwich: one slice translated far beyond the expansion bound
-    ew = build_window(Z, 2)
-    pts = [orbit_point(P, phi, (0,), (0,), ew)]
 
     def tampered(h):
         d = psi_of(h)
         return act_left((20,), d) if h == (1,) else d
 
     failures["sandwich"] = check_sandwich(
-        P, phi, pts, m, W_G, pair_window, tampered).status
+        P, [((0,), (0,))], 2, m, W_G, pair_window, tampered).status
 
     # properness: threshold hand-shrunk to 0 qualifies adjacent slices
     K = psi_of(Z.identity).support()

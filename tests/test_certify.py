@@ -3,8 +3,11 @@ violations, and compose deterministically."""
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from couplingcert.certify import (
     _g_properness,
+    _kappa_sublevel_radius,
     _pair_diameter,
     check_cocompactness_h,
     check_g_action,
@@ -22,16 +26,21 @@ from couplingcert.certify import (
     run_all,
 )
 from couplingcert.cli import RunConfig
-from couplingcert.coarse import analytic_moduli, choose_scale, make_coarse_map, pipeline_moduli
+from couplingcert.coarse import (
+    Moduli,
+    analytic_moduli,
+    choose_scale,
+    make_coarse_map,
+    pipeline_moduli,
+)
 from couplingcert.coupling import (
     SparseDensity,
     act_left,
     build_partition,
-    orbit_point,
     psi,
     unit_ball,
 )
-from couplingcert.errors import PipelineError
+from couplingcert.errors import PipelineError, PreconditionError
 from couplingcert.groups import make_group
 from couplingcert.windows import build_window
 
@@ -92,7 +101,7 @@ def test_membership_passes_single_block():
 
 def test_lipschitz_passes_and_reports_tightest(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
-    res = check_lipschitz(P, phi, pair_window, psi_of)
+    res = check_lipschitz(P, pair_window, psi_of)
     assert res.status == "pass"
     assert res.margin >= 0
     assert res.details["tightest_constant"] <= 2 * P.M * P.N
@@ -102,7 +111,7 @@ def test_lipschitz_passes_and_reports_tightest(pipeline):
 def test_lipschitz_fails_with_shrunk_constant(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     tiny_N = replace(P, N_empirical=Fraction(1, 1000), N_apriori=Fraction(1, 1000))
-    res = check_lipschitz(tiny_N, phi, pair_window, psi_of)
+    res = check_lipschitz(tiny_N, pair_window, psi_of)
     assert res.status == "fail"
     assert res.margin < 0
 
@@ -125,15 +134,14 @@ def test_lipschitz_insensitive_to_map_jumps():
             cache[h] = psi(P, phi, h)
         return cache[h]
 
-    res = check_lipschitz(P, phi, pair_window, psi_of)
+    res = check_lipschitz(P, pair_window, psi_of)
     assert res.status == "pass"
 
 
 def test_sandwich_passes_on_orbit_points(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
-    ew = build_window(Z, 4)
-    pts = [orbit_point(P, phi, g, h, ew) for g in [(0,), (3,)] for h in [(0,), (-2,)]]
-    res = check_sandwich(P, phi, pts, m, W_G, pair_window, psi_of)
+    samples = [(g, h) for g in [(0,), (3,)] for h in [(0,), (-2,)]]
+    res = check_sandwich(P, samples, 4, m, W_G, pair_window, psi_of)
     assert res.status == "pass"
     assert res.details["lower_margin"] >= 0
     assert res.details["upper_margin"] >= 0
@@ -141,23 +149,85 @@ def test_sandwich_passes_on_orbit_points(pipeline):
 
 def test_sandwich_vacuous_on_single_point_eval(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
-    ew = build_window(Z, 0)
-    pts = [orbit_point(P, phi, (0,), (0,), ew)]
-    res = check_sandwich(P, phi, pts, m, W_G, pair_window, psi_of)
+    res = check_sandwich(P, [((0,), (0,))], 0, m, W_G, pair_window, psi_of)
     assert res.status == "vacuous"
 
 
 def test_sandwich_fails_on_tampered_slice(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
-    ew = build_window(Z, 2)
-    pts = [orbit_point(P, phi, (0,), (0,), ew)]
 
     def tampered(h):
         d = psi_of(h)
         return act_left((20,), d) if h == (1,) else d
 
-    res = check_sandwich(P, phi, pts, m, W_G, pair_window, tampered)
+    res = check_sandwich(P, [((0,), (0,))], 2, m, W_G, pair_window, tampered)
     assert res.status == "fail"
+
+
+def test_sandwich_counts_repeated_h_by_multiplicity(pipeline):
+    P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
+    # a table cut at t = 2: the evaluation pairs of B(2) at distances 3, 4
+    # are unsupported (3 of 10 pairs)
+    short = Moduli(t_max=2, kappa=m.kappa[:3], omega=m.omega[:3], provenance="analytic")
+    once = check_sandwich(P, [((0,), (0,)), ((0,), (-2,))], 2, short, W_G,
+                          pair_window, psi_of)
+    assert (once.population, once.details["skipped_unsupported_t"]) == (14, 6)
+    # h = 0 three times under different g, h = -2 once
+    samples = [((0,), (0,)), ((3,), (-2,)), ((5,), (0,)), ((-7,), (0,))]
+    res = check_sandwich(P, samples, 2, short, W_G, pair_window, psi_of)
+    assert res.population == 7 * 4
+    assert res.details["skipped_unsupported_t"] == 3 * 4
+    assert res.details["distinct_coordinate_pairs"] == once.details["distinct_coordinate_pairs"]
+    assert (res.status, res.margin, res.witness) == (once.status, once.margin, once.witness)
+
+
+@pytest.mark.parametrize("samples,eval_radius", [
+    ([((0,), (0,))], -1),
+    ([], -1),
+    ([], 21),              # the inner radius is 20
+    ([((0,), (0,))], 21),
+    ([((0,), (19,))], 3),  # 19 + 3 leaves the inner window
+    ([((0,), (30,))], 3),  # h itself lies outside the source window
+])
+def test_sandwich_rejects_translates_outside_the_inner_window(pipeline, samples,
+                                                              eval_radius):
+    P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
+    assert P.inner_radius == 20
+    with pytest.raises(PreconditionError):
+        check_sandwich(P, samples, eval_radius, m, W_G, pair_window, psi_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(incs=st.lists(st.integers(0, 4), min_size=1, max_size=12), data=st.data())
+def test_kappa_sublevel_radius_matches_scan_on_random_tables(incs, data):
+    kappa = list(accumulate(incs))  # nondecreasing and nonnegative
+    m = Moduli(t_max=len(kappa) - 1, kappa=kappa, omega=kappa, provenance="window-estimated")
+    bound = data.draw(st.integers(-2, m.kappa[-1] + 2))
+    assert _kappa_sublevel_radius(m, bound) == oracles.kappa_sublevel_radius(m, bound)
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("name", ["shear-z2", "table-z2", "heis-id", "f2-id"])
+def test_kappa_sublevel_radius_matches_scan_on_workload_tables(tmp_path, name):
+    workloads = _load_workloads()
+    cfg = workloads.config(name, workloads.DEFAULT_SEED)
+    if name == "table-z2":
+        table = tmp_path / "table.map"
+        table.write_text(workloads.table_text(workloads.DEFAULT_SEED))
+        cfg["map_descriptor"] = f"table:{table}"
+    H, G = make_group(cfg["group_H"]), make_group(cfg["group_G"])
+    phi = make_coarse_map(cfg["map_descriptor"], H, G)
+    m = pipeline_moduli(phi, build_window(H, cfg["radius_H"]),
+                        build_window(G, cfg["radius_G"]))
+    for bound in range(-2, m.kappa[m.t_max] + 3):
+        assert _kappa_sublevel_radius(m, bound) == oracles.kappa_sublevel_radius(m, bound)
 
 
 def test_properness_h_passes_nonvacuously(pipeline):
@@ -367,6 +437,13 @@ def test_run_all_check_subset():
                     checks=["lipschitz", "membership_x"])
     cert = run_all(cfg)
     assert {c.name for c in cert.checks} == {"lipschitz", "membership_x"}
+
+
+def test_run_all_rejects_a_negative_eval_radius_at_windows():
+    cfg = RunConfig(eval_radius=-1, checks=["membership_x", "lipschitz"])
+    with pytest.raises(PipelineError) as exc:
+        run_all(cfg)
+    assert exc.value.stage == "windows"
 
 
 def test_run_all_stage_tagged_error_on_constant_map(tmp_path):

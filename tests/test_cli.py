@@ -61,6 +61,18 @@ def test_config_file_unknown_key(tmp_path):
     assert ":1:" in str(exc.value)
 
 
+def test_config_file_repeated_key(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("rH = 24\n# smaller\nrG = 30\nrH = 12\n")
+    with pytest.raises(PreconditionError) as exc:
+        parse_config_file(p)
+    msg = str(exc.value)
+    assert ":4:" in msg and "line 1" in msg and "'rH'" in msg
+    # a flag still overrides a key the file sets once
+    p.write_text("rH = 24\nrG = 30\n")
+    assert build_config(_Args(config=str(p), rH=12)).radius_H == 12
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(PreconditionError):
         build_config(_Args(rH=-1))
@@ -184,11 +196,14 @@ def test_pipeline_error_exit_code(tmp_path, capsys):
     ["certify", "--map", "table:{tmp}/absent.map"],
     ["moduli", "--map", "table:{tmp}/absent.map"],
     ["certify", "--map", "table:{tmp}/repeated.map"],
+    ["certify", "--config", "{tmp}/repeated.cfg"],
 ], ids=["epsilon-syntax", "epsilon-zero-denominator", "missing-config",
-        "undecodable-config", "missing-table", "missing-table-moduli", "repeated-source"])
+        "undecodable-config", "missing-table", "missing-table-moduli", "repeated-source",
+        "repeated-config-key"])
 def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     # exit 1 means a check failed; unusable input is an error, exit 2
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
+    (tmp_path / "repeated.cfg").write_text("seed = 1\nseed = 2\n")
     (tmp_path / "repeated.map").write_text(
         "\n".join(f"{n} -> {n}" for n in range(-12, 13)) + "\n0 -> 7\n")
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--rH", "12", "--rG", "24", "--eval", "3"]

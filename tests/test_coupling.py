@@ -115,7 +115,6 @@ def test_psi_single_block_case():
     P = PartitionOfUnity(
         scale=Fraction(3), net=Net(scale=Fraction(3), points=[(0,)]),
         images=[(0,)], window_H=W_H, inner_radius=2,
-        inner_elements=[e for e, l in zip(W_H.elements, W_H.lengths) if l <= 2],
         N_empirical=Fraction(0), N_apriori=Fraction(1), overlap_count=1,
         M=1, M_exact=True, omega_s1=4,
     )

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couplingcert.certify import _set_distance
 from couplingcert.errors import PreconditionError, ResolutionError, WindowBudgetError
 from couplingcert.groups import make_group
 from couplingcert.windows import (
@@ -17,6 +16,8 @@ from couplingcert.windows import (
     distance_field,
     greedy_net,
     packing_number,
+    resolved_distance,
+    set_distance,
 )
 
 from oracles import is_dense, is_discrete, packing_number_naive
@@ -57,6 +58,43 @@ def test_product_word_metric_is_l1_sum_of_factors():
         assert l == abs(z[0]) + len(w)
 
 
+@pytest.mark.parametrize(
+    "desc,radius",
+    [("Z^1", 4), ("Z^2", 3), ("F_2", 3), ("Heis", 3), ("C_5", 3), ("C_5 x Z^1", 3),
+     ("Z^1 x F_2", 2)],
+)
+def test_ball_is_the_length_prefix(desc, radius):
+    W = build_window(make_group(desc), radius)
+    assert W.ball(-1) == []
+    for r in range(radius + 2):
+        assert W.ball(r) == [e for e, l in zip(W.elements, W.lengths) if l <= r]
+    assert W.ball(radius + 1) == W.elements
+
+
+@pytest.mark.parametrize(
+    "desc,radius",
+    [("Z^2", 3), ("Heis", 2), ("F_2", 2), ("C_5 x Z^1", 3)],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_set_distance_matches_least_resolved_distance(desc, radius, data):
+    G = make_group(desc)
+    W = build_window(G, radius)
+    # drawn from beyond the window, so some sets lie out of each other's reach
+    pool = build_window(G, radius + 2).elements
+    xs = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+    ys = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+    ds = [d for a in xs for b in ys if (d := resolved_distance(W, a, b)) is not None]
+    assert set_distance(W, xs, ys) == (min(ds) if ds else None)
+
+
+def test_set_distance_of_far_sets_is_none():
+    Z = make_group("Z^1")
+    W = build_window(Z, 3)
+    assert set_distance(W, [(0,), (1,)], [(5,), (9,)]) is None
+    assert set_distance(W, [(0,), (1,)], [(9,), (4,)]) == 3
+
+
 def test_budget_error_reports_radius():
     with pytest.raises(WindowBudgetError) as exc:
         build_window(make_group("F_2"), 10, budget=50)
@@ -79,7 +117,7 @@ def test_distance_field_matches_set_distance_oracle(desc, radius, source_radius,
     probe = build_window(G, source_radius + radius + 1)
     assert set(field) <= set(probe.index)
     for x in probe.elements:
-        assert field.get(x) == _set_distance([x], sources, W)
+        assert field.get(x) == set_distance(W, [x], sources)
 
 
 def test_distance_field_budget_error():
