@@ -47,7 +47,7 @@ from .errors import (
     ResolutionError,
 )
 from .groups import make_group
-from .windows import (Window, build_window, distance, distance_field, resolved_distance,
+from .windows import (Window, build_window, distance, distance_field, pair_extremes,
                       set_distance)
 
 SAMPLE_CAP = 10_000
@@ -104,11 +104,14 @@ def fmt_rat(x) -> str:
 
 
 def parse_epsilon(value) -> Fraction:
-    """The [K, eps] membership threshold as an exact rational."""
+    """The [K, eps] membership threshold as an exact rational in (0, 1]."""
     try:
-        return Fraction(value)
+        eps = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise PreconditionError(f"epsilon must be an exact rational, got {value!r}") from None
+    if not 0 < eps <= 1:
+        raise PreconditionError(f"epsilon must lie in (0, 1], got {value!r}")
+    return eps
 
 
 def _canon(value):
@@ -143,22 +146,6 @@ class _Worst:
             self.witness = witness() if callable(witness) else witness
 
 
-def _pair_diameter(points: list, W: Window) -> Optional[int]:
-    """Max pairwise distance; None when some pair does not resolve."""
-    G = W.group
-    index_get, lengths, mul, inv = W.index.get, W.lengths, G.mul, G.inv
-    worst = 0
-    for i, a in enumerate(points):
-        inv_a = inv(a)
-        for b in points[i + 1:]:
-            k = index_get(mul(inv_a, b))
-            if k is None:
-                return None
-            if lengths[k] > worst:
-                worst = lengths[k]
-    return worst
-
-
 def check_membership_x(
     labeled_points: list,
     W_G: Window,
@@ -178,15 +165,11 @@ def check_membership_x(
         if any(a < 0 for a in coeffs) or sum(coeffs, Fraction(0)) != 1:
             worst.update(-1, {"point": label, "reason": "not a convex combination"})
             continue
-        centers = [z for z, _ in dens.blocks]
-        for i, z in enumerate(centers):
-            for z2 in centers[i + 1:]:
-                d = resolved_distance(W_G, z, z2)
-                # an unresolved distance exceeds the window radius >= 3
-                if d is not None:
-                    sep_worst.update(d - 3, lambda: {"point": label, "pair": [fmt(z), fmt(z2)],
-                                                     "reason": "center separation"})
-        diam = _pair_diameter(centers, W_G)
+        # an unresolved distance exceeds the window radius >= 3
+        least, pair, diam = pair_extremes(W_G, [z for z, _ in dens.blocks])
+        if least is not None:
+            sep_worst.update(least - 3, lambda: {"point": label, "pair": [fmt(z) for z in pair],
+                                                 "reason": "center separation"})
         if diam is None:
             diam_worst.update(two_omega - (W_G.radius + 1),
                               {"point": label, "reason": "diameter exceeds window radius"})
@@ -334,7 +317,13 @@ def check_properness_h(
 ) -> CheckResult:
     """For h with kappa(d(h,1)) above ``threshold``, the h-slice of any
     orbit point meeting [K, eps] at the identity has support disjoint from
-    K.  The pipeline's threshold is diam(K) + 2*omega(s+1) + 2."""
+    K.  The pipeline's threshold is diam(K) + 2*omega(s+1) + 2.
+
+    kappa is nondecreasing, so those h are one shell of the source window.
+    By left-invariance d(a, g^-1 k) = d(g.a, k): a slice of the sample
+    zeta = g.psi_h0 is measured untranslated against one distance field of
+    K, built only when the shell is non-empty.
+    """
     G = phi.target
     H = phi.source
     K_set = set(K)
@@ -342,6 +331,8 @@ def check_properness_h(
     confinement = _Worst()
     population = 0
     margin_is_floor = False
+    far = _far_shell(P.window_H, m, threshold)
+    to_K_get = distance_field(W_G, K).get if far else None
     for g, h0 in zeta_samples:
         zeta_1 = act_left(g, psi_of(h0))
         if zeta_1.inner_product(K_set) < epsilon:
@@ -357,30 +348,15 @@ def check_properness_h(
             confinement.update(P.support_diameter_bound - d,
                                lambda: {"zeta": [G.format_element(g), H.format_element(h0)],
                                         "atom": G.format_element(a)})
-        # work with g^-1 K so every test runs on untranslated psi slices
-        g_inv = G.inv(g)
-        K_back = [G.mul(g_inv, k) for k in K]
-        K_back_set = set(K_back)
-        for h, lh in zip(P.window_H.elements, P.window_H.lengths):
-            kap = m.kappa_at(lh)
-            if kap is None or kap <= threshold:
-                continue
+        for h in far:
             h0h = H.mul(h0, h)
             if not P.is_inner(h0h):
                 continue
-            slice_supp = psi_of(h0h).support()
-            hit = [a for a in slice_supp if a in K_back_set]
-            wit = lambda: {"h": H.format_element(h), "zeta": [G.format_element(g),
-                                                              H.format_element(h0)]}
-            if hit:
-                worst.update(-1, lambda: dict(wit(), meeting_point=G.format_element(hit[0])))
-            else:
-                d = set_distance(W_G, slice_supp, K_back)
-                if d is None:
-                    # every gap exceeds the window radius; report the floor
-                    margin_is_floor = True
-                    d = W_G.radius + 1
-                worst.update(d - 1, wit)
+            margin, meet, floor = _K_margin(to_K_get, G.mul, g, psi_of(h0h).atoms, W_G.radius)
+            margin_is_floor |= floor
+            worst.update(margin, lambda: {
+                "h": H.format_element(h), "zeta": [G.format_element(g), H.format_element(h0)],
+                **({} if meet is None else {"meeting_point": G.format_element(meet)})})
             population += 1
     if population == 0:
         return CheckResult(
@@ -434,7 +410,7 @@ def check_cocompactness_h(
     for g, h in samples:
         xi_1 = act_left(g, psi_of(h))
         C = xi_1.support()
-        diam_C = _pair_diameter(C, W_G)
+        diam_C = pair_extremes(W_G, C)[2]
         dists = [W_G.length_of(c) for c in C]
         if diam_C is None or any(d is None for d in dists):
             raise ResolutionError(
@@ -492,6 +468,26 @@ def _kappa_sublevel_radius(m: Moduli, bound) -> Optional[int]:
     return None if r == m.t_max else r
 
 
+def _far_shell(W: Window, m: Moduli, threshold) -> list:
+    """The h of W with kappa(|h|) > threshold, in BFS order: one shell."""
+    r = _kappa_sublevel_radius(m, threshold)
+    return [] if r is None else W.shell(r, m.t_max)
+
+
+def _K_margin(to_K_get, mul, t, atoms, floor) -> tuple:
+    """(margin, meeting atom, is_floor) of the translate t.atoms against K,
+    read off a distance field of K: -1 and the first atom a with t.a in K;
+    else the least distance minus 1, or ``floor`` when none resolves."""
+    d = None
+    for a in atoms:
+        da = to_K_get(mul(t, a))
+        if da == 0:
+            return -1, a, False
+        if da is not None and (d is None or da < d):
+            d = da
+    return (floor, None, True) if d is None else (d - 1, None, False)
+
+
 def _g_properness(
     phi: CoarseMap,
     qualifying: list,
@@ -504,45 +500,30 @@ def _g_properness(
     pair, the first pair winning ties; margin and witness are None when
     the population is empty.
 
-    A pair's margin is -1 when the candidate moves the sample's support
-    onto K_G, else the least support-to-K_G distance minus 1; a distance
-    that does not resolve in the window counts as the floor radius + 1.
+    A pair's margin is :func:`_K_margin` of the candidate's translate of
+    the sample's support: -1 when it meets K_G, else the least
+    support-to-K_G distance minus 1, and the floor W_G.radius when no
+    distance resolves in the window.
     """
     if not (g_candidates and qualifying):
         return None, None, False, 0
     # one BFS from K_G resolves every support-to-K_G distance; the field
     # holds exactly the points of K_G at 0, so a 0 is a meeting point
-    to_K = distance_field(W_G, K_G)
-    to_K_get = to_K.get
+    to_K_get = distance_field(W_G, K_G).get
     mul = phi.target.mul
-    floor_margin = W_G.radius
     margin_is_floor = False
-    best = None  # (margin, candidate, sample g, sample h, meeting point)
+    best = None  # (margin, candidate, sample g, sample h, meeting atom)
     for gc in g_candidates:
         for g, h, xi_1 in qualifying:
-            d = meet = None
-            for a in xi_1.atoms:
-                p = mul(gc, a)
-                da = to_K_get(p)
-                if da == 0:
-                    meet = p
-                    break
-                if da is not None and (d is None or da < d):
-                    d = da
-            if meet is not None:
-                margin = -1
-            elif d is None:
-                margin_is_floor = True
-                margin = floor_margin
-            else:
-                margin = d - 1
+            margin, meet, floor = _K_margin(to_K_get, mul, gc, xi_1.atoms, W_G.radius)
+            margin_is_floor |= floor
             if best is None or margin < best[0]:
                 best = (margin, gc, g, h, meet)
     margin, gc, g, h, meet = best
     fmtG = phi.target.format_element
     witness = {"g": fmtG(gc), "xi": [fmtG(g), phi.source.format_element(h)]}
     if meet is not None:
-        witness["meeting_point"] = fmtG(meet)
+        witness["meeting_point"] = fmtG(mul(gc, meet))
     return margin, witness, margin_is_floor, len(g_candidates) * len(qualifying)
 
 
@@ -608,7 +589,7 @@ def check_g_action(
 
     pop_diam = 0
     for h in P.inner_elements:
-        diam = _pair_diameter(psi_of(h).support(), W_G)
+        diam = pair_extremes(W_G, psi_of(h).support())[2]
         if diam is None:
             raise ResolutionError("inner support diameter does not resolve")
         worst.update(P.support_diameter_bound - diam,
@@ -719,7 +700,7 @@ def run_all(config) -> Certificate:
             SAMPLE_CAP, config.seed)
 
         K_base = psi_of(H.identity).support()
-        diam_K = _pair_diameter(K_base, W_G)
+        diam_K = pair_extremes(W_G, K_base)[2]
         if diam_K is None:
             raise ResolutionError("diameter of K does not resolve in the target window")
         supp_bound = P.support_diameter_bound
@@ -759,9 +740,7 @@ def run_all(config) -> Certificate:
         if "g_action" in selected:
             stage = "g_action"
             aux = W_G if tau + 2 <= W_G.radius else build_window(G, tau + 2)
-            # the shell tau < length <= tau + 2, in BFS order
-            lo, hi = bisect_right(aux.lengths, tau), bisect_right(aux.lengths, tau + 2)
-            g_candidates = aux.elements[lo:min(hi, lo + 512)]
+            g_candidates = aux.shell(tau, tau + 2)[:512]
             checks.append(check_g_action(
                 P, phi, samples[:8], K_base, epsilon, W_G, g_candidates, psi_of, tau,
                 recenter_bound))

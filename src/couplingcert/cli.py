@@ -145,7 +145,10 @@ def emit_report(cert: Certificate, path: Optional[str]) -> int:
     """Write (or print) the canonical report; return the exit code."""
     text = render_report(cert)
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write report {path}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0 if cert.all_pass() else 1

@@ -35,7 +35,7 @@ from .errors import (
     TableMapError,
 )
 from .groups import FreeGroup, GroupModel, ZdGroup
-from .windows import Window, build_window
+from .windows import Window, build_window, set_distance
 
 
 @dataclass
@@ -321,21 +321,24 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     # elements never do)
     counts[0] += n
     min_img[0] = max_img[0] = 0
+    return _window_table(min_img, max_img, min(t_max, t_bad - 1), t_max, counts)
 
-    eff = min(t_max, t_bad - 1)
-    while eff > 0 and counts[eff] == 0:
+
+def _window_table(min_img: list, max_img: list, eff: int, t_max: int,
+                  counts: Optional[list] = None) -> Moduli:
+    """The window-estimated table from per-distance image extremes, trimmed
+    from ``eff`` down to the last distance with a resolved pair (a pair is
+    counted exactly when it updates the extremes, so the trim also drops the
+    distances without counted pairs).  Below that distance the running
+    minimum and maximum never hold a sentinel."""
+    while eff > 0 and max_img[eff] < 0:
         eff -= 1
-    # counts[eff] > 0, so the running minimum from eff down and the running
-    # maximum from 0 up never hold a sentinel
-    kappa = list(accumulate(reversed(min_img[: eff + 1]), min))[::-1]
-    omega = list(accumulate(max_img[: eff + 1], max))
-
     return Moduli(
         t_max=eff,
-        kappa=kappa,
-        omega=omega,
+        kappa=list(accumulate(reversed(min_img[: eff + 1]), min))[::-1],
+        omega=list(accumulate(max_img[: eff + 1], max)),
         provenance="window-estimated",
-        pair_counts=counts[: eff + 1],
+        pair_counts=None if counts is None else counts[: eff + 1],
         requested_t_max=t_max,
     )
 
@@ -392,14 +395,8 @@ def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> 
             min_img[dH] = dG
         if dG > max_img[dH]:
             max_img[dH] = dG
-    # trim to the last distance with a resolved element (a finite group's
-    # spheres run out); the identity fills distance 0
-    while eff > 0 and max_img[eff] < 0:
-        eff -= 1
-    kappa = list(accumulate(reversed(min_img[: eff + 1]), min))[::-1]
-    omega = list(accumulate(max_img[: eff + 1], max))
-    return Moduli(t_max=eff, kappa=kappa, omega=omega, provenance="window-estimated",
-                  requested_t_max=t_max)
+    # a finite group's spheres run out; the identity fills distance 0
+    return _window_table(min_img, max_img, eff, t_max)
 
 
 def _scan_t_max(W_H: Window, t_max: int) -> int:
@@ -450,25 +447,16 @@ def choose_scale(m: Moduli) -> int:
 
 def cobounded_radius(phi: CoarseMap, W_H: Window, W_G_core: Window) -> int:
     """R = 1 + max over core g of the distance from g to the image of the
-    source window; the +1 keeps the coboundedness inequality strict."""
-    G = phi.target
-    mulG, invG = G.mul, G.inv
-    core_len = W_G_core.length_of
+    source window, each a point-to-set :func:`set_distance` resolved in the
+    core window; the +1 keeps the coboundedness inequality strict."""
     images = [apply(phi, h) for h in W_H.elements]
     worst = 0
     for g in W_G_core.elements:
-        inv_g = invG(g)
-        dmin = None
-        for img in images:
-            d = core_len(mulG(inv_g, img))
-            if d is not None and (dmin is None or d < dmin):
-                dmin = d
-                if dmin == 0:
-                    break
+        dmin = set_distance(W_G_core, [g], images)
         if dmin is None:
             raise ResolutionError(
                 f"no image of the source window is visible from "
-                f"{G.format_element(g)} within the core window; enlarge windows"
+                f"{phi.target.format_element(g)} within the core window; enlarge windows"
             )
         worst = max(worst, dmin)
     return worst + 1

@@ -27,7 +27,7 @@ from typing import Optional
 
 from .coarse import CoarseMap, Moduli, apply
 from .errors import CouplingCertError, PreconditionError, ResolutionError
-from .windows import Net, Window, greedy_net, packing_number, resolved_distance, set_distance
+from .windows import Net, Window, greedy_net, packing_number, pair_extremes, set_distance
 
 
 @dataclass
@@ -186,15 +186,13 @@ def build_partition(
     net = greedy_net(W_H, s)
     images = [apply(phi, y) for y in net.points]
     # kappa(s) >= 3 promises 3-discreteness of Z; verify it concretely
-    for i, z in enumerate(images):
-        for z2 in images[i + 1:]:
-            d = resolved_distance(W_G, z, z2)
-            if d is not None and d < 3:
-                raise CouplingCertError(
-                    f"net images {phi.target.format_element(z)} and "
-                    f"{phi.target.format_element(z2)} are only {d} apart; "
-                    "the moduli table overestimates kappa on this window"
-                )
+    d, pair, _ = pair_extremes(W_G, images)
+    if d is not None and d < 3:
+        z, z2 = map(phi.target.format_element, pair)
+        raise CouplingCertError(
+            f"net images {z} and {z2} are only {d} apart; "
+            "the moduli table overestimates kappa on this window"
+        )
 
     P = PartitionOfUnity(
         scale=s,

@@ -43,7 +43,11 @@ class Window:
     def ball(self, r: int) -> list:
         """The elements of length <= r: a prefix of ``elements`` in BFS
         order, the whole window when r >= radius."""
-        return self.elements[:bisect_right(self.lengths, r)]
+        return self.shell(-1, r)
+
+    def shell(self, r0: int, r1: int) -> list:
+        """The elements with r0 < length <= r1, in BFS order."""
+        return self.elements[bisect_right(self.lengths, r0):bisect_right(self.lengths, r1)]
 
     def __len__(self):
         return len(self.elements)
@@ -115,6 +119,30 @@ def set_distance(W: Window, xs, ys) -> Optional[int]:
                 if best == 0:
                     return 0
     return best
+
+
+def pair_extremes(W: Window, points: list) -> tuple:
+    """(least, pair, greatest) over the unordered pairs of ``points``: the
+    least resolved distance and the first pair (a, b) attaining it, both None
+    when no pair resolves, and the greatest distance, None when some pair
+    does not resolve (0 for fewer than two points)."""
+    index_get, lengths = W.index.get, W.lengths
+    mul, inv = W.group.mul, W.group.inv
+    least = pair = None
+    greatest = 0
+    for i, a in enumerate(points):
+        inv_a = inv(a)
+        for b in points[i + 1:]:
+            k = index_get(mul(inv_a, b))
+            if k is None:
+                greatest = None
+                continue
+            d = lengths[k]
+            if least is None or d < least:
+                least, pair = d, (a, b)
+            if greatest is not None and d > greatest:
+                greatest = d
+    return least, pair, greatest
 
 
 def distance_field(W: Window, sources, budget: int = DEFAULT_ELEMENT_BUDGET) -> dict:

@@ -10,7 +10,7 @@ from couplingcert.coarse import Moduli
 from couplingcert.coupling import PartitionOfUnity, SparseDensity
 from couplingcert.errors import PreconditionError
 from couplingcert.groups import GroupModel
-from couplingcert.windows import Window, resolved_distance
+from couplingcert.windows import Window, resolved_distance, set_distance
 
 
 def multiply(G: GroupModel, a, b):
@@ -44,6 +44,18 @@ def is_dense(W: Window, points, s) -> bool:
         ):
             return False
     return True
+
+
+def pair_extremes(W: Window, points: list) -> tuple:
+    """(least, first least pair, greatest or None) from every unordered pair's
+    ``resolved_distance``, listed in walk order."""
+    pairs = [(a, b, resolved_distance(W, a, b))
+             for i, a in enumerate(points) for b in points[i + 1:]]
+    resolved = [(d, (a, b)) for a, b, d in pairs if d is not None]
+    least = min(d for d, _ in resolved) if resolved else None
+    pair = next((p for d, p in resolved if d == least), None)
+    greatest = None if len(resolved) < len(pairs) else max((d for d, _ in resolved), default=0)
+    return least, pair, greatest
 
 
 def packing_number_naive(W: Window, separation, diam_bound) -> int:
@@ -199,3 +211,25 @@ def kappa_sublevel_radius(m: Moduli, bound) -> Optional[int]:
         if k is not None and k <= bound:
             r = t
     return r
+
+
+def far_shell(W: Window, m: Moduli, threshold) -> list:
+    """The elements h of W with kappa(|h|) above ``threshold``, by reading
+    kappa at every element's length."""
+    return [h for h, lh in zip(W.elements, W.lengths)
+            if (k := m.kappa_at(lh)) is not None and k > threshold]
+
+
+def slice_K_margin(W_G: Window, g, slice_supp: list, K: list) -> tuple:
+    """(margin, meeting atom, is_floor) of a slice against K by moving K
+    back by g^-1: -1 and the first atom of the slice in g^-1 K, else the
+    set distance of the slice to g^-1 K minus 1, or the floor W_G.radius
+    when it does not resolve."""
+    G = W_G.group
+    g_inv = G.inv(g)
+    K_back = [G.mul(g_inv, k) for k in K]
+    hit = [a for a in slice_supp if a in set(K_back)]
+    if hit:
+        return -1, hit[0], False
+    d = set_distance(W_G, slice_supp, K_back)
+    return (W_G.radius, None, True) if d is None else (d - 1, None, False)

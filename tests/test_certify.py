@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couplingcert.certify import (
+    _far_shell,
     _g_properness,
+    _K_margin,
     _kappa_sublevel_radius,
-    _pair_diameter,
     check_cocompactness_h,
     check_g_action,
     check_lipschitz,
@@ -42,7 +43,7 @@ from couplingcert.coupling import (
 )
 from couplingcert.errors import PipelineError, PreconditionError
 from couplingcert.groups import make_group
-from couplingcert.windows import build_window
+from couplingcert.windows import build_window, distance_field, pair_extremes
 
 import oracles
 
@@ -204,6 +205,9 @@ def test_kappa_sublevel_radius_matches_scan_on_random_tables(incs, data):
     m = Moduli(t_max=len(kappa) - 1, kappa=kappa, omega=kappa, provenance="window-estimated")
     bound = data.draw(st.integers(-2, m.kappa[-1] + 2))
     assert _kappa_sublevel_radius(m, bound) == oracles.kappa_sublevel_radius(m, bound)
+    # the window reaches past t_max, where kappa is not tabulated
+    W = build_window(Z, m.t_max + 2)
+    assert _far_shell(W, m, bound) == oracles.far_shell(W, m, bound)
 
 
 def _load_workloads():
@@ -224,16 +228,17 @@ def test_kappa_sublevel_radius_matches_scan_on_workload_tables(tmp_path, name):
         cfg["map_descriptor"] = f"table:{table}"
     H, G = make_group(cfg["group_H"]), make_group(cfg["group_G"])
     phi = make_coarse_map(cfg["map_descriptor"], H, G)
-    m = pipeline_moduli(phi, build_window(H, cfg["radius_H"]),
-                        build_window(G, cfg["radius_G"]))
+    W_H = build_window(H, cfg["radius_H"])
+    m = pipeline_moduli(phi, W_H, build_window(G, cfg["radius_G"]))
     for bound in range(-2, m.kappa[m.t_max] + 3):
         assert _kappa_sublevel_radius(m, bound) == oracles.kappa_sublevel_radius(m, bound)
+        assert _far_shell(W_H, m, bound) == oracles.far_shell(W_H, m, bound)
 
 
 def test_properness_h_passes_nonvacuously(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    diam_K = _pair_diameter(K, W_G)
+    diam_K = pair_extremes(W_G, K)[2]
     assert diam_K == 8
     res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G,
                              Fraction(1, 2), psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
@@ -266,7 +271,7 @@ def test_properness_h_vacuous_in_tiny_window():
         return cache[h]
 
     K = psi_of(Z.identity).support()
-    diam_K = _pair_diameter(K, W_G)
+    diam_K = pair_extremes(W_G, K)[2]
     res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G,
                              Fraction(1, 2), psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
     assert res.status == "vacuous"
@@ -401,6 +406,22 @@ def test_g_properness_matches_per_pair_oracle_on_each_kind(g_action_cases, name)
     assert _g_properness(phi, xis, K, dist_window, kinds["floor"][-3:])[2] is True
 
 
+@pytest.mark.parametrize("name", sorted(G_ACTION_CASES))
+def test_K_margin_matches_the_moved_back_K_oracle(g_action_cases, name):
+    # t.atoms against a field of K, and the atoms against t^-1 K by set
+    # distance, must agree on meeting, resolved and floor translates
+    phi, xis, K, W_G = g_action_cases[name]
+    dist_window = build_window(phi.target, 3)
+    to_K_get = distance_field(dist_window, K).get
+    kinds = set()
+    for t in W_G.elements[::len(W_G.elements) // 60 + 1]:
+        for _, _, xi in xis[::2]:
+            got = _K_margin(to_K_get, phi.target.mul, t, xi.atoms, dist_window.radius)
+            assert got == oracles.slice_K_margin(dist_window, t, xi.support(), K)
+            kinds.add("meets" if got[1] is not None else "floor" if got[2] else "resolved")
+    assert kinds == {"meets", "resolved", "floor"}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(G_ACTION_CASES)), st.integers(1, 6), st.data())
 def test_g_properness_matches_per_pair_oracle(g_action_cases, name, dist_radius, data):
@@ -457,7 +478,7 @@ def test_run_all_stage_tagged_error_on_constant_map(tmp_path):
     assert exc.value.stage == "scale"
 
 
-@pytest.mark.parametrize("epsilon", ["abc", "1/0"])
+@pytest.mark.parametrize("epsilon", ["abc", "1/0", "0", "-1/2", "3/2"])
 def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
     with pytest.raises(PipelineError) as exc:
         run_all(RunConfig(epsilon=epsilon))

@@ -191,13 +191,18 @@ def test_pipeline_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["certify", "--epsilon", "abc"],
     ["certify", "--epsilon", "1/0"],
+    ["certify", "--epsilon", "0"],
+    ["certify", "--epsilon=-1/2"],
+    ["certify", "--epsilon", "3/2"],
+    ["certify", "--out", "{tmp}/missing/r.json"],
     ["certify", "--config", "{tmp}/absent.cfg"],
     ["certify", "--config", "{tmp}/binary.cfg"],
     ["certify", "--map", "table:{tmp}/absent.map"],
     ["moduli", "--map", "table:{tmp}/absent.map"],
     ["certify", "--map", "table:{tmp}/repeated.map"],
     ["certify", "--config", "{tmp}/repeated.cfg"],
-], ids=["epsilon-syntax", "epsilon-zero-denominator", "missing-config",
+], ids=["epsilon-syntax", "epsilon-zero-denominator", "epsilon-zero", "epsilon-negative",
+        "epsilon-above-one", "unwritable-out", "missing-config",
         "undecodable-config", "missing-table", "missing-table-moduli", "repeated-source",
         "repeated-config-key"])
 def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
@@ -210,6 +215,18 @@ def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_net_images_closer_than_3_exit_2(tmp_path, capsys):
+    # the identity on [-10, 10] except 9 -> 1: the net points 0 and 9 map
+    # to images 1 apart, which the moduli table up to t = 4 does not see
+    table = tmp_path / "near.map"
+    table.write_text("".join(f"{n} -> {1 if n == 9 else n}\n" for n in range(-10, 11)))
+    code = main(["certify", "--map", f"table:{table}", "--rH", "10", "--rG", "40",
+                 "--eval", "1", "--tmax", "4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [partition] net images 0 and 1 are only 1 apart")
 
 
 def test_demo_subcommand(capsys):

@@ -16,10 +16,12 @@ from couplingcert.windows import (
     distance_field,
     greedy_net,
     packing_number,
+    pair_extremes,
     resolved_distance,
     set_distance,
 )
 
+import oracles
 from oracles import is_dense, is_discrete, packing_number_naive
 
 
@@ -69,6 +71,9 @@ def test_ball_is_the_length_prefix(desc, radius):
     for r in range(radius + 2):
         assert W.ball(r) == [e for e, l in zip(W.elements, W.lengths) if l <= r]
     assert W.ball(radius + 1) == W.elements
+    for r0 in range(-1, radius + 2):
+        for r1 in range(-1, radius + 2):
+            assert W.shell(r0, r1) == [e for e, l in zip(W.elements, W.lengths) if r0 < l <= r1]
 
 
 @pytest.mark.parametrize(
@@ -86,6 +91,30 @@ def test_set_distance_matches_least_resolved_distance(desc, radius, data):
     ys = data.draw(st.lists(st.sampled_from(pool), max_size=4))
     ds = [d for a in xs for b in ys if (d := resolved_distance(W, a, b)) is not None]
     assert set_distance(W, xs, ys) == (min(ds) if ds else None)
+
+
+@pytest.mark.parametrize(
+    "desc,radius",
+    [("Z^2", 3), ("Heis", 2), ("F_2", 2), ("C_5 x Z^1", 3)],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pair_extremes_match_all_pairs_resolved_distance(desc, radius, data):
+    G = make_group(desc)
+    W = build_window(G, radius)
+    # drawn from beyond the window, so some pairs do not resolve; repeats
+    # give pairs at distance 0
+    pool = build_window(G, radius + 2).elements
+    points = data.draw(st.lists(st.sampled_from(pool), max_size=7))
+    assert pair_extremes(W, points) == oracles.pair_extremes(W, points)
+
+
+def test_pair_extremes_examples():
+    Z = make_group("Z^1")
+    W = build_window(Z, 3)
+    assert pair_extremes(W, [(0,)]) == (None, None, 0)
+    assert pair_extremes(W, [(0,), (2,), (9,), (3,)]) == (1, ((2,), (3,)), None)
+    assert pair_extremes(W, [(0,), (2,), (-1,), (1,)]) == (1, ((0,), (-1,)), 3)
 
 
 def test_set_distance_of_far_sets_is_none():
