@@ -47,7 +47,7 @@ from .errors import (
     ResolutionError,
 )
 from .groups import make_group
-from .windows import (Window, build_window, distance, distance_field, pair_extremes,
+from .windows import (Window, build_window, distance_field, distances_from, pair_extremes,
                       set_distance)
 
 SAMPLE_CAP = 10_000
@@ -208,8 +208,8 @@ def check_lipschitz(
     inner = P.inner_elements
     for i, f1 in enumerate(inner):
         d1 = psi_of(f1)
-        for f2 in inner[i + 1:]:
-            t = distance(pair_window, f1, f2)
+        rest = inner[i + 1:]
+        for f2, t in zip(rest, distances_from(pair_window, f1, rest)):
             val = l1_distance(d1, psi_of(f2))
             p, r = val.numerator, val.denominator
             m_num, m_den = c_num * t * r - p * c_den, c_den * r
@@ -256,8 +256,7 @@ def check_sandwich(
     pairs = []   # (i, j, t, kappa(t), omega(t)) for f_i, f_j at distance t
     unsupported = 0
     for i, f1 in enumerate(fs):
-        for j in range(i + 1, len(fs)):
-            t = distance(pair_window, f1, fs[j])
+        for j, t in enumerate(distances_from(pair_window, f1, fs[i + 1:]), start=i + 1):
             kap, ome = m.kappa_at(t), m.omega_at(t)
             if kap is None or ome is None:
                 unsupported += 1
@@ -646,6 +645,10 @@ def run_all(config) -> Certificate:
         if unknown:
             raise PreconditionError(f"unknown checks: {sorted(unknown)}")
         epsilon = parse_epsilon(config.epsilon)
+        if config.t_max < 0 or config.m_slack < 0:
+            raise PreconditionError(
+                f"t_max and m_slack must be nonnegative, got {config.t_max} "
+                f"and {config.m_slack}")
 
         stage = "groups"
         H = make_group(config.group_H)
@@ -665,8 +668,8 @@ def run_all(config) -> Certificate:
         s = config.scale_override if config.scale_override else choose_scale(m)
         if config.eval_radius + (s + 1) > config.radius_H:
             raise PreconditionError(
-                f"eval radius {config.eval_radius} + (s+1) = {s + 1} exceeds "
-                f"radius_H = {config.radius_H}"
+                f"eval radius {config.eval_radius} + (s+1) = "
+                f"{config.eval_radius + s + 1} exceeds radius_H = {config.radius_H}"
             )
 
         stage = "coboundedness"

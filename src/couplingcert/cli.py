@@ -129,6 +129,9 @@ def build_config(args) -> RunConfig:
         setattr(cfg, fieldname, v)
     if cfg.radius_H <= 0 or cfg.radius_G <= 0 or cfg.eval_radius < 0:
         raise PreconditionError("radii must be positive and eval radius nonnegative")
+    if cfg.t_max < 0 or cfg.m_slack < 0:
+        raise PreconditionError(
+            f"t_max and m_slack must be nonnegative, got {cfg.t_max} and {cfg.m_slack}")
     if cfg.checks:
         unknown = set(cfg.checks) - set(CHECK_NAMES)
         if unknown:

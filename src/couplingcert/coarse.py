@@ -12,7 +12,9 @@ certificate pipeline.  For a homomorphism without closed forms (the
 difference ball ``B(t_max)``; the pair scan serves every other map and
 the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
 Z^e`` with every image inside the target window, the pair scan reads both
-distances as closed-form l1 norms, column by column, and counts pairs by
+distances as closed-form l1 norms: each side is one integer code column (or
+one per coordinate when the side's table would outgrow the scan), and a
+code difference indexes a table of l1 norms.  It counts pairs by
 ``(source, image)`` distance; that count has at most ``(2*R_H+1)(2*R_G+1)``
 keys.  Other groups, and images outside the target window, take the scan
 that looks both distances up in windows.
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from math import prod
 from operator import add, sub
 from pathlib import Path
 from typing import Callable, Optional
@@ -242,8 +245,9 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
 
     When source and target are both ``Z^d`` and every image lies in
     ``W_G``, both distances are closed-form l1 norms:
-    :func:`_l1_pair_keys` counts the pairs by ``(dH, dG)`` with no group
-    product, window lookup or difference ball, and a pair with ``dG >
+    :func:`_l1_pair_keys` counts the pairs by ``(dH, dG)`` from tables of
+    l1 norms indexed by code differences, with no group product, window
+    lookup or difference ball, and a pair with ``dG >
     W_G.radius`` is exactly what the lookup would miss.  The
     images-in-``W_G`` condition bounds ``dG`` by ``2*W_G.radius``, so the
     count holds at most ``(2*W_H.radius+1)(2*W_G.radius+1)`` keys; far
@@ -348,20 +352,52 @@ def _l1_pair_keys(elements: list, images: list, T: int) -> Counter:
     with ``dH``, ``dG`` the l1 distances of the elements and of their
     ``images``.
 
-    Each element is the point ``(h, T*phi(h))`` of ``Z^(d+e)``, held as
-    one list per coordinate, so the l1 distances from row ``i`` to every
-    later row are a chain of ``map`` calls over the column slices: no
-    per-pair Python bytecode.
+    Each side is held as integer code columns (:func:`_l1_codes`), whose
+    differences index tables of l1 norms (the image side's times ``T``),
+    so the distances from row ``i`` to every later row are a chain of
+    ``map`` calls over the column slices: no per-pair Python bytecode.
     """
-    cols = [list(c) for c in zip(*elements)] + [[T * x for x in c] for c in zip(*images)]
+    pairs = len(elements) * (len(elements) - 1) // 2
+    codes = _l1_codes(elements, 1, pairs) + _l1_codes(images, T, pairs)
     keys = Counter()
     for i in range(len(elements)):
         dist = None
-        for col in cols:
-            d = map(abs, map(sub, col[i + 1:], repeat(col[i])))
+        for col, table, offset in codes:
+            d = map(table.__getitem__, map(sub, col[i + 1:], repeat(col[i] - offset)))
             dist = d if dist is None else map(add, dist, d)
         keys.update(dist)
     return keys
+
+
+def _l1_codes(points: list, scale: int, budget: int) -> list:
+    """``(column, table, offset)`` triples with ``scale`` times the l1
+    distance of points ``a`` and ``b`` equal to the sum over the triples of
+    ``table[col[b] - col[a] + offset]``.
+
+    The points are coded in mixed radix, with base ``2*span + 1`` for a
+    coordinate of spread ``span`` over the points, so a code difference
+    names exactly one difference vector and the table holds its norm.  All
+    coordinates share one code when that table has at most ``budget``
+    entries, else each coordinate is its own code with a table of ``|x|``
+    over its span.  Equal table values share one int object.
+    """
+    cols = [(col, max(col) - min(col)) for col in zip(*points)]
+    if prod(2 * span + 1 for _, span in cols) <= budget:
+        groups = [cols]
+    else:
+        groups = [[c] for c in cols]
+    out = []
+    for group in groups:
+        code = [0] * len(points)
+        table = [0]
+        radix = 1
+        for col, span in group:
+            code = list(map(add, code, [radix * x for x in col]))
+            table = [a + abs(x) for x in range(-span, span + 1) for a in table]
+            radix *= 2 * span + 1
+        scaled = [scale * v for v in range(max(table) + 1)]
+        out.append((code, list(map(scaled.__getitem__, table)), radix // 2))
+    return out
 
 
 def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:

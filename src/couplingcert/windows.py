@@ -88,13 +88,25 @@ def build_window(G: GroupModel, R: int, budget: int = DEFAULT_ELEMENT_BUDGET) ->
 
 def distance(W: Window, a, b) -> int:
     """Word-metric distance d(a, b) = |a^-1 b|; left-invariant by construction."""
-    d = resolved_distance(W, a, b)
-    if d is None:
-        raise ResolutionError(
-            f"d({W.group.format_element(a)}, {W.group.format_element(b)}) exceeds "
-            f"the window radius {W.radius} of {W.group.descriptor}"
-        )
-    return d
+    return distances_from(W, a, [b])[0]
+
+
+def distances_from(W: Window, a, bs) -> list:
+    """``[distance(W, a, b) for b in bs]``, inverting ``a`` once; raises at
+    the first ``b`` whose distance does not resolve."""
+    index_get, lengths = W.index.get, W.lengths
+    mul = W.group.mul
+    inv_a = W.group.inv(a)
+    out = []
+    for b in bs:
+        k = index_get(mul(inv_a, b))
+        if k is None:
+            raise ResolutionError(
+                f"d({W.group.format_element(a)}, {W.group.format_element(b)}) exceeds "
+                f"the window radius {W.radius} of {W.group.descriptor}"
+            )
+        out.append(lengths[k])
+    return out
 
 
 def resolved_distance(W: Window, a, b) -> Optional[int]:

@@ -3,7 +3,10 @@ package against.  They are not part of the runtime API."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import repeat
+from operator import add, sub
 from typing import Optional
 
 from couplingcert.coarse import Moduli
@@ -56,6 +59,21 @@ def pair_extremes(W: Window, points: list) -> tuple:
     pair = next((p for d, p in resolved if d == least), None)
     greatest = None if len(resolved) < len(pairs) else max((d for d, _ in resolved), default=0)
     return least, pair, greatest
+
+
+def l1_pair_keys(elements: list, images: list, T: int) -> Counter:
+    """Counter of ``dH + T*dG`` over the unordered pairs of ``elements``,
+    from one list per coordinate of the points ``(h, T*phi(h))`` of
+    ``Z^(d+e)``: per row, ``abs`` of the column differences, summed."""
+    cols = [list(c) for c in zip(*elements)] + [[T * x for x in c] for c in zip(*images)]
+    keys = Counter()
+    for i in range(len(elements)):
+        dist = None
+        for col in cols:
+            d = map(abs, map(sub, col[i + 1:], repeat(col[i])))
+            dist = d if dist is None else map(add, dist, d)
+        keys.update(dist)
+    return keys
 
 
 def packing_number_naive(W: Window, separation, diam_bound) -> int:

@@ -485,6 +485,27 @@ def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
     assert exc.value.stage == "configure"
 
 
+@pytest.mark.parametrize("field,group,desc", [
+    ("m_slack", "Z^1", "identity"),
+    ("t_max", "Z^1", "identity"),
+    ("t_max", "Z^2", "matrix:1,1,0,1"),
+])
+def test_run_all_rejects_a_negative_t_max_or_m_slack_at_configure(field, group, desc):
+    # analytic moduli never read t_max, and a negative slack would shrink M
+    # below the packing bound
+    cfg = replace(RunConfig(group_H=group, group_G=group, map_descriptor=desc), **{field: -2})
+    with pytest.raises(PipelineError) as exc:
+        run_all(cfg)
+    assert exc.value.stage == "configure" and field in str(exc.value)
+
+
+def test_scale_stage_error_prints_the_sum():
+    cfg = RunConfig(radius_H=5, radius_G=40, eval_radius=3, scale_override=3)
+    with pytest.raises(PipelineError) as exc:
+        run_all(cfg)
+    assert str(exc.value) == "[scale] eval radius 3 + (s+1) = 7 exceeds radius_H = 5"
+
+
 def test_monotone_safety_of_m():
     base = RunConfig(radius_H=24, radius_G=40, eval_radius=8, seed=7)
     bumped = RunConfig(radius_H=24, radius_G=40, eval_radius=8, seed=7, m_slack=3)

@@ -201,10 +201,15 @@ def test_pipeline_error_exit_code(tmp_path, capsys):
     ["moduli", "--map", "table:{tmp}/absent.map"],
     ["certify", "--map", "table:{tmp}/repeated.map"],
     ["certify", "--config", "{tmp}/repeated.cfg"],
+    ["certify", "--mslack", "-100"],
+    ["certify", "--map", "identity", "--tmax", "-2"],
+    ["certify", "--H", "Z^2", "--G", "Z^2", "--map", "matrix:1,1,0,1", "--tmax", "-2"],
+    ["moduli", "--H", "Z^2", "--G", "Z^2", "--map", "matrix:1,1,0,1", "--tmax", "-2"],
 ], ids=["epsilon-syntax", "epsilon-zero-denominator", "epsilon-zero", "epsilon-negative",
         "epsilon-above-one", "unwritable-out", "missing-config",
         "undecodable-config", "missing-table", "missing-table-moduli", "repeated-source",
-        "repeated-config-key"])
+        "repeated-config-key", "negative-mslack", "negative-tmax-identity",
+        "negative-tmax-matrix", "negative-tmax-moduli"])
 def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     # exit 1 means a check failed; unusable input is an error, exit 2
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
@@ -215,6 +220,14 @@ def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["psi", "--tmax", "-2"], ["psi", "--mslack", "-1"]])
+def test_negative_tmax_or_mslack_is_rejected_outside_run_all(capsys, argv):
+    # psi builds its partition without run_all: the identity's analytic
+    # moduli never read t_max, and a negative slack shrinks M
+    assert main(argv + ["--rH", "12", "--rG", "24", "--eval", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: t_max and m_slack must be nonnegative")
 
 
 def test_net_images_closer_than_3_exit_2(tmp_path, capsys):

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from couplingcert import coarse
 from couplingcert.coarse import (
     analytic_moduli,
     apply,
@@ -28,6 +30,8 @@ from couplingcert.errors import (
 )
 from couplingcert.groups import ZdGroup, make_group
 from couplingcert.windows import build_window, distance, resolved_distance
+
+import oracles
 
 Z = make_group("Z^1")
 Z2 = make_group("Z^2")
@@ -253,37 +257,44 @@ def _reference_moduli(phi, W_H, W_G, t_max):
     }
 
 
-def _random_table_map(seed: int, H, e: int, radius: int, spread: int):
+def _random_table_map(seed: int, H, e: int, radius: int, spread: int, shift: int = 0):
     """A table on the radius ball of ``H`` into ``Z^e``: a ``Z^d`` source
     element padded or cut to ``e`` coordinates (any other source: the
-    origin), plus noise uniform in ``[-spread, spread]`` per coordinate.
-    A large ``spread`` puts images outside a small target window."""
+    origin), plus noise uniform in ``[-spread, spread]`` per coordinate,
+    plus ``shift`` on every coordinate.  A large ``spread`` puts images
+    outside a small target window; a ``shift`` makes the images' spans
+    asymmetric about the origin."""
     rnd = random.Random(seed)
     G = make_group(f"Z^{e}")
     mapping = {}
     for h in build_window(H, radius).elements:
         base = (h if isinstance(H, ZdGroup) else ()) + (0,) * e
-        mapping[h] = tuple(x + rnd.randint(-spread, spread) for x in base[:e])
+        mapping[h] = tuple(x + shift + rnd.randint(-spread, spread) for x in base[:e])
     return table_map(H, G, mapping)
 
 
 # Z^d -> Z^e tables with images inside the target window take the
 # closed-form l1 scan, the rest the lookup scan; small targets truncate and
 # t_max above r_H builds the separate difference window.  The first three
-# examples run the l1 scan and truncate, the fourth has far images.
+# examples run the l1 scan and truncate, the fourth has far images.  The
+# last two run the l1 scan with one code per side (Z^2, r_H = 3: 25 points,
+# table 13^2 = 169 <= 300 pairs) and with one code per coordinate (Z^4,
+# r_H = 2: 41 points, table 9^4 = 6,561 > 820 pairs).
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16),
-       source=st.sampled_from(["Z^1", "Z^2", "Z^3", "C_5 x Z^1"]), e=st.integers(1, 3),
+       source=st.sampled_from(["Z^1", "Z^2", "Z^3", "Z^4", "C_5 x Z^1"]), e=st.integers(1, 4),
        r_H=st.integers(2, 4), t_frac=st.integers(1, 4), r_G=st.integers(1, 12),
-       spread=st.sampled_from([0, 1, 2, 30]))
-@example(seed=1, source="Z^2", e=2, r_H=3, t_frac=3, r_G=6, spread=1)
-@example(seed=1, source="Z^1", e=3, r_H=4, t_frac=4, r_G=10, spread=1)
-@example(seed=1, source="Z^3", e=1, r_H=2, t_frac=3, r_G=3, spread=1)
-@example(seed=4, source="Z^2", e=2, r_H=3, t_frac=4, r_G=4, spread=30)
-@example(seed=5, source="C_5 x Z^1", e=2, r_H=3, t_frac=4, r_G=5, spread=2)
-def test_estimate_moduli_matches_reference_pair_scan(seed, source, e, r_H, t_frac, r_G, spread):
+       spread=st.sampled_from([0, 1, 2, 30]), shift=st.integers(-3, 3))
+@example(seed=1, source="Z^2", e=2, r_H=3, t_frac=3, r_G=6, spread=1, shift=0)
+@example(seed=1, source="Z^1", e=3, r_H=4, t_frac=4, r_G=10, spread=1, shift=0)
+@example(seed=1, source="Z^3", e=1, r_H=2, t_frac=3, r_G=3, spread=1, shift=0)
+@example(seed=4, source="Z^2", e=2, r_H=3, t_frac=4, r_G=4, spread=30, shift=0)
+@example(seed=5, source="C_5 x Z^1", e=2, r_H=3, t_frac=4, r_G=5, spread=2, shift=0)
+@example(seed=2, source="Z^2", e=2, r_H=3, t_frac=4, r_G=12, spread=1, shift=2)
+@example(seed=3, source="Z^4", e=4, r_H=2, t_frac=4, r_G=12, spread=1, shift=-1)
+def _check_moduli_against_reference(seed, source, e, r_H, t_frac, r_G, spread, shift):
     H = make_group(source)
-    phi = _random_table_map(seed, H, e, r_H, spread)
+    phi = _random_table_map(seed, H, e, r_H, spread, shift)
     W_H, W_G = build_window(H, r_H), build_window(phi.target, r_G)
     t_max = max(1, 2 * r_H * t_frac // 4)
     m = estimate_moduli(phi, W_H, W_G, t_max)
@@ -295,6 +306,35 @@ def test_estimate_moduli_matches_reference_pair_scan(seed, source, e, r_H, t_fra
     for t in range(m.t_max + 1):
         assert m.kappa_at(t) == m.kappa[t] and m.omega_at(t) == m.omega[t]
     assert m.kappa_at(m.t_max + 1) is None and m.omega_at(m.t_max + 1) is None
+
+
+def test_estimate_moduli_matches_reference_pair_scan(monkeypatch):
+    # which l1 coding each side of rank > 1 took: one code, or one per coordinate
+    codings = Counter()
+    l1_codes = coarse._l1_codes
+
+    def spy(points, scale, budget):
+        codes = l1_codes(points, scale, budget)
+        if len(points[0]) > 1:
+            codings["per coordinate" if len(codes) > 1 else "one code"] += 1
+        return codes
+
+    monkeypatch.setattr(coarse, "_l1_codes", spy)
+    _check_moduli_against_reference()
+    assert codings["one code"] and codings["per coordinate"], codings
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), e=st.integers(1, 4), T=st.integers(1, 9))
+def test_coded_l1_pair_keys_match_the_column_oracle(data, d, e, T):
+    # small bounds give one code per side, large ones one code per coordinate
+    n = data.draw(st.integers(1, 30))
+    bound = data.draw(st.integers(0, 6))
+    shift = data.draw(st.integers(-9, 9))
+    coord = st.integers(shift - bound, shift + bound)
+    elements = data.draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
+    images = data.draw(st.lists(st.tuples(*[coord] * e), min_size=n, max_size=n))
+    assert coarse._l1_pair_keys(elements, images, T) == oracles.l1_pair_keys(elements, images, T)
 
 
 def test_estimate_moduli_truncates_on_a_small_target():

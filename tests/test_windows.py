@@ -14,6 +14,7 @@ from couplingcert.windows import (
     build_window,
     distance,
     distance_field,
+    distances_from,
     greedy_net,
     packing_number,
     pair_extremes,
@@ -171,8 +172,30 @@ def test_distance_examples(desc, a, b, d):
 
 def test_distance_outside_window_errors():
     W = build_window(make_group("Z^1"), 4)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError, match=r"^d\(-4, 4\) exceeds the window radius 4 of Z\^1$"):
         distance(W, (-4,), (4,))
+
+
+@pytest.mark.parametrize("desc,radius", [("Z^2", 3), ("Heis", 2), ("F_2", 2)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_distances_from_match_distance(desc, radius, data):
+    # points drawn from beyond the window: the first pair that does not
+    # resolve raises the error of distance() on that pair
+    G = make_group(desc)
+    W = build_window(G, radius)
+    pool = build_window(G, radius + 2).elements
+    a = data.draw(st.sampled_from(pool))
+    bs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    ds = [resolved_distance(W, a, b) for b in bs]
+    if None not in ds:
+        assert distances_from(W, a, bs) == ds
+        return
+    with pytest.raises(ResolutionError) as want:
+        distance(W, a, bs[ds.index(None)])
+    with pytest.raises(ResolutionError) as got:
+        distances_from(W, a, bs)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("desc,r", [("Z^1", 4), ("F_2", 2), ("Heis", 2)])
