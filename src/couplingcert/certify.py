@@ -12,6 +12,11 @@ materializable, and the underlying estimates transfer to limits by
 continuity.  Certificates are orbit-scale statements.  The pipeline
 certifies an orbit point from its ``(g, h)`` pair: each check reads the
 coordinates it needs through ``psi`` and builds no orbit-point object.
+
+:func:`validate_config` holds the one copy of every range rule on a run's
+input (radii, eval radius, ``t_max``, ``m_slack``, check names, epsilon);
+``run_all`` calls it at its ``configure`` stage, and the CLI before any
+subcommand runs.
 """
 
 from __future__ import annotations
@@ -101,6 +106,21 @@ class Certificate:
 
 def fmt_rat(x) -> str:
     return str(Fraction(x))
+
+
+def validate_config(config) -> tuple:
+    """(selected check names, epsilon) of a run configuration; a
+    PreconditionError names the first value out of range."""
+    if config.radius_H <= 0 or config.radius_G <= 0 or config.eval_radius < 0:
+        raise PreconditionError("window radii must be positive and eval radius nonnegative")
+    if config.t_max < 0 or config.m_slack < 0:
+        raise PreconditionError(
+            f"t_max and m_slack must be nonnegative, got {config.t_max} and {config.m_slack}")
+    selected = set(config.checks) if config.checks else set(CHECK_NAMES)
+    unknown = selected - set(CHECK_NAMES)
+    if unknown:
+        raise PreconditionError(f"unknown checks: {sorted(unknown)}")
+    return selected, parse_epsilon(config.epsilon)
 
 
 def parse_epsilon(value) -> Fraction:
@@ -573,15 +593,12 @@ def check_g_action(
         if any(i is None for i, _ in indexed):
             raise ResolutionError("support of a sample leaves the target window")
         least = min(indexed)[1]
-        g_rec = G.inv(least)
-        lengths = [W_G.length_of(G.mul(g_rec, a)) for a in supp]
-        if any(l is None for l in lengths):
-            raise ResolutionError("recentred support does not resolve")
+        lengths = distances_from(W_G, least, supp)
         m_len = max(lengths)
         # mass of the recentred density inside the recentring ball
         ip = xi_1.inner_product({a for a, l in zip(supp, lengths) if l <= recenter_bound})
         wit = {"xi": [fmtG(g), phi.source.format_element(h)],
-               "recentring_g": fmtG(g_rec), "max_length": m_len}
+               "recentring_g": fmtG(G.inv(least)), "max_length": m_len}
         worst.update(recenter_bound - m_len, wit)
         worst.update(ip - 1, wit)  # full mass must sit inside the ball
         pop_recenter += 1
@@ -636,19 +653,12 @@ def run_all(config) -> Certificate:
 
     Deterministic given the config (including the seed): windows are BFS
     ordered, samples are enumerated exhaustively below the sample cap, and
-    every margin is an exact rational.
+    every margin is an exact rational.  An input out of range fails at the
+    ``configure`` stage, before any group is built.
     """
     stage = "configure"
     try:
-        selected = set(config.checks) if config.checks else set(CHECK_NAMES)
-        unknown = selected - set(CHECK_NAMES)
-        if unknown:
-            raise PreconditionError(f"unknown checks: {sorted(unknown)}")
-        epsilon = parse_epsilon(config.epsilon)
-        if config.t_max < 0 or config.m_slack < 0:
-            raise PreconditionError(
-                f"t_max and m_slack must be nonnegative, got {config.t_max} "
-                f"and {config.m_slack}")
+        selected, epsilon = validate_config(config)
 
         stage = "groups"
         H = make_group(config.group_H)
@@ -656,8 +666,6 @@ def run_all(config) -> Certificate:
         phi = make_coarse_map(config.map_descriptor, H, G)
 
         stage = "windows"
-        if config.radius_H <= 0 or config.radius_G <= 0 or config.eval_radius < 0:
-            raise PreconditionError("window radii must be positive and eval radius nonnegative")
         W_H = build_window(H, config.radius_H)
         W_G = build_window(G, config.radius_G)
 

@@ -2,9 +2,16 @@
 reports.
 
 Configuration is ``key = value`` text (``#`` comments); flags override
-file values.  Reports are canonical JSON with sorted keys inside each
-section, exact rationals rendered as ``num/den`` strings, and a trailing
-newline, so identical configs produce byte-identical output.
+file values.  One table, ``_CONFIG_KEYS``, names each key, the
+:class:`RunConfig` field it sets and its flag help; the flags are generated
+from it, and a field annotated ``int`` is parsed as an integer from either
+source.  Every subcommand validates the merged configuration with
+:func:`couplingcert.certify.validate_config`, the same call ``run_all``
+makes at its ``configure`` stage.
+
+Reports are canonical JSON with sorted keys inside each section, exact
+rationals rendered as ``num/den`` strings, and a trailing newline, so
+identical configs produce byte-identical output.
 
 Exit codes: 0 when every non-vacuous check passes, 1 when any check
 fails, 2 on a pipeline error.
@@ -17,33 +24,14 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
-from .certify import CHECK_NAMES, Certificate, fmt_rat, parse_epsilon, run_all
+from .certify import Certificate, fmt_rat, run_all, validate_config
 from .coarse import choose_scale, make_coarse_map, pipeline_moduli, window_moduli
 from .coupling import build_partition, psi, serialize_density
 from .errors import CouplingCertError, PreconditionError
 from .groups import make_group
 from .windows import build_window, greedy_net, packing_number
-
-_CONFIG_KEYS = {
-    "H": "group_H",
-    "G": "group_G",
-    "map": "map_descriptor",
-    "rH": "radius_H",
-    "rG": "radius_G",
-    "eval": "eval_radius",
-    "seed": "seed",
-    "scale": "scale_override",
-    "checks": "checks",
-    "out": "output_path",
-    "core": "core_radius",
-    "tmax": "t_max",
-    "epsilon": "epsilon",
-    "mslack": "m_slack",
-}
-_INT_FIELDS = {"radius_H", "radius_G", "eval_radius", "seed", "scale_override",
-               "core_radius", "t_max", "m_slack"}
 
 
 @dataclass
@@ -62,6 +50,26 @@ class RunConfig:
     epsilon: str = "1/2"
     checks: Optional[list] = None
     output_path: Optional[str] = None
+
+
+# config key (and flag name) -> (RunConfig field, flag help), in --help order
+_CONFIG_KEYS = {
+    "H": ("group_H", "source group descriptor, e.g. Z^1, F_2, Heis"),
+    "G": ("group_G", "target group descriptor"),
+    "map": ("map_descriptor", "identity | scale:k | embed | swap | matrix:a,b,c,d | table:path"),
+    "rH": ("radius_H", "source window radius"),
+    "rG": ("radius_G", "target window radius"),
+    "eval": ("eval_radius", "evaluation window radius"),
+    "seed": ("seed", "sampling seed"),
+    "scale": ("scale_override", "override the selected scale s"),
+    "checks": ("checks", "comma-separated check subset, or 'all'"),
+    "out": ("output_path", "report output path (default stdout)"),
+    "core": ("core_radius", "coboundedness core-window radius"),
+    "tmax": ("t_max", "moduli table extent"),
+    "epsilon": ("epsilon", "threshold for [K, eps] membership, e.g. 1/2"),
+    "mslack": ("m_slack", "extra slack added to M (testing aid)"),
+}
+_INT_FIELDS = {name for name, hint in get_type_hints(RunConfig).items() if hint is int}
 
 
 # the three built-in demo configurations exercised by `demo`
@@ -99,7 +107,7 @@ def parse_config_file(path) -> dict:
             raise PreconditionError(
                 f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
         line_of[key] = lineno
-        values[_CONFIG_KEYS[key]] = value
+        values[_CONFIG_KEYS[key][0]] = value
     return values
 
 
@@ -109,7 +117,7 @@ def build_config(args) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for flag, fieldname in _CONFIG_KEYS.items():
+    for flag, (fieldname, _) in _CONFIG_KEYS.items():
         v = getattr(args, flag, None)
         if v is not None:
             values[fieldname] = v
@@ -119,24 +127,13 @@ def build_config(args) -> RunConfig:
                 v = [c.strip() for c in v.split(",") if c.strip()]
             if v == ["all"]:
                 v = None
-            setattr(cfg, fieldname, v)
-            continue
-        if fieldname in _INT_FIELDS and isinstance(v, str):
+        elif fieldname in _INT_FIELDS and isinstance(v, str):
             try:
                 v = int(v)
             except ValueError:
                 raise PreconditionError(f"config value for {fieldname} must be an integer: {v!r}")
         setattr(cfg, fieldname, v)
-    if cfg.radius_H <= 0 or cfg.radius_G <= 0 or cfg.eval_radius < 0:
-        raise PreconditionError("radii must be positive and eval radius nonnegative")
-    if cfg.t_max < 0 or cfg.m_slack < 0:
-        raise PreconditionError(
-            f"t_max and m_slack must be nonnegative, got {cfg.t_max} and {cfg.m_slack}")
-    if cfg.checks:
-        unknown = set(cfg.checks) - set(CHECK_NAMES)
-        if unknown:
-            raise PreconditionError(f"unknown checks: {sorted(unknown)}")
-    parse_epsilon(cfg.epsilon)
+    validate_config(cfg)
     return cfg
 
 
@@ -159,20 +156,8 @@ def emit_report(cert: Certificate, path: Optional[str]) -> int:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--H", help="source group descriptor, e.g. Z^1, F_2, Heis")
-    p.add_argument("--G", help="target group descriptor")
-    p.add_argument("--map", help="identity | scale:k | embed | swap | matrix:a,b,c,d | table:path")
-    p.add_argument("--rH", type=int, help="source window radius")
-    p.add_argument("--rG", type=int, help="target window radius")
-    p.add_argument("--eval", type=int, help="evaluation window radius")
-    p.add_argument("--seed", type=int, help="sampling seed")
-    p.add_argument("--scale", type=int, help="override the selected scale s")
-    p.add_argument("--checks", help="comma-separated check subset, or 'all'")
-    p.add_argument("--out", help="report output path (default stdout)")
-    p.add_argument("--core", type=int, help="coboundedness core-window radius")
-    p.add_argument("--tmax", type=int, help="moduli table extent")
-    p.add_argument("--epsilon", help="threshold for [K, eps] membership, e.g. 1/2")
-    p.add_argument("--mslack", type=int, help="extra slack added to M (testing aid)")
+    for flag, (fieldname, text) in _CONFIG_KEYS.items():
+        p.add_argument(f"--{flag}", type=int if fieldname in _INT_FIELDS else None, help=text)
 
 
 def _groups_and_map(cfg: RunConfig):

@@ -45,7 +45,6 @@ from .windows import Window, build_window, set_distance
 class CoarseMap:
     source: GroupModel
     target: GroupModel
-    kind: str
     descriptor: str
     fn: Callable
     # exact integer-valued closed forms t -> kappa(t), t -> omega(t)
@@ -72,7 +71,7 @@ def identity_map(H: GroupModel, G: GroupModel) -> CoarseMap:
         raise DescriptorError(
             f"identity map needs matching groups, got {H.descriptor} vs {G.descriptor}"
         )
-    return CoarseMap(H, G, "identity", "identity", lambda h: h,
+    return CoarseMap(H, G, "identity", lambda h: h,
                      analytic_kappa=lambda t: t, analytic_omega=lambda t: t,
                      homomorphic=True)
 
@@ -84,7 +83,7 @@ def scale_map(H: GroupModel, G: GroupModel, k: int) -> CoarseMap:
         raise DescriptorError("scale map needs Z^d source and target of equal rank")
     if k < 1:
         raise DescriptorError(f"scale factor must be >= 1, got {k}")
-    return CoarseMap(H, G, "scale", f"scale:{k}",
+    return CoarseMap(H, G, f"scale:{k}",
                      lambda h: tuple(k * x for x in h),
                      analytic_kappa=lambda t: k * t, analytic_omega=lambda t: k * t,
                      homomorphic=True)
@@ -95,7 +94,7 @@ def embed_map(H: GroupModel, G: GroupModel) -> CoarseMap:
     if not (isinstance(H, ZdGroup) and isinstance(G, ZdGroup) and H.d <= G.d):
         raise DescriptorError("embed map needs Z^d -> Z^e with d <= e")
     pad = (0,) * (G.d - H.d)
-    return CoarseMap(H, G, "embed", "embed", lambda h: h + pad,
+    return CoarseMap(H, G, "embed", lambda h: h + pad,
                      analytic_kappa=lambda t: t, analytic_omega=lambda t: t,
                      homomorphic=True)
 
@@ -114,7 +113,7 @@ def swap_map(H: GroupModel, G: GroupModel) -> CoarseMap:
             a = 1
         return a if x > 0 else -a
 
-    return CoarseMap(H, G, "swap", "swap", lambda h: tuple(sw(x) for x in h),
+    return CoarseMap(H, G, "swap", lambda h: tuple(sw(x) for x in h),
                      analytic_kappa=lambda t: t, analytic_omega=lambda t: t,
                      homomorphic=True)
 
@@ -127,7 +126,7 @@ def matrix_map(H: GroupModel, G: GroupModel, entries: tuple) -> CoarseMap:
     if a * d - b * c not in (1, -1):
         raise DescriptorError(f"matrix {entries} is not in GL_2(Z)")
     desc = "matrix:" + ",".join(str(x) for x in entries)
-    return CoarseMap(H, G, "matrix", desc,
+    return CoarseMap(H, G, desc,
                      lambda h: (a * h[0] + b * h[1], c * h[0] + d * h[1]),
                      homomorphic=True)
 
@@ -141,7 +140,7 @@ def table_map(H: GroupModel, G: GroupModel, mapping: dict, descriptor: str = "ta
                 f"lookup-table map has no entry for {H.format_element(h)}"
             ) from None
 
-    return CoarseMap(H, G, "table", descriptor, look)
+    return CoarseMap(H, G, descriptor, look)
 
 
 def load_map_table(path, H: GroupModel, G: GroupModel) -> CoarseMap:

@@ -8,7 +8,7 @@ identity is always the designated zero form.
 Built-in models and their encodings:
 
 * ``Z^d``   -- tuple of ``d`` ints, generators ``+-e_i``.
-* ``C_n``   -- int in ``[0, n)``, generators ``+-1 mod n``.
+* ``C_n``   -- int in ``[0, n)``, generators ``+-1 mod n`` (none for ``n = 1``).
 * ``F_k``   -- reduced word as a tuple of nonzero ints in ``+-{1..k}``
   (``1 -> a``, ``-1 -> a^-1``, ...), generators ``a, a^-1, b, b^-1, ...``.
 * ``Heis``  -- triple ``(a, b, c)`` meaning ``x^a y^b z^c`` with
@@ -36,7 +36,6 @@ _FREE_LETTERS = "abc"
 class GroupModel:
     """Base class; concrete models fill in the arithmetic."""
 
-    name: str
     descriptor: str
     generators: list
     identity: object
@@ -78,7 +77,6 @@ class ZdGroup(GroupModel):
             raise DescriptorError(f"Z^d supports 1 <= d <= {MAX_ZD_RANK}, got d={d}")
         self.d = d
         self.descriptor = f"Z^{d}"
-        self.name = self.descriptor
         self.identity = (0,) * d
         gens = []
         for i in range(d):
@@ -158,10 +156,10 @@ class CyclicGroup(GroupModel):
             raise DescriptorError(f"C_n supports 1 <= n <= {MAX_CYCLIC_ORDER}, got n={n}")
         self.n = n
         self.descriptor = f"C_{n}"
-        self.name = self.descriptor
         self.identity = 0
-        # +-1 coincide for n <= 2; keep the generating set duplicate-free.
-        self.generators = sorted({1 % n, (n - 1) % n})
+        # +-1 coincide for n <= 2 and are the identity for n = 1: keep the
+        # generating set duplicate-free and without the identity
+        self.generators = sorted({1 % n, (n - 1) % n} - {0})
 
     def mul(self, a, b):
         return (a + b) % self.n
@@ -189,7 +187,6 @@ class FreeGroup(GroupModel):
             raise DescriptorError(f"F_k supports 1 <= k <= {MAX_FREE_RANK}, got k={k}")
         self.k = k
         self.descriptor = f"F_{k}"
-        self.name = self.descriptor
         self.identity = ()
         gens = []
         for i in range(1, k + 1):
@@ -249,7 +246,6 @@ class HeisenbergGroup(GroupModel):
 
     def __init__(self):
         self.descriptor = "Heis"
-        self.name = "Heis"
         self.identity = (0, 0, 0)
         self.generators = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
 
@@ -286,7 +282,6 @@ class ProductGroup(GroupModel):
         if len(self.factors) < 2:
             raise DescriptorError("a product needs at least two factors")
         self.descriptor = " x ".join(f.descriptor for f in self.factors)
-        self.name = self.descriptor
         self.identity = tuple(f.identity for f in self.factors)
         gens = []
         for i, f in enumerate(self.factors):

@@ -195,7 +195,6 @@ def distance_field(W: Window, sources, budget: int = DEFAULT_ELEMENT_BUDGET) -> 
 
 @dataclass
 class Net:
-    scale: Fraction
     points: list
 
 
@@ -231,7 +230,7 @@ def greedy_net(W: Window, s) -> Net:
         if ok:
             chosen.append(e)
             inverses.append(inv(e))
-    return Net(scale=s, points=chosen)
+    return Net(points=chosen)
 
 
 @dataclass

@@ -460,11 +460,11 @@ def test_run_all_check_subset():
     assert {c.name for c in cert.checks} == {"lipschitz", "membership_x"}
 
 
-def test_run_all_rejects_a_negative_eval_radius_at_windows():
+def test_run_all_rejects_a_negative_eval_radius_at_configure():
     cfg = RunConfig(eval_radius=-1, checks=["membership_x", "lipschitz"])
     with pytest.raises(PipelineError) as exc:
         run_all(cfg)
-    assert exc.value.stage == "windows"
+    assert exc.value.stage == "configure"
 
 
 def test_run_all_stage_tagged_error_on_constant_map(tmp_path):

@@ -2,31 +2,40 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from couplingcert.certify import Certificate, CheckResult
+from couplingcert.certify import Certificate, CheckResult, run_all
 from couplingcert.cli import (
+    _CONFIG_KEYS,
     RunConfig,
+    _add_common_flags,
     build_config,
     emit_report,
     main,
     parse_config_file,
     render_report,
 )
-from couplingcert.errors import PreconditionError
+from couplingcert.errors import PipelineError, PreconditionError
 
 
 class _Args:
     def __init__(self, **kw):
         self.config = None
-        for flag in ("H", "G", "map", "rH", "rG", "eval", "seed", "scale",
-                     "checks", "out", "core", "tmax", "epsilon", "mslack"):
+        for flag in _CONFIG_KEYS:
             setattr(self, flag, None)
         for k, v in kw.items():
             setattr(self, k, v)
+
+
+def _parse_flags(argv: list):
+    p = argparse.ArgumentParser()
+    _add_common_flags(p)
+    return p.parse_args(argv)
 
 
 def test_build_config_from_flags():
@@ -51,6 +60,24 @@ def test_config_file_roundtrip(tmp_path):
     cfg = build_config(args)
     assert cfg.seed == 9
     assert cfg.radius_H == 10
+
+
+# one accepted value per config key, each away from its default
+GOOD_VALUES = {"H": "Z^2", "G": "Z^2", "map": "matrix:1,1,0,1", "rH": "10", "rG": "30",
+               "eval": "2", "seed": "3", "scale": "4", "checks": "lipschitz,sandwich",
+               "out": "r.json", "core": "3", "tmax": "12", "epsilon": "1/3", "mslack": "1"}
+
+
+@pytest.mark.parametrize("key", list(_CONFIG_KEYS))
+def test_a_key_set_by_flag_or_by_file_gives_the_same_config(tmp_path, key):
+    p = tmp_path / "run.cfg"
+    p.write_text(f"{key} = {GOOD_VALUES[key]}\n")
+    by_file = build_config(_parse_flags(["--config", str(p)]))
+    by_flag = build_config(_parse_flags([f"--{key}={GOOD_VALUES[key]}"]))
+    assert by_flag == by_file != RunConfig()
+    field = _CONFIG_KEYS[key][0]
+    if isinstance(getattr(RunConfig(), field), int):
+        assert type(getattr(by_file, field)) is int
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -222,12 +249,36 @@ def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [["psi", "--tmax", "-2"], ["psi", "--mslack", "-1"]])
-def test_negative_tmax_or_mslack_is_rejected_outside_run_all(capsys, argv):
-    # psi builds its partition without run_all: the identity's analytic
-    # moduli never read t_max, and a negative slack shrinks M
-    assert main(argv + ["--rH", "12", "--rG", "24", "--eval", "3"]) == 2
-    assert capsys.readouterr().err.startswith("error: t_max and m_slack must be nonnegative")
+BAD_VALUES = [("rH", "0"), ("rG", "0"), ("eval", "-1"), ("tmax", "-2"), ("mslack", "-1"),
+              ("checks", "nope"), ("epsilon", "3/2")]
+
+
+@pytest.mark.parametrize("key,text", BAD_VALUES, ids=[f"{k}={v}" for k, v in BAD_VALUES])
+def test_a_bad_value_is_rejected_at_configure_everywhere(capsys, key, text):
+    # one validator: run_all rejects the value at its configure stage, and
+    # certify, psi and moduli print the same message.  psi and moduli run
+    # no run_all: the identity's analytic moduli never read t_max, and a
+    # negative slack would shrink M below the packing bound
+    field = _CONFIG_KEYS[key][0]
+    value = [text] if field == "checks" else text if field == "epsilon" else int(text)
+    with pytest.raises(PipelineError) as exc:
+        run_all(replace(RunConfig(), **{field: value}))
+    assert exc.value.stage == "configure"
+    for command in ("certify", "psi", "moduli"):
+        argv = [command, "--rH", "12", "--rG", "24", "--eval", "3", f"--{key}={text}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {exc.value.cause}\n" and not captured.out, command
+
+
+@pytest.mark.parametrize("group", ["C_1", "Z^1 x C_1"])
+def test_certify_with_a_trivial_cyclic_factor(tmp_path, group):
+    # C_1 has no generator: its identity used to be listed as one, which
+    # made every unit ball repeat the identity and every psi fail
+    out = tmp_path / "r.json"
+    assert main(["certify", "--H", group, "--G", group, "--rH", "12", "--rG", "24",
+                 "--eval", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["window_metadata"]["group_H"] == group
 
 
 def test_net_images_closer_than_3_exit_2(tmp_path, capsys):

@@ -113,7 +113,7 @@ def test_psi_single_block_case():
     W_H = build_window(Z, 8)
     m = analytic_moduli(phi, 40)
     P = PartitionOfUnity(
-        scale=Fraction(3), net=Net(scale=Fraction(3), points=[(0,)]),
+        scale=Fraction(3), net=Net(points=[(0,)]),
         images=[(0,)], window_H=W_H, inner_radius=2,
         N_empirical=Fraction(0), N_apriori=Fraction(1), overlap_count=1,
         M=1, M_exact=True, omega_s1=4,

@@ -29,10 +29,14 @@ def test_f2_standard_presentation():
 
 
 def test_generating_sets_symmetric():
-    for desc in ("Z^3", "F_2", "Heis", "C_7", "Z^1 x F_2"):
+    # symmetric, without the identity and without a repeat: C_1 has no
+    # generator, and C_2's +1 and -1 coincide
+    for desc in ("Z^3", "F_1", "F_2", "Heis", "C_1", "C_2", "C_5", "C_7", "Z^1 x F_2",
+                 "Z^1 x C_1", "C_1 x F_2", "C_2 x C_1"):
         G = make_group(desc)
         gens = set(G.generators)
         assert all(G.inv(g) in gens for g in gens), desc
+        assert G.identity not in gens and len(gens) == len(G.generators), desc
 
 
 @pytest.mark.parametrize(
