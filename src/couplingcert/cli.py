@@ -192,10 +192,10 @@ def cmd_moduli(cfg: RunConfig) -> int:
 
 
 def cmd_net(cfg: RunConfig, s: Optional[int]) -> int:
-    H = make_group(cfg.group_H)
-    W = build_window(H, cfg.radius_H)
     if s is None:
         raise PreconditionError("net needs --s")
+    H = make_group(cfg.group_H)
+    W = build_window(H, cfg.radius_H)
     net = greedy_net(W, s)
     print(f"# maximal {s}-discrete net in {H.descriptor} radius {cfg.radius_H}: "
           f"{len(net.points)} points")

@@ -10,6 +10,8 @@ supported blocks.
 Weights are held as integer numerators over one integer denominator:
 theta_y(h) = n_y / q with q = (s+1).denominator, and every atom of the
 block zB of ``psi_h`` carries n_z over the denominator Theta(h)*q*|B|.
+``build_partition`` finds every n_y(h) by walking each net point's ball
+y*B(floor(s+1)) once; the same walk counts the bump overlap.
 Masses, inner products and L1 distances sum integers and build one
 ``Fraction`` per call, at the boundary where a margin or report reads it.
 
@@ -43,12 +45,7 @@ class PartitionOfUnity:
     M: int
     M_exact: bool
     omega_s1: int                       # omega(s+1)
-    _theta_cache: dict = field(default_factory=dict, repr=False)
-    net_inverses: list = field(init=False, repr=False)  # aligned with net.points
-
-    def __post_init__(self):
-        inv = self.window_H.group.inv
-        self.net_inverses = [inv(y) for y in self.net.points]
+    thetas: dict = field(repr=False)    # h -> [(net index, n)], theta_y(h) = n/q > 0
 
     @property
     def N(self) -> Fraction:
@@ -70,29 +67,11 @@ class PartitionOfUnity:
         """q = (s+1).denominator: every theta_y(h) is an integer over q."""
         return (self.scale + 1).denominator
 
-    def theta_terms(self, h) -> list:
-        """[(net index, n)] for the net points with theta_y(h) = n/q > 0."""
-        hit = self._theta_cache.get(h)
-        if hit is not None:
-            return hit
-        s1 = self.scale + 1
-        top, q = s1.numerator, s1.denominator
-        below = math.ceil(s1) - 1  # integer d < s+1 exactly when d <= below
-        W = self.window_H
-        index_get, lengths, mul = W.index.get, W.lengths, W.group.mul
-        terms = []
-        for i, y_inv in enumerate(self.net_inverses):
-            k = index_get(mul(y_inv, h))
-            if k is not None and lengths[k] <= below:
-                terms.append((i, top - q * lengths[k]))
-        self._theta_cache[h] = terms
-        return terms
-
     def alpha_terms(self, h) -> tuple:
         """(terms, total): alpha_y(h) = n/total for each (net index, n) of
-        ``theta_terms(h)``, over the support Z_h in net order; total is
+        ``thetas[h]``, over the support Z_h in net order; total is
         Theta(h)*q."""
-        terms = self.theta_terms(h)
+        terms = self.thetas.get(h, [])
         total = sum(n for _, n in terms)
         if total < self.theta_denominator:
             raise CouplingCertError(
@@ -194,6 +173,9 @@ def build_partition(
             "the moduli table overestimates kappa on this window"
         )
 
+    # the bumps, and their worst overlap C over the window for the a-priori
+    # Lipschitz constant 1 + C*(s+1) of the alphas
+    thetas, C = _bump_walk(W_H, net.points, s)
     P = PartitionOfUnity(
         scale=s,
         net=net,
@@ -201,19 +183,13 @@ def build_partition(
         window_H=W_H,
         inner_radius=inner_radius,
         N_empirical=Fraction(0),
-        N_apriori=Fraction(0),
-        overlap_count=0,
+        N_apriori=Fraction(1) + C * s1,
+        overlap_count=C,
         M=0,
         M_exact=False,
         omega_s1=omega_s1,
+        thetas=thetas,
     )
-
-    # a-priori Lipschitz constant for the alphas: 1 + C*(s+1), C the worst
-    # bump overlap over the window
-    reach = math.floor(s1)  # integer d <= s+1 exactly when d <= reach
-    C = _overlap_count(W_H, net.points, reach)
-    P.overlap_count = C
-    P.N_apriori = Fraction(1) + C * s1
 
     # empirical constant: worst alpha increment over adjacent inner pairs;
     # |n1/T1 - n2/T2| is compared as |n1*T2 - n2*T1| over T1*T2
@@ -242,22 +218,33 @@ def build_partition(
     return P
 
 
-def _overlap_count(W: Window, points: list, reach: int) -> int:
-    """The most ``points`` within distance ``reach`` of one element of W.
+def _bump_walk(W: Window, points: list, s) -> tuple:
+    """(thetas, overlap count) of the bumps theta_y(h) = s+1 - d(y, h).
 
-    The elements within ``reach`` of y are y*B(reach), so each point walks
-    its ball and counts the hits inside W; B(reach) is the BFS prefix of W
-    (``reach <= W.radius``).
+    The elements within distance d of y are y*B(d), so each point walks
+    its ball y*B(floor(s+1)) once, keeping the hits inside W.  ``thetas``
+    maps each h to ``[(i, n)]`` in net order, with theta_{points[i]}(h) =
+    n/q > 0 (q the denominator of s+1); the overlap count is the most
+    points within distance s+1 of one element of W.
     """
-    ball = W.ball(reach)
+    s1 = Fraction(s) + 1
+    top, q = s1.numerator, s1.denominator
+    below = math.ceil(s1) - 1  # integer d < s+1 exactly when d <= below
+    # integer d <= s+1 exactly when d <= floor(s+1); the ball is a BFS
+    # prefix of W, so W.lengths holds each |b|
+    ball = W.ball(math.floor(s1))
     index_get, mul = W.index.get, W.group.mul
+    thetas = {}
     counts = [0] * len(W.elements)
-    for y in points:
-        for b in ball:
-            k = index_get(mul(y, b))
+    for i, y in enumerate(points):
+        for b, d in zip(ball, W.lengths):
+            h = mul(y, b)
+            k = index_get(h)
             if k is not None:
                 counts[k] += 1
-    return max(counts)
+                if d <= below:
+                    thetas.setdefault(h, []).append((i, top - q * d))
+    return thetas, max(counts)
 
 
 def psi(P: PartitionOfUnity, phi: CoarseMap, h) -> SparseDensity:

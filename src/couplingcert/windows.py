@@ -201,35 +201,28 @@ class Net:
 def greedy_net(W: Window, s) -> Net:
     """Greedy maximal s-discrete subset, scanned in BFS order.
 
-    Maximality of the scan makes the result s-dense in the window.  An
-    unresolvable pairwise distance exceeds the window radius and hence s,
-    so it never blocks a candidate.
+    Each chosen point e blocks the elements within distance < s of it: the
+    e*b of W with |b| <= ceil(s)-1, capped at 2*radius, the largest
+    distance between two elements of W.  An element is chosen when no
+    earlier choice blocks it, so the result is s-discrete, and maximality
+    of the scan makes it s-dense in the window.
     """
     s = Fraction(s)
     if s < 1:
         raise PreconditionError(f"net scale must be >= 1, got {s}")
-    G = W.group
-    mul, inv = G.mul, G.inv
-    if s > W.radius + 1:
-        # a lookup miss must certify d >= s, so resolve in a ball that
-        # reaches just below s (pairwise distances stay <= 2*radius)
-        lookup = build_window(G, min(math.ceil(s) - 1, 2 * W.radius))
-        length_of = lookup.length_of
-    else:
-        length_of = W.length_of
-    below = math.ceil(s) - 1  # integer d < s exactly when d <= below
+    # integer d < s exactly when d <= ceil(s) - 1
+    ball = build_window(W.group, min(math.ceil(s) - 1, 2 * W.radius)).elements
+    index_get, mul = W.index.get, W.group.mul
+    blocked = [False] * len(W.elements)
     chosen = []
-    inverses = []
-    for e in W.elements:
-        ok = True
-        for y_inv in inverses:
-            d = length_of(mul(y_inv, e))
-            if d is not None and d <= below:
-                ok = False
-                break
-        if ok:
-            chosen.append(e)
-            inverses.append(inv(e))
+    for i, e in enumerate(W.elements):
+        if blocked[i]:
+            continue
+        chosen.append(e)
+        for b in ball:
+            k = index_get(mul(e, b))
+            if k is not None:
+                blocked[k] = True
     return Net(points=chosen)
 
 

@@ -3,6 +3,7 @@ package against.  They are not part of the runtime API."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
@@ -13,7 +14,7 @@ from couplingcert.coarse import Moduli
 from couplingcert.coupling import PartitionOfUnity, SparseDensity
 from couplingcert.errors import PreconditionError
 from couplingcert.groups import GroupModel
-from couplingcert.windows import Window, resolved_distance, set_distance
+from couplingcert.windows import Net, Window, build_window, resolved_distance, set_distance
 
 
 def multiply(G: GroupModel, a, b):
@@ -167,6 +168,37 @@ def n_empirical(P: PartitionOfUnity) -> Fraction:
             for i in set(a_h) | set(a_h2):
                 worst = max(worst, abs(a_h.get(i, Fraction(0)) - a_h2.get(i, Fraction(0))))
     return worst
+
+
+def greedy_net_scan(W: Window, s) -> Net:
+    """The greedy s-discrete net, each element of W in BFS
+    order looked up against every point chosen so far; when s exceeds
+    radius+1 the lookups resolve in a ball that reaches just below s
+    (pairwise distances in W stay <= 2*radius)."""
+    s = Fraction(s)
+    G = W.group
+    below = math.ceil(s) - 1
+    lookup = build_window(G, min(below, 2 * W.radius)) if s > W.radius + 1 else W
+    chosen = []
+    for e in W.elements:
+        if all((d := resolved_distance(lookup, y, e)) is None or d > below for y in chosen):
+            chosen.append(e)
+    return Net(points=chosen)
+
+
+def bump_walk(W: Window, points, s) -> tuple:
+    """(thetas, overlap count) of the bumps theta_y(h) = s+1 - d(y, h), from
+    the ``resolved_distance`` of every (h, y) pair in Fractions: thetas
+    maps each h of W with some bump above 0 to [(i, theta * q)] in point
+    order, q the denominator of s+1."""
+    s1 = Fraction(s) + 1
+    thetas = {}
+    for h in W.elements:
+        terms = [(i, int((s1 - d) * s1.denominator)) for i, y in enumerate(points)
+                 if (d := resolved_distance(W, y, h)) is not None and d < s1]
+        if terms:
+            thetas[h] = terms
+    return thetas, overlap_count(W, points, math.floor(s1))
 
 
 def overlap_count(W: Window, points, reach: int) -> int:

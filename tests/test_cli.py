@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from couplingcert import cli
 from couplingcert.certify import Certificate, CheckResult, run_all
 from couplingcert.cli import (
     _CONFIG_KEYS,
@@ -139,6 +140,15 @@ def test_net_subcommand(capsys):
     assert main(["net", "--H", "Z^1", "--rH", "10", "--s", "3"]) == 0
     out = capsys.readouterr().out
     assert "7 points" in out
+
+
+def test_net_without_s_exits_2_before_building_a_window(monkeypatch, capsys):
+    def no_window(*args):
+        raise AssertionError("build_window called")
+
+    monkeypatch.setattr(cli, "build_window", no_window)
+    assert main(["net", "--H", "F_2", "--rH", "9"]) == 2
+    assert capsys.readouterr().err == "error: net needs --s\n"
 
 
 def test_packing_subcommand(capsys):

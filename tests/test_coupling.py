@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from couplingcert.coarse import analytic_moduli, choose_scale, make_coarse_map, pipeline_moduli
 from couplingcert.coupling import (
     PartitionOfUnity,
-    _overlap_count,
+    _bump_walk,
     SparseDensity,
     act_left,
     build_partition,
@@ -43,7 +43,7 @@ def z_identity():
 
 
 def _Theta(P, h) -> Fraction:
-    return Fraction(sum(n for _, n in P.theta_terms(h)), P.theta_denominator)
+    return Fraction(sum(n for _, n in P.thetas[h]), P.theta_denominator)
 
 
 def _alphas(P, h) -> dict:
@@ -116,7 +116,7 @@ def test_psi_single_block_case():
         scale=Fraction(3), net=Net(points=[(0,)]),
         images=[(0,)], window_H=W_H, inner_radius=2,
         N_empirical=Fraction(0), N_apriori=Fraction(1), overlap_count=1,
-        M=1, M_exact=True, omega_s1=4,
+        M=1, M_exact=True, omega_s1=4, thetas={(0,): [(0, 4)]},
     )
     d = psi(P, phi, (0,))
     assert d.block_coefficients() == [((0,), Fraction(1))]
@@ -328,25 +328,27 @@ def test_empirical_constant_matches_fraction_oracle(oracle_partitions, name):
     assert P.N_empirical == oracles.n_empirical(P)
 
 
-OVERLAP_GROUPS = {desc: build_window(make_group(desc), r)
-                  for desc, r in (("Z^2", 6), ("Heis", 4), ("F_2", 4), ("C_5 x Z^1", 5))}
+# each group at two radii: radius 1 puts s+1 beyond the radius for every
+# scale above 1
+OVERLAP_GROUPS = {desc: [build_window(make_group(desc), r) for r in (1, full)]
+                  for desc, full in (("Z^2", 6), ("Heis", 4), ("F_2", 4), ("C_5 x Z^1", 5))}
+BUMP_SCALES = (1, 2, 3, Fraction(5, 2), Fraction(7, 3))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(OVERLAP_GROUPS)), st.integers(0, 4), st.data())
-def test_overlap_walk_matches_the_double_loop(desc, reach, data):
-    W = OVERLAP_GROUPS[desc]
-    reach = min(reach, W.radius)
+@given(st.sampled_from(sorted(OVERLAP_GROUPS)), st.sampled_from(BUMP_SCALES), st.data())
+def test_overlap_walk_matches_the_double_loop(desc, s, data):
+    W = data.draw(st.sampled_from(OVERLAP_GROUPS[desc]))
     points = data.draw(st.lists(st.sampled_from(W.elements), max_size=20, unique=True))
-    assert _overlap_count(W, points, reach) == oracles.overlap_count(W, points, reach)
+    assert _bump_walk(W, points, s) == oracles.bump_walk(W, points, s)
 
 
 @pytest.mark.parametrize("desc", sorted(OVERLAP_GROUPS))
 def test_overlap_walk_matches_the_double_loop_on_nets(desc):
-    W = OVERLAP_GROUPS[desc]
-    for s in (1, 2, 3):
-        net = greedy_net(W, s).points
-        assert _overlap_count(W, net, s + 1) == oracles.overlap_count(W, net, s + 1)
+    for W in OVERLAP_GROUPS[desc]:
+        for s in BUMP_SCALES:
+            net = greedy_net(W, s).points
+            assert _bump_walk(W, net, s) == oracles.bump_walk(W, net, s)
 
 
 def test_l1_rejects_densities_on_different_groups():

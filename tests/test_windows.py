@@ -230,6 +230,20 @@ def test_greedy_net_coarser_than_diameter():
     assert greedy_net(W, 5).points == [W.group.identity]
 
 
+# radii 0 and 1 put some scales beyond radius+1, and radius 0 puts some
+# beyond 2*radius+1
+NET_WINDOWS = {(desc, r): build_window(make_group(desc), r)
+               for desc in ("Z^2", "Heis", "F_2", "C_5 x Z^1") for r in (0, 1, 2, 4)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(NET_WINDOWS)),
+       st.sampled_from((1, 2, 3, Fraction(5, 2), Fraction(7, 3))))
+def test_greedy_net_matches_the_pairwise_scan(key, s):
+    W = NET_WINDOWS[key]
+    assert greedy_net(W, s) == oracles.greedy_net_scan(W, s)
+
+
 @pytest.mark.parametrize("desc,radius,s", [("Z^1", 10, 3), ("Z^2", 4, 2),
                                            ("F_2", 4, 3), ("Heis", 3, 2)])
 def test_net_invariants_exhaustive(desc, radius, s):
