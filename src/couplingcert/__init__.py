@@ -37,7 +37,6 @@ from .windows import (
     PackingResult,
     Window,
     build_window,
-    distance,
     greedy_net,
     packing_number,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "build_window",
     "choose_scale",
     "cobounded_radius",
-    "distance",
     "estimate_moduli",
     "greedy_net",
     "l1_distance",

@@ -116,6 +116,10 @@ def validate_config(config) -> tuple:
     if config.t_max < 0 or config.m_slack < 0:
         raise PreconditionError(
             f"t_max and m_slack must be nonnegative, got {config.t_max} and {config.m_slack}")
+    if config.scale_override < 0 or config.core_radius < 0:
+        raise PreconditionError(
+            "scale and core radius must be nonnegative (0 chooses them), "
+            f"got {config.scale_override} and {config.core_radius}")
     selected = set(config.checks) if config.checks else set(CHECK_NAMES)
     unknown = selected - set(CHECK_NAMES)
     if unknown:
@@ -283,7 +287,6 @@ def check_sandwich(
             else:
                 pairs.append((i, j, t, kap, ome))
     pad = P.support_diameter_bound
-    idx = P.window_H.index
     fmt = P.window_H.group.format_element
     lower_worst = _Worst()
     upper_worst = _Worst()
@@ -292,12 +295,12 @@ def check_sandwich(
     skipped = 0
     for h, mult in Counter(h for _, h in samples).items():
         hf = P.inner_translates(h, fs)
-        k = [idx[a] for a in hf]
         for i, j, t, kap, ome in pairs:
-            key = (k[i], k[j]) if k[i] <= k[j] else (k[j], k[i])
+            a, b = hf[i], hf[j]
+            key = (a, b) if a <= b else (b, a)
             sd = cache.get(key)
             if sd is None:
-                sd = support_distance(psi_of(hf[i]), psi_of(hf[j]), W_G)
+                sd = support_distance(psi_of(a), psi_of(b), W_G)
                 cache[key] = sd
             wit = lambda: {"pair": [fmt(fs[i]), fmt(fs[j])], "h": fmt(h),
                            "distance": t, "support_distance": sd}
@@ -589,10 +592,9 @@ def check_g_action(
          act_left(W_G.group.identity, psi_of(phi.source.identity)))
     ]:
         supp = xi_1.support()
-        indexed = [(W_G.index.get(a), a) for a in supp]
-        if any(i is None for i, _ in indexed):
+        if not all(map(W_G.dist.__contains__, supp)):
             raise ResolutionError("support of a sample leaves the target window")
-        least = min(indexed)[1]
+        least = next(a for a in W_G.elements if a in xi_1.atoms)
         lengths = distances_from(W_G, least, supp)
         m_len = max(lengths)
         # mass of the recentred density inside the recentring ball

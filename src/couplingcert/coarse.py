@@ -269,7 +269,7 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     t_bad = t_max + 1
 
     if (isinstance(H, ZdGroup) and isinstance(G, ZdGroup)
-            and all(map(W_G.index.__contains__, images))):
+            and all(map(W_G.dist.__contains__, images))):
         # key = dH + T*dG with dH <= 2*W_H.radius < T
         T = 2 * W_H.radius + 1
         keys = _l1_pair_keys(elements, images, T)
@@ -294,26 +294,21 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
             diff = build_window(H, t_max)
         mulH, invH = H.mul, H.inv
         mulG, invG = G.mul, G.inv
-        # index lookups bound once: Window.length_of costs a call per pair
-        diff_get, diff_lengths = diff.index.get, diff.lengths
-        g_get, g_lengths = W_G.index.get, W_G.lengths
+        # lookups bound once: Window.length_of costs a call per pair
+        diff_get, g_get = diff.dist.get, W_G.dist.get
         for i in range(n):
             hi = elements[i]
             inv_hi = invH(hi)
             inv_img = invG(images[i])
             for hj, img_j in zip(elements[i + 1:], images[i + 1:]):
-                k = diff_get(mulH(inv_hi, hj))
-                if k is None:
+                dH = diff_get(mulH(inv_hi, hj))
+                if dH is None or dH > t_max:
                     continue
-                dH = diff_lengths[k]
-                if dH > t_max:
-                    continue
-                k = g_get(mulG(inv_img, img_j))
-                if k is None:
+                dG = g_get(mulG(inv_img, img_j))
+                if dG is None:
                     if dH < t_bad:
                         t_bad = dH
                     continue
-                dG = g_lengths[k]
                 counts[dH] += 1
                 if dG < min_img[dH]:
                     min_img[dH] = dG
@@ -415,17 +410,16 @@ def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> 
     diff = W_H if W_H.radius >= t_max else build_window(phi.source, t_max)
     min_img = [W_G.radius + 1] * (t_max + 1)
     max_img = [-1] * (t_max + 1)
-    g_get, g_lengths = W_G.index.get, W_G.lengths
+    g_get = W_G.dist.get
     eff = t_max
-    for x, dH in zip(diff.elements, diff.lengths):
+    for x, dH in diff.dist.items():
         if dH > t_max:
             break
-        k = g_get(apply(phi, x))
-        if k is None:
+        dG = g_get(apply(phi, x))
+        if dG is None:
             # BFS order: every later x is at least as long
             eff = dH - 1
             break
-        dG = g_lengths[k]
         if dG < min_img[dH]:
             min_img[dH] = dG
         if dG > max_img[dH]:

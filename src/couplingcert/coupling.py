@@ -45,7 +45,7 @@ class PartitionOfUnity:
     M: int
     M_exact: bool
     omega_s1: int                       # omega(s+1)
-    thetas: dict = field(repr=False)    # h -> [(net index, n)], theta_y(h) = n/q > 0
+    thetas: dict = field(repr=False)    # inner h -> [(net index, n)], theta_y(h) = n/q > 0
 
     @property
     def N(self) -> Fraction:
@@ -224,27 +224,31 @@ def _bump_walk(W: Window, points: list, s) -> tuple:
     The elements within distance d of y are y*B(d), so each point walks
     its ball y*B(floor(s+1)) once, keeping the hits inside W.  ``thetas``
     maps each h to ``[(i, n)]`` in net order, with theta_{points[i]}(h) =
-    n/q > 0 (q the denominator of s+1); the overlap count is the most
-    points within distance s+1 of one element of W.
+    n/q > 0 (q the denominator of s+1), for the h of the inner window only,
+    the radius ``W.radius - floor(s+1)`` ball where the weights are read;
+    the overlap count is the most points within distance s+1 of one element
+    of W.
     """
     s1 = Fraction(s) + 1
     top, q = s1.numerator, s1.denominator
     below = math.ceil(s1) - 1  # integer d < s+1 exactly when d <= below
     # integer d <= s+1 exactly when d <= floor(s+1); the ball is a BFS
     # prefix of W, so W.lengths holds each |b|
-    ball = W.ball(math.floor(s1))
-    index_get, mul = W.index.get, W.group.mul
+    reach = math.floor(s1)
+    inner_radius = W.radius - reach
+    ball = W.ball(reach)
+    dist_get, mul = W.dist.get, W.group.mul
     thetas = {}
-    counts = [0] * len(W.elements)
+    counts = {}
     for i, y in enumerate(points):
         for b, d in zip(ball, W.lengths):
             h = mul(y, b)
-            k = index_get(h)
-            if k is not None:
-                counts[k] += 1
-                if d <= below:
+            l = dist_get(h)
+            if l is not None:
+                counts[h] = counts.get(h, 0) + 1
+                if d <= below and l <= inner_radius:
                     thetas.setdefault(h, []).append((i, top - q * d))
-    return thetas, max(counts)
+    return thetas, max(counts.values(), default=0)
 
 
 def psi(P: PartitionOfUnity, phi: CoarseMap, h) -> SparseDensity:

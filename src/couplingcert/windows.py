@@ -1,19 +1,20 @@
 """Finite balls in a group: exact word-metric distances, greedy maximal
 nets, and packing numbers.
 
-A :class:`Window` is the radius-R ball of the word metric, enumerated by
-breadth-first search from the identity in the model's fixed generator
-order.  Distances are resolved by normal-form lookup: ``d(a, b)`` is the
-cached word length of ``a^-1 b``, and a lookup miss means the distance
-exceeds the window radius.
+A :class:`Window` is the radius-R ball of the word metric as one table:
+``dist`` maps each element to its word length, in the breadth-first order
+of a search from the identity in the model's fixed generator order.  One
+search, :func:`_bfs`, builds both the balls and the multi-source distance
+fields.  Distances are resolved by normal-form lookup: ``d(a, b)`` is
+``dist.get(a^-1 b)``, and a lookup miss means the distance exceeds the
+window radius.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -29,16 +30,23 @@ DEFAULT_CANDIDATE_CAP = 600
 
 @dataclass
 class Window:
+    """The radius-``radius`` ball: ``dist`` maps each element to its word
+    length in BFS order; ``elements`` and ``lengths`` are its keys and
+    values as lists."""
+
     group: GroupModel
     radius: int
-    elements: list
-    index: dict
-    lengths: list
+    dist: dict
+    elements: list = field(init=False, repr=False)
+    lengths: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.elements = list(self.dist)
+        self.lengths = list(self.dist.values())
 
     def length_of(self, a) -> Optional[int]:
         """Word length of ``a``, or None when ``a`` is outside the ball."""
-        i = self.index.get(a)
-        return None if i is None else self.lengths[i]
+        return self.dist.get(a)
 
     def ball(self, r: int) -> list:
         """The elements of length <= r: a prefix of ``elements`` in BFS
@@ -53,66 +61,65 @@ class Window:
         return len(self.elements)
 
 
+def _bfs(G: GroupModel, sources, depth: int, budget: int) -> dict:
+    """Distance to the nearest source for every element within ``depth`` of
+    ``sources``, in BFS order: level by level, each element stepping by
+    right multiplication with the generators in their fixed order."""
+    mul = G.mul
+    gens = G.generators
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(dist)
+    level = 0
+    while frontier and level < depth:
+        level += 1
+        reached = []
+        for e in frontier:
+            for g in gens:
+                child = mul(e, g)
+                if child in dist:
+                    continue
+                if len(dist) >= budget:
+                    raise WindowBudgetError(
+                        f"breadth-first search in {G.descriptor} exceeded the "
+                        f"{budget}-element budget at radius {level}",
+                        radius_reached=level - 1,
+                    )
+                dist[child] = level
+                reached.append(child)
+        frontier = reached
+    return dist
+
+
 def build_window(G: GroupModel, R: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> Window:
     """Enumerate the radius-R ball by BFS in fixed generator order."""
     if R < 0:
         raise PreconditionError(f"radius must be nonnegative, got {R}")
-    identity = G.identity
-    elements = [identity]
-    index = {identity: 0}
-    lengths = [0]
-    frontier = deque([identity])
-    mul = G.mul
-    gens = G.generators
-    level = 0
-    while frontier and level < R:
-        level += 1
-        for _ in range(len(frontier)):
-            e = frontier.popleft()
-            for g in gens:
-                child = mul(e, g)
-                if child in index:
-                    continue
-                if len(elements) >= budget:
-                    raise WindowBudgetError(
-                        f"ball of {G.descriptor} exceeded the {budget}-element "
-                        f"budget at radius {level}",
-                        radius_reached=level - 1,
-                    )
-                index[child] = len(elements)
-                elements.append(child)
-                lengths.append(level)
-                frontier.append(child)
-    return Window(group=G, radius=R, elements=elements, index=index, lengths=lengths)
-
-
-def distance(W: Window, a, b) -> int:
-    """Word-metric distance d(a, b) = |a^-1 b|; left-invariant by construction."""
-    return distances_from(W, a, [b])[0]
+    return Window(group=G, radius=R, dist=_bfs(G, [G.identity], R, budget))
 
 
 def distances_from(W: Window, a, bs) -> list:
-    """``[distance(W, a, b) for b in bs]``, inverting ``a`` once; raises at
-    the first ``b`` whose distance does not resolve."""
-    index_get, lengths = W.index.get, W.lengths
+    """The word-metric distances d(a, b) = |a^-1 b| for b in ``bs``,
+    inverting ``a`` once; raises at the first ``b`` whose distance does not
+    resolve."""
+    dist_get = W.dist.get
     mul = W.group.mul
     inv_a = W.group.inv(a)
     out = []
     for b in bs:
-        k = index_get(mul(inv_a, b))
-        if k is None:
+        d = dist_get(mul(inv_a, b))
+        if d is None:
             raise ResolutionError(
                 f"d({W.group.format_element(a)}, {W.group.format_element(b)}) exceeds "
                 f"the window radius {W.radius} of {W.group.descriptor}"
             )
-        out.append(lengths[k])
+        out.append(d)
     return out
 
 
 def resolved_distance(W: Window, a, b) -> Optional[int]:
-    """Like :func:`distance` but returns None instead of raising."""
+    """d(a, b) = |a^-1 b|, or None when it exceeds the window radius."""
     G = W.group
-    return W.length_of(G.mul(G.inv(a), b))
+    return W.dist.get(G.mul(G.inv(a), b))
 
 
 def set_distance(W: Window, xs, ys) -> Optional[int]:
@@ -120,12 +127,12 @@ def set_distance(W: Window, xs, ys) -> Optional[int]:
     resolves within the window."""
     G = W.group
     mul, inv = G.mul, G.inv
-    length_of = W.length_of
+    dist_get = W.dist.get
     best = None
     for a in xs:
         inv_a = inv(a)
         for b in ys:
-            d = length_of(mul(inv_a, b))
+            d = dist_get(mul(inv_a, b))
             if d is not None and (best is None or d < best):
                 best = d
                 if best == 0:
@@ -138,18 +145,17 @@ def pair_extremes(W: Window, points: list) -> tuple:
     least resolved distance and the first pair (a, b) attaining it, both None
     when no pair resolves, and the greatest distance, None when some pair
     does not resolve (0 for fewer than two points)."""
-    index_get, lengths = W.index.get, W.lengths
+    dist_get = W.dist.get
     mul, inv = W.group.mul, W.group.inv
     least = pair = None
     greatest = 0
     for i, a in enumerate(points):
         inv_a = inv(a)
         for b in points[i + 1:]:
-            k = index_get(mul(inv_a, b))
-            if k is None:
+            d = dist_get(mul(inv_a, b))
+            if d is None:
                 greatest = None
                 continue
-            d = lengths[k]
             if least is None or d < least:
                 least, pair = d, (a, b)
             if greatest is not None and d > greatest:
@@ -168,29 +174,7 @@ def distance_field(W: Window, sources, budget: int = DEFAULT_ELEMENT_BUDGET) -> 
     ``field.get(x)`` is ``set_distance(W, [x], sources)``: None exactly when
     no distance from x to the sources resolves.
     """
-    mul = W.group.mul
-    gens = W.group.generators
-    field = dict.fromkeys(sources, 0)
-    frontier = list(field)
-    level = 0
-    while frontier and level < W.radius:
-        level += 1
-        reached = []
-        for e in frontier:
-            for g in gens:
-                child = mul(e, g)
-                if child in field:
-                    continue
-                if len(field) >= budget:
-                    raise WindowBudgetError(
-                        f"distance field in {W.group.descriptor} exceeded the "
-                        f"{budget}-element budget at depth {level}",
-                        radius_reached=level - 1,
-                    )
-                field[child] = level
-                reached.append(child)
-        frontier = reached
-    return field
+    return _bfs(W.group, sources, W.radius, budget)
 
 
 @dataclass
@@ -212,17 +196,17 @@ def greedy_net(W: Window, s) -> Net:
         raise PreconditionError(f"net scale must be >= 1, got {s}")
     # integer d < s exactly when d <= ceil(s) - 1
     ball = build_window(W.group, min(math.ceil(s) - 1, 2 * W.radius)).elements
-    index_get, mul = W.index.get, W.group.mul
-    blocked = [False] * len(W.elements)
+    dist, mul = W.dist, W.group.mul
+    blocked = set()
     chosen = []
-    for i, e in enumerate(W.elements):
-        if blocked[i]:
+    for e in W.elements:
+        if e in blocked:
             continue
         chosen.append(e)
         for b in ball:
-            k = index_get(mul(e, b))
-            if k is not None:
-                blocked[k] = True
+            x = mul(e, b)
+            if x in dist:
+                blocked.add(x)
     return Net(points=chosen)
 
 
@@ -286,7 +270,7 @@ def packing_number(
     # configuration: >= separation and <= diam_bound apart.  Unresolvable
     # distances exceed the radius, hence exceed diam_bound (incompatible).
     n = len(candidates)
-    index_get, lengths = W.index.get, W.lengths
+    dist_get = W.dist.get
     mul, inv = W.group.mul, W.group.inv
     compat = [0] * n
     for i, c in enumerate(candidates):
@@ -294,8 +278,8 @@ def packing_number(
         bit_i = 1 << i
         row = 0
         for j in range(i + 1, n):
-            k = index_get(mul(inv_i, candidates[j]))
-            if k is not None and lo <= lengths[k] <= hi:
+            d = dist_get(mul(inv_i, candidates[j]))
+            if d is not None and lo <= d <= hi:
                 row |= 1 << j
                 compat[j] |= bit_i
         compat[i] |= row

@@ -4,17 +4,18 @@ package against.  They are not part of the runtime API."""
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import repeat
 from operator import add, sub
 from typing import Optional
 
-from couplingcert.coarse import Moduli
+from couplingcert.coarse import Moduli, apply
 from couplingcert.coupling import PartitionOfUnity, SparseDensity
-from couplingcert.errors import PreconditionError
+from couplingcert.errors import PreconditionError, WindowBudgetError
 from couplingcert.groups import GroupModel
-from couplingcert.windows import Net, Window, build_window, resolved_distance, set_distance
+from couplingcert.windows import (DEFAULT_ELEMENT_BUDGET, Net, Window, distances_from,
+                                  resolved_distance, set_distance)
 
 
 def multiply(G: GroupModel, a, b):
@@ -28,6 +29,82 @@ def inverse(G: GroupModel, a):
     """Validated inverse of a."""
     G.validate(a)
     return G.inv(a)
+
+
+def build_window(G: GroupModel, R: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> Window:
+    """The radius-R ball from one deque BFS in fixed generator order, with
+    its elements and lengths kept as parallel lists beside a position
+    index."""
+    if R < 0:
+        raise PreconditionError(f"radius must be nonnegative, got {R}")
+    identity = G.identity
+    elements = [identity]
+    index = {identity: 0}
+    lengths = [0]
+    frontier = deque([identity])
+    level = 0
+    while frontier and level < R:
+        level += 1
+        for _ in range(len(frontier)):
+            e = frontier.popleft()
+            for g in G.generators:
+                child = G.mul(e, g)
+                if child in index:
+                    continue
+                if len(elements) >= budget:
+                    raise WindowBudgetError(
+                        f"ball of {G.descriptor} exceeded the {budget}-element "
+                        f"budget at radius {level}",
+                        radius_reached=level - 1,
+                    )
+                index[child] = len(elements)
+                elements.append(child)
+                lengths.append(level)
+                frontier.append(child)
+    return Window(group=G, radius=R, dist=dict(zip(elements, lengths)))
+
+
+def distance(W: Window, a, b) -> int:
+    """Word-metric distance d(a, b) = |a^-1 b|; raises ResolutionError when
+    it exceeds the window radius."""
+    return distances_from(W, a, [b])[0]
+
+
+def distance_field(W: Window, sources) -> dict:
+    """``set_distance(W, [x], sources)`` for every x it resolves, probed
+    over the balls of radius ``W.radius + 1`` around the sources: one step
+    past the cutoff, so every resolved x is probed."""
+    G = W.group
+    reach = build_window(G, W.radius + 1).elements
+    probe = dict.fromkeys(G.mul(b, e) for b in sources for e in reach)
+    return {x: d for x in probe if (d := set_distance(W, [x], sources)) is not None}
+
+
+def homomorphic_moduli(phi, W_H: Window, W_G: Window, t_max: int) -> Moduli:
+    """The truncating pair scan of ``estimate_moduli`` over the unordered
+    pairs of W_H, with both distances from ``resolved_distance``:
+    truncated below the least source distance whose image distance does
+    not resolve, trimmed to the last distance with a pair, and
+    ``pair_counts`` dropped."""
+    diff = build_window(phi.source, t_max)
+    elements = W_H.elements
+    images = [apply(phi, h) for h in elements]
+    pairs = [(0, 0)]  # the diagonal
+    for i, (a, img_a) in enumerate(zip(elements, images)):
+        for b, img_b in zip(elements[i + 1:], images[i + 1:]):
+            dH = resolved_distance(diff, a, b)
+            if dH is not None:
+                pairs.append((dH, resolved_distance(W_G, img_a, img_b)))
+    t_bad = min((dH for dH, dG in pairs if dG is None), default=t_max + 1)
+    kept = [(dH, dG) for dH, dG in pairs if dG is not None and dH < t_bad]
+    eff = max(dH for dH, _ in kept)
+    return Moduli(
+        t_max=eff,
+        kappa=[min(dG for dH, dG in kept if dH >= t) for t in range(eff + 1)],
+        omega=[max(dG for dH, dG in kept if dH <= t) for t in range(eff + 1)],
+        provenance="window-estimated",
+        requested_t_max=t_max,
+    )
 
 
 def is_discrete(W: Window, points, s) -> bool:
@@ -189,11 +266,12 @@ def greedy_net_scan(W: Window, s) -> Net:
 def bump_walk(W: Window, points, s) -> tuple:
     """(thetas, overlap count) of the bumps theta_y(h) = s+1 - d(y, h), from
     the ``resolved_distance`` of every (h, y) pair in Fractions: thetas
-    maps each h of W with some bump above 0 to [(i, theta * q)] in point
-    order, q the denominator of s+1."""
+    maps each h of the inner window (radius ``W.radius - floor(s+1)``) with
+    some bump above 0 to [(i, theta * q)] in point order, q the
+    denominator of s+1."""
     s1 = Fraction(s) + 1
     thetas = {}
-    for h in W.elements:
+    for h in W.ball(W.radius - math.floor(s1)):
         terms = [(i, int((s1 - d) * s1.denominator)) for i, y in enumerate(points)
                  if (d := resolved_distance(W, y, h)) is not None and d < s1]
         if terms:

@@ -33,12 +33,11 @@ from couplingcert.coupling import (
 from couplingcert.groups import make_group
 from couplingcert.windows import (
     build_window,
-    distance,
     greedy_net,
     packing_number,
 )
 
-from oracles import is_dense, is_discrete, packing_number_naive
+from oracles import distance, is_dense, is_discrete, packing_number_naive
 
 CONFIG_1 = RunConfig(group_H="Z^1", group_G="Z^1", map_descriptor="identity",
                      radius_H=24, radius_G=40, eval_radius=8, seed=7)

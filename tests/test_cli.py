@@ -260,7 +260,7 @@ def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
 
 
 BAD_VALUES = [("rH", "0"), ("rG", "0"), ("eval", "-1"), ("tmax", "-2"), ("mslack", "-1"),
-              ("checks", "nope"), ("epsilon", "3/2")]
+              ("scale", "-2"), ("core", "-3"), ("checks", "nope"), ("epsilon", "3/2")]
 
 
 @pytest.mark.parametrize("key,text", BAD_VALUES, ids=[f"{k}={v}" for k, v in BAD_VALUES])

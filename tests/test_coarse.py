@@ -29,9 +29,10 @@ from couplingcert.errors import (
     TableMapError,
 )
 from couplingcert.groups import ZdGroup, make_group
-from couplingcert.windows import build_window, distance, resolved_distance
+from couplingcert.windows import build_window, resolved_distance
 
 import oracles
+from oracles import distance
 
 Z = make_group("Z^1")
 Z2 = make_group("Z^2")

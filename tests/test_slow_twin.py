@@ -8,7 +8,10 @@ every loaded ``couplingcert`` module that holds the routine, so
 ``from .windows import pair_extremes`` in ``certify`` calls the oracle too.
 
 Run as a script, the file checks the four full-size benchmark workloads of
-``perfbench/workloads.py`` instead; from the checkout root::
+``perfbench/workloads.py`` instead, and then the demo configurations that
+are not among them: on the full-size workloads ``distance_field`` runs only
+inside ``_g_properness``, whose own oracle replaces it, while the ``Z^1``
+demos also reach it from ``check_properness_h``.  From the checkout root::
 
     PYTHONPATH=src python tests/test_slow_twin.py
 """
@@ -44,6 +47,9 @@ SWAPS = (
     ("coarse", "_l1_pair_keys", oracles.l1_pair_keys),
     ("windows", "greedy_net", oracles.greedy_net_scan),
     ("coupling", "_bump_walk", oracles.bump_walk),
+    ("windows", "build_window", oracles.build_window),
+    ("windows", "distance_field", oracles.distance_field),
+    ("coarse", "homomorphic_moduli", oracles.homomorphic_moduli),
 )
 
 # reduced-radius copies of the benchmark workloads (shear-z2 is a demo
@@ -132,9 +138,12 @@ def main() -> int:
     os.chdir(ROOT)  # the table path of table-z2 is relative to the checkout root
     calls = Counter()
     failed = []
+    runs = []
     for name in workloads.WORKLOADS:
         workloads.prepare(name, workloads.DEFAULT_SEED, str(ROOT))
-        cfg = RunConfig(**workloads.config(name, workloads.DEFAULT_SEED))
+        runs.append((name, RunConfig(**workloads.config(name, workloads.DEFAULT_SEED))))
+    runs += [(name, cfg) for name, cfg in DEMO_CONFIGS if name not in workloads.WORKLOADS]
+    for name, cfg in runs:
         shipped, slow = twin_reports(cfg, calls)
         same = slow == shipped
         print(f"{name}: {'identical' if same else 'REPORTS DIFFER'}")

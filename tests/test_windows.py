@@ -12,7 +12,6 @@ from couplingcert.errors import PreconditionError, ResolutionError, WindowBudget
 from couplingcert.groups import make_group
 from couplingcert.windows import (
     build_window,
-    distance,
     distance_field,
     distances_from,
     greedy_net,
@@ -23,7 +22,7 @@ from couplingcert.windows import (
 )
 
 import oracles
-from oracles import is_dense, is_discrete, packing_number_naive
+from oracles import distance, is_dense, is_discrete, packing_number_naive
 
 
 @pytest.mark.parametrize(
@@ -145,9 +144,21 @@ def test_distance_field_matches_set_distance_oracle(desc, radius, source_radius,
     field = distance_field(W, sources)
     # the probe ball reaches one step past the field's cutoff
     probe = build_window(G, source_radius + radius + 1)
-    assert set(field) <= set(probe.index)
+    assert set(field) <= set(probe.dist)
     for x in probe.elements:
         assert field.get(x) == set_distance(W, [x], sources)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("Z^2", "Heis", "F_2", "C_5 x Z^1")), st.integers(0, 4), st.data())
+def test_one_bfs_builds_balls_and_distance_fields(desc, radius, data):
+    # any generator order: the table keeps the order of the deque BFS, and
+    # the field from the identity is the window's own table
+    G = make_group(desc)
+    G.generators = data.draw(st.permutations(G.generators))
+    W = build_window(G, radius)
+    assert list(W.dist.items()) == list(oracles.build_window(G, radius).dist.items())
+    assert list(distance_field(W, [G.identity]).items()) == list(W.dist.items())
 
 
 def test_distance_field_budget_error():
