@@ -510,6 +510,13 @@ def _K_margin(to_K_get, mul, t, atoms, floor) -> tuple:
     return (floor, None, True) if d is None else (d - 1, None, False)
 
 
+def _reach(dist_get, points) -> Optional[int]:
+    """The largest window length over ``points`` (0 for none), or None when
+    one of them lies outside the window."""
+    lengths = [dist_get(x) for x in points]
+    return None if None in lengths else max(lengths, default=0)
+
+
 def _g_properness(
     phi: CoarseMap,
     qualifying: list,
@@ -520,24 +527,43 @@ def _g_properness(
     """The properness part of :func:`check_g_action`: (least margin, its
     witness, margin_is_floor, population) over every (candidate, sample)
     pair, the first pair winning ties; margin and witness are None when
-    the population is empty.
+    the population is empty.  ``g_candidates`` are (element, word length)
+    pairs.
 
     A pair's margin is :func:`_K_margin` of the candidate's translate of
     the sample's support: -1 when it meets K_G, else the least
     support-to-K_G distance minus 1, and the floor W_G.radius when no
-    distance resolves in the window.
+    distance resolves in the window.  The generating sets are symmetric,
+    so d(gc.a, k) >= |gc| - |a| - |k|: a pair with
+    |gc| - reach(atoms) - reach(K_G) > W_G.radius, reach being the largest
+    W_G length over a set, resolves no distance and takes the floor
+    without translating an atom.  The distance field of K_G is built at
+    the first pair this bound cannot settle, so never when all are floor
+    pairs; a point outside W_G has no reach and turns the bound off.
     """
     if not (g_candidates and qualifying):
         return None, None, False, 0
-    # one BFS from K_G resolves every support-to-K_G distance; the field
-    # holds exactly the points of K_G at 0, so a 0 is a meeting point
-    to_K_get = distance_field(W_G, K_G).get
+    dist_get = W_G.dist.get
+    reach_K = _reach(dist_get, K_G)
+    # reach(atoms) + reach(K_G) per sample, None when the bound is off
+    reaches = [None if reach_K is None or (r_a := _reach(dist_get, xi_1.atoms)) is None
+               else r_a + reach_K for _, _, xi_1 in qualifying]
+    radius = W_G.radius
+    to_K_get = None
     mul = phi.target.mul
     margin_is_floor = False
     best = None  # (margin, candidate, sample g, sample h, meeting atom)
-    for gc in g_candidates:
-        for g, h, xi_1 in qualifying:
-            margin, meet, floor = _K_margin(to_K_get, mul, gc, xi_1.atoms, W_G.radius)
+    for gc, length in g_candidates:
+        for (g, h, xi_1), reach in zip(qualifying, reaches):
+            if reach is not None and length - reach > radius:
+                margin, meet, floor = radius, None, True
+            else:
+                if to_K_get is None:
+                    # one BFS from K_G resolves every support-to-K_G distance;
+                    # the field holds exactly the points of K_G at 0, so a 0
+                    # is a meeting point
+                    to_K_get = distance_field(W_G, K_G).get
+                margin, meet, floor = _K_margin(to_K_get, mul, gc, xi_1.atoms, radius)
             margin_is_floor |= floor
             if best is None or margin < best[0]:
                 best = (margin, gc, g, h, meet)
@@ -565,7 +591,11 @@ def check_g_action(
 
     (a) properness: translates of [K_G, eps] by far g miss it -- supports
     become disjoint from K_G beyond tau = 2*omega(s+1) + 2 + 2*diam(K_G),
-    the bound the caller drew ``g_candidates`` past;
+    the bound the caller drew ``g_candidates``, (element, word length)
+    pairs, past.  A pair whose length alone puts every translate beyond
+    W_G by the triangle bound takes the floor margin untranslated, and the
+    distance field of K_G is built only for a pair the bound cannot settle
+    (see :func:`_g_properness`);
     (b) cocompactness: recentring the BFS-least support point confines any
     sampled orbit support in the ball of radius ``recenter_bound`` (the
     pipeline's is 4*omega(s+1) + 4) with full mass;
@@ -753,7 +783,7 @@ def run_all(config) -> Certificate:
         if "g_action" in selected:
             stage = "g_action"
             aux = W_G if tau + 2 <= W_G.radius else build_window(G, tau + 2)
-            g_candidates = aux.shell(tau, tau + 2)[:512]
+            g_candidates = [(gc, aux.dist[gc]) for gc in aux.shell(tau, tau + 2)[:512]]
             checks.append(check_g_action(
                 P, phi, samples[:8], K_base, epsilon, W_G, g_candidates, psi_of, tau,
                 recenter_bound))

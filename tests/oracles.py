@@ -12,10 +12,10 @@ from typing import Optional
 
 from couplingcert.coarse import Moduli, apply
 from couplingcert.coupling import PartitionOfUnity, SparseDensity
-from couplingcert.errors import PreconditionError, WindowBudgetError
+from couplingcert.errors import PreconditionError, ResolutionError, WindowBudgetError
 from couplingcert.groups import GroupModel
-from couplingcert.windows import (DEFAULT_ELEMENT_BUDGET, Net, Window, distances_from,
-                                  resolved_distance, set_distance)
+from couplingcert.windows import (DEFAULT_ELEMENT_BUDGET, Net, Window, resolved_distance,
+                                  set_distance)
 
 
 def multiply(G: GroupModel, a, b):
@@ -62,6 +62,22 @@ def build_window(G: GroupModel, R: int, budget: int = DEFAULT_ELEMENT_BUDGET) ->
                 lengths.append(level)
                 frontier.append(child)
     return Window(group=G, radius=R, dist=dict(zip(elements, lengths)))
+
+
+def distances_from(W: Window, a, bs) -> list:
+    """One ``resolved_distance`` per b of ``bs``; raises ResolutionError at
+    the first that exceeds the window radius."""
+    G = W.group
+    out = []
+    for b in bs:
+        d = resolved_distance(W, a, b)
+        if d is None:
+            raise ResolutionError(
+                f"d({G.format_element(a)}, {G.format_element(b)}) exceeds "
+                f"the window radius {W.radius} of {G.descriptor}"
+            )
+        out.append(d)
+    return out
 
 
 def distance(W: Window, a, b) -> int:
@@ -298,14 +314,15 @@ def overlap_count(W: Window, points, reach: int) -> int:
 def g_properness(phi, qualifying: list, K_G: list, W_G: Window, g_candidates: list) -> tuple:
     """(margin, witness, margin_is_floor, population) of the left-action
     properness loop, with a witness built for every (candidate, sample) pair
-    and every support-to-K_G distance looked up pair by pair."""
+    and every support-to-K_G distance looked up pair by pair; the
+    candidates' word lengths are not read."""
     G = phi.target
     fmtG = G.format_element
     K_set = set(K_G)
     margin = witness = None
     margin_is_floor = False
     population = 0
-    for gc in g_candidates:
+    for gc, _ in g_candidates:
         for g, h, xi_1 in qualifying:
             moved = [G.mul(gc, a) for a in xi_1.support()]
             hit = [a for a in moved if a in K_set]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from couplingcert import certify
 from couplingcert.certify import (
     _far_shell,
     _g_properness,
@@ -26,7 +27,7 @@ from couplingcert.certify import (
     check_sandwich,
     run_all,
 )
-from couplingcert.cli import RunConfig
+from couplingcert.cli import DEMO_CONFIGS, RunConfig
 from couplingcert.coarse import (
     Moduli,
     analytic_moduli,
@@ -48,6 +49,7 @@ from couplingcert.windows import build_window, distance_field, pair_extremes
 import oracles
 
 Z = make_group("Z^1")
+PHI_Z = make_coarse_map("identity", Z, Z)
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +308,7 @@ def test_g_action_passes(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
     tau = 2 * P.omega_s1 + 2 + 2 * 8  # diam K = 8
-    ring = [e for e, l in zip(W_G.elements, W_G.lengths) if tau < l <= tau + 2]
+    ring = [(e, l) for e, l in zip(W_G.elements, W_G.lengths) if tau < l <= tau + 2]
     res = check_g_action(P, phi, [((0,), (0,)), ((2,), (1,))], K, Fraction(1, 2),
                          W_G, ring, psi_of, tau, 4 * P.omega_s1 + 4)
     assert res.status == "pass"
@@ -338,7 +340,7 @@ def test_g_action_vacuous_properness_population(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = [(0,)]
     res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1), W_G,
-                         [(30,)], psi_of, 2 * P.omega_s1 + 2,  # diam K = 0
+                         [((30,), 30)], psi_of, 2 * P.omega_s1 + 2,  # diam K = 0
                          4 * P.omega_s1 + 4)
     assert res.details["properness_population"] == 0
     assert res.status == "pass"  # recentring and diameter parts still run
@@ -348,7 +350,7 @@ def test_g_action_fails_where_a_candidate_translate_meets_k(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
     res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1, 2), W_G,
-                         [(3,), (1,)], psi_of, 2 * P.omega_s1 + 2 + 2 * 8,
+                         [((3,), 3), ((1,), 1)], psi_of, 2 * P.omega_s1 + 2 + 2 * 8,
                          4 * P.omega_s1 + 4)
     assert res.status == "fail"
     assert res.margin == -1
@@ -385,12 +387,18 @@ def g_action_cases():
     return out
 
 
+def with_lengths(W, elements) -> list:
+    """The (element, word length) candidates of ``_g_properness``, with
+    the lengths read from the window the elements are drawn from."""
+    return [(g, W.dist[g]) for g in elements]
+
+
 @pytest.mark.parametrize("name", sorted(G_ACTION_CASES))
 def test_g_properness_matches_per_pair_oracle_on_each_kind(g_action_cases, name):
     phi, xis, K, W_G = g_action_cases[name]
     dist_window = build_window(phi.target, 3)
     kinds = {"meets": [], "resolved": [], "floor": []}
-    for g in W_G.elements[::len(W_G.elements) // 400 + 1]:
+    for g in with_lengths(W_G, W_G.elements[::len(W_G.elements) // 400 + 1]):
         margin, _, floor, _ = _g_properness(phi, xis[:1], K, dist_window, [g])
         kind = "meets" if margin == -1 else "floor" if floor else "resolved"
         kinds[kind].append(g)
@@ -427,10 +435,88 @@ def test_K_margin_matches_the_moved_back_K_oracle(g_action_cases, name):
 def test_g_properness_matches_per_pair_oracle(g_action_cases, name, dist_radius, data):
     phi, xis, K, W_G = g_action_cases[name]
     dist_window = build_window(phi.target, dist_radius)
-    candidates = data.draw(st.lists(st.sampled_from(W_G.elements), max_size=12))
+    candidates = with_lengths(W_G, data.draw(st.lists(st.sampled_from(W_G.elements),
+                                                      max_size=12)))
     drawn = data.draw(st.lists(st.sampled_from(xis), max_size=4))
     assert (_g_properness(phi, drawn, K, dist_window, candidates)
             == oracles.g_properness(phi, drawn, K, dist_window, candidates))
+
+
+def single_atom_sample(a) -> list:
+    """One qualifying (g, h, xi_1) entry whose density is the unit atom at a."""
+    return [((0,), (0,), SparseDensity(group=Z, denominator=1, atoms={a: 1}))]
+
+
+@pytest.fixture
+def field_builds(monkeypatch) -> list:
+    """The sources of every distance field ``certify`` builds."""
+    builds = []
+    field = certify.distance_field
+
+    def counted(W, sources, *rest):
+        builds.append(list(sources))
+        return field(W, sources, *rest)
+
+    monkeypatch.setattr(certify, "distance_field", counted)
+    return builds
+
+
+def test_g_properness_bound_stops_at_the_radius(field_builds):
+    # |gc| - reach(atoms) - reach(K) equals the radius 3 for gc = 5, a = -1,
+    # k = 1, and d(gc.a, k) = d(4, 1) = 3 resolves: the bound must not
+    # settle this pair, whose margin is radius - 1.  Nor gc = -5, whose
+    # translate -6 is 7 from k: one field serves both pairs
+    W = build_window(Z, 3)
+    xis, K = single_atom_sample((-1,)), [(1,)]
+    got = _g_properness(PHI_Z, xis, K, W, [((5,), 5)])
+    assert got == (2, {"g": "5", "xi": ["0", "0"]}, False, 1)
+    assert got == oracles.g_properness(PHI_Z, xis, K, W, [((5,), 5)])
+    field_builds.clear()
+    got = _g_properness(PHI_Z, xis, K, W, [((5,), 5), ((-5,), 5)])
+    assert got == (2, {"g": "5", "xi": ["0", "0"]}, True, 2)
+    assert got == oracles.g_properness(PHI_Z, xis, K, W, [((5,), 5), ((-5,), 5)])
+    assert field_builds == [K]
+    # one step further the bound settles the pair without a field
+    field_builds.clear()
+    got = _g_properness(PHI_Z, xis, K, W, [((6,), 6), ((-6,), 6)])
+    assert got == (3, {"g": "6", "xi": ["0", "0"]}, True, 2)
+    assert got == oracles.g_properness(PHI_Z, xis, K, W, [((6,), 6), ((-6,), 6)])
+    assert field_builds == []
+
+
+@pytest.mark.parametrize("atom,K,gc", [
+    ((4,), [(0,)], (-4,)),  # the atom lies outside the radius-3 window
+    ((0,), [(5,)], (5,)),   # the point of K does
+])
+def test_g_properness_bound_is_off_outside_the_window(field_builds, atom, K, gc):
+    # with the outside point's length taken as 0 the bound would call the
+    # pair a floor pair, yet the translate meets K
+    W = build_window(Z, 3)
+    xis = single_atom_sample(atom)
+    got = _g_properness(PHI_Z, xis, K, W, [(gc, abs(gc[0]))])
+    assert got[0] == -1 and got[1]["meeting_point"] == Z.format_element(K[0])
+    assert got == oracles.g_properness(PHI_Z, xis, K, W, [(gc, abs(gc[0]))])
+    assert field_builds == [K]
+
+
+def test_g_action_builds_no_distance_field_on_shear_z2(field_builds, monkeypatch):
+    # every g_action pair of the shear-z2 demo is settled by the triangle
+    # bound, so check_g_action builds no distance field of K_G
+    in_g_action = []
+    g_action = certify.check_g_action
+
+    def marked(*args):
+        start = len(field_builds)
+        result = g_action(*args)
+        in_g_action.append((len(field_builds) - start, result))
+        return result
+
+    monkeypatch.setattr(certify, "check_g_action", marked)
+    run_all(dict(DEMO_CONFIGS)["shear-z2"])
+    (built, result), = in_g_action
+    assert built == 0
+    assert result.details["properness_population"] == 3680
+    assert result.details["margin_is_floor"] is True
 
 
 def test_run_all_reports_every_check_pass():

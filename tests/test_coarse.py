@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -323,6 +324,28 @@ def test_estimate_moduli_matches_reference_pair_scan(monkeypatch):
     monkeypatch.setattr(coarse, "_l1_codes", spy)
     _check_moduli_against_reference()
     assert codings["one code"] and codings["per coordinate"], codings
+
+
+@pytest.mark.parametrize("branch", ["one code", "per coordinate"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), scale=st.integers(1, 9))
+def test_l1_codes_sum_to_the_scaled_l1_distance(branch, data, d, scale):
+    # a budget of at least the one-code table size takes the one-code
+    # branch, a smaller one gives each coordinate its own code
+    n = data.draw(st.integers(1, 12))
+    bound = data.draw(st.integers(0, 6))
+    shift = data.draw(st.integers(-9, 9))
+    coord = st.integers(shift - bound, shift + bound)
+    points = data.draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
+    size = prod(2 * (max(c) - min(c)) + 1 for c in zip(*points))
+    budget = data.draw(st.integers(size, 2 * size) if branch == "one code"
+                       else st.integers(0, size - 1))
+    codes = coarse._l1_codes(points, scale, budget)
+    assert len(codes) == (1 if branch == "one code" else d)
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            assert (sum(table[col[j] - col[i] + offset] for col, table, offset in codes)
+                    == scale * sum(abs(x - y) for x, y in zip(a, b)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,9 @@ Run as a script, the file checks the four full-size benchmark workloads of
 ``perfbench/workloads.py`` instead, and then the demo configurations that
 are not among them: on the full-size workloads ``distance_field`` runs only
 inside ``_g_properness``, whose own oracle replaces it, while the ``Z^1``
-demos also reach it from ``check_properness_h``.  From the checkout root::
+demos also reach it from ``check_properness_h``.  Each line gives the wall
+seconds of the shipped run and of the oracle run beside the verdict.  From
+the checkout root::
 
     PYTHONPATH=src python tests/test_slow_twin.py
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import inspect
 import os
 import sys
+import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -40,6 +43,7 @@ import workloads  # noqa: E402
 
 SWAPS = (
     ("windows", "pair_extremes", oracles.pair_extremes),
+    ("windows", "distances_from", oracles.distances_from),
     ("coupling", "l1_distance", oracles.l1_distance),
     ("certify", "_g_properness", oracles.g_properness),
     ("certify", "_kappa_sublevel_radius", oracles.kappa_sublevel_radius),
@@ -93,11 +97,14 @@ def slow_paths(calls: Counter):
 
 
 def twin_reports(cfg: RunConfig, calls: Counter) -> tuple:
-    """(shipped report, report with every fast path on its oracle)."""
+    """(shipped report, report with every fast path on its oracle, wall
+    seconds of the shipped run, wall seconds of the oracle run)."""
+    start = time.perf_counter()
     shipped = render_report(run_all(cfg))
+    middle = time.perf_counter()
     with slow_paths(calls):
         slow = render_report(run_all(cfg))
-    return shipped, slow
+    return shipped, slow, middle - start, time.perf_counter() - middle
 
 
 def small_config(name: str, root) -> RunConfig:
@@ -114,7 +121,7 @@ TWIN_NAMES = [n for n, _ in DEMO_CONFIGS] + sorted(SMALL)
 
 @pytest.fixture(scope="module")
 def twins(tmp_path_factory):
-    """({name: (shipped, slow)} over every configuration, oracle calls)."""
+    """({name: twin_reports(...)} over every configuration, oracle calls)."""
     calls = Counter()
     demo = dict(DEMO_CONFIGS)
     root = tmp_path_factory.mktemp("twin")
@@ -126,7 +133,7 @@ def twins(tmp_path_factory):
 
 @pytest.mark.parametrize("name", TWIN_NAMES)
 def test_reports_match_on_the_oracles(twins, name):
-    shipped, slow = twins[0][name]
+    shipped, slow, _, _ = twins[0][name]
     assert slow == shipped
 
 
@@ -144,9 +151,10 @@ def main() -> int:
         runs.append((name, RunConfig(**workloads.config(name, workloads.DEFAULT_SEED))))
     runs += [(name, cfg) for name, cfg in DEMO_CONFIGS if name not in workloads.WORKLOADS]
     for name, cfg in runs:
-        shipped, slow = twin_reports(cfg, calls)
+        shipped, slow, shipped_s, slow_s = twin_reports(cfg, calls)
         same = slow == shipped
-        print(f"{name}: {'identical' if same else 'REPORTS DIFFER'}")
+        print(f"{name}: {'identical' if same else 'REPORTS DIFFER'}"
+              f" (shipped {shipped_s:.2f} s, oracles {slow_s:.2f} s)")
         if not same:
             failed.append(name)
     missing = [name for _, name, _ in SWAPS if not calls[name]]
