@@ -1,11 +1,11 @@
 """Executable verdicts for the quantitative claims of the coupling
 construction, restricted to orbit points and finite windows.
 
-Every check returns a :class:`CheckResult` with a status in
-``{pass, fail, vacuous}``, an extremal witness, an exact rational margin
-(status is ``pass`` iff the margin is >= 0) and the population of
-instances examined.  ``vacuous`` means the qualifying set was empty and
-is always reported, never silently passed.
+Every check returns a :class:`CheckResult` with an extremal witness, an
+exact rational margin and the population of instances examined; its
+status in ``{pass, fail, vacuous}`` follows from them: ``vacuous`` when
+the population is empty (always reported, never silently passed), else
+``pass`` iff the margin is >= 0.
 
 Checks run on orbit points g.psi.h only; the closure of the orbit is not
 materializable, and the underlying estimates transfer to limits by
@@ -13,10 +13,10 @@ continuity.  Certificates are orbit-scale statements.  The pipeline
 certifies an orbit point from its ``(g, h)`` pair: each check reads the
 coordinates it needs through ``psi`` and builds no orbit-point object.
 
-:func:`validate_config` holds the one copy of every range rule on a run's
-input (radii, eval radius, ``t_max``, ``m_slack``, check names, epsilon);
-``run_all`` calls it at its ``configure`` stage, and the CLI before any
-subcommand runs.
+:func:`validate_config` holds the one copy of every rule on a run's
+input, a :class:`RunConfig` (integer fields, radii, eval radius,
+``t_max``, ``m_slack``, check names, epsilon); ``run_all`` calls it at
+its ``configure`` stage, and the CLI before any subcommand runs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 from .coarse import (
     CoarseMap,
@@ -68,13 +68,39 @@ CHECK_NAMES = (
 
 
 @dataclass
+class RunConfig:
+    group_H: str = "Z^1"
+    group_G: str = "Z^1"
+    map_descriptor: str = "identity"
+    radius_H: int = 24
+    radius_G: int = 40
+    eval_radius: int = 8
+    seed: int = 0
+    scale_override: int = 0
+    core_radius: int = 0
+    t_max: int = 0
+    m_slack: int = 0
+    epsilon: str = "1/2"
+    checks: Optional[list] = None
+    output_path: Optional[str] = None
+
+
+INT_FIELDS = tuple(name for name, hint in get_type_hints(RunConfig).items() if hint is int)
+
+
+@dataclass
 class CheckResult:
     name: str
-    status: str
     witness: Optional[dict]
     margin: Optional[Fraction]
     population: int
     details: dict = field(default_factory=dict)
+
+    @property
+    def status(self) -> str:
+        if self.population == 0:
+            return "vacuous"
+        return "pass" if self.margin >= 0 else "fail"
 
 
 @dataclass
@@ -108,9 +134,18 @@ def fmt_rat(x) -> str:
     return str(Fraction(x))
 
 
-def validate_config(config) -> tuple:
+def validate_config(config: RunConfig) -> tuple:
     """(selected check names, epsilon) of a run configuration; a
-    PreconditionError names the first value out of range."""
+    PreconditionError names the first value of the wrong type or out of
+    range."""
+    for name in INT_FIELDS:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    checks = config.checks
+    if checks is not None and not (isinstance(checks, (list, tuple))
+                                   and all(isinstance(c, str) for c in checks)):
+        raise PreconditionError(f"checks must be a list of check names, got {checks!r}")
     if config.radius_H <= 0 or config.radius_G <= 0 or config.eval_radius < 0:
         raise PreconditionError("window radii must be positive and eval radius nonnegative")
     if config.t_max < 0 or config.m_slack < 0:
@@ -201,13 +236,12 @@ def check_membership_x(
             diam_worst.update(two_omega - diam, {"point": label, "reason": "diameter",
                                                  "diameter": diam})
     if not labeled_points:
-        return CheckResult("membership_x", "vacuous", None, None, 0)
+        return CheckResult("membership_x", None, None, 0)
     for w in (diam_worst, sep_worst):
         if w.margin is not None:
             worst.update(w.margin, w.witness)
-    status = "pass" if worst.margin >= 0 else "fail"
     return CheckResult(
-        "membership_x", status, worst.witness, worst.margin, len(labeled_points),
+        "membership_x", worst.witness, worst.margin, len(labeled_points),
         details={"diameter_bound": two_omega,
                  "worst_diameter_margin": diam_worst.margin,
                  "worst_separation_margin": sep_worst.margin},
@@ -243,12 +277,11 @@ def check_lipschitz(
                 top_num, top_den = p, r * t
             population += 1
     if population == 0:
-        return CheckResult("lipschitz", "vacuous", None, None, 0)
+        return CheckResult("lipschitz", None, None, 0)
     m_num, m_den, f1, f2, t, val = worst
     fmt = P.window_H.group.format_element
-    status = "pass" if m_num >= 0 else "fail"
     return CheckResult(
-        "lipschitz", status, {"pair": [fmt(f1), fmt(f2)], "distance": t, "l1": val},
+        "lipschitz", {"pair": [fmt(f1), fmt(f2)], "distance": t, "l1": val},
         Fraction(m_num, m_den), population,
         details={"bound_coefficient": coeff,
                  "tightest_constant": Fraction(top_num, top_den), "M": M, "N": N},
@@ -309,13 +342,12 @@ def check_sandwich(
         population += len(pairs) * mult
         skipped += unsupported * mult
     if population == 0:
-        return CheckResult("sandwich", "vacuous", None, None, 0,
+        return CheckResult("sandwich", None, None, 0,
                            details={"skipped_unsupported_t": skipped})
     margin = min(lower_worst.margin, upper_worst.margin)
     witness = (lower_worst if lower_worst.margin <= upper_worst.margin else upper_worst).witness
-    status = "pass" if margin >= 0 else "fail"
     return CheckResult(
-        "sandwich", status, witness, margin, population,
+        "sandwich", witness, margin, population,
         details={
             "lower_margin": lower_worst.margin,
             "upper_margin": upper_worst.margin,
@@ -382,15 +414,14 @@ def check_properness_h(
             population += 1
     if population == 0:
         return CheckResult(
-            "properness_h", "vacuous", None, None, 0,
+            "properness_h", None, None, 0,
             details={"threshold": threshold, "diam_K": diam_K,
                      "confinement_margin": confinement.margin},
         )
     if confinement.margin is not None:
         worst.update(confinement.margin, confinement.witness)
-    status = "pass" if worst.margin >= 0 else "fail"
     return CheckResult(
-        "properness_h", status, worst.witness, worst.margin, population,
+        "properness_h", worst.witness, worst.margin, population,
         details={"threshold": threshold, "diam_K": diam_K,
                  "margin_is_floor": margin_is_floor,
                  "confinement_margin": confinement.margin},
@@ -469,10 +500,9 @@ def check_cocompactness_h(
             )
         population += 1
     if population == 0:
-        return CheckResult("cocompactness_h", "vacuous", None, None, 0)
-    status = "pass" if worst.margin >= 0 else "fail"
+        return CheckResult("cocompactness_h", None, None, 0)
     return CheckResult(
-        "cocompactness_h", status, worst.witness, worst.margin, population,
+        "cocompactness_h", worst.witness, worst.margin, population,
         details={
             "K_radius": K_radius,
             "R": R,
@@ -647,11 +677,10 @@ def check_g_action(
 
     population = pop_proper + pop_recenter + pop_diam
     if population == 0:
-        return CheckResult("g_action", "vacuous", None, None, 0,
+        return CheckResult("g_action", None, None, 0,
                            details={"properness_threshold": tau})
-    status = "pass" if worst.margin >= 0 else "fail"
     return CheckResult(
-        "g_action", status, worst.witness, worst.margin, population,
+        "g_action", worst.witness, worst.margin, population,
         details={
             "properness_threshold": tau,
             "properness_population": pop_proper,

@@ -2,10 +2,11 @@
 reports.
 
 Configuration is ``key = value`` text (``#`` comments); flags override
-file values.  One table, ``_CONFIG_KEYS``, names each key, the
-:class:`RunConfig` field it sets and its flag help; the flags are generated
-from it, and a field annotated ``int`` is parsed as an integer from either
-source.  Every subcommand validates the merged configuration with
+file values.  One table, ``_CONFIG_KEYS``, names each key, the field of
+:class:`couplingcert.certify.RunConfig` it sets and its flag help; the
+flags are generated from it, and a field of ``INT_FIELDS`` (annotated
+``int``) is parsed as an integer from either source.  Every subcommand
+validates the merged configuration with
 :func:`couplingcert.certify.validate_config`, the same call ``run_all``
 makes at its ``configure`` stage.
 
@@ -22,34 +23,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional
 
-from .certify import Certificate, fmt_rat, run_all, validate_config
+from .certify import INT_FIELDS, Certificate, RunConfig, fmt_rat, run_all, validate_config
 from .coarse import choose_scale, make_coarse_map, pipeline_moduli, window_moduli
 from .coupling import build_partition, psi, serialize_density
 from .errors import CouplingCertError, PreconditionError
 from .groups import make_group
 from .windows import build_window, greedy_net, packing_number
-
-
-@dataclass
-class RunConfig:
-    group_H: str = "Z^1"
-    group_G: str = "Z^1"
-    map_descriptor: str = "identity"
-    radius_H: int = 24
-    radius_G: int = 40
-    eval_radius: int = 8
-    seed: int = 0
-    scale_override: int = 0
-    core_radius: int = 0
-    t_max: int = 0
-    m_slack: int = 0
-    epsilon: str = "1/2"
-    checks: Optional[list] = None
-    output_path: Optional[str] = None
 
 
 # config key (and flag name) -> (RunConfig field, flag help), in --help order
@@ -69,7 +51,6 @@ _CONFIG_KEYS = {
     "epsilon": ("epsilon", "threshold for [K, eps] membership, e.g. 1/2"),
     "mslack": ("m_slack", "extra slack added to M (testing aid)"),
 }
-_INT_FIELDS = {name for name, hint in get_type_hints(RunConfig).items() if hint is int}
 
 
 # the three built-in demo configurations exercised by `demo`
@@ -127,7 +108,7 @@ def build_config(args) -> RunConfig:
                 v = [c.strip() for c in v.split(",") if c.strip()]
             if v == ["all"]:
                 v = None
-        elif fieldname in _INT_FIELDS and isinstance(v, str):
+        elif fieldname in INT_FIELDS and isinstance(v, str):
             try:
                 v = int(v)
             except ValueError:
@@ -157,7 +138,7 @@ def emit_report(cert: Certificate, path: Optional[str]) -> int:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
     for flag, (fieldname, text) in _CONFIG_KEYS.items():
-        p.add_argument(f"--{flag}", type=int if fieldname in _INT_FIELDS else None, help=text)
+        p.add_argument(f"--{flag}", type=int if fieldname in INT_FIELDS else None, help=text)
 
 
 def _groups_and_map(cfg: RunConfig):
@@ -184,7 +165,12 @@ def cmd_moduli(cfg: RunConfig) -> int:
     W_H = build_window(H, cfg.radius_H)
     W_G = build_window(G, cfg.radius_G)
     m = window_moduli(phi, W_H, W_G, cfg.t_max)
-    print(f"# window-estimated moduli of {phi.descriptor}, t_max {m.t_max}")
+    head = (f"# window-estimated moduli of {phi.descriptor}, t_max {m.t_max} "
+            f"of {m.requested_t_max} requested")
+    if m.truncated_at is not None:
+        head += (f", truncated at t={m.truncated_at}, where an image distance "
+                 "exceeds the target window")
+    print(head)
     print("# t kappa omega pairs")
     for t in range(m.t_max + 1):
         print(f"{t} {m.kappa[t]} {m.omega[t]} {m.pair_counts[t]}")

@@ -3,21 +3,23 @@ moduli.
 
 ``kappa[t]`` is the least image distance over scanned pairs at source
 distance >= t, ``omega[t]`` the largest over pairs at source distance
-<= t.  Window estimation scans every unordered pair of window elements
-whose source distance is at most ``t_max`` and counts the scanned pairs
-per source distance.  Built-in maps with easy closed forms carry analytic
-moduli, which are valid at every scale and are preferred by the
-certificate pipeline.  For a homomorphism without closed forms (the
-``matrix:`` maps) the pipeline reads the same table off one pass over the
+<= t.  A built-in map that multiplies every word distance by one factor
+carries it as ``stretch``; its moduli ``stretch*t`` hold at every scale
+and are preferred by the certificate pipeline.
+
+Every window scan only counts pairs, by the key ``dH + T*dG`` of their
+source and image distances, with an image distance the target window
+misses keyed as ``W_G.radius + 1``; :func:`_window_table` is the one
+reducer that turns the count into a table.  For a homomorphism without a
+stretch (the ``matrix:`` maps) the pipeline counts one pass over the
 difference ball ``B(t_max)``; the pair scan serves every other map and
 the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
 Z^e`` with every image inside the target window, the pair scan reads both
 distances as closed-form l1 norms: each side is one integer code column (or
 one per coordinate when the side's table would outgrow the scan), and a
-code difference indexes a table of l1 norms.  It counts pairs by
-``(source, image)`` distance; that count has at most ``(2*R_H+1)(2*R_G+1)``
-keys.  Other groups, and images outside the target window, take the scan
-that looks both distances up in windows.
+code difference indexes a table of l1 norms.  Other groups, and images
+outside the target window, take the scan that looks both distances up in
+windows.
 """
 
 from __future__ import annotations
@@ -47,15 +49,11 @@ class CoarseMap:
     target: GroupModel
     descriptor: str
     fn: Callable
-    # exact integer-valued closed forms t -> kappa(t), t -> omega(t)
-    analytic_kappa: Optional[Callable[[int], int]] = None
-    analytic_omega: Optional[Callable[[int], int]] = None
+    # fn multiplies every word distance by exactly this factor:
+    # d(fn(a), fn(b)) = stretch * d(a, b), so kappa(t) = omega(t) = stretch*t
+    stretch: Optional[int] = None
     # fn is a group homomorphism: d(fn(a), fn(b)) = |fn(a^-1 b)|
     homomorphic: bool = False
-
-    @property
-    def has_analytic_moduli(self) -> bool:
-        return self.analytic_kappa is not None and self.analytic_omega is not None
 
 
 def apply(phi: CoarseMap, h):
@@ -71,9 +69,7 @@ def identity_map(H: GroupModel, G: GroupModel) -> CoarseMap:
         raise DescriptorError(
             f"identity map needs matching groups, got {H.descriptor} vs {G.descriptor}"
         )
-    return CoarseMap(H, G, "identity", lambda h: h,
-                     analytic_kappa=lambda t: t, analytic_omega=lambda t: t,
-                     homomorphic=True)
+    return CoarseMap(H, G, "identity", lambda h: h, stretch=1, homomorphic=True)
 
 
 def scale_map(H: GroupModel, G: GroupModel, k: int) -> CoarseMap:
@@ -83,10 +79,8 @@ def scale_map(H: GroupModel, G: GroupModel, k: int) -> CoarseMap:
         raise DescriptorError("scale map needs Z^d source and target of equal rank")
     if k < 1:
         raise DescriptorError(f"scale factor must be >= 1, got {k}")
-    return CoarseMap(H, G, f"scale:{k}",
-                     lambda h: tuple(k * x for x in h),
-                     analytic_kappa=lambda t: k * t, analytic_omega=lambda t: k * t,
-                     homomorphic=True)
+    return CoarseMap(H, G, f"scale:{k}", lambda h: tuple(k * x for x in h),
+                     stretch=k, homomorphic=True)
 
 
 def embed_map(H: GroupModel, G: GroupModel) -> CoarseMap:
@@ -94,9 +88,7 @@ def embed_map(H: GroupModel, G: GroupModel) -> CoarseMap:
     if not (isinstance(H, ZdGroup) and isinstance(G, ZdGroup) and H.d <= G.d):
         raise DescriptorError("embed map needs Z^d -> Z^e with d <= e")
     pad = (0,) * (G.d - H.d)
-    return CoarseMap(H, G, "embed", lambda h: h + pad,
-                     analytic_kappa=lambda t: t, analytic_omega=lambda t: t,
-                     homomorphic=True)
+    return CoarseMap(H, G, "embed", lambda h: h + pad, stretch=1, homomorphic=True)
 
 
 def swap_map(H: GroupModel, G: GroupModel) -> CoarseMap:
@@ -114,8 +106,7 @@ def swap_map(H: GroupModel, G: GroupModel) -> CoarseMap:
         return a if x > 0 else -a
 
     return CoarseMap(H, G, "swap", lambda h: tuple(sw(x) for x in h),
-                     analytic_kappa=lambda t: t, analytic_omega=lambda t: t,
-                     homomorphic=True)
+                     stretch=1, homomorphic=True)
 
 
 def matrix_map(H: GroupModel, G: GroupModel, entries: tuple) -> CoarseMap:
@@ -213,6 +204,9 @@ class Moduli:
     # per t: number of scanned pairs at source distance exactly t
     pair_counts: Optional[list] = None
     requested_t_max: Optional[int] = None
+    # the least source distance with an image distance the target window
+    # misses, when it cut the table below requested_t_max
+    truncated_at: Optional[int] = None
 
     def kappa_at(self, t: int) -> Optional[int]:
         """kappa at integer t (step interpolation); None beyond the table."""
@@ -224,120 +218,96 @@ class Moduli:
 
 
 def analytic_moduli(phi: CoarseMap, t_max: int) -> Moduli:
-    if not phi.has_analytic_moduli:
+    if phi.stretch is None:
         raise PreconditionError(f"map {phi.descriptor} has no analytic moduli")
-    ks = [phi.analytic_kappa(t) for t in range(t_max + 1)]
-    os_ = [phi.analytic_omega(t) for t in range(t_max + 1)]
-    return Moduli(t_max=t_max, kappa=ks, omega=os_, provenance="analytic",
+    ts = [phi.stretch * t for t in range(t_max + 1)]
+    return Moduli(t_max=t_max, kappa=ts, omega=ts, provenance="analytic",
                   requested_t_max=t_max)
 
 
 def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:
-    """Exhaustive pair scan over the source window.
-
-    Pairs at source distance above ``t_max`` are outside the scan.  An
-    image distance that does not resolve in ``W_G`` truncates the table
-    below the first affected distance (enlarging the source window can
-    only shrink kappa and grow omega, so truncation keeps every recorded
-    entry exact for the scanned window).  The table is also trimmed to
-    the last distance with a scanned pair, so every entry is supported.
+    """Exhaustive pair scan over the source window, counted for
+    :func:`_window_table`; pairs at source distance above ``t_max`` are
+    outside the table.
 
     When source and target are both ``Z^d`` and every image lies in
     ``W_G``, both distances are closed-form l1 norms:
-    :func:`_l1_pair_keys` counts the pairs by ``(dH, dG)`` from tables of
-    l1 norms indexed by code differences, with no group product, window
-    lookup or difference ball, and a pair with ``dG >
-    W_G.radius`` is exactly what the lookup would miss.  The
-    images-in-``W_G`` condition bounds ``dG`` by ``2*W_G.radius``, so the
-    count holds at most ``(2*W_H.radius+1)(2*W_G.radius+1)`` keys; far
-    images could make it one key per pair.  Every other input (other
-    groups, images outside ``W_G``) takes the lookup loop, which reads
-    both distances off windows as lengths of ``a^-1 b``.
+    :func:`_l1_pair_keys` counts the pairs from tables of l1 norms indexed
+    by code differences, with no group product, window lookup or
+    difference ball, and a pair with ``dG > W_G.radius`` is exactly what
+    the lookup would miss.  The images-in-``W_G`` condition bounds ``dG``
+    by ``2*W_G.radius``, so the count holds at most
+    ``(2*W_H.radius+1)(2*W_G.radius+1)`` keys; far images could make it
+    one key per pair.  Every other input takes the lookup loop, which
+    reads both distances off windows as lengths of ``a^-1 b``.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
     H, G = phi.source, phi.target
     elements = W_H.elements
-    n = len(elements)
     images = [apply(phi, h) for h in elements]
-
-    # resolved image distances lie in [0, W_G.radius]: the sentinels mark
-    # source distances without a resolved pair
-    min_img = [W_G.radius + 1] * (t_max + 1)
-    max_img = [-1] * (t_max + 1)
-    counts = [0] * (t_max + 1)
-    t_bad = t_max + 1
-
+    # key = dH + T*dG with dH <= 2*W_H.radius < T
+    T = 2 * W_H.radius + 1
     if (isinstance(H, ZdGroup) and isinstance(G, ZdGroup)
             and all(map(W_G.dist.__contains__, images))):
-        # key = dH + T*dG with dH <= 2*W_H.radius < T
-        T = 2 * W_H.radius + 1
         keys = _l1_pair_keys(elements, images, T)
         assert len(keys) <= T * (2 * W_G.radius + 1)
-        for key, c in keys.items():
-            dG, dH = divmod(key, T)
-            if dH > t_max:
-                continue
-            if dG > W_G.radius:
-                if dH < t_bad:
-                    t_bad = dH
-                continue
-            counts[dH] += c
-            if dG < min_img[dH]:
-                min_img[dH] = dG
-            if dG > max_img[dH]:
-                max_img[dH] = dG
     else:
-        if W_H.radius >= t_max:
-            diff = W_H
-        else:
-            diff = build_window(H, t_max)
-        mulH, invH = H.mul, H.inv
-        mulG, invG = G.mul, G.inv
+        diff = W_H if W_H.radius >= t_max else build_window(H, t_max)
+        mulH, invH, mulG, invG = H.mul, H.inv, G.mul, G.inv
         # lookups bound once: Window.length_of costs a call per pair
-        diff_get, g_get = diff.dist.get, W_G.dist.get
-        for i in range(n):
-            hi = elements[i]
-            inv_hi = invH(hi)
-            inv_img = invG(images[i])
-            for hj, img_j in zip(elements[i + 1:], images[i + 1:]):
+        diff_get, g_get, miss = diff.dist.get, W_G.dist.get, W_G.radius + 1
+        pairs = list(zip(elements, images))
+        keys = Counter()
+        for i, (hi, img_i) in enumerate(pairs):
+            inv_hi, inv_img = invH(hi), invG(img_i)
+            row = []
+            for hj, img_j in pairs[i + 1:]:
                 dH = diff_get(mulH(inv_hi, hj))
-                if dH is None or dH > t_max:
-                    continue
-                dG = g_get(mulG(inv_img, img_j))
-                if dG is None:
-                    if dH < t_bad:
-                        t_bad = dH
-                    continue
-                counts[dH] += 1
-                if dG < min_img[dH]:
-                    min_img[dH] = dG
-                if dG > max_img[dH]:
-                    max_img[dH] = dG
-
-    # the diagonal: every element pairs with itself at distance 0 (distinct
-    # elements never do)
-    counts[0] += n
-    min_img[0] = max_img[0] = 0
-    return _window_table(min_img, max_img, min(t_max, t_bad - 1), t_max, counts)
+                if dH is not None and dH <= t_max:
+                    row.append(dH + T * g_get(mulG(inv_img, img_j), miss))
+            keys.update(row)
+    keys[0] += len(elements)  # the diagonal: each element with itself
+    return _window_table(keys, T, W_G.radius, t_max, counted=True)
 
 
-def _window_table(min_img: list, max_img: list, eff: int, t_max: int,
-                  counts: Optional[list] = None) -> Moduli:
-    """The window-estimated table from per-distance image extremes, trimmed
-    from ``eff`` down to the last distance with a resolved pair (a pair is
-    counted exactly when it updates the extremes, so the trim also drops the
-    distances without counted pairs).  Below that distance the running
-    minimum and maximum never hold a sentinel."""
-    while eff > 0 and max_img[eff] < 0:
+def _window_table(keys: Counter, T: int, radius_G: int, t_max: int, counted: bool) -> Moduli:
+    """The window-estimated table from a count of scanned pairs by key
+    ``dH + T*dG``, ``dH < T`` the source and ``dG`` the image distance;
+    ``dG > radius_G`` is an image distance the target window misses.
+
+    Keys with ``dH > t_max`` are outside the table.  A missed image
+    distance truncates the table below the least such ``dH`` (enlarging
+    the source window can only shrink kappa and grow omega, so truncation
+    keeps every recorded entry exact for the scanned window), recorded as
+    ``truncated_at``.  The table is also trimmed to the last distance with
+    a counted pair, so every entry is supported; below it the running
+    minimum and maximum never hold a sentinel.  ``pair_counts`` is kept
+    when ``counted``.
+    """
+    min_img = [radius_G + 1] * (t_max + 1)
+    max_img = [-1] * (t_max + 1)
+    counts = [0] * (t_max + 1)
+    bad = t_max + 1
+    for key, c in keys.items():
+        dG, dH = divmod(key, T)
+        if dG > radius_G:
+            bad = min(bad, dH)  # no change for dH > t_max
+        elif dH <= t_max:
+            counts[dH] += c
+            min_img[dH] = min(min_img[dH], dG)
+            max_img[dH] = max(max_img[dH], dG)
+    eff = bad - 1
+    while eff > 0 and not counts[eff]:
         eff -= 1
     return Moduli(
         t_max=eff,
         kappa=list(accumulate(reversed(min_img[: eff + 1]), min))[::-1],
         omega=list(accumulate(max_img[: eff + 1], max)),
         provenance="window-estimated",
-        pair_counts=None if counts is None else counts[: eff + 1],
+        pair_counts=counts[: eff + 1] if counted else None,
         requested_t_max=t_max,
+        truncated_at=bad if bad <= t_max else None,
     )
 
 
@@ -402,30 +372,24 @@ def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> 
     word for ``x`` in two halves of length <= R.  A homomorphism has
     ``d(phi a, phi b) = |phi(a^-1 b)|``, so the scanned pairs at source
     distance t have exactly the image distances ``|phi x|`` over the
-    sphere of radius t, for every t <= t_max <= 2R.  Truncation and trim
-    follow the pair scan; ``pair_counts`` is not computed.
+    sphere of radius t, for every t <= t_max <= 2R.  The pass counts one
+    key per ``x`` for :func:`_window_table`, up to the first image the
+    target window misses; ``pair_counts`` is not computed.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
     diff = W_H if W_H.radius >= t_max else build_window(phi.source, t_max)
-    min_img = [W_G.radius + 1] * (t_max + 1)
-    max_img = [-1] * (t_max + 1)
-    g_get = W_G.dist.get
-    eff = t_max
+    g_get, miss, T = W_G.dist.get, W_G.radius + 1, t_max + 1
+    keys = []
     for x, dH in diff.dist.items():
         if dH > t_max:
             break
-        dG = g_get(apply(phi, x))
-        if dG is None:
-            # BFS order: every later x is at least as long
-            eff = dH - 1
+        dG = g_get(apply(phi, x), miss)
+        keys.append(dH + T * dG)
+        if dG == miss:  # BFS order: every later x is at least as long
             break
-        if dG < min_img[dH]:
-            min_img[dH] = dG
-        if dG > max_img[dH]:
-            max_img[dH] = dG
     # a finite group's spheres run out; the identity fills distance 0
-    return _window_table(min_img, max_img, eff, t_max)
+    return _window_table(Counter(keys), T, W_G.radius, t_max, counted=False)
 
 
 def _scan_t_max(W_H: Window, t_max: int) -> int:
@@ -442,11 +406,11 @@ def window_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) -> M
 
 
 def pipeline_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) -> Moduli:
-    """The moduli table of the certificate pipeline: analytic when the map
-    has closed forms, else the window table up to ``t_max`` -- one pass
+    """The moduli table of the certificate pipeline: ``stretch*t`` when the
+    map has a stretch, else the window table up to ``t_max`` -- one pass
     over the difference ball for a homomorphism, the pair scan of
     :func:`window_moduli` for any other map."""
-    if phi.has_analytic_moduli:
+    if phi.stretch is not None:
         return analytic_moduli(phi, 2 * (W_G.radius + W_H.radius) + 8)
     if phi.homomorphic:
         return homomorphic_moduli(phi, W_H, W_G, _scan_t_max(W_H, t_max))
@@ -456,12 +420,17 @@ def pipeline_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) ->
 def choose_scale(m: Moduli) -> int:
     """Least integer s with kappa(s) >= 3."""
     for t in range(1, m.t_max + 1):
-        k = m.kappa_at(t)
-        if k is not None and k >= 3:
+        if m.kappa[t] >= 3:
             return t
-    tail = m.kappa[m.t_max] if m.t_max >= 0 else 0
-    earlier = m.kappa[max(0, m.t_max - 2)]
-    if m.t_max >= 1 and tail > earlier:
+    tail = m.kappa[m.t_max]
+    if m.truncated_at is not None:
+        raise ScaleSelectionError(
+            f"kappa reaches only {tail} at t_max={m.t_max}: the table is truncated "
+            f"at t={m.truncated_at}, where an image distance exceeds the target "
+            "window; enlarge the target window",
+            kind="t-max-too-small",
+        )
+    if m.t_max >= 1 and tail > m.kappa[max(0, m.t_max - 2)]:
         raise ScaleSelectionError(
             f"kappa reaches only {tail} at t_max={m.t_max} but is still "
             "growing; re-estimate with a larger window / t_max",

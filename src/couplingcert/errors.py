@@ -40,7 +40,9 @@ class ScaleSelectionError(CouplingCertError):
 
     ``kind`` is ``"kappa-bounded"`` when the compression table has stopped
     growing (the map is not a coarse equivalence), ``"t-max-too-small"``
-    when it was still growing at the end of the table.
+    when it was still growing at the end of the table or was truncated
+    because an image distance left the target window (a larger window may
+    reach kappa >= 3).
     """
 
     def __init__(self, message: str, kind: str):

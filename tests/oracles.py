@@ -100,8 +100,8 @@ def homomorphic_moduli(phi, W_H: Window, W_G: Window, t_max: int) -> Moduli:
     """The truncating pair scan of ``estimate_moduli`` over the unordered
     pairs of W_H, with both distances from ``resolved_distance``:
     truncated below the least source distance whose image distance does
-    not resolve, trimmed to the last distance with a pair, and
-    ``pair_counts`` dropped."""
+    not resolve (recorded as ``truncated_at``), trimmed to the last
+    distance with a pair, and ``pair_counts`` dropped."""
     diff = build_window(phi.source, t_max)
     elements = W_H.elements
     images = [apply(phi, h) for h in elements]
@@ -120,6 +120,29 @@ def homomorphic_moduli(phi, W_H: Window, W_G: Window, t_max: int) -> Moduli:
         omega=[max(dG for dH, dG in kept if dH <= t) for t in range(eff + 1)],
         provenance="window-estimated",
         requested_t_max=t_max,
+        truncated_at=t_bad if t_bad <= t_max else None,
+    )
+
+
+def window_table(keys: Counter, T: int, radius_G: int, t_max: int, counted: bool) -> Moduli:
+    """The table of ``coarse._window_table`` from its definitions: the
+    counted keys expanded into (dH, dG) pairs with their multiplicities,
+    those past ``t_max`` dropped, truncated below the least dH whose dG
+    exceeds ``radius_G``, trimmed to the last dH with a pair, and kappa and
+    omega taken as minima and maxima over distance ranges."""
+    pairs = [(key % T, key // T, c) for key, c in keys.items() if key % T <= t_max]
+    t_bad = min((dH for dH, dG, _ in pairs if dG > radius_G), default=t_max + 1)
+    kept = [(dH, dG, c) for dH, dG, c in pairs if dH < t_bad]
+    eff = max(dH for dH, _, _ in kept)
+    return Moduli(
+        t_max=eff,
+        kappa=[min(dG for dH, dG, _ in kept if dH >= t) for t in range(eff + 1)],
+        omega=[max(dG for dH, dG, _ in kept if dH <= t) for t in range(eff + 1)],
+        provenance="window-estimated",
+        pair_counts=([sum(c for dH, _, c in kept if dH == t) for t in range(eff + 1)]
+                     if counted else None),
+        requested_t_max=t_max,
+        truncated_at=t_bad if t_bad <= t_max else None,
     )
 
 

@@ -571,6 +571,22 @@ def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
     assert exc.value.stage == "configure"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("radius_H", "10"),
+    ("radius_H", 10.5),
+    ("t_max", 2.5),
+    ("seed", True),
+    ("checks", "lipschitz"),
+    ("checks", ["lipschitz", 3]),
+])
+def test_run_all_rejects_a_wrong_typed_value_at_configure(field, value):
+    # a library caller's value of the wrong type is input error, not a
+    # TypeError deep in a stage, and not a float t_max taken as is
+    with pytest.raises(PipelineError) as exc:
+        run_all(replace(RunConfig(), **{field: value}))
+    assert exc.value.stage == "configure" and f"{field} must be" in str(exc.value)
+
+
 @pytest.mark.parametrize("field,group,desc", [
     ("m_slack", "Z^1", "identity"),
     ("t_max", "Z^1", "identity"),

@@ -205,11 +205,11 @@ def test_report_has_no_floats(tmp_path):
 def test_exit_codes_from_emit_report(tmp_path, capsys):
     passing = Certificate(
         constants={}, window_metadata={},
-        checks=[CheckResult("lipschitz", "pass", None, Fraction(1), 1),
-                CheckResult("sandwich", "vacuous", None, None, 0)])
+        checks=[CheckResult("lipschitz", None, Fraction(1), 1),
+                CheckResult("sandwich", None, None, 0)])
     failing = Certificate(
         constants={}, window_metadata={},
-        checks=[CheckResult("lipschitz", "fail", None, Fraction(-1), 1)])
+        checks=[CheckResult("lipschitz", None, Fraction(-1), 1)])
     assert emit_report(passing, None) == 0
     assert emit_report(failing, None) == 1
     capsys.readouterr()
@@ -223,6 +223,24 @@ def test_pipeline_error_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "[scale]" in err and "bounded" in err
+
+
+def test_a_truncated_table_is_not_blamed_on_the_map(tmp_path, capsys):
+    # v -> 5v expands distances, but with rG = 3 every image pair at source
+    # distance 1 leaves the target window: the table stops at t = 0, and
+    # the error says so instead of calling kappa bounded
+    table = tmp_path / "x5.map"
+    table.write_text("".join(f"{v} -> {5 * v}\n" for v in range(-4, 5)))
+    flags = ["--H", "Z", "--G", "Z", "--map", f"table:{table}", "--rH", "4", "--rG", "3"]
+    assert main(["certify", *flags, "--eval", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [scale] kappa reaches only 0 at t_max=0: the table is "
+                          "truncated at t=1") and "bounded" not in err
+    assert main(["moduli", *flags]) == 0
+    assert capsys.readouterr().out == (
+        f"# window-estimated moduli of table:{table}, t_max 0 of 8 requested, truncated "
+        "at t=1, where an image distance exceeds the target window\n"
+        "# t kappa omega pairs\n0 0 0 9\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,7 +330,7 @@ def test_demo_subcommand(capsys):
 
 def test_render_report_statuses_lowercase():
     cert = Certificate(constants={"s": Fraction(3)}, window_metadata={},
-                       checks=[CheckResult("x", "pass", None, Fraction(0), 1)])
+                       checks=[CheckResult("x", None, Fraction(0), 1)])
     text = render_report(cert)
     assert '"status": "pass"' in text
     assert '"s": "3"' in text

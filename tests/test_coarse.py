@@ -81,6 +81,7 @@ def test_estimate_moduli_trims_distances_without_pairs():
     m = estimate_moduli(make_coarse_map("identity", C5, C5),
                         build_window(C5, 4), build_window(C5, 4), 8)
     assert (m.t_max, m.requested_t_max, m.pair_counts) == (2, 8, [5, 5, 5])
+    assert m.truncated_at is None  # trimmed, not truncated
     assert [m.kappa_at(t) for t in range(4)] == [0, 1, 2, None]
     assert [m.omega_at(t) for t in range(4)] == [0, 1, 2, None]
 
@@ -156,7 +157,7 @@ def test_window_monotonicity_of_moduli():
 ])
 def test_window_estimates_bracket_analytic_moduli(desc, H, G):
     phi = make_coarse_map(desc, H, G)
-    assert phi.has_analytic_moduli
+    assert phi.stretch is not None
     W_H = build_window(H, 4)
     W_G = build_window(G, 10 if G is F2 else 30)
     est = estimate_moduli(phi, W_H, W_G, 8)
@@ -172,7 +173,21 @@ def test_estimation_truncates_on_unresolvable_images():
     W_G = build_window(Z, 6)
     m = estimate_moduli(phi, W_H, W_G, 12)
     assert m.t_max == 6  # truncated below the first unresolvable distance
+    assert m.truncated_at == 7
     assert m.kappa == list(range(7))
+
+
+def test_a_truncated_table_leaves_the_scale_to_a_larger_window():
+    # v -> 5v on B(4) with W_G = B(3): every pair at distance 1 already
+    # leaves the target window, so the table stops at t = 0.  That says
+    # nothing about whether kappa is bounded.
+    phi = table_map(Z, Z, {(v,): (5 * v,) for v in range(-4, 5)})
+    m = estimate_moduli(phi, build_window(Z, 4), build_window(Z, 3), 8)
+    assert (m.t_max, m.truncated_at, m.kappa) == (0, 1, [0])
+    with pytest.raises(ScaleSelectionError) as exc:
+        choose_scale(m)
+    assert exc.value.kind == "t-max-too-small"
+    assert "truncated at t=1" in str(exc.value)
 
 
 def test_cobounded_radius_examples():
@@ -242,7 +257,8 @@ def _reference_moduli(phi, W_H, W_G, t_max):
             dH = resolved_distance(diff, a, b)
             if dH is not None and dH <= t_max:
                 scanned.append((a, b, dH, resolved_distance(W_G, phi.fn(a), phi.fn(b))))
-    eff = min([t_max] + [dH - 1 for _, _, dH, dG in scanned if dG is None])
+    bad = min([dH for _, _, dH, dG in scanned if dG is None], default=None)
+    eff = t_max if bad is None else min(t_max, bad - 1)
     pairs = [(els[0], els[0], 0, 0)] + [p for p in scanned if p[3] is not None]
     counts = [len(els) if t == 0 else 0 for t in range(t_max + 1)]
     for _, _, dH, _ in pairs[1:]:
@@ -256,6 +272,7 @@ def _reference_moduli(phi, W_H, W_G, t_max):
         "omega": [max(p[3] for p in pairs if p[2] <= t) for t in range(eff + 1)],
         "pair_counts": counts[: eff + 1],
         "requested_t_max": t_max,
+        "truncated_at": bad,
     }
 
 
@@ -371,7 +388,7 @@ def test_estimate_moduli_truncates_on_a_small_target():
         assert getattr(m, name) == value, name
 
 
-MODULI_FIELDS = ("t_max", "kappa", "omega", "requested_t_max", "provenance")
+MODULI_FIELDS = ("t_max", "kappa", "omega", "requested_t_max", "provenance", "truncated_at")
 
 # generators of GL_2(Z): elementary shears, the coordinate swap, a reflection
 GL2_GENERATORS = [(1, k, 0, 1) for k in (-2, -1, 1, 2)] + [
@@ -394,7 +411,7 @@ def test_homomorphic_pass_matches_the_pair_scan_on_gl2z(word, r_H, t_frac, r_G):
     for M in word:
         A = _matmul(A, M)
     phi = make_coarse_map("matrix:" + ",".join(map(str, A)), Z2, Z2)
-    assert phi.homomorphic and not phi.has_analytic_moduli
+    assert phi.homomorphic and phi.stretch is None
     W_H, W_G = build_window(Z2, r_H), build_window(Z2, r_G)
     t_max = max(1, 2 * r_H * t_frac // 4)
     fast = homomorphic_moduli(phi, W_H, W_G, t_max)
@@ -446,3 +463,21 @@ def test_homomorphic_flag_is_truthful(desc, H, G):
     for a in ball:
         for b in ball:
             assert apply(phi, H.mul(a, b)) == G.mul(apply(phi, a), apply(phi, b))
+
+
+@pytest.mark.parametrize("desc,H,G", [
+    ("identity", Z2, Z2),
+    ("scale:3", Z2, Z2),
+    ("embed", Z, Z2),
+    ("swap", F2, F2),
+])
+def test_stretch_is_truthful(desc, H, G):
+    # the stretch is exact, not only a bound: every distance is multiplied by it
+    phi = make_coarse_map(desc, H, G)
+    ball = build_window(H, 3).elements
+    far = build_window(H, 6)
+    near = build_window(G, 6 * phi.stretch)
+    for a in ball:
+        for b in ball:
+            assert (distance(near, apply(phi, a), apply(phi, b))
+                    == phi.stretch * distance(far, a, b))

@@ -49,6 +49,7 @@ SWAPS = (
     ("certify", "_kappa_sublevel_radius", oracles.kappa_sublevel_radius),
     ("certify", "_far_shell", oracles.far_shell),
     ("coarse", "_l1_pair_keys", oracles.l1_pair_keys),
+    ("coarse", "_window_table", oracles.window_table),
     ("windows", "greedy_net", oracles.greedy_net_scan),
     ("coupling", "_bump_walk", oracles.bump_walk),
     ("windows", "build_window", oracles.build_window),
@@ -75,9 +76,9 @@ def slow_paths(calls: Counter):
     calls in ``calls`` by routine name."""
 
     def counted(name, oracle):
-        def run(*args):
+        def run(*args, **kwargs):
             calls[name] += 1
-            return oracle(*args)
+            return oracle(*args, **kwargs)
         return run
 
     slow = {getattr(import_module(f"couplingcert.{module}"), name): counted(name, oracle)
