@@ -14,8 +14,8 @@ certifies an orbit point from its ``(g, h)`` pair: each check reads the
 coordinates it needs through ``psi`` and builds no orbit-point object.
 
 :func:`validate_config` holds the one copy of every rule on a run's
-input, a :class:`RunConfig` (integer fields, radii, eval radius,
-``t_max``, ``m_slack``, check names, epsilon); ``run_all`` calls it at
+input, a :class:`RunConfig` (integer and string fields, radii, eval
+radius, ``t_max``, ``m_slack``, check names, epsilon); ``run_all`` calls it at
 its ``configure`` stage, and the CLI before any subcommand runs.
 """
 
@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Optional, get_type_hints
+from typing import Callable, Optional, Union, get_type_hints
 
 from .coarse import (
     CoarseMap,
@@ -80,12 +80,15 @@ class RunConfig:
     core_radius: int = 0
     t_max: int = 0
     m_slack: int = 0
-    epsilon: str = "1/2"
+    epsilon: Union[str, Fraction] = "1/2"
     checks: Optional[list] = None
     output_path: Optional[str] = None
 
 
-INT_FIELDS = tuple(name for name, hint in get_type_hints(RunConfig).items() if hint is int)
+_HINTS = get_type_hints(RunConfig)
+INT_FIELDS = tuple(name for name, hint in _HINTS.items() if hint is int)
+# fields annotated str, or Optional[str] (None allowed)
+STR_FIELDS = tuple(name for name, hint in _HINTS.items() if hint in (str, Optional[str]))
 
 
 @dataclass
@@ -142,6 +145,12 @@ def validate_config(config: RunConfig) -> tuple:
         value = getattr(config, name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    for name in STR_FIELDS:
+        value = getattr(config, name)
+        optional = _HINTS[name] is not str
+        if not (isinstance(value, str) or optional and value is None):
+            raise PreconditionError(
+                f"{name} must be a string{' or None' if optional else ''}, got {value!r}")
     checks = config.checks
     if checks is not None and not (isinstance(checks, (list, tuple))
                                    and all(isinstance(c, str) for c in checks)):
@@ -163,7 +172,10 @@ def validate_config(config: RunConfig) -> tuple:
 
 
 def parse_epsilon(value) -> Fraction:
-    """The [K, eps] membership threshold as an exact rational in (0, 1]."""
+    """The [K, eps] membership threshold as an exact rational in (0, 1]; a
+    float (binary, so 0.1 is not 1/10) or a bool is refused."""
+    if isinstance(value, (float, bool)):
+        raise PreconditionError(f"epsilon must be an exact rational, got {value!r}")
     try:
         eps = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):

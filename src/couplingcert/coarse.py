@@ -16,19 +16,18 @@ difference ball ``B(t_max)``; the pair scan serves every other map and
 the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
 Z^e`` with every image inside the target window, the pair scan reads both
 distances as closed-form l1 norms: each side is one integer code column (or
-one per coordinate when the side's table would outgrow the scan), and a
-code difference indexes a table of l1 norms.  Other groups, and images
-outside the target window, take the scan that looks both distances up in
-windows.
+one per coordinate when the side's table would outgrow the scan), coded by
+:func:`couplingcert.windows._l1_codes`, and a row is a slice of the table of
+l1 norms indexed by the later codes.  Other groups, and images outside the
+target window, take the scan that looks both distances up in windows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from math import prod
-from operator import add, sub
+from itertools import accumulate
+from operator import add
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -40,7 +39,7 @@ from .errors import (
     TableMapError,
 )
 from .groups import FreeGroup, GroupModel, ZdGroup
-from .windows import Window, build_window, set_distance
+from .windows import Window, _l1_codes, build_window, set_distance
 
 
 @dataclass
@@ -316,52 +315,25 @@ def _l1_pair_keys(elements: list, images: list, T: int) -> Counter:
     with ``dH``, ``dG`` the l1 distances of the elements and of their
     ``images``.
 
-    Each side is held as integer code columns (:func:`_l1_codes`), whose
-    differences index tables of l1 norms (the image side's times ``T``),
-    so the distances from row ``i`` to every later row are a chain of
-    ``map`` calls over the column slices: no per-pair Python bytecode.
+    Each side is held as integer code columns (:func:`_l1_codes`, each
+    column's least code 0), whose differences index tables of l1 norms (the
+    image side's times ``T``).  Row ``i`` slices each table at ``offset -
+    col[i]``, so the distances from row ``i`` to every later row are the
+    slices mapped over the later codes, summed across the columns: no
+    per-pair Python bytecode and no per-pair difference.
     """
     pairs = len(elements) * (len(elements) - 1) // 2
-    codes = _l1_codes(elements, 1, pairs) + _l1_codes(images, T, pairs)
+    codes = [(col, table, offset, max(col) + 1)
+             for col, table, offset in _l1_codes(elements, 1, pairs) + _l1_codes(images, T, pairs)]
     keys = Counter()
     for i in range(len(elements)):
         dist = None
-        for col, table, offset in codes:
-            d = map(table.__getitem__, map(sub, col[i + 1:], repeat(col[i] - offset)))
+        for col, table, offset, width in codes:
+            start = offset - col[i]
+            d = map(table[start:start + width].__getitem__, col[i + 1:])
             dist = d if dist is None else map(add, dist, d)
         keys.update(dist)
     return keys
-
-
-def _l1_codes(points: list, scale: int, budget: int) -> list:
-    """``(column, table, offset)`` triples with ``scale`` times the l1
-    distance of points ``a`` and ``b`` equal to the sum over the triples of
-    ``table[col[b] - col[a] + offset]``.
-
-    The points are coded in mixed radix, with base ``2*span + 1`` for a
-    coordinate of spread ``span`` over the points, so a code difference
-    names exactly one difference vector and the table holds its norm.  All
-    coordinates share one code when that table has at most ``budget``
-    entries, else each coordinate is its own code with a table of ``|x|``
-    over its span.  Equal table values share one int object.
-    """
-    cols = [(col, max(col) - min(col)) for col in zip(*points)]
-    if prod(2 * span + 1 for _, span in cols) <= budget:
-        groups = [cols]
-    else:
-        groups = [[c] for c in cols]
-    out = []
-    for group in groups:
-        code = [0] * len(points)
-        table = [0]
-        radix = 1
-        for col, span in group:
-            code = list(map(add, code, [radix * x for x in col]))
-            table = [a + abs(x) for x in range(-span, span + 1) for a in table]
-            radix *= 2 * span + 1
-        scaled = [scale * v for v in range(max(table) + 1)]
-        out.append((code, list(map(scaled.__getitem__, table)), radix // 2))
-    return out
 
 
 def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:

@@ -7,7 +7,10 @@ of a search from the identity in the model's fixed generator order.  One
 search, :func:`_bfs`, builds both the balls and the multi-source distance
 fields.  Distances are resolved by normal-form lookup: ``d(a, b)`` is
 ``dist.get(a^-1 b)``, and a lookup miss means the distance exceeds the
-window radius.
+window radius.  On ``Z^d`` the packing search reads its distances as
+closed-form l1 norms instead: :func:`_l1_codes` codes points as integers
+whose differences index a table of norms, the coding the ``Z^d`` moduli
+pair scan of :mod:`couplingcert.coarse` also uses.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .errors import PreconditionError, ResolutionError, WindowBudgetError
-from .groups import GroupModel
+from .groups import GroupModel, ZdGroup
 
 DEFAULT_ELEMENT_BUDGET = 5_000_000
 
@@ -232,10 +236,14 @@ def packing_number(
     By left-invariance any maximizing configuration translates to one
     containing the identity, so the search runs over the centered ball of
     radius diam_bound via branch and bound, with the compatibility graph
-    and the branching sets held as integer bitmasks.  When the candidate
-    set or the node budget is exceeded the volume upper bound is returned
-    with the exactness flag cleared; an overestimate is always safe
-    downstream.
+    and the branching sets held as integer bitmasks.  It branches in
+    increasing index order, so the compatibility rows keep only their
+    upper triangle (:func:`_compat_rows`, closed-form on ``Z^d``).  A child
+    that cannot branch (an empty mask, or one too small to beat the best
+    size) is counted and may record a new best without a call; ``nodes``
+    still counts every node.  When the candidate set or the node budget is
+    exceeded the volume upper bound is returned with the exactness flag
+    cleared; an overestimate is always safe downstream.
     """
     separation = Fraction(separation)
     diam_bound = Fraction(diam_bound)
@@ -266,56 +274,39 @@ def packing_number(
             note=f"candidate set of size {len(candidates)} exceeds cap {candidate_cap}",
         )
 
-    # compat[i] has bit j set when candidates i and j are compatible in one
-    # configuration: >= separation and <= diam_bound apart.  Unresolvable
-    # distances exceed the radius, hence exceed diam_bound (incompatible).
-    n = len(candidates)
-    dist_get = W.dist.get
-    mul, inv = W.group.mul, W.group.inv
-    compat = [0] * n
-    for i, c in enumerate(candidates):
-        inv_i = inv(c)
-        bit_i = 1 << i
-        row = 0
-        for j in range(i + 1, n):
-            d = dist_get(mul(inv_i, candidates[j]))
-            if d is not None and lo <= d <= hi:
-                row |= 1 << j
-                compat[j] |= bit_i
-        compat[i] |= row
+    compat = _compat_rows(W, candidates, lo, hi)
+    best, best_set = 1, [0]
+    nodes = 1  # the root: configurations are translated so candidate 0 (the identity) is a member
 
-    best = 1 if n else 0
-    best_set = [0] if n else []
-    nodes = 0
-    aborted = False
-
-    def extend(current: list, allowed: int):
-        # branch on the members of `allowed` in increasing index order
-        nonlocal best, best_set, nodes, aborted
-        nodes += 1
-        if nodes > node_budget:
-            aborted = True
-            return
-        if len(current) > best:
-            best = len(current)
-            best_set = list(current)
-        room = allowed.bit_count()
+    def extend(current: list, allowed: int, room: int) -> bool:
+        # branch on the `room` members of `allowed` in increasing index
+        # order; each child is counted here and called only when it can
+        # branch.  True when the node budget ran out.
+        nonlocal best, best_set, nodes
+        depth = len(current) + 1  # of the children
         while allowed:
-            if len(current) + room <= best:
-                return
+            if depth - 1 + room <= best:
+                return False
             low = allowed & -allowed
             j = low.bit_length() - 1
             allowed ^= low
             room -= 1
-            current.append(j)
-            extend(current, allowed & compat[j])
-            current.pop()
-            if aborted:
-                return
+            nodes += 1
+            if nodes > node_budget:
+                return True
+            if depth > best:
+                best, best_set = depth, current + [j]
+            child = allowed & compat[j]
+            size = child.bit_count()
+            if depth + size > best:
+                current.append(j)
+                aborted = extend(current, child, size)
+                current.pop()
+                if aborted:
+                    return True
+        return False
 
-    if n:
-        # configurations are translated so candidate 0 (the identity) is a member
-        extend([0], compat[0])
+    aborted = nodes > node_budget or extend([0], compat[0], compat[0].bit_count())
     if aborted:
         return PackingResult(
             value=ub,
@@ -330,6 +321,77 @@ def packing_number(
         witness=[candidates[i] for i in best_set],
         nodes=nodes,
     )
+
+
+def _compat_rows(W: Window, candidates: list, lo: int, hi: int) -> list:
+    """``rows[i]`` has bit ``j`` set, for ``j > i`` only, when candidates
+    ``i`` and ``j`` are ``lo`` to ``hi`` apart; the search reads ``rows[j]``
+    only under masks of indices above ``j``.
+
+    On ``Z^d`` the distances are l1 norms, read off one code table
+    (:func:`_l1_codes`) mapped to ``"0"``/``"1"``: row ``i`` joins the
+    characters of the later candidates, highest index first, and parses
+    them as one binary integer, with no group product or window lookup.
+    Other groups look each distance up in ``W``; a distance the window
+    misses exceeds its radius, hence ``hi``.
+    """
+    n = len(candidates)
+    if isinstance(W.group, ZdGroup):
+        [(col, table, offset)] = _l1_codes(candidates, 1, math.inf)
+        # the candidates are B(hi): every coordinate spans [-hi, hi], so the
+        # table has (4*hi+1)^d entries, at most 17^4 = 83,521 under the
+        # default candidate cap (Z^4 at hi = 4)
+        assert len(table) == (4 * hi + 1) ** W.group.d
+        bits = "".join(["1" if lo <= v <= hi else "0" for v in table])
+        later = col[::-1]  # later[:n-1-i] holds the codes of candidates n-1, ..., i+1
+        return [int("".join(map(bits[offset - c:].__getitem__, later[:n - 1 - i])), 2) << (i + 1)
+                for i, c in enumerate(col[:-1])] + [0]
+    dist_get = W.dist.get
+    mul, inv = W.group.mul, W.group.inv
+    rows = []
+    for i, c in enumerate(candidates):
+        inv_i = inv(c)
+        row = 0
+        for j in range(i + 1, n):
+            d = dist_get(mul(inv_i, candidates[j]))
+            if d is not None and lo <= d <= hi:
+                row |= 1 << j
+        rows.append(row)
+    return rows
+
+
+def _l1_codes(points: list, scale: int, budget) -> list:
+    """``(column, table, offset)`` triples with ``scale`` times the l1
+    distance of points ``a`` and ``b`` equal to the sum over the triples of
+    ``table[col[b] - col[a] + offset]``.
+
+    The points are coded in mixed radix, with base ``2*span + 1`` for a
+    coordinate of spread ``span`` over the points, so a code difference
+    names exactly one difference vector and the table holds its norm.  All
+    coordinates share one code when that table has at most ``budget``
+    entries, else each coordinate is its own code with a table of ``|x|``
+    over its span.  Each column is shifted to least code 0, so it is at most
+    ``offset``: row ``a`` of the table is the slice from ``offset - col[a]``,
+    indexed by ``col[b]``.  Equal table values share one int object.
+    """
+    cols = [(col, max(col) - min(col)) for col in zip(*points)]
+    if math.prod(2 * span + 1 for _, span in cols) <= budget:
+        groups = [cols]
+    else:
+        groups = [[c] for c in cols]
+    out = []
+    for group in groups:
+        code = [0] * len(points)
+        table = [0]
+        radix = 1
+        for col, span in group:
+            code = list(map(add, code, [radix * x for x in col]))
+            table = [a + abs(x) for x in range(-span, span + 1) for a in table]
+            radix *= 2 * span + 1
+        low = min(code)
+        scaled = [scale * v for v in range(max(table) + 1)]
+        out.append(([c - low for c in code], list(map(scaled.__getitem__, table)), radix // 2))
+    return out
 
 
 def _volume_upper_bound(W: Window, lo: int, hi: int, n_candidates: int) -> int:

@@ -14,8 +14,9 @@ from couplingcert.coarse import Moduli, apply
 from couplingcert.coupling import PartitionOfUnity, SparseDensity
 from couplingcert.errors import PreconditionError, ResolutionError, WindowBudgetError
 from couplingcert.groups import GroupModel
-from couplingcert.windows import (DEFAULT_ELEMENT_BUDGET, Net, Window, resolved_distance,
-                                  set_distance)
+from couplingcert.windows import (DEFAULT_CANDIDATE_CAP, DEFAULT_ELEMENT_BUDGET,
+                                  DEFAULT_NODE_BUDGET, Net, PackingResult, Window,
+                                  _volume_upper_bound, resolved_distance, set_distance)
 
 
 def multiply(G: GroupModel, a, b):
@@ -227,6 +228,121 @@ def packing_number_naive(W: Window, separation, diam_bound) -> int:
 
     extend(0, [])
     return best[0]
+
+
+def packing_number_lookup(
+    W: Window,
+    separation,
+    diam_bound,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
+) -> PackingResult:
+    """Maximum size of a subset with pairwise distances >= separation and
+    diameter <= diam_bound: the search of ``windows.packing_number`` on
+    symmetric compatibility masks built by one window lookup per pair, with
+    one call per search node.
+
+    By left-invariance any maximizing configuration translates to one
+    containing the identity, so the search runs over the centered ball of
+    radius diam_bound via branch and bound, with the compatibility graph
+    and the branching sets held as integer bitmasks.  When the candidate
+    set or the node budget is exceeded the volume upper bound is returned
+    with the exactness flag cleared; an overestimate is always safe
+    downstream.
+    """
+    separation = Fraction(separation)
+    diam_bound = Fraction(diam_bound)
+    if separation <= 0 or diam_bound < 0:
+        raise PreconditionError("separation must be positive and diam_bound nonnegative")
+    if diam_bound + separation > 2 * W.radius:
+        raise PreconditionError(
+            f"need diam_bound + separation <= 2*radius, got {diam_bound} + "
+            f"{separation} > {2 * W.radius}"
+        )
+    if diam_bound > W.radius:
+        raise PreconditionError(
+            f"diam_bound {diam_bound} exceeds the window radius {W.radius}; "
+            "build a larger window"
+        )
+
+    # word lengths are integers: lo <= d <= hi is exactly
+    # separation <= d <= diam_bound
+    lo, hi = math.ceil(separation), math.floor(diam_bound)
+    candidates = W.ball(hi)
+    ub = _volume_upper_bound(W, lo, hi, len(candidates))
+    if len(candidates) > candidate_cap:
+        return PackingResult(
+            value=ub,
+            exact=False,
+            witness=None,
+            nodes=0,
+            note=f"candidate set of size {len(candidates)} exceeds cap {candidate_cap}",
+        )
+
+    # compat[i] has bit j set when candidates i and j are compatible in one
+    # configuration: >= separation and <= diam_bound apart.  Unresolvable
+    # distances exceed the radius, hence exceed diam_bound (incompatible).
+    n = len(candidates)
+    dist_get = W.dist.get
+    mul, inv = W.group.mul, W.group.inv
+    compat = [0] * n
+    for i, c in enumerate(candidates):
+        inv_i = inv(c)
+        bit_i = 1 << i
+        row = 0
+        for j in range(i + 1, n):
+            d = dist_get(mul(inv_i, candidates[j]))
+            if d is not None and lo <= d <= hi:
+                row |= 1 << j
+                compat[j] |= bit_i
+        compat[i] |= row
+
+    best = 1 if n else 0
+    best_set = [0] if n else []
+    nodes = 0
+    aborted = False
+
+    def extend(current: list, allowed: int):
+        # branch on the members of `allowed` in increasing index order
+        nonlocal best, best_set, nodes, aborted
+        nodes += 1
+        if nodes > node_budget:
+            aborted = True
+            return
+        if len(current) > best:
+            best = len(current)
+            best_set = list(current)
+        room = allowed.bit_count()
+        while allowed:
+            if len(current) + room <= best:
+                return
+            low = allowed & -allowed
+            j = low.bit_length() - 1
+            allowed ^= low
+            room -= 1
+            current.append(j)
+            extend(current, allowed & compat[j])
+            current.pop()
+            if aborted:
+                return
+
+    if n:
+        # configurations are translated so candidate 0 (the identity) is a member
+        extend([0], compat[0])
+    if aborted:
+        return PackingResult(
+            value=ub,
+            exact=False,
+            witness=None,
+            nodes=nodes,
+            note=f"node budget {node_budget} exceeded",
+        )
+    return PackingResult(
+        value=best,
+        exact=True,
+        witness=[candidates[i] for i in best_set],
+        nodes=nodes,
+    )
 
 
 def _weights(d: SparseDensity) -> dict:

@@ -26,6 +26,7 @@ from couplingcert.certify import (
     check_properness_h,
     check_sandwich,
     run_all,
+    validate_config,
 )
 from couplingcert.cli import DEMO_CONFIGS, RunConfig
 from couplingcert.coarse import (
@@ -578,13 +579,31 @@ def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
     ("seed", True),
     ("checks", "lipschitz"),
     ("checks", ["lipschitz", 3]),
+    ("group_H", 2),
+    ("group_G", None),
+    ("map_descriptor", None),
+    ("output_path", 3),
+    ("epsilon", 0.1),
+    ("epsilon", 0.5),
+    ("epsilon", True),
 ])
 def test_run_all_rejects_a_wrong_typed_value_at_configure(field, value):
     # a library caller's value of the wrong type is input error, not a
-    # TypeError deep in a stage, and not a float t_max taken as is
+    # TypeError or AttributeError deep in a stage, and not a float t_max or
+    # epsilon taken as is (0.1 is the binary fraction 3602879701896397/2**55)
     with pytest.raises(PipelineError) as exc:
         run_all(replace(RunConfig(), **{field: value}))
     assert exc.value.stage == "configure" and f"{field} must be" in str(exc.value)
+
+
+@pytest.mark.parametrize("epsilon", ["1/10", Fraction(1, 10), "0.1"])
+def test_epsilon_reads_exactly(epsilon):
+    assert validate_config(RunConfig(epsilon=epsilon))[1] == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("path", [None, "report.json"])
+def test_output_path_may_be_none_or_a_string(path):
+    validate_config(RunConfig(output_path=path))
 
 
 @pytest.mark.parametrize("field,group,desc", [

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from math import prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from couplingcert import coarse
+from couplingcert import coarse, windows
 from couplingcert.coarse import (
     analytic_moduli,
     apply,
@@ -327,10 +326,11 @@ def _check_moduli_against_reference(seed, source, e, r_H, t_frac, r_G, spread, s
     assert m.kappa_at(m.t_max + 1) is None and m.omega_at(m.t_max + 1) is None
 
 
-def test_estimate_moduli_matches_reference_pair_scan(monkeypatch):
-    # which l1 coding each side of rank > 1 took: one code, or one per coordinate
+def _spy_codings(monkeypatch) -> Counter:
+    """Which l1 coding each side of rank > 1 of the ``Z^d`` moduli scan
+    takes from now on: one code, or one per coordinate."""
     codings = Counter()
-    l1_codes = coarse._l1_codes
+    l1_codes = windows._l1_codes
 
     def spy(points, scale, budget):
         codes = l1_codes(points, scale, budget)
@@ -339,35 +339,18 @@ def test_estimate_moduli_matches_reference_pair_scan(monkeypatch):
         return codes
 
     monkeypatch.setattr(coarse, "_l1_codes", spy)
+    return codings
+
+
+def test_estimate_moduli_matches_reference_pair_scan(monkeypatch):
+    codings = _spy_codings(monkeypatch)
     _check_moduli_against_reference()
     assert codings["one code"] and codings["per coordinate"], codings
 
 
-@pytest.mark.parametrize("branch", ["one code", "per coordinate"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), d=st.integers(1, 4), scale=st.integers(1, 9))
-def test_l1_codes_sum_to_the_scaled_l1_distance(branch, data, d, scale):
-    # a budget of at least the one-code table size takes the one-code
-    # branch, a smaller one gives each coordinate its own code
-    n = data.draw(st.integers(1, 12))
-    bound = data.draw(st.integers(0, 6))
-    shift = data.draw(st.integers(-9, 9))
-    coord = st.integers(shift - bound, shift + bound)
-    points = data.draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
-    size = prod(2 * (max(c) - min(c)) + 1 for c in zip(*points))
-    budget = data.draw(st.integers(size, 2 * size) if branch == "one code"
-                       else st.integers(0, size - 1))
-    codes = coarse._l1_codes(points, scale, budget)
-    assert len(codes) == (1 if branch == "one code" else d)
-    for i, a in enumerate(points):
-        for j, b in enumerate(points):
-            assert (sum(table[col[j] - col[i] + offset] for col, table, offset in codes)
-                    == scale * sum(abs(x - y) for x, y in zip(a, b)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d=st.integers(1, 4), e=st.integers(1, 4), T=st.integers(1, 9))
-def test_coded_l1_pair_keys_match_the_column_oracle(data, d, e, T):
+def _check_coded_l1_pair_keys(data, d, e, T):
     # small bounds give one code per side, large ones one code per coordinate
     n = data.draw(st.integers(1, 30))
     bound = data.draw(st.integers(0, 6))
@@ -376,6 +359,13 @@ def test_coded_l1_pair_keys_match_the_column_oracle(data, d, e, T):
     elements = data.draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
     images = data.draw(st.lists(st.tuples(*[coord] * e), min_size=n, max_size=n))
     assert coarse._l1_pair_keys(elements, images, T) == oracles.l1_pair_keys(elements, images, T)
+
+
+def test_coded_l1_pair_keys_match_the_column_oracle(monkeypatch):
+    # the sliced rows of both codings are compared
+    codings = _spy_codings(monkeypatch)
+    _check_coded_l1_pair_keys()
+    assert codings["one code"] and codings["per coordinate"], codings
 
 
 def test_estimate_moduli_truncates_on_a_small_target():

@@ -55,6 +55,7 @@ SWAPS = (
     ("windows", "build_window", oracles.build_window),
     ("windows", "distance_field", oracles.distance_field),
     ("coarse", "homomorphic_moduli", oracles.homomorphic_moduli),
+    ("windows", "packing_number", oracles.packing_number_lookup),
 )
 
 # reduced-radius copies of the benchmark workloads (shear-z2 is a demo

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from couplingcert import windows
 from couplingcert.errors import PreconditionError, ResolutionError, WindowBudgetError
 from couplingcert.groups import make_group
 from couplingcert.windows import (
+    DEFAULT_NODE_BUDGET,
     build_window,
     distance_field,
     distances_from,
@@ -22,7 +25,7 @@ from couplingcert.windows import (
 )
 
 import oracles
-from oracles import distance, is_dense, is_discrete, packing_number_naive
+from oracles import distance, is_dense, is_discrete, packing_number_lookup, packing_number_naive
 
 
 @pytest.mark.parametrize(
@@ -369,3 +372,75 @@ def test_packing_result_pinned(desc, radius, sep, diam, kwargs, pinned):
     W = build_window(make_group(desc), radius)
     res = packing_number(W, sep, diam, **kwargs)
     assert (res.value, res.exact, res.witness, res.nodes, res.note) == pinned
+
+
+# radii that keep the lookup oracle's search short on every group
+_PACKING_RADII = {"Z^1": 12, "Z^2": 6, "Z^3": 4, "Z^4": 3, "C_5 x Z^1": 5, "Heis": 4, "F_2": 3}
+_PACKING_WINDOWS = {desc: build_window(make_group(desc), r) for desc, r in _PACKING_RADII.items()}
+
+
+# the whole PackingResult against the lookup-built symmetric masks and the
+# call-per-node search: the same nodes in the same order, the same abort
+# point and the same witness, under node budgets 0, 1, 2, small ones and
+# the default, and fractional bounds
+@settings(max_examples=80, deadline=None)
+@given(desc=st.sampled_from(sorted(_PACKING_RADII)), half_diam=st.integers(0, 24),
+       sep_num=st.integers(1, 12), sep_den=st.integers(1, 3),
+       budget=st.one_of(st.sampled_from([0, 1, 2, DEFAULT_NODE_BUDGET]), st.integers(3, 300)))
+@example(desc="Z^2", half_diam=9, sep_num=5, sep_den=2, budget=DEFAULT_NODE_BUDGET)
+@example(desc="Heis", half_diam=7, sep_num=7, sep_den=3, budget=DEFAULT_NODE_BUDGET)
+@example(desc="F_2", half_diam=6, sep_num=2, sep_den=1, budget=40)
+def test_packing_result_matches_the_lookup_search(desc, half_diam, sep_num, sep_den, budget):
+    W = _PACKING_WINDOWS[desc]
+    diam = min(Fraction(half_diam, 2), W.radius)
+    sep = min(Fraction(sep_num, sep_den), 2 * W.radius - diam)
+    assert packing_number(W, sep, diam, budget) == packing_number_lookup(W, sep, diam, budget)
+
+
+def _lookup_rows(W, candidates, lo, hi):
+    """Symmetric compatibility masks, one window lookup per ordered pair;
+    a distance the window misses exceeds ``hi``."""
+    rows = []
+    for i, a in enumerate(candidates):
+        ds = [resolved_distance(W, a, b) for b in candidates]
+        rows.append(sum(1 << j for j, d in enumerate(ds)
+                        if j != i and d is not None and lo <= d <= hi))
+    return rows
+
+
+@pytest.mark.parametrize("desc,radius", [("Z^1", 9), ("Z^2", 6), ("Z^3", 4), ("Z^4", 3)])
+def test_l1_rows_are_the_upper_triangle_of_the_lookup_rows(desc, radius):
+    W = build_window(make_group(desc), radius)
+    for hi in range(radius + 1):
+        candidates = W.ball(hi)
+        for lo in range(1, 2 * radius - hi + 1):
+            rows = windows._compat_rows(W, candidates, lo, hi)
+            full = _lookup_rows(W, candidates, lo, hi)
+            assert rows == [row >> (i + 1) << (i + 1) for i, row in enumerate(full)]
+
+
+@pytest.mark.parametrize("branch", ["one code", "per coordinate"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), scale=st.integers(1, 9))
+def test_l1_codes_sum_to_the_scaled_l1_distance(branch, data, d, scale):
+    # a budget of at least the one-code table size takes the one-code
+    # branch, a smaller one gives each coordinate its own code
+    n = data.draw(st.integers(1, 12))
+    bound = data.draw(st.integers(0, 6))
+    shift = data.draw(st.integers(-9, 9))
+    coord = st.integers(shift - bound, shift + bound)
+    points = data.draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
+    size = prod(2 * (max(c) - min(c)) + 1 for c in zip(*points))
+    budget = data.draw(st.integers(size, 2 * size) if branch == "one code"
+                       else st.integers(0, size - 1))
+    codes = windows._l1_codes(points, scale, budget)
+    assert len(codes) == (1 if branch == "one code" else d)
+    for col, table, offset in codes:
+        # least code 0 and greatest at most offset: every row slice starts
+        # inside the table and holds the later codes
+        assert min(col) == 0 and max(col) <= offset and len(table) == 2 * offset + 1
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            assert (sum(table[col[j] - col[i] + offset] for col, table, offset in codes)
+                    == sum(table[offset - col[i]:][col[j]] for col, table, offset in codes)
+                    == scale * sum(abs(x - y) for x, y in zip(a, b)))
