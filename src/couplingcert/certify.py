@@ -52,8 +52,8 @@ from .errors import (
     ResolutionError,
 )
 from .groups import make_group
-from .windows import (Window, build_window, distance_field, distances_from, pair_extremes,
-                      set_distance)
+from .windows import (Window, ball_window, build_window, distance_field, distances_from,
+                      pair_extremes, set_distance)
 
 SAMPLE_CAP = 10_000
 
@@ -152,9 +152,10 @@ def validate_config(config: RunConfig) -> tuple:
             raise PreconditionError(
                 f"{name} must be a string{' or None' if optional else ''}, got {value!r}")
     checks = config.checks
-    if checks is not None and not (isinstance(checks, (list, tuple))
+    if checks is not None and not (isinstance(checks, (list, tuple)) and checks
                                    and all(isinstance(c, str) for c in checks)):
-        raise PreconditionError(f"checks must be a list of check names, got {checks!r}")
+        # None selects all six checks; an empty list selects none
+        raise PreconditionError(f"checks must be a nonempty list of check names, got {checks!r}")
     if config.radius_H <= 0 or config.radius_G <= 0 or config.eval_radius < 0:
         raise PreconditionError("window radii must be positive and eval radius nonnegative")
     if config.t_max < 0 or config.m_slack < 0:
@@ -164,7 +165,7 @@ def validate_config(config: RunConfig) -> tuple:
         raise PreconditionError(
             "scale and core radius must be nonnegative (0 chooses them), "
             f"got {config.scale_override} and {config.core_radius}")
-    selected = set(config.checks) if config.checks else set(CHECK_NAMES)
+    selected = set(checks) if checks else set(CHECK_NAMES)
     unknown = selected - set(CHECK_NAMES)
     if unknown:
         raise PreconditionError(f"unknown checks: {sorted(unknown)}")
@@ -476,7 +477,7 @@ def check_cocompactness_h(
         xi_1 = act_left(g, psi_of(h))
         C = xi_1.support()
         diam_C = pair_extremes(W_G, C)[2]
-        dists = [W_G.length_of(c) for c in C]
+        dists = [W_G.dist.get(c) for c in C]
         if diam_C is None or any(d is None for d in dists):
             raise ResolutionError(
                 "the support of a sampled orbit point straddles the target "
@@ -485,7 +486,7 @@ def check_cocompactness_h(
         d_C1 = min(dists)
         bound = P.omega_s1 + 1 + diam_C + d_C1 + R
         r = _kappa_sublevel_radius(m, bound)
-        f_cap = P.inner_radius - P.window_H.length_of(h)
+        f_cap = P.inner_radius - P.window_H.dist.get(h)
         search_radius = f_cap if r is None else min(r, f_cap)
         found = None
         best_ip = Fraction(0)
@@ -756,7 +757,7 @@ def run_all(config) -> Certificate:
         stage = "coboundedness"
         core_radius = config.core_radius if config.core_radius else max(
             2, min(5, config.radius_G // 8))
-        core = build_window(G, core_radius)
+        core = ball_window(W_G, core_radius)
         R = cobounded_radius(phi, W_H, core)
 
         stage = "partition"
@@ -765,7 +766,7 @@ def run_all(config) -> Certificate:
         stage = "samples"
         if selected & {"lipschitz", "sandwich"}:
             pair_radius = 2 * P.inner_radius
-            pair_window = W_H if pair_radius <= W_H.radius else build_window(H, pair_radius)
+            pair_window = ball_window(W_H, pair_radius)
         cache: dict = {}
 
         def psi_of(h):
@@ -780,7 +781,7 @@ def run_all(config) -> Certificate:
         hs = W_H.ball(h_rad)
         grid = [(g, h) for g in W_G.ball(g_rad) for h in hs]
         samples = _stratified_sample(
-            grid, lambda p: W_G.length_of(p[0]) + W_H.length_of(p[1]),
+            grid, lambda p: W_G.dist.get(p[0]) + W_H.dist.get(p[1]),
             SAMPLE_CAP, config.seed)
 
         K_base = psi_of(H.identity).support()
@@ -818,12 +819,12 @@ def run_all(config) -> Certificate:
             stage = "cocompactness_h"
             h_cc = min(h_rad, max(0, (P.inner_radius - config.eval_radius) // 3))
             cc_samples = [(g, h) for g, h in samples
-                          if W_H.length_of(h) <= h_cc][:64]
+                          if W_H.dist.get(h) <= h_cc][:64]
             checks.append(check_cocompactness_h(
                 P, phi, cc_samples, m, R, W_G, psi_of, K_radius))
         if "g_action" in selected:
             stage = "g_action"
-            aux = W_G if tau + 2 <= W_G.radius else build_window(G, tau + 2)
+            aux = ball_window(W_G, tau + 2)
             g_candidates = [(gc, aux.dist[gc]) for gc in aux.shell(tau, tau + 2)[:512]]
             checks.append(check_g_action(
                 P, phi, samples[:8], K_base, epsilon, W_G, g_candidates, psi_of, tau,

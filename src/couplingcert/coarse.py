@@ -39,7 +39,7 @@ from .errors import (
     TableMapError,
 )
 from .groups import FreeGroup, GroupModel, ZdGroup
-from .windows import Window, _l1_codes, build_window, set_distance
+from .windows import Window, _l1_codes, ball_window, set_distance
 
 
 @dataclass
@@ -238,7 +238,8 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     by ``2*W_G.radius``, so the count holds at most
     ``(2*W_H.radius+1)(2*W_G.radius+1)`` keys; far images could make it
     one key per pair.  Every other input takes the lookup loop, which
-    reads both distances off windows as lengths of ``a^-1 b``.
+    reads both distances off windows as lengths of ``a^-1 b``, ``dH`` off
+    the difference ball ``B(t_max)``: a prefix of ``W_H``, or ``W_H`` grown.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
@@ -252,9 +253,8 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
         keys = _l1_pair_keys(elements, images, T)
         assert len(keys) <= T * (2 * W_G.radius + 1)
     else:
-        diff = W_H if W_H.radius >= t_max else build_window(H, t_max)
+        diff = ball_window(W_H, t_max)
         mulH, invH, mulG, invG = H.mul, H.inv, G.mul, G.inv
-        # lookups bound once: Window.length_of costs a call per pair
         diff_get, g_get, miss = diff.dist.get, W_G.dist.get, W_G.radius + 1
         pairs = list(zip(elements, images))
         keys = Counter()
@@ -263,7 +263,7 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
             row = []
             for hj, img_j in pairs[i + 1:]:
                 dH = diff_get(mulH(inv_hi, hj))
-                if dH is not None and dH <= t_max:
+                if dH is not None:
                     row.append(dH + T * g_get(mulG(inv_img, img_j), miss))
             keys.update(row)
     keys[0] += len(elements)  # the diagonal: each element with itself
@@ -338,7 +338,8 @@ def _l1_pair_keys(elements: list, images: list, T: int) -> Counter:
 
 def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:
     """The table of :func:`estimate_moduli` for a homomorphism, from one
-    pass over the difference ball ``B(t_max)``.
+    pass over the difference ball ``B(t_max)``: a prefix of ``W_H``, or
+    ``W_H`` grown (:func:`ball_window`).
 
     In a word metric ``{a^-1 b : a, b in B(R)} = B(2R)``: split a geodesic
     word for ``x`` in two halves of length <= R.  A homomorphism has
@@ -350,12 +351,10 @@ def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> 
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
-    diff = W_H if W_H.radius >= t_max else build_window(phi.source, t_max)
+    diff = ball_window(W_H, t_max)
     g_get, miss, T = W_G.dist.get, W_G.radius + 1, t_max + 1
     keys = []
     for x, dH in diff.dist.items():
-        if dH > t_max:
-            break
         dG = g_get(apply(phi, x), miss)
         keys.append(dH + T * dG)
         if dG == miss:  # BFS order: every later x is at least as long

@@ -81,7 +81,7 @@ class PartitionOfUnity:
         return terms, total
 
     def is_inner(self, h) -> bool:
-        l = self.window_H.length_of(h)
+        l = self.window_H.dist.get(h)
         return l is not None and l <= self.inner_radius
 
     def inner_translates(self, h, fs) -> list:

@@ -4,13 +4,15 @@ nets, and packing numbers.
 A :class:`Window` is the radius-R ball of the word metric as one table:
 ``dist`` maps each element to its word length, in the breadth-first order
 of a search from the identity in the model's fixed generator order.  One
-search, :func:`_bfs`, builds both the balls and the multi-source distance
-fields.  Distances are resolved by normal-form lookup: ``d(a, b)`` is
-``dist.get(a^-1 b)``, and a lookup miss means the distance exceeds the
-window radius.  On ``Z^d`` the packing search reads its distances as
-closed-form l1 norms instead: :func:`_l1_codes` codes points as integers
-whose differences index a table of norms, the coding the ``Z^d`` moduli
-pair scan of :mod:`couplingcert.coarse` also uses.
+search, :func:`_bfs`, extends such tables: from the identity for a ball,
+from the sources for a multi-source distance field, and from a window's
+outer level when :func:`ball_window` derives a larger ball from it (a
+smaller one is its prefix).  Distances are resolved by normal-form lookup:
+``d(a, b)`` is ``dist.get(a^-1 b)``, and a lookup miss means the distance
+exceeds the window radius.  On ``Z^d`` the packing search reads its
+distances as closed-form l1 norms instead: :func:`_l1_codes` codes points
+as integers whose differences index a table of norms, the coding the
+``Z^d`` moduli pair scan of :mod:`couplingcert.coarse` also uses.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ class Window:
         self.elements = list(self.dist)
         self.lengths = list(self.dist.values())
 
-    def length_of(self, a) -> Optional[int]:
-        """Word length of ``a``, or None when ``a`` is outside the ball."""
-        return self.dist.get(a)
-
     def ball(self, r: int) -> list:
         """The elements of length <= r: a prefix of ``elements`` in BFS
         order, the whole window when r >= radius."""
@@ -65,15 +63,14 @@ class Window:
         return len(self.elements)
 
 
-def _bfs(G: GroupModel, sources, depth: int, budget: int) -> dict:
-    """Distance to the nearest source for every element within ``depth`` of
-    ``sources``, in BFS order: level by level, each element stepping by
-    right multiplication with the generators in their fixed order."""
+def _bfs(G: GroupModel, dist: dict, depth: int, budget: int) -> dict:
+    """Extend the BFS table ``dist`` level by level from its outermost level
+    to ``depth``, each element stepping by right multiplication with the
+    generators in their fixed order."""
     mul = G.mul
     gens = G.generators
-    dist = dict.fromkeys(sources, 0)
-    frontier = list(dist)
-    level = 0
+    level = max(dist.values(), default=0)
+    frontier = [e for e, d in dist.items() if d == level]
     while frontier and level < depth:
         level += 1
         reached = []
@@ -98,7 +95,22 @@ def build_window(G: GroupModel, R: int, budget: int = DEFAULT_ELEMENT_BUDGET) ->
     """Enumerate the radius-R ball by BFS in fixed generator order."""
     if R < 0:
         raise PreconditionError(f"radius must be nonnegative, got {R}")
-    return Window(group=G, radius=R, dist=_bfs(G, [G.identity], R, budget))
+    return Window(group=G, radius=R, dist=_bfs(G, {G.identity: 0}, R, budget))
+
+
+def ball_window(W: Window, r: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> Window:
+    """The radius-r ball of ``W.group`` as ``build_window(W.group, r, budget)``
+    builds it, searching nothing ``W`` holds: ``W`` at ``r == W.radius``, its
+    BFS prefix below, a copy of its table grown from its outer level above.
+    ``W`` is never changed; a ball ``build_window`` refuses is refused by it."""
+    held = bisect_right(W.lengths, r)
+    if r < 0 or held > max(budget, 1):  # build_window refuses: r < 0 or B(r) over budget
+        return build_window(W.group, r, budget)
+    if r == W.radius:
+        return W
+    if r < W.radius:
+        return Window(group=W.group, radius=r, dist=dict(zip(W.elements[:held], W.lengths)))
+    return Window(group=W.group, radius=r, dist=_bfs(W.group, dict(W.dist), r, budget))
 
 
 def distances_from(W: Window, a, bs) -> list:
@@ -178,7 +190,7 @@ def distance_field(W: Window, sources, budget: int = DEFAULT_ELEMENT_BUDGET) -> 
     ``field.get(x)`` is ``set_distance(W, [x], sources)``: None exactly when
     no distance from x to the sources resolves.
     """
-    return _bfs(W.group, sources, W.radius, budget)
+    return _bfs(W.group, dict.fromkeys(sources, 0), W.radius, budget)
 
 
 @dataclass
@@ -191,15 +203,15 @@ def greedy_net(W: Window, s) -> Net:
 
     Each chosen point e blocks the elements within distance < s of it: the
     e*b of W with |b| <= ceil(s)-1, capped at 2*radius, the largest
-    distance between two elements of W.  An element is chosen when no
-    earlier choice blocks it, so the result is s-discrete, and maximality
-    of the scan makes it s-dense in the window.
+    distance between two elements of W (:func:`ball_window`).  An element
+    is chosen when no earlier choice blocks it, so the result is
+    s-discrete, and maximality of the scan makes it s-dense in the window.
     """
     s = Fraction(s)
     if s < 1:
         raise PreconditionError(f"net scale must be >= 1, got {s}")
     # integer d < s exactly when d <= ceil(s) - 1
-    ball = build_window(W.group, min(math.ceil(s) - 1, 2 * W.radius)).elements
+    ball = ball_window(W, min(math.ceil(s) - 1, 2 * W.radius)).elements
     dist, mul = W.dist, W.group.mul
     blocked = set()
     chosen = []

@@ -65,6 +65,12 @@ def build_window(G: GroupModel, R: int, budget: int = DEFAULT_ELEMENT_BUDGET) ->
     return Window(group=G, radius=R, dist=dict(zip(elements, lengths)))
 
 
+def ball_window(W: Window, r: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> Window:
+    """The radius-r ball of ``W.group`` from a fresh deque BFS, whatever
+    ``W`` holds."""
+    return build_window(W.group, r, budget)
+
+
 def distances_from(W: Window, a, bs) -> list:
     """One ``resolved_distance`` per b of ``bs``; raises ResolutionError at
     the first that exceeds the window radius."""
@@ -203,11 +209,11 @@ def packing_number_naive(W: Window, separation, diam_bound) -> int:
     separation = Fraction(separation)
     diam_bound = Fraction(diam_bound)
     n = len(W.elements)
-    length_of = W.length_of
+    dist_get = W.dist.get
     mul, inv = W.group.mul, W.group.inv
 
     def dist(i: int, j: int):
-        return length_of(mul(inv(W.elements[i]), W.elements[j]))
+        return dist_get(mul(inv(W.elements[i]), W.elements[j]))
 
     best = [0]
 
@@ -437,13 +443,13 @@ def bump_walk(W: Window, points, s) -> tuple:
 def overlap_count(W: Window, points, reach: int) -> int:
     """The most ``points`` within ``reach`` of one element of W, from every
     element against every point inverse."""
-    mul, inv, length_of = W.group.mul, W.group.inv, W.length_of
+    mul, inv, dist_get = W.group.mul, W.group.inv, W.dist.get
     inverses = [inv(y) for y in points]
     best = 0
     for h in W.elements:
         cnt = 0
         for y_inv in inverses:
-            d = length_of(mul(y_inv, h))
+            d = dist_get(mul(y_inv, h))
             if d is not None and d <= reach:
                 cnt += 1
         best = max(best, cnt)

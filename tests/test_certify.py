@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couplingcert import certify
+from couplingcert import certify, coarse, coupling, windows
 from couplingcert.certify import (
     _far_shell,
     _g_properness,
@@ -381,7 +381,7 @@ def g_action_cases():
         m = pipeline_moduli(phi, W_H, W_G, 0)
         P = build_partition(W_H, W_G, phi, m, choose_scale(m))
         K = psi(P, phi, H.identity).support()
-        near_h = [h for h in P.inner_elements if W_H.length_of(h) <= 1]
+        near_h = [h for h in P.inner_elements if W_H.dist.get(h) <= 1]
         xis = [(g, h, act_left(g, psi(P, phi, h)))
                       for g in W_G.elements[:3] for h in near_h[:2]]
         out[name] = (phi, xis, K, W_G)
@@ -547,6 +547,24 @@ def test_run_all_check_subset():
     assert {c.name for c in cert.checks} == {"lipschitz", "membership_x"}
 
 
+@pytest.mark.parametrize("name,cfg", DEMO_CONFIGS, ids=[n for n, _ in DEMO_CONFIGS])
+def test_run_all_builds_two_windows_and_derives_every_other_ball(monkeypatch, name, cfg):
+    # W_H and W_G come from build_window; the core, pair, difference,
+    # blocking and candidate balls are prefixes or growths of them
+    built = []
+    fresh = windows.build_window
+
+    def spy(G, R, *args):
+        built.append((G.descriptor, R))
+        return fresh(G, R, *args)
+
+    for module in (certify, coarse, coupling, windows):
+        if hasattr(module, "build_window"):
+            monkeypatch.setattr(module, "build_window", spy)
+    run_all(cfg)
+    assert built == [(cfg.group_H, cfg.radius_H), (cfg.group_G, cfg.radius_G)]
+
+
 def test_run_all_rejects_a_negative_eval_radius_at_configure():
     cfg = RunConfig(eval_radius=-1, checks=["membership_x", "lipschitz"])
     with pytest.raises(PipelineError) as exc:
@@ -579,6 +597,8 @@ def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
     ("seed", True),
     ("checks", "lipschitz"),
     ("checks", ["lipschitz", 3]),
+    ("checks", []),  # an empty selection is not "all" (None is)
+    ("checks", ()),
     ("group_H", 2),
     ("group_G", None),
     ("map_descriptor", None),

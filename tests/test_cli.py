@@ -299,6 +299,18 @@ def test_a_bad_value_is_rejected_at_configure_everywhere(capsys, key, text):
         assert captured.err == f"error: {exc.value.cause}\n" and not captured.out, command
 
 
+@pytest.mark.parametrize("source", ["--checks=", "--checks=,", "config"])
+def test_an_empty_check_selection_exits_2(tmp_path, capsys, source):
+    # an empty list is not "all": certify, psi and moduli refuse it
+    (tmp_path / "empty.cfg").write_text("checks =\n")
+    given = ["--config", str(tmp_path / "empty.cfg")] if source == "config" else [source]
+    for command in ("certify", "psi", "moduli"):
+        assert main([command, "--rH", "12", "--rG", "24", "--eval", "3"] + given) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: checks must be a nonempty list of check names, got []\n"
+        assert not captured.out, command
+
+
 @pytest.mark.parametrize("group", ["C_1", "Z^1 x C_1"])
 def test_certify_with_a_trivial_cyclic_factor(tmp_path, group):
     # C_1 has no generator: its identity used to be listed as one, which

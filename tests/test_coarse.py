@@ -362,8 +362,11 @@ def _check_coded_l1_pair_keys(data, d, e, T):
 
 
 def test_coded_l1_pair_keys_match_the_column_oracle(monkeypatch):
-    # the sliced rows of both codings are compared
+    # the sliced rows of both codings are compared; the 3x3 box takes one
+    # code on each side (5*5 table entries for 36 pairs) whatever the draws
     codings = _spy_codings(monkeypatch)
+    box = [(x, y) for x in range(3) for y in range(3)]
+    assert coarse._l1_pair_keys(box, box, 5) == oracles.l1_pair_keys(box, box, 5)
     _check_coded_l1_pair_keys()
     assert codings["one code"] and codings["per coordinate"], codings
 

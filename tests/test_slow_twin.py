@@ -53,6 +53,7 @@ SWAPS = (
     ("windows", "greedy_net", oracles.greedy_net_scan),
     ("coupling", "_bump_walk", oracles.bump_walk),
     ("windows", "build_window", oracles.build_window),
+    ("windows", "ball_window", oracles.ball_window),
     ("windows", "distance_field", oracles.distance_field),
     ("coarse", "homomorphic_moduli", oracles.homomorphic_moduli),
     ("windows", "packing_number", oracles.packing_number_lookup),
@@ -60,9 +61,10 @@ SWAPS = (
 
 # reduced-radius copies of the benchmark workloads (shear-z2 is a demo
 # configuration already); the table is written to a temporary directory.
-# On Heis, g_action alone would take ~6 s: it builds the ball of radius
-# tau+2 for its candidates, and its oracle resolves every support-to-K_G
-# distance pair by pair.
+# On Heis, g_action alone would take ~6 s: its candidates need the ball of
+# radius tau+2, which the shipped run grows from W_G and the oracle side
+# builds afresh, and its oracle resolves every support-to-K_G distance
+# pair by pair.
 SMALL = {
     "heis-id": dict(radius_H=5, radius_G=8,
                     checks=[c for c in CHECK_NAMES if c != "g_action"]),
