@@ -154,7 +154,7 @@ def validate_config(config: RunConfig) -> tuple:
     checks = config.checks
     if checks is not None and not (isinstance(checks, (list, tuple)) and checks
                                    and all(isinstance(c, str) for c in checks)):
-        # None selects all six checks; an empty list selects none
+        # None selects all six; an empty selection is refused rather than read as all
         raise PreconditionError(f"checks must be a nonempty list of check names, got {checks!r}")
     if config.radius_H <= 0 or config.radius_G <= 0 or config.eval_radius < 0:
         raise PreconditionError("window radii must be positive and eval radius nonnegative")
@@ -165,7 +165,7 @@ def validate_config(config: RunConfig) -> tuple:
         raise PreconditionError(
             "scale and core radius must be nonnegative (0 chooses them), "
             f"got {config.scale_override} and {config.core_radius}")
-    selected = set(checks) if checks else set(CHECK_NAMES)
+    selected = set(CHECK_NAMES) if checks is None else set(checks)
     unknown = selected - set(CHECK_NAMES)
     if unknown:
         raise PreconditionError(f"unknown checks: {sorted(unknown)}")

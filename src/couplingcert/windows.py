@@ -4,15 +4,14 @@ nets, and packing numbers.
 A :class:`Window` is the radius-R ball of the word metric as one table:
 ``dist`` maps each element to its word length, in the breadth-first order
 of a search from the identity in the model's fixed generator order.  One
-search, :func:`_bfs`, extends such tables: from the identity for a ball,
-from the sources for a multi-source distance field, and from a window's
-outer level when :func:`ball_window` derives a larger ball from it (a
-smaller one is its prefix).  Distances are resolved by normal-form lookup:
-``d(a, b)`` is ``dist.get(a^-1 b)``, and a lookup miss means the distance
-exceeds the window radius.  On ``Z^d`` the packing search reads its
-distances as closed-form l1 norms instead: :func:`_l1_codes` codes points
-as integers whose differences index a table of norms, the coding the
-``Z^d`` moduli pair scan of :mod:`couplingcert.coarse` also uses.
+search, :func:`_bfs`, extends such tables: a ball from the identity, a
+distance field from its sources, a larger ball from a window's outer level
+(:func:`ball_window`).  ``d(a, b)`` is ``dist.get(a^-1 b)``, and a lookup
+miss means the distance exceeds the window radius.  On ``Z^d`` the packing
+search reads its distances as closed-form l1 norms instead:
+:func:`_l1_codes` codes points as integers whose differences index a table
+of norms, the coding the ``Z^d`` moduli pair scan of
+:mod:`couplingcert.coarse` also uses.
 """
 
 from __future__ import annotations
@@ -98,19 +97,18 @@ def build_window(G: GroupModel, R: int, budget: int = DEFAULT_ELEMENT_BUDGET) ->
     return Window(group=G, radius=R, dist=_bfs(G, {G.identity: 0}, R, budget))
 
 
-def ball_window(W: Window, r: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> Window:
-    """The radius-r ball of ``W.group`` as ``build_window(W.group, r, budget)``
-    builds it, searching nothing ``W`` holds: ``W`` at ``r == W.radius``, its
-    BFS prefix below, a copy of its table grown from its outer level above.
-    ``W`` is never changed; a ball ``build_window`` refuses is refused by it."""
-    held = bisect_right(W.lengths, r)
-    if r < 0 or held > max(budget, 1):  # build_window refuses: r < 0 or B(r) over budget
-        return build_window(W.group, r, budget)
+def ball_window(W: Window, r: int) -> Window:
+    """``build_window(W.group, r)`` searching nothing ``W`` holds: ``W`` at
+    ``r == W.radius``, its BFS prefix below, and above a copy of its table
+    grown from its outer level, so that ``W`` is never changed."""
+    if r < 0:
+        return build_window(W.group, r)  # refused as build_window refuses it
     if r == W.radius:
         return W
     if r < W.radius:
-        return Window(group=W.group, radius=r, dist=dict(zip(W.elements[:held], W.lengths)))
-    return Window(group=W.group, radius=r, dist=_bfs(W.group, dict(W.dist), r, budget))
+        return Window(group=W.group, radius=r, dist=dict(zip(W.ball(r), W.lengths)))
+    return Window(group=W.group, radius=r,
+                  dist=_bfs(W.group, dict(W.dist), r, DEFAULT_ELEMENT_BUDGET))
 
 
 def distances_from(W: Window, a, bs) -> list:

@@ -65,10 +65,10 @@ def build_window(G: GroupModel, R: int, budget: int = DEFAULT_ELEMENT_BUDGET) ->
     return Window(group=G, radius=R, dist=dict(zip(elements, lengths)))
 
 
-def ball_window(W: Window, r: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> Window:
+def ball_window(W: Window, r: int) -> Window:
     """The radius-r ball of ``W.group`` from a fresh deque BFS, whatever
     ``W`` holds."""
-    return build_window(W.group, r, budget)
+    return build_window(W.group, r)
 
 
 def distances_from(W: Window, a, bs) -> list:

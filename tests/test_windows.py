@@ -13,7 +13,6 @@ from couplingcert import windows
 from couplingcert.errors import PreconditionError, ResolutionError, WindowBudgetError
 from couplingcert.groups import make_group
 from couplingcert.windows import (
-    DEFAULT_ELEMENT_BUDGET,
     DEFAULT_NODE_BUDGET,
     ball_window,
     build_window,
@@ -168,27 +167,20 @@ def test_one_bfs_builds_balls_and_distance_fields(desc, radius, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("Z^2", "Heis", "F_2", "C_5 x Z^1", "C_5")), st.integers(0, 3),
-       st.integers(0, 6), st.one_of(st.just(DEFAULT_ELEMENT_BUDGET), st.integers(0, 80)))
-@example("C_5", 3, 6, DEFAULT_ELEMENT_BUDGET)  # the BFS of C_5 ends at radius 2
-def test_ball_window_is_the_fresh_ball(desc, radius, r, budget):
-    # below, at and above W.radius, under a budget that may stop the search
-    # inside W or past it: the prefix or growth is the table a fresh BFS
-    # builds, or fails with its error, and W is left as it was
+       st.integers(0, 6))
+@example("C_5", 3, 6)  # the BFS of C_5 ends at radius 2
+def test_ball_window_is_the_fresh_ball(desc, radius, r):
+    # below, at and above W.radius: the prefix or growth is the table a
+    # fresh BFS builds, and W is left as it was
     G = make_group(desc)
     W = build_window(G, radius)
     before = list(W.dist.items())
     r = min(r, 2 * radius)
-    try:
-        fresh = build_window(G, r, budget)
-    except WindowBudgetError as exc:
-        with pytest.raises(WindowBudgetError) as got:
-            ball_window(W, r, budget)
-        assert (str(got.value), got.value.radius_reached) == (str(exc), exc.radius_reached)
-    else:
-        B = ball_window(W, r, budget)
-        assert list(B.dist.items()) == list(fresh.dist.items())
-        assert (B.radius, B.elements, B.lengths) == (r, fresh.elements, fresh.lengths)
-        assert (B is W) == (r == radius)
+    fresh = build_window(G, r)
+    B = ball_window(W, r)
+    assert list(B.dist.items()) == list(fresh.dist.items())
+    assert (B.radius, B.elements, B.lengths) == (r, fresh.elements, fresh.lengths)
+    assert (B is W) == (r == radius)
     assert list(W.dist.items()) == before
 
 
