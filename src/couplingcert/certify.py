@@ -423,7 +423,7 @@ def check_properness_h(
             margin_is_floor |= floor
             worst.update(margin, lambda: {
                 "h": H.format_element(h), "zeta": [G.format_element(g), H.format_element(h0)],
-                **({} if meet is None else {"meeting_point": G.format_element(meet)})})
+                **({} if meet is None else {"meeting_point": G.format_element(G.mul(g, meet))})})
             population += 1
     if population == 0:
         return CheckResult(

@@ -70,7 +70,7 @@ def parse_config_file(path) -> dict:
     values: dict = {}
     line_of: dict = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -127,7 +127,7 @@ def emit_report(cert: Certificate, path: Optional[str]) -> int:
     text = render_report(cert)
     if path:
         try:
-            Path(path).write_text(text)
+            Path(path).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise PreconditionError(f"cannot write report {path}: {exc}") from None
     else:

@@ -14,12 +14,12 @@ reducer that turns the count into a table.  For a homomorphism without a
 stretch (the ``matrix:`` maps) the pipeline counts one pass over the
 difference ball ``B(t_max)``; the pair scan serves every other map and
 the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
-Z^e`` with every image inside the target window, the pair scan reads both
-distances as closed-form l1 norms: each side is one integer code column (or
-one per coordinate when the side's table would outgrow the scan), coded by
+Z^e`` the pair scan reads both distances as closed-form l1 norms when each
+side's table of norms has at most as many entries as the scan has pairs:
+each side is one integer code column, coded by
 :func:`couplingcert.windows._l1_codes`, and a row is a slice of the table of
-l1 norms indexed by the later codes.  Other groups, and images outside the
-target window, take the scan that looks both distances up in windows.
+l1 norms indexed by the later codes.  Other groups, and larger tables, take
+the scan that looks both distances up in windows.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     TableMapError,
 )
 from .groups import FreeGroup, GroupModel, ZdGroup
-from .windows import Window, _l1_codes, ball_window, set_distance
+from .windows import Window, _l1_codes, _l1_table_size, ball_window, set_distance
 
 
 @dataclass
@@ -140,7 +140,7 @@ def load_map_table(path, H: GroupModel, G: GroupModel) -> CoarseMap:
     mapping = {}
     line_of = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise TableMapError(f"cannot read lookup table {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -229,17 +229,16 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     :func:`_window_table`; pairs at source distance above ``t_max`` are
     outside the table.
 
-    When source and target are both ``Z^d`` and every image lies in
-    ``W_G``, both distances are closed-form l1 norms:
-    :func:`_l1_pair_keys` counts the pairs from tables of l1 norms indexed
-    by code differences, with no group product, window lookup or
-    difference ball, and a pair with ``dG > W_G.radius`` is exactly what
-    the lookup would miss.  The images-in-``W_G`` condition bounds ``dG``
-    by ``2*W_G.radius``, so the count holds at most
-    ``(2*W_H.radius+1)(2*W_G.radius+1)`` keys; far images could make it
-    one key per pair.  Every other input takes the lookup loop, which
-    reads both distances off windows as lengths of ``a^-1 b``, ``dH`` off
-    the difference ball ``B(t_max)``: a prefix of ``W_H``, or ``W_H`` grown.
+    When source and target are both ``Z^d`` and each side's table of l1
+    norms has at most as many entries as the scan has pairs, both
+    distances are closed-form l1 norms: :func:`_l1_pair_keys` counts the
+    pairs from the two tables, indexed by code differences, with no group
+    product, window lookup or difference ball.  :func:`_window_table`
+    reads a key with ``dG > W_G.radius`` as a miss, exactly as the lookup
+    would, so images outside ``W_G`` give the same table.  Every other
+    input takes the lookup loop, which reads both distances off windows as
+    lengths of ``a^-1 b``, ``dH`` off the difference ball ``B(t_max)``: a
+    prefix of ``W_H``, or ``W_H`` grown.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
@@ -248,10 +247,10 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     images = [apply(phi, h) for h in elements]
     # key = dH + T*dG with dH <= 2*W_H.radius < T
     T = 2 * W_H.radius + 1
+    n_pairs = len(elements) * (len(elements) - 1) // 2
     if (isinstance(H, ZdGroup) and isinstance(G, ZdGroup)
-            and all(map(W_G.dist.__contains__, images))):
+            and _l1_table_size(elements) <= n_pairs and _l1_table_size(images) <= n_pairs):
         keys = _l1_pair_keys(elements, images, T)
-        assert len(keys) <= T * (2 * W_G.radius + 1)
     else:
         diff = ball_window(W_H, t_max)
         mulH, invH, mulG, invG = H.mul, H.inv, G.mul, G.inv
@@ -315,24 +314,21 @@ def _l1_pair_keys(elements: list, images: list, T: int) -> Counter:
     with ``dH``, ``dG`` the l1 distances of the elements and of their
     ``images``.
 
-    Each side is held as integer code columns (:func:`_l1_codes`, each
-    column's least code 0), whose differences index tables of l1 norms (the
-    image side's times ``T``).  Row ``i`` slices each table at ``offset -
-    col[i]``, so the distances from row ``i`` to every later row are the
-    slices mapped over the later codes, summed across the columns: no
-    per-pair Python bytecode and no per-pair difference.
+    Each side is held as one integer code column (:func:`_l1_codes`, least
+    code 0), whose differences index a table of l1 norms (the image side's
+    times ``T``).  Row ``i`` slices each table at ``offset - col[i]``, so
+    the distances from row ``i`` to every later row are the two slices
+    mapped over the later codes and summed: no per-pair Python bytecode and
+    no per-pair difference.
     """
-    pairs = len(elements) * (len(elements) - 1) // 2
-    codes = [(col, table, offset, max(col) + 1)
-             for col, table, offset in _l1_codes(elements, 1, pairs) + _l1_codes(images, T, pairs)]
+    col_h, table_h, off_h = _l1_codes(elements, 1)
+    col_g, table_g, off_g = _l1_codes(images, T)
+    width_h, width_g = max(col_h) + 1, max(col_g) + 1
     keys = Counter()
     for i in range(len(elements)):
-        dist = None
-        for col, table, offset, width in codes:
-            start = offset - col[i]
-            d = map(table[start:start + width].__getitem__, col[i + 1:])
-            dist = d if dist is None else map(add, dist, d)
-        keys.update(dist)
+        a, b = off_h - col_h[i], off_g - col_g[i]
+        keys.update(map(add, map(table_h[a:a + width_h].__getitem__, col_h[i + 1:]),
+                        map(table_g[b:b + width_g].__getitem__, col_g[i + 1:])))
     return keys
 
 

@@ -12,6 +12,10 @@ search reads its distances as closed-form l1 norms instead:
 :func:`_l1_codes` codes points as integers whose differences index a table
 of norms, the coding the ``Z^d`` moduli pair scan of
 :mod:`couplingcert.coarse` also uses.
+
+The search limits (``DEFAULT_ELEMENT_BUDGET`` for every BFS, the node
+budget and candidate cap of the packing search) are module constants, read
+when a search runs.
 """
 
 from __future__ import annotations
@@ -62,10 +66,12 @@ class Window:
         return len(self.elements)
 
 
-def _bfs(G: GroupModel, dist: dict, depth: int, budget: int) -> dict:
+def _bfs(G: GroupModel, dist: dict, depth: int) -> dict:
     """Extend the BFS table ``dist`` level by level from its outermost level
     to ``depth``, each element stepping by right multiplication with the
-    generators in their fixed order."""
+    generators in their fixed order, up to ``DEFAULT_ELEMENT_BUDGET``
+    elements."""
+    budget = DEFAULT_ELEMENT_BUDGET
     mul = G.mul
     gens = G.generators
     level = max(dist.values(), default=0)
@@ -90,11 +96,11 @@ def _bfs(G: GroupModel, dist: dict, depth: int, budget: int) -> dict:
     return dist
 
 
-def build_window(G: GroupModel, R: int, budget: int = DEFAULT_ELEMENT_BUDGET) -> Window:
+def build_window(G: GroupModel, R: int) -> Window:
     """Enumerate the radius-R ball by BFS in fixed generator order."""
     if R < 0:
         raise PreconditionError(f"radius must be nonnegative, got {R}")
-    return Window(group=G, radius=R, dist=_bfs(G, {G.identity: 0}, R, budget))
+    return Window(group=G, radius=R, dist=_bfs(G, {G.identity: 0}, R))
 
 
 def ball_window(W: Window, r: int) -> Window:
@@ -107,8 +113,7 @@ def ball_window(W: Window, r: int) -> Window:
         return W
     if r < W.radius:
         return Window(group=W.group, radius=r, dist=dict(zip(W.ball(r), W.lengths)))
-    return Window(group=W.group, radius=r,
-                  dist=_bfs(W.group, dict(W.dist), r, DEFAULT_ELEMENT_BUDGET))
+    return Window(group=W.group, radius=r, dist=_bfs(W.group, dict(W.dist), r))
 
 
 def distances_from(W: Window, a, bs) -> list:
@@ -177,9 +182,9 @@ def pair_extremes(W: Window, points: list) -> tuple:
     return least, pair, greatest
 
 
-def distance_field(W: Window, sources, budget: int = DEFAULT_ELEMENT_BUDGET) -> dict:
+def distance_field(W: Window, sources) -> dict:
     """Distance to the nearest source, for every element within ``W.radius``
-    of ``sources``.
+    of ``sources``, under the element budget of :func:`build_window`.
 
     One multi-source BFS steps from the sources by right multiplication with
     the generators and stops at depth ``W.radius``.  It reaches x at depth
@@ -188,7 +193,7 @@ def distance_field(W: Window, sources, budget: int = DEFAULT_ELEMENT_BUDGET) -> 
     ``field.get(x)`` is ``set_distance(W, [x], sources)``: None exactly when
     no distance from x to the sources resolves.
     """
-    return _bfs(W.group, dict.fromkeys(sources, 0), W.radius, budget)
+    return _bfs(W.group, dict.fromkeys(sources, 0), W.radius)
 
 
 @dataclass
@@ -200,16 +205,18 @@ def greedy_net(W: Window, s) -> Net:
     """Greedy maximal s-discrete subset, scanned in BFS order.
 
     Each chosen point e blocks the elements within distance < s of it: the
-    e*b of W with |b| <= ceil(s)-1, capped at 2*radius, the largest
-    distance between two elements of W (:func:`ball_window`).  An element
-    is chosen when no earlier choice blocks it, so the result is
+    e*b of W with |b| <= ceil(s)-1, read off the prefix ``W.ball``.  An
+    element is chosen when no earlier choice blocks it, so the result is
     s-discrete, and maximality of the scan makes it s-dense in the window.
+    When ceil(s)-1 >= radius the ball is all of W, so the identity, first
+    in BFS order, blocks every element: the net is [identity], found with
+    no search past W.
     """
     s = Fraction(s)
     if s < 1:
         raise PreconditionError(f"net scale must be >= 1, got {s}")
     # integer d < s exactly when d <= ceil(s) - 1
-    ball = ball_window(W, min(math.ceil(s) - 1, 2 * W.radius)).elements
+    ball = W.ball(math.ceil(s) - 1)
     dist, mul = W.dist, W.group.mul
     blocked = set()
     chosen = []
@@ -233,13 +240,7 @@ class PackingResult:
     note: str = ""
 
 
-def packing_number(
-    W: Window,
-    separation,
-    diam_bound,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-) -> PackingResult:
+def packing_number(W: Window, separation, diam_bound) -> PackingResult:
     """Maximum size of a subset with pairwise distances >= separation and
     diameter <= diam_bound.
 
@@ -251,8 +252,9 @@ def packing_number(
     upper triangle (:func:`_compat_rows`, closed-form on ``Z^d``).  A child
     that cannot branch (an empty mask, or one too small to beat the best
     size) is counted and may record a new best without a call; ``nodes``
-    still counts every node.  When the candidate set or the node budget is
-    exceeded the volume upper bound is returned with the exactness flag
+    still counts every node.  When the candidate set exceeds
+    ``DEFAULT_CANDIDATE_CAP`` or the search exceeds ``DEFAULT_NODE_BUDGET``
+    nodes, the volume upper bound is returned with the exactness flag
     cleared; an overestimate is always safe downstream.
     """
     separation = Fraction(separation)
@@ -273,6 +275,7 @@ def packing_number(
     # word lengths are integers: lo <= d <= hi is exactly
     # separation <= d <= diam_bound
     lo, hi = math.ceil(separation), math.floor(diam_bound)
+    node_budget, candidate_cap = DEFAULT_NODE_BUDGET, DEFAULT_CANDIDATE_CAP
     candidates = W.ball(hi)
     ub = _volume_upper_bound(W, lo, hi, len(candidates))
     if len(candidates) > candidate_cap:
@@ -347,7 +350,7 @@ def _compat_rows(W: Window, candidates: list, lo: int, hi: int) -> list:
     """
     n = len(candidates)
     if isinstance(W.group, ZdGroup):
-        [(col, table, offset)] = _l1_codes(candidates, 1, math.inf)
+        col, table, offset = _l1_codes(candidates, 1)
         # the candidates are B(hi): every coordinate spans [-hi, hi], so the
         # table has (4*hi+1)^d entries, at most 17^4 = 83,521 under the
         # default candidate cap (Z^4 at hi = 4)
@@ -370,38 +373,35 @@ def _compat_rows(W: Window, candidates: list, lo: int, hi: int) -> list:
     return rows
 
 
-def _l1_codes(points: list, scale: int, budget) -> list:
-    """``(column, table, offset)`` triples with ``scale`` times the l1
-    distance of points ``a`` and ``b`` equal to the sum over the triples of
-    ``table[col[b] - col[a] + offset]``.
+def _l1_codes(points: list, scale: int) -> tuple:
+    """``(column, table, offset)`` with ``scale`` times the l1 distance of
+    points ``a`` and ``b`` equal to ``table[col[b] - col[a] + offset]``.
 
     The points are coded in mixed radix, with base ``2*span + 1`` for a
     coordinate of spread ``span`` over the points, so a code difference
-    names exactly one difference vector and the table holds its norm.  All
-    coordinates share one code when that table has at most ``budget``
-    entries, else each coordinate is its own code with a table of ``|x|``
-    over its span.  Each column is shifted to least code 0, so it is at most
-    ``offset``: row ``a`` of the table is the slice from ``offset - col[a]``,
-    indexed by ``col[b]``.  Equal table values share one int object.
+    names exactly one difference vector and the table holds its norm: the
+    table has the product of the bases as its size.  The column is shifted
+    to least code 0, so it is at most ``offset``: row ``a`` of the table is
+    the slice from ``offset - col[a]``, indexed by ``col[b]``.  Equal table
+    values share one int object.
     """
-    cols = [(col, max(col) - min(col)) for col in zip(*points)]
-    if math.prod(2 * span + 1 for _, span in cols) <= budget:
-        groups = [cols]
-    else:
-        groups = [[c] for c in cols]
-    out = []
-    for group in groups:
-        code = [0] * len(points)
-        table = [0]
-        radix = 1
-        for col, span in group:
-            code = list(map(add, code, [radix * x for x in col]))
-            table = [a + abs(x) for x in range(-span, span + 1) for a in table]
-            radix *= 2 * span + 1
-        low = min(code)
-        scaled = [scale * v for v in range(max(table) + 1)]
-        out.append(([c - low for c in code], list(map(scaled.__getitem__, table)), radix // 2))
-    return out
+    code = [0] * len(points)
+    table = [0]
+    radix = 1
+    for col in zip(*points):
+        span = max(col) - min(col)
+        code = list(map(add, code, [radix * x for x in col]))
+        table = [a + abs(x) for x in range(-span, span + 1) for a in table]
+        radix *= 2 * span + 1
+    low = min(code)
+    scaled = [scale * v for v in range(max(table) + 1)]
+    return [c - low for c in code], list(map(scaled.__getitem__, table)), radix // 2
+
+
+def _l1_table_size(points: list) -> int:
+    """The size of the table :func:`_l1_codes` builds for ``points``,
+    computed without building it."""
+    return math.prod(2 * (max(col) - min(col)) + 1 for col in zip(*points))
 
 
 def _volume_upper_bound(W: Window, lo: int, hi: int, n_candidates: int) -> int:

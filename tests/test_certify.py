@@ -4,7 +4,7 @@ violations, and compose deterministically."""
 from __future__ import annotations
 
 import importlib.util
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -258,6 +258,18 @@ def test_properness_h_fails_with_zero_threshold(pipeline):
                              Fraction(1, 2), psi_of, 8, 0)
     assert res.status == "fail"
     assert res.witness["h"] in {"1", "-1"}  # first violators are adjacent slices
+
+
+def test_properness_h_meeting_point_lies_in_K(pipeline):
+    # the slice of zeta = (-1).psi_0 at h = 7 meets K at -1 + 5 = 4, the
+    # translate of its atom 5
+    P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
+    K = psi_of(Z.identity).support()
+    res = check_properness_h(P, phi, [((-1,), (0,))], K, m, W_G,
+                             Fraction(1, 2), psi_of, 8, 6)
+    assert res.status == "fail"
+    assert res.witness == {"h": "7", "zeta": ["-1", "0"], "meeting_point": "4"}
+    assert Z.parse_element(res.witness["meeting_point"]) in K
 
 
 def test_properness_h_vacuous_in_tiny_window():
@@ -614,6 +626,32 @@ def test_run_all_rejects_a_wrong_typed_value_at_configure(field, value):
     with pytest.raises(PipelineError) as exc:
         run_all(replace(RunConfig(), **{field: value}))
     assert exc.value.stage == "configure" and f"{field} must be" in str(exc.value)
+
+
+def _wrong_typed(name: str):
+    """Values of the wrong type for the RunConfig field ``name``: None
+    where it selects nothing, floats, bools, bytes, lists, dicts, a bare
+    object, and a Fraction for the int fields."""
+    values = [st.floats(), st.booleans(), st.binary(max_size=3),
+              st.lists(st.integers(), max_size=3),
+              st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+              st.builds(object)]
+    if name not in ("checks", "output_path"):
+        values.append(st.none())
+    if name in certify.INT_FIELDS:
+        values.append(st.fractions())
+    return st.one_of(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from([f.name for f in fields(RunConfig)]))
+def test_every_field_refuses_a_wrong_typed_value_at_configure(data, name):
+    cfg = replace(RunConfig(), **{name: data.draw(_wrong_typed(name), label=name)})
+    with pytest.raises(PreconditionError):
+        validate_config(cfg)
+    with pytest.raises(PipelineError) as exc:
+        run_all(cfg)
+    assert exc.value.stage == "configure"
 
 
 @pytest.mark.parametrize("epsilon", ["1/10", Fraction(1, 10), "0.1"])

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from couplingcert import cli
+from couplingcert import cli, windows
 from couplingcert.certify import Certificate, CheckResult, run_all
 from couplingcert.cli import (
     _CONFIG_KEYS,
@@ -81,6 +85,41 @@ def test_a_key_set_by_flag_or_by_file_gives_the_same_config(tmp_path, key):
         assert type(getattr(by_file, field)) is int
 
 
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    text = "H = Z^2\nrH = 2\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert parse_config_file(bom) == parse_config_file(plain) == {"group_H": "Z^2",
+                                                                 "radius_H": "2"}
+    outputs = []
+    for p in (plain, bom):
+        assert main(["ball", "--config", str(p)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "13 elements" in outputs[0]
+
+
+def test_non_ascii_files_read_and_write_under_the_c_locale(tmp_path):
+    # a table and a config with UTF-8 comments, the table with a byte order
+    # mark, read by a child process whose locale encoding is ASCII; the
+    # report it writes is the one an in-process run renders
+    table = tmp_path / "shift.map"
+    table.write_text("# Verschiebung \u2014 d\u00e9cal\u00e9e\n"
+                     + "".join(f"{n} -> {n + 1}\n" for n in range(-8, 9)), encoding="utf-8-sig")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# fen\u00eatre\nmap = table:{table}\nrH = 8\nrG = 16\neval = 2\n",
+                   encoding="utf-8")
+    out = tmp_path / "report.json"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "couplingcert.cli", "certify", "--config",
+                           str(cfg), "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode in (0, 1), done.stderr
+    want = render_report(run_all(build_config(_Args(config=str(cfg)))))
+    assert out.read_text(encoding="utf-8") == want
+
+
 def test_config_file_unknown_key(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("radius = 3\n")
@@ -140,6 +179,22 @@ def test_net_subcommand(capsys):
     assert main(["net", "--H", "Z^1", "--rH", "10", "--s", "3"]) == 0
     out = capsys.readouterr().out
     assert "7 points" in out
+
+
+def test_net_past_the_window_grows_no_ball(monkeypatch, capsys):
+    # every element of the radius-6 window lies within 6 < 13 of the
+    # identity: the one search is the window's own
+    searches = []
+    bfs = windows._bfs
+
+    def spy(*args):
+        searches.append(args[2])
+        return bfs(*args)
+
+    monkeypatch.setattr(windows, "_bfs", spy)
+    assert main(["net", "--H", "F_2", "--rH", "6", "--s", "13"]) == 0
+    assert capsys.readouterr().out == "# maximal 13-discrete net in F_2 radius 6: 1 points\n1\n"
+    assert searches == [6]
 
 
 def test_net_without_s_exits_2_before_building_a_window(monkeypatch, capsys):

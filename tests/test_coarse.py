@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from couplingcert import coarse, windows
+from couplingcert import coarse
 from couplingcert.coarse import (
     analytic_moduli,
     apply,
@@ -214,6 +214,16 @@ def test_table_map_io(tmp_path):
         apply(phi, (5,))
 
 
+def test_table_map_with_a_byte_order_mark_reads_as_without(tmp_path):
+    text = "# a shift\n0 -> 1\n1 -> 2\n-1 -> 0\n"
+    plain, bom = tmp_path / "plain.map", tmp_path / "bom.map"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    maps = [load_map_table(p, Z, Z) for p in (plain, bom)]
+    assert [[apply(phi, (n,)) for n in (-1, 0, 1)] for phi in maps] == [[(0,), (1,), (2,)]] * 2
+
+
 def test_table_map_bad_line_names_line_number(tmp_path):
     p = tmp_path / "phi.txt"
     p.write_text("0 -> 0\nnot a mapping\n")
@@ -291,13 +301,15 @@ def _random_table_map(seed: int, H, e: int, radius: int, spread: int, shift: int
     return table_map(H, G, mapping)
 
 
-# Z^d -> Z^e tables with images inside the target window take the
-# closed-form l1 scan, the rest the lookup scan; small targets truncate and
-# t_max above r_H builds the separate difference window.  The first three
-# examples run the l1 scan and truncate, the fourth has far images.  The
-# last two run the l1 scan with one code per side (Z^2, r_H = 3: 25 points,
-# table 13^2 = 169 <= 300 pairs) and with one code per coordinate (Z^4,
-# r_H = 2: 41 points, table 9^4 = 6,561 > 820 pairs).
+# Z^d -> Z^e tables whose l1 tables have at most as many entries as the
+# scan has pairs, on each side, take the closed-form l1 scan, the rest the
+# lookup scan; small targets truncate and t_max above r_H builds the
+# separate difference window.  The first example runs the l1 scan and
+# truncates (Z^2, r_H = 3: 25 points, table 13^2 = 169 <= 300 pairs); the
+# next two truncate on the lookup scan (an image table of 525 entries for 36
+# pairs, a source table of 9^3 = 729 for 300); the fourth has far images.  The
+# last two run the l1 scan with shifted images, and the lookup scan on Z^4
+# (r_H = 2: 41 points, table 9^4 = 6,561 > 820 pairs).
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16),
        source=st.sampled_from(["Z^1", "Z^2", "Z^3", "Z^4", "C_5 x Z^1"]), e=st.integers(1, 4),
@@ -326,32 +338,55 @@ def _check_moduli_against_reference(seed, source, e, r_H, t_frac, r_G, spread, s
     assert m.kappa_at(m.t_max + 1) is None and m.omega_at(m.t_max + 1) is None
 
 
-def _spy_codings(monkeypatch) -> Counter:
-    """Which l1 coding each side of rank > 1 of the ``Z^d`` moduli scan
-    takes from now on: one code, or one per coordinate."""
-    codings = Counter()
-    l1_codes = windows._l1_codes
+def _spy_scans(monkeypatch) -> Counter:
+    """Which scan each pair scan of :func:`estimate_moduli` takes from now
+    on: the closed-form l1 keys, or the lookup scan with its difference
+    ball."""
+    scans = Counter()
 
-    def spy(points, scale, budget):
-        codes = l1_codes(points, scale, budget)
-        if len(points[0]) > 1:
-            codings["per coordinate" if len(codes) > 1 else "one code"] += 1
-        return codes
+    def spy(name, fn):
+        def counted(*args):
+            scans[name] += 1
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(coarse, "_l1_codes", spy)
-    return codings
+    monkeypatch.setattr(coarse, "_l1_pair_keys", spy("closed form", coarse._l1_pair_keys))
+    monkeypatch.setattr(coarse, "ball_window", spy("lookup", coarse.ball_window))
+    return scans
 
 
 def test_estimate_moduli_matches_reference_pair_scan(monkeypatch):
-    codings = _spy_codings(monkeypatch)
+    scans = _spy_scans(monkeypatch)
     _check_moduli_against_reference()
-    assert codings["one code"] and codings["per coordinate"], codings
+    assert scans["closed form"] and scans["lookup"], scans
+
+
+@pytest.mark.parametrize("source,e,r_H,r_G,spread,shift,scan", [
+    # 41 points give 820 pairs, against 17^2 entries for the sources and
+    # 21^2 for the images; all 41 images, then 5 of them, leave the target
+    # window
+    ("Z^2", 2, 4, 8, 1, 10, "closed form"),
+    ("Z^2", 2, 4, 9, 1, 3, "closed form"),
+    # 41 points of Z^4: the one-code table has 9^4 = 6,561 > 820 entries;
+    # no image, then 6 of them, leave the target window
+    ("Z^4", 4, 2, 12, 0, 0, "lookup"),
+    ("Z^4", 4, 2, 6, 1, -1, "lookup"),
+])
+def test_estimate_moduli_scan_is_chosen_by_table_size(monkeypatch, source, e, r_H, r_G,
+                                                      spread, shift, scan):
+    H = make_group(source)
+    phi = _random_table_map(7, H, e, r_H, spread, shift)
+    W_H, W_G = build_window(H, r_H), build_window(phi.target, r_G)
+    scans = _spy_scans(monkeypatch)
+    m = estimate_moduli(phi, W_H, W_G, 2 * r_H)
+    assert scans == {scan: 1}
+    for name, value in _reference_moduli(phi, W_H, W_G, 2 * r_H).items():
+        assert getattr(m, name) == value, name
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d=st.integers(1, 4), e=st.integers(1, 4), T=st.integers(1, 9))
-def _check_coded_l1_pair_keys(data, d, e, T):
-    # small bounds give one code per side, large ones one code per coordinate
+def test_coded_l1_pair_keys_match_the_column_oracle(data, d, e, T):
     n = data.draw(st.integers(1, 30))
     bound = data.draw(st.integers(0, 6))
     shift = data.draw(st.integers(-9, 9))
@@ -359,16 +394,6 @@ def _check_coded_l1_pair_keys(data, d, e, T):
     elements = data.draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
     images = data.draw(st.lists(st.tuples(*[coord] * e), min_size=n, max_size=n))
     assert coarse._l1_pair_keys(elements, images, T) == oracles.l1_pair_keys(elements, images, T)
-
-
-def test_coded_l1_pair_keys_match_the_column_oracle(monkeypatch):
-    # the sliced rows of both codings are compared; the 3x3 box takes one
-    # code on each side (5*5 table entries for 36 pairs) whatever the draws
-    codings = _spy_codings(monkeypatch)
-    box = [(x, y) for x in range(3) for y in range(3)]
-    assert coarse._l1_pair_keys(box, box, 5) == oracles.l1_pair_keys(box, box, 5)
-    _check_coded_l1_pair_keys()
-    assert codings["one code"] and codings["per coordinate"], codings
 
 
 def test_estimate_moduli_truncates_on_a_small_target():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -128,9 +128,10 @@ def test_set_distance_of_far_sets_is_none():
     assert set_distance(W, [(0,), (1,)], [(9,), (4,)]) == 3
 
 
-def test_budget_error_reports_radius():
+def test_budget_error_reports_radius(monkeypatch):
+    monkeypatch.setattr(windows, "DEFAULT_ELEMENT_BUDGET", 50)
     with pytest.raises(WindowBudgetError) as exc:
-        build_window(make_group("F_2"), 10, budget=50)
+        build_window(make_group("F_2"), 10)
     assert exc.value.radius_reached >= 1
 
 
@@ -184,10 +185,12 @@ def test_ball_window_is_the_fresh_ball(desc, radius, r):
     assert list(W.dist.items()) == before
 
 
-@pytest.mark.parametrize("desc,radius,s,searches", [
-    ("Z^2", 3, 4, 0), ("F_2", 2, Fraction(5, 2), 0), ("Heis", 2, 3, 0), ("Z^2", 3, 5, 1)])
-def test_greedy_net_searches_only_past_the_window(monkeypatch, desc, radius, s, searches):
-    # the blocking ball B(ceil(s)-1) is a prefix of W unless it reaches past it
+@pytest.mark.parametrize("desc,radius,s", [
+    ("Z^2", 3, 4), ("F_2", 2, Fraction(5, 2)), ("Heis", 2, 3), ("Z^2", 3, 5), ("Z^2", 3, 8),
+    ("F_2", 2, 9), ("Heis", 1, Fraction(7, 2)), ("C_5", 3, 6)])
+def test_greedy_net_searches_nothing(monkeypatch, desc, radius, s):
+    # the blocking ball B(ceil(s)-1) is a prefix of W, or all of W when it
+    # would reach past it, and then the net is the identity alone
     calls = []
     bfs = windows._bfs
 
@@ -197,14 +200,18 @@ def test_greedy_net_searches_only_past_the_window(monkeypatch, desc, radius, s, 
 
     W = build_window(make_group(desc), radius)
     monkeypatch.setattr(windows, "_bfs", spy)
-    assert greedy_net(W, s).points == oracles.greedy_net_scan(W, s).points
-    assert len(calls) == searches
+    net = greedy_net(W, s)
+    assert net.points == oracles.greedy_net_scan(W, s).points
+    assert calls == []
+    if s > W.radius:
+        assert net.points == [W.group.identity]
 
 
-def test_distance_field_budget_error():
+def test_distance_field_budget_error(monkeypatch):
     W = build_window(make_group("F_2"), 6)
+    monkeypatch.setattr(windows, "DEFAULT_ELEMENT_BUDGET", 20)
     with pytest.raises(WindowBudgetError) as exc:
-        distance_field(W, [W.group.identity], budget=20)
+        distance_field(W, [W.group.identity])
     assert exc.value.radius_reached == 2
 
 
@@ -331,8 +338,10 @@ def test_packing_invariant_under_enumeration_order():
 def test_packing_budget_paths_give_safe_upper_bounds():
     W = build_window(make_group("Z^1"), 20)
     exact = packing_number(W, 3, 16)
-    capped = packing_number(W, 3, 16, candidate_cap=5)
-    starved = packing_number(W, 3, 16, node_budget=2)
+    with mock.patch.object(windows, "DEFAULT_CANDIDATE_CAP", 5):
+        capped = packing_number(W, 3, 16)
+    with mock.patch.object(windows, "DEFAULT_NODE_BUDGET", 2):
+        starved = packing_number(W, 3, 16)
     for res in (capped, starved):
         assert not res.exact
         assert res.value >= exact.value
@@ -369,7 +378,8 @@ def test_packing_matches_naive_oracle_small():
 
 # Full PackingResult on a grid of windows, pinned from the list-based
 # branch and bound: a faster search must visit the same nodes in the same
-# order, so value, exact, witness, nodes and note all stay put.
+# order, so value, exact, witness, nodes and note all stay put.  The dict
+# holds the search limits a case patches in ``windows``.
 _PINNED_PACKINGS = [
     ("Z^2", 12, 3, 6, {}, (6, True, [(0, 0), (3, 0), (1, 2), (-2, -1), (0, -3), (2, -2)],
                            1984, "")),
@@ -379,14 +389,14 @@ _PINNED_PACKINGS = [
     ("Z^2", 8, Fraction(5, 2), Fraction(7, 2), {}, (2, True, [(0, 0), (3, 0)], 12, "")),
     ("Z^3", 6, 3, 4, {}, (6, True, [(0, 0, 0), (3, 0, 0), (1, 2, 0), (1, -2, 0), (1, 0, 2),
                                     (1, 0, -2)], 1926, "")),
-    ("Z^3", 6, 3, 6, {"node_budget": 20000},
+    ("Z^3", 6, 3, 6, {"DEFAULT_NODE_BUDGET": 20000},
      (377, False, None, 20001, "node budget 20000 exceeded")),
     ("Heis", 6, 3, 4, {}, (6, True, [(0, 0, 0), (3, 0, 0), (2, 1, 1), (2, -1, -1),
                                      (1, 1, 2), (1, -1, -2)], 2829, "")),
     ("Heis", 6, Fraction(5, 2), Fraction(9, 2), {},
      (6, True, [(0, 0, 0), (3, 0, 0), (2, 1, 1), (2, -1, -1), (1, 1, 2), (1, -1, -2)],
       2829, "")),
-    ("Heis", 6, 3, 6, {"node_budget": 20000},
+    ("Heis", 6, 3, 6, {"DEFAULT_NODE_BUDGET": 20000},
      (593, False, None, 20001, "node budget 20000 exceeded")),
     ("F_2", 6, 3, 4, {}, (4, True, [(), (1, 1, 1), (1, 2, 1), (1, -2, 1)], 1078, "")),
     ("F_2", 6, 3, 5, {}, (6, True, [(), (1, 1, 1), (1, 2, 1), (1, -2, 1), (1, 1, 2, 1),
@@ -405,9 +415,11 @@ _PINNED_PACKINGS = [
 
 
 @pytest.mark.parametrize("desc,radius,sep,diam,kwargs,pinned", _PINNED_PACKINGS)
-def test_packing_result_pinned(desc, radius, sep, diam, kwargs, pinned):
+def test_packing_result_pinned(monkeypatch, desc, radius, sep, diam, kwargs, pinned):
     W = build_window(make_group(desc), radius)
-    res = packing_number(W, sep, diam, **kwargs)
+    for name, value in kwargs.items():
+        monkeypatch.setattr(windows, name, value)
+    res = packing_number(W, sep, diam)
     assert (res.value, res.exact, res.witness, res.nodes, res.note) == pinned
 
 
@@ -431,7 +443,9 @@ def test_packing_result_matches_the_lookup_search(desc, half_diam, sep_num, sep_
     W = _PACKING_WINDOWS[desc]
     diam = min(Fraction(half_diam, 2), W.radius)
     sep = min(Fraction(sep_num, sep_den), 2 * W.radius - diam)
-    assert packing_number(W, sep, diam, budget) == packing_number_lookup(W, sep, diam, budget)
+    with mock.patch.object(windows, "DEFAULT_NODE_BUDGET", budget):
+        res = packing_number(W, sep, diam)
+    assert res == packing_number_lookup(W, sep, diam, budget)
 
 
 def _lookup_rows(W, candidates, lo, hi):
@@ -456,28 +470,20 @@ def test_l1_rows_are_the_upper_triangle_of_the_lookup_rows(desc, radius):
             assert rows == [row >> (i + 1) << (i + 1) for i, row in enumerate(full)]
 
 
-@pytest.mark.parametrize("branch", ["one code", "per coordinate"])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(data=st.data(), d=st.integers(1, 4), scale=st.integers(1, 9))
-def test_l1_codes_sum_to_the_scaled_l1_distance(branch, data, d, scale):
-    # a budget of at least the one-code table size takes the one-code
-    # branch, a smaller one gives each coordinate its own code
+def test_l1_codes_sum_to_the_scaled_l1_distance(data, d, scale):
     n = data.draw(st.integers(1, 12))
     bound = data.draw(st.integers(0, 6))
     shift = data.draw(st.integers(-9, 9))
     coord = st.integers(shift - bound, shift + bound)
     points = data.draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
-    size = prod(2 * (max(c) - min(c)) + 1 for c in zip(*points))
-    budget = data.draw(st.integers(size, 2 * size) if branch == "one code"
-                       else st.integers(0, size - 1))
-    codes = windows._l1_codes(points, scale, budget)
-    assert len(codes) == (1 if branch == "one code" else d)
-    for col, table, offset in codes:
-        # least code 0 and greatest at most offset: every row slice starts
-        # inside the table and holds the later codes
-        assert min(col) == 0 and max(col) <= offset and len(table) == 2 * offset + 1
+    col, table, offset = windows._l1_codes(points, scale)
+    # least code 0 and greatest at most offset: every row slice starts
+    # inside the table and holds the later codes
+    assert min(col) == 0 and max(col) <= offset and len(table) == 2 * offset + 1
+    assert len(table) == windows._l1_table_size(points)
     for i, a in enumerate(points):
         for j, b in enumerate(points):
-            assert (sum(table[col[j] - col[i] + offset] for col, table, offset in codes)
-                    == sum(table[offset - col[i]:][col[j]] for col, table, offset in codes)
+            assert (table[col[j] - col[i] + offset] == table[offset - col[i]:][col[j]]
                     == scale * sum(abs(x - y) for x, y in zip(a, b)))
