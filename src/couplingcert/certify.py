@@ -15,8 +15,11 @@ coordinates it needs through ``psi`` and builds no orbit-point object.
 
 :func:`validate_config` holds the one copy of every rule on a run's
 input, a :class:`RunConfig` (integer and string fields, radii, eval
-radius, ``t_max``, ``m_slack``, check names, epsilon); ``run_all`` calls it at
-its ``configure`` stage, and the CLI before any subcommand runs.
+radius, ``m_slack``, check names, epsilon); ``run_all`` calls it at its
+``configure`` stage, and the CLI before any subcommand runs.  A run sets
+no scale, core radius or moduli extent: ``run_all`` derives the scale
+``s`` from the moduli table (:func:`couplingcert.coarse.choose_scale`), the
+core radius from ``radius_G``, and the table's extent from ``radius_H``.
 """
 
 from __future__ import annotations
@@ -76,9 +79,6 @@ class RunConfig:
     radius_G: int = 40
     eval_radius: int = 8
     seed: int = 0
-    scale_override: int = 0
-    core_radius: int = 0
-    t_max: int = 0
     m_slack: int = 0
     epsilon: Union[str, Fraction] = "1/2"
     checks: Optional[list] = None
@@ -158,13 +158,8 @@ def validate_config(config: RunConfig) -> tuple:
         raise PreconditionError(f"checks must be a nonempty list of check names, got {checks!r}")
     if config.radius_H <= 0 or config.radius_G <= 0 or config.eval_radius < 0:
         raise PreconditionError("window radii must be positive and eval radius nonnegative")
-    if config.t_max < 0 or config.m_slack < 0:
-        raise PreconditionError(
-            f"t_max and m_slack must be nonnegative, got {config.t_max} and {config.m_slack}")
-    if config.scale_override < 0 or config.core_radius < 0:
-        raise PreconditionError(
-            "scale and core radius must be nonnegative (0 chooses them), "
-            f"got {config.scale_override} and {config.core_radius}")
+    if config.m_slack < 0:
+        raise PreconditionError(f"m_slack must be nonnegative, got {config.m_slack}")
     selected = set(CHECK_NAMES) if checks is None else set(checks)
     unknown = selected - set(CHECK_NAMES)
     if unknown:
@@ -744,10 +739,10 @@ def run_all(config) -> Certificate:
         W_G = build_window(G, config.radius_G)
 
         stage = "moduli"
-        m = pipeline_moduli(phi, W_H, W_G, config.t_max)
+        m = pipeline_moduli(phi, W_H, W_G)
 
         stage = "scale"
-        s = config.scale_override if config.scale_override else choose_scale(m)
+        s = choose_scale(m)
         if config.eval_radius + (s + 1) > config.radius_H:
             raise PreconditionError(
                 f"eval radius {config.eval_radius} + (s+1) = "
@@ -755,8 +750,7 @@ def run_all(config) -> Certificate:
             )
 
         stage = "coboundedness"
-        core_radius = config.core_radius if config.core_radius else max(
-            2, min(5, config.radius_G // 8))
+        core_radius = max(2, min(5, config.radius_G // 8))
         core = ball_window(W_G, core_radius)
         R = cobounded_radius(phi, W_H, core)
 

@@ -8,7 +8,8 @@ flags are generated from it, and a field of ``INT_FIELDS`` (annotated
 ``int``) is parsed as an integer from either source.  Every subcommand
 validates the merged configuration with
 :func:`couplingcert.certify.validate_config`, the same call ``run_all``
-makes at its ``configure`` stage.
+makes at its ``configure`` stage.  Every subcommand but ``demo`` writes
+its text to ``--out`` when given, else to stdout.
 
 Reports are canonical JSON with sorted keys inside each section, exact
 rationals rendered as ``num/den`` strings, and a trailing newline, so
@@ -23,11 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
 from .certify import INT_FIELDS, Certificate, RunConfig, fmt_rat, run_all, validate_config
-from .coarse import choose_scale, make_coarse_map, pipeline_moduli, window_moduli
+from .coarse import choose_scale, estimate_moduli, make_coarse_map, pipeline_moduli
 from .coupling import build_partition, psi, serialize_density
 from .errors import CouplingCertError, PreconditionError
 from .groups import make_group
@@ -43,11 +45,8 @@ _CONFIG_KEYS = {
     "rG": ("radius_G", "target window radius"),
     "eval": ("eval_radius", "evaluation window radius"),
     "seed": ("seed", "sampling seed"),
-    "scale": ("scale_override", "override the selected scale s"),
     "checks": ("checks", "comma-separated check subset, or 'all'"),
-    "out": ("output_path", "report output path (default stdout)"),
-    "core": ("core_radius", "coboundedness core-window radius"),
-    "tmax": ("t_max", "moduli table extent"),
+    "out": ("output_path", "output path (default stdout)"),
     "epsilon": ("epsilon", "threshold for [K, eps] membership, e.g. 1/2"),
     "mslack": ("m_slack", "extra slack added to M (testing aid)"),
 }
@@ -122,16 +121,20 @@ def render_report(cert: Certificate) -> str:
     return json.dumps(cert.to_report(), indent=2) + "\n"
 
 
-def emit_report(cert: Certificate, path: Optional[str]) -> int:
-    """Write (or print) the canonical report; return the exit code."""
-    text = render_report(cert)
+def _write(text: str, path: Optional[str]) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
     if path:
         try:
             Path(path).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise PreconditionError(f"cannot write report {path}: {exc}") from None
+            raise PreconditionError(f"cannot write {path}: {exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def emit_report(cert: Certificate, path: Optional[str]) -> int:
+    """Write (or print) the canonical report; return the exit code."""
+    _write(render_report(cert), path)
     return 0 if cert.all_pass() else 1
 
 
@@ -148,69 +151,60 @@ def _groups_and_map(cfg: RunConfig):
     return H, G, phi
 
 
-def cmd_ball(cfg: RunConfig) -> int:
+def _lines(lines: list) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def cmd_ball(cfg: RunConfig) -> str:
     H = make_group(cfg.group_H)
     W = build_window(H, cfg.radius_H)
-    print(f"group {H.descriptor} radius {W.radius}: {len(W)} elements")
-    by_level: dict = {}
-    for l in W.lengths:
-        by_level[l] = by_level.get(l, 0) + 1
-    for l in sorted(by_level):
-        print(f"  length {l}: {by_level[l]}")
-    return 0
+    by_level = Counter(W.lengths)
+    return _lines([f"group {H.descriptor} radius {W.radius}: {len(W)} elements"]
+                  + [f"  length {l}: {by_level[l]}" for l in sorted(by_level)])
 
 
-def cmd_moduli(cfg: RunConfig) -> int:
+def cmd_moduli(cfg: RunConfig) -> str:
     H, G, phi = _groups_and_map(cfg)
     W_H = build_window(H, cfg.radius_H)
     W_G = build_window(G, cfg.radius_G)
-    m = window_moduli(phi, W_H, W_G, cfg.t_max)
+    m = estimate_moduli(phi, W_H, W_G, 2 * W_H.radius)
     head = (f"# window-estimated moduli of {phi.descriptor}, t_max {m.t_max} "
             f"of {m.requested_t_max} requested")
     if m.truncated_at is not None:
         head += (f", truncated at t={m.truncated_at}, where an image distance "
                  "exceeds the target window")
-    print(head)
-    print("# t kappa omega pairs")
-    for t in range(m.t_max + 1):
-        print(f"{t} {m.kappa[t]} {m.omega[t]} {m.pair_counts[t]}")
-    return 0
+    return _lines([head, "# t kappa omega pairs"]
+                  + [f"{t} {m.kappa[t]} {m.omega[t]} {m.pair_counts[t]}"
+                     for t in range(m.t_max + 1)])
 
 
-def cmd_net(cfg: RunConfig, s: Optional[int]) -> int:
+def cmd_net(cfg: RunConfig, s: Optional[int]) -> str:
     if s is None:
         raise PreconditionError("net needs --s")
     H = make_group(cfg.group_H)
     W = build_window(H, cfg.radius_H)
     net = greedy_net(W, s)
-    print(f"# maximal {s}-discrete net in {H.descriptor} radius {cfg.radius_H}: "
-          f"{len(net.points)} points")
-    for y in net.points:
-        print(H.format_element(y))
-    return 0
+    return _lines([f"# maximal {s}-discrete net in {H.descriptor} radius {cfg.radius_H}: "
+                   f"{len(net.points)} points"]
+                  + [H.format_element(y) for y in net.points])
 
 
-def cmd_packing(cfg: RunConfig, separation, diam) -> int:
+def cmd_packing(cfg: RunConfig, separation, diam) -> str:
     G = make_group(cfg.group_G)
     W = build_window(G, cfg.radius_G)
     res = packing_number(W, separation, diam)
     kind = "exact" if res.exact else "upper-bound"
-    print(f"M = {res.value} ({kind})")
-    if res.note:
-        print(f"# {res.note}")
-    return 0
+    return _lines([f"M = {res.value} ({kind})"] + ([f"# {res.note}"] if res.note else []))
 
 
-def cmd_psi(cfg: RunConfig, h_text: Optional[str]) -> int:
+def cmd_psi(cfg: RunConfig, h_text: Optional[str]) -> str:
     H, G, phi = _groups_and_map(cfg)
+    h = H.identity if h_text is None else H.parse_element(h_text)
     W_H = build_window(H, cfg.radius_H)
     W_G = build_window(G, cfg.radius_G)
-    m = pipeline_moduli(phi, W_H, W_G, cfg.t_max)
-    s = cfg.scale_override if cfg.scale_override else choose_scale(m)
-    P = build_partition(W_H, W_G, phi, m, s, m_slack=cfg.m_slack)
-    h = H.parse_element(h_text if h_text is not None else H.format_element(H.identity))
-    sys.stdout.write(serialize_density(psi(P, phi, h)))
-    return 0
+    m = pipeline_moduli(phi, W_H, W_G)
+    P = build_partition(W_H, W_G, phi, m, choose_scale(m), m_slack=cfg.m_slack)
+    return serialize_density(psi(P, phi, h))
 
 
 def cmd_certify(cfg: RunConfig) -> int:
@@ -261,19 +255,22 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "demo":
             return cmd_demo()
         cfg = build_config(args)
-        if args.command == "ball":
-            return cmd_ball(cfg)
-        if args.command == "moduli":
-            return cmd_moduli(cfg)
-        if args.command == "net":
-            return cmd_net(cfg, args.s)
-        if args.command == "packing":
-            return cmd_packing(cfg, args.sep, args.diam)
-        if args.command == "psi":
-            return cmd_psi(cfg, args.h_text)
         if args.command == "certify":
             return cmd_certify(cfg)
-        raise PreconditionError(f"unknown command {args.command!r}")
+        if args.command == "ball":
+            text = cmd_ball(cfg)
+        elif args.command == "moduli":
+            text = cmd_moduli(cfg)
+        elif args.command == "net":
+            text = cmd_net(cfg, args.s)
+        elif args.command == "packing":
+            text = cmd_packing(cfg, args.sep, args.diam)
+        elif args.command == "psi":
+            text = cmd_psi(cfg, args.h_text)
+        else:
+            raise PreconditionError(f"unknown command {args.command!r}")
+        _write(text, cfg.output_path)
+        return 0
     except CouplingCertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,11 @@ and are preferred by the certificate pipeline.
 Every window scan only counts pairs, by the key ``dH + T*dG`` of their
 source and image distances, with an image distance the target window
 misses keyed as ``W_G.radius + 1``; :func:`_window_table` is the one
-reducer that turns the count into a table.  For a homomorphism without a
-stretch (the ``matrix:`` maps) the pipeline counts one pass over the
-difference ball ``B(t_max)``; the pair scan serves every other map and
+reducer that turns the count into a table.  The pipeline's window tables
+run to ``t_max = 2*W_H.radius``, the largest source distance of a pair in
+the source window.  For a homomorphism
+without a stretch (the ``matrix:`` maps) the pipeline counts one pass over
+the difference ball ``B(t_max)``; the pair scan serves every other map and
 the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
 Z^e`` the pair scan reads both distances as closed-form l1 norms when each
 side's table of norms has at most as many entries as the scan has pairs:
@@ -359,29 +361,16 @@ def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> 
     return _window_table(Counter(keys), T, W_G.radius, t_max, counted=False)
 
 
-def _scan_t_max(W_H: Window, t_max: int) -> int:
-    """``t_max`` of the window scans: ``0`` means, and larger values are
-    capped at, ``2*W_H.radius``."""
-    cap = 2 * W_H.radius
-    return min(t_max, cap) if t_max else cap
-
-
-def window_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) -> Moduli:
-    """The truncating window pair scan up to ``t_max``, capped as in
-    :func:`_scan_t_max`."""
-    return estimate_moduli(phi, W_H, W_G, _scan_t_max(W_H, t_max))
-
-
-def pipeline_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int = 0) -> Moduli:
+def pipeline_moduli(phi: CoarseMap, W_H: Window, W_G: Window) -> Moduli:
     """The moduli table of the certificate pipeline: ``stretch*t`` when the
-    map has a stretch, else the window table up to ``t_max`` -- one pass
-    over the difference ball for a homomorphism, the pair scan of
-    :func:`window_moduli` for any other map."""
+    map has a stretch, else the window table up to ``2*W_H.radius``, the
+    largest source distance of a pair in ``W_H`` -- one pass over the
+    difference ball for a homomorphism, the pair scan of
+    :func:`estimate_moduli` for any other map."""
     if phi.stretch is not None:
         return analytic_moduli(phi, 2 * (W_G.radius + W_H.radius) + 8)
-    if phi.homomorphic:
-        return homomorphic_moduli(phi, W_H, W_G, _scan_t_max(W_H, t_max))
-    return window_moduli(phi, W_H, W_G, t_max)
+    scan = homomorphic_moduli if phi.homomorphic else estimate_moduli
+    return scan(phi, W_H, W_G, 2 * W_H.radius)
 
 
 def choose_scale(m: Moduli) -> int:
@@ -400,7 +389,7 @@ def choose_scale(m: Moduli) -> int:
     if m.t_max >= 1 and tail > m.kappa[max(0, m.t_max - 2)]:
         raise ScaleSelectionError(
             f"kappa reaches only {tail} at t_max={m.t_max} but is still "
-            "growing; re-estimate with a larger window / t_max",
+            "growing; enlarge the source window",
             kind="t-max-too-small",
         )
     raise ScaleSelectionError(

@@ -229,6 +229,8 @@ class FreeGroup(GroupModel):
         s = s.strip()
         if s == "1":
             return ()
+        if not s:
+            raise NormalFormError(f"empty F_{self.k} word; the identity is written 1")
         word = []
         for ch in s:
             low = ch.lower()

@@ -4,6 +4,7 @@ violations, and compose deterministically."""
 from __future__ import annotations
 
 import importlib.util
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from couplingcert import certify, coarse, coupling, windows
 from couplingcert.certify import (
     _far_shell,
+    _stratified_sample,
     _g_properness,
     _K_margin,
     _kappa_sublevel_radius,
@@ -390,7 +392,7 @@ def g_action_cases():
         H = make_group(desc)
         phi = make_coarse_map(descriptor, H, H)
         W_H, W_G = build_window(H, rH), build_window(H, rG)
-        m = pipeline_moduli(phi, W_H, W_G, 0)
+        m = pipeline_moduli(phi, W_H, W_G)
         P = build_partition(W_H, W_G, phi, m, choose_scale(m))
         K = psi(P, phi, H.identity).support()
         near_h = [h for h in P.inner_elements if W_H.dist.get(h) <= 1]
@@ -532,6 +534,33 @@ def test_g_action_builds_no_distance_field_on_shear_z2(field_builds, monkeypatch
     assert result.details["margin_is_floor"] is True
 
 
+def test_stratified_sample_returns_a_grid_at_or_below_the_cap_unchanged():
+    # the strata are not computed: a stratum call would divide by zero
+    pairs = [(g, h) for g in range(4) for h in range(5)]
+    for cap in (20, 21):
+        assert _stratified_sample(pairs, lambda p: 1 // 0, cap, 3) is pairs
+
+
+def test_stratified_sample_keeps_every_stratum_in_proportion():
+    # 1,200 pairs over six strata, one of them a single pair: each stratum
+    # keeps floor(cap * share) of its pairs, and at least one
+    pairs = [(g, h) for g in range(30) for h in range(40)]
+
+    def stratum(p):
+        return 0 if p == (0, 0) else 1 + (p[0] + p[1]) % 5
+
+    cap = 100
+    sample = _stratified_sample(pairs, stratum, cap, 5)
+    assert sample == _stratified_sample(pairs, stratum, cap, 5)
+    assert len(set(sample)) == len(sample) and set(sample) <= set(pairs)
+    strata = [stratum(p) for p in sample]
+    assert strata == sorted(strata)
+    sizes = Counter(map(stratum, pairs))
+    assert Counter(strata) == {k: min(n, max(1, cap * n // len(pairs)))
+                               for k, n in sizes.items()}
+    assert sample != _stratified_sample(pairs, stratum, cap, 6)
+
+
 def test_run_all_reports_every_check_pass():
     cfg = RunConfig(group_H="Z^1", group_G="Z^1", map_descriptor="identity",
                     radius_H=24, radius_G=40, eval_radius=8, seed=7)
@@ -605,7 +634,7 @@ def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
 @pytest.mark.parametrize("field,value", [
     ("radius_H", "10"),
     ("radius_H", 10.5),
-    ("t_max", 2.5),
+    ("m_slack", 2.5),
     ("seed", True),
     ("checks", "lipschitz"),
     ("checks", ["lipschitz", 3]),
@@ -621,7 +650,7 @@ def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
 ])
 def test_run_all_rejects_a_wrong_typed_value_at_configure(field, value):
     # a library caller's value of the wrong type is input error, not a
-    # TypeError or AttributeError deep in a stage, and not a float t_max or
+    # TypeError or AttributeError deep in a stage, and not a float m_slack or
     # epsilon taken as is (0.1 is the binary fraction 3602879701896397/2**55)
     with pytest.raises(PipelineError) as exc:
         run_all(replace(RunConfig(), **{field: value}))
@@ -666,12 +695,9 @@ def test_output_path_may_be_none_or_a_string(path):
 
 @pytest.mark.parametrize("field,group,desc", [
     ("m_slack", "Z^1", "identity"),
-    ("t_max", "Z^1", "identity"),
-    ("t_max", "Z^2", "matrix:1,1,0,1"),
 ])
 def test_run_all_rejects_a_negative_t_max_or_m_slack_at_configure(field, group, desc):
-    # analytic moduli never read t_max, and a negative slack would shrink M
-    # below the packing bound
+    # a negative slack would shrink M below the packing bound
     cfg = replace(RunConfig(group_H=group, group_G=group, map_descriptor=desc), **{field: -2})
     with pytest.raises(PipelineError) as exc:
         run_all(cfg)
@@ -679,7 +705,8 @@ def test_run_all_rejects_a_negative_t_max_or_m_slack_at_configure(field, group, 
 
 
 def test_scale_stage_error_prints_the_sum():
-    cfg = RunConfig(radius_H=5, radius_G=40, eval_radius=3, scale_override=3)
+    # the identity's moduli give s = 3
+    cfg = RunConfig(radius_H=5, radius_G=40, eval_radius=3)
     with pytest.raises(PipelineError) as exc:
         run_all(cfg)
     assert str(exc.value) == "[scale] eval radius 3 + (s+1) = 7 exceeds radius_H = 5"

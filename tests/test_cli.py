@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -69,8 +70,8 @@ def test_config_file_roundtrip(tmp_path):
 
 # one accepted value per config key, each away from its default
 GOOD_VALUES = {"H": "Z^2", "G": "Z^2", "map": "matrix:1,1,0,1", "rH": "10", "rG": "30",
-               "eval": "2", "seed": "3", "scale": "4", "checks": "lipschitz,sandwich",
-               "out": "r.json", "core": "3", "tmax": "12", "epsilon": "1/3", "mslack": "1"}
+               "eval": "2", "seed": "3", "checks": "lipschitz,sandwich", "out": "r.json",
+               "epsilon": "1/3", "mslack": "1"}
 
 
 @pytest.mark.parametrize("key", list(_CONFIG_KEYS))
@@ -155,19 +156,16 @@ def test_ball_subcommand(capsys):
 
 def test_moduli_subcommand(capsys):
     assert main(["moduli", "--H", "Z^1", "--G", "Z^1", "--map", "scale:2",
-                 "--rH", "10", "--rG", "40", "--tmax", "8"]) == 0
+                 "--rH", "4", "--rG", "40"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines()
              if l and not l.startswith("#")]
     table = {int(l.split()[0]): tuple(int(x) for x in l.split()[1:3]) for l in lines}
     assert table == {t: (2 * t, 2 * t) for t in range(9)}
 
 
-@pytest.mark.parametrize("tmax", [None, "50"])
-def test_moduli_subcommand_scans_to_twice_the_source_radius(capsys, tmax):
-    # no --tmax, or one above 2*rH, scans the full 2*rH = 20
-    argv = ["moduli", "--H", "Z^1", "--G", "Z^1", "--map", "scale:2",
-            "--rH", "10", "--rG", "40"]
-    assert main(argv + (["--tmax", tmax] if tmax else [])) == 0
+def test_moduli_subcommand_scans_to_twice_the_source_radius(capsys):
+    assert main(["moduli", "--H", "Z^1", "--G", "Z^1", "--map", "scale:2",
+                 "--rH", "10", "--rG", "40"]) == 0
     out = capsys.readouterr().out
     assert "t_max 20" in out.splitlines()[0]
     rows = [l.split() for l in out.splitlines() if l and not l.startswith("#")]
@@ -312,14 +310,10 @@ def test_a_truncated_table_is_not_blamed_on_the_map(tmp_path, capsys):
     ["certify", "--map", "table:{tmp}/repeated.map"],
     ["certify", "--config", "{tmp}/repeated.cfg"],
     ["certify", "--mslack", "-100"],
-    ["certify", "--map", "identity", "--tmax", "-2"],
-    ["certify", "--H", "Z^2", "--G", "Z^2", "--map", "matrix:1,1,0,1", "--tmax", "-2"],
-    ["moduli", "--H", "Z^2", "--G", "Z^2", "--map", "matrix:1,1,0,1", "--tmax", "-2"],
 ], ids=["epsilon-syntax", "epsilon-zero-denominator", "epsilon-zero", "epsilon-negative",
         "epsilon-above-one", "unwritable-out", "missing-config",
         "undecodable-config", "missing-table", "missing-table-moduli", "repeated-source",
-        "repeated-config-key", "negative-mslack", "negative-tmax-identity",
-        "negative-tmax-matrix", "negative-tmax-moduli"])
+        "repeated-config-key", "negative-mslack"])
 def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     # exit 1 means a check failed; unusable input is an error, exit 2
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
@@ -332,16 +326,15 @@ def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-BAD_VALUES = [("rH", "0"), ("rG", "0"), ("eval", "-1"), ("tmax", "-2"), ("mslack", "-1"),
-              ("scale", "-2"), ("core", "-3"), ("checks", "nope"), ("epsilon", "3/2")]
+BAD_VALUES = [("rH", "0"), ("rG", "0"), ("eval", "-1"), ("mslack", "-1"), ("checks", "nope"),
+              ("epsilon", "3/2")]
 
 
 @pytest.mark.parametrize("key,text", BAD_VALUES, ids=[f"{k}={v}" for k, v in BAD_VALUES])
 def test_a_bad_value_is_rejected_at_configure_everywhere(capsys, key, text):
     # one validator: run_all rejects the value at its configure stage, and
     # certify, psi and moduli print the same message.  psi and moduli run
-    # no run_all: the identity's analytic moduli never read t_max, and a
-    # negative slack would shrink M below the packing bound
+    # no run_all: a negative slack would shrink M below the packing bound
     field = _CONFIG_KEYS[key][0]
     value = [text] if field == "checks" else text if field == "epsilon" else int(text)
     with pytest.raises(PipelineError) as exc:
@@ -376,16 +369,51 @@ def test_certify_with_a_trivial_cyclic_factor(tmp_path, group):
     assert json.loads(out.read_text())["window_metadata"]["group_H"] == group
 
 
-def test_net_images_closer_than_3_exit_2(tmp_path, capsys):
-    # the identity on [-10, 10] except 9 -> 1: the net points 0 and 9 map
-    # to images 1 apart, which the moduli table up to t = 4 does not see
-    table = tmp_path / "near.map"
-    table.write_text("".join(f"{n} -> {1 if n == 9 else n}\n" for n in range(-10, 11)))
-    code = main(["certify", "--map", f"table:{table}", "--rH", "10", "--rG", "40",
-                 "--eval", "1", "--tmax", "4"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: [partition] net images 0 and 1 are only 1 apart")
+def test_a_table_line_with_a_blank_source_exits_2(tmp_path, capsys):
+    # a blank F_k word is no spelling of the identity, which is written 1
+    table = tmp_path / "blank.map"
+    table.write_text(" -> ab\n")
+    assert main(["certify", "--H", "F_2", "--G", "F_2", "--map", f"table:{table}",
+                 "--rH", "2", "--rG", "4", "--eval", "0"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: [groups] {table}:1: empty F_2 word")
+    assert main(["psi", "--H", "F_2", "--G", "F_2", "--rH", "4", "--rG", "8", "--h", " "]) == 2
+    assert capsys.readouterr().err.startswith("error: empty F_2 word")
+
+
+# one run of each subcommand that writes text; certify's report is covered above
+TEXT_COMMANDS = {
+    "ball": ["ball", "--H", "F_2", "--rH", "2"],
+    "moduli": ["moduli", "--H", "Z^1", "--G", "Z^1", "--map", "scale:2", "--rH", "4",
+               "--rG", "40"],
+    "net": ["net", "--H", "Z^1", "--rH", "10", "--s", "3"],
+    "packing": ["packing", "--G", "Z^1", "--rG", "20", "--diam", "16"],
+    "psi": ["psi", "--H", "Z^1", "--G", "Z^1", "--map", "identity", "--rH", "24", "--rG", "40",
+            "--h", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(TEXT_COMMANDS))
+def test_out_receives_exactly_what_a_subcommand_prints(tmp_path, capsys, command):
+    argv = TEXT_COMMANDS[command]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and out.read_text(encoding="utf-8") == printed
+
+
+def test_the_readme_table_lists_every_config_key():
+    # one row per key: `key` | `RunConfig field` | flag help, with \| for a
+    # literal bar inside a cell
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `"):
+            cells = [c.strip().replace("\\|", "|")
+                     for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            rows.append((cells[0].strip("`"), (cells[1].strip("`"), cells[2])))
+    assert rows == list(_CONFIG_KEYS.items())
 
 
 def test_demo_subcommand(capsys):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couplingcert.coarse import analytic_moduli, choose_scale, make_coarse_map, pipeline_moduli
+from couplingcert.coarse import (
+    analytic_moduli,
+    choose_scale,
+    estimate_moduli,
+    make_coarse_map,
+    pipeline_moduli,
+    table_map,
+)
 from couplingcert.coupling import (
     PartitionOfUnity,
     _bump_walk,
@@ -22,7 +29,7 @@ from couplingcert.coupling import (
     support_distance,
     unit_ball,
 )
-from couplingcert.errors import PreconditionError
+from couplingcert.errors import CouplingCertError, PreconditionError
 from couplingcert.groups import make_group
 from couplingcert.windows import Net, build_window, greedy_net
 
@@ -122,6 +129,17 @@ def test_psi_single_block_case():
     d = psi(P, phi, (0,))
     assert d.block_coefficients() == [((0,), Fraction(1))]
     assert d.mass() == 1
+
+
+def test_net_images_closer_than_3_are_refused():
+    # the identity on [-10, 10] except 9 -> 1: a moduli table up to t = 4
+    # misses the collision, so the scale it gives puts the net points 0
+    # and 9 in the net, and their images are 1 apart
+    phi = table_map(Z, Z, {(n,): (1 if n == 9 else n,) for n in range(-10, 11)})
+    W_H, W_G = build_window(Z, 10), build_window(Z, 40)
+    m = estimate_moduli(phi, W_H, W_G, 4)
+    with pytest.raises(CouplingCertError, match="^net images 0 and 1 are only 1 apart"):
+        build_partition(W_H, W_G, phi, m, choose_scale(m))
 
 
 def test_psi_outside_inner_window_rejected(z_identity):
@@ -291,7 +309,7 @@ def oracle_partitions():
         G = make_group(desc)
         phi = make_coarse_map(descriptor, G, G)
         W_H, W_G = build_window(G, rH), build_window(G, rG)
-        m = pipeline_moduli(phi, W_H, W_G, 0)
+        m = pipeline_moduli(phi, W_H, W_G)
         P = build_partition(W_H, W_G, phi, m, choose_scale(m) if s is None else s)
         out[name] = (P, phi, W_G)
     return out

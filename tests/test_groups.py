@@ -165,6 +165,11 @@ def test_malformed_normal_forms_rejected():
     C5 = make_group("C_5")
     with pytest.raises(NormalFormError):
         inverse(C5, 7)
+    # the identity of F_k is written 1; a blank word is no element
+    for desc, text in [("F_2", ""), ("F_2", "  "), ("F_1", "\t"), ("Z^1 x F_2", "3|"),
+                       ("Z^1 x F_2", "3| ")]:
+        with pytest.raises(NormalFormError):
+            make_group(desc).parse_element(text)
 
 
 @pytest.mark.parametrize(
