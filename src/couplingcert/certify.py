@@ -29,6 +29,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, Optional, Union, get_type_hints
 
@@ -376,6 +377,7 @@ def check_properness_h(
     psi_of: Callable,
     diam_K: int,
     threshold,
+    field_of_K: Optional[Callable[[], dict]] = None,
 ) -> CheckResult:
     """For h with kappa(d(h,1)) above ``threshold``, the h-slice of any
     orbit point meeting [K, eps] at the identity has support disjoint from
@@ -384,7 +386,8 @@ def check_properness_h(
     kappa is nondecreasing, so those h are one shell of the source window.
     By left-invariance d(a, g^-1 k) = d(g.a, k): a slice of the sample
     zeta = g.psi_h0 is measured untranslated against one distance field of
-    K, built only when the shell is non-empty.
+    K, built only when the shell is non-empty: ``field_of_K()``, which a
+    run shares with :func:`check_g_action` (:func:`_field_once`).
     """
     G = phi.target
     H = phi.source
@@ -394,7 +397,7 @@ def check_properness_h(
     population = 0
     margin_is_floor = False
     far = _far_shell(P.window_H, m, threshold)
-    to_K_get = distance_field(W_G, K).get if far else None
+    to_K_get = (field_of_K or _field_once(W_G, K))().get if far else None
     for g, h0 in zeta_samples:
         zeta_1 = act_left(g, psi_of(h0))
         if zeta_1.inner_product(K_set) < epsilon:
@@ -548,6 +551,12 @@ def _K_margin(to_K_get, mul, t, atoms, floor) -> tuple:
     return (floor, None, True) if d is None else (d - 1, None, False)
 
 
+def _field_once(W: Window, sources: list) -> Callable[[], dict]:
+    """``distance_field(W, sources)``, built at the first call and returned
+    again by every later one."""
+    return cache(partial(distance_field, W, sources))
+
+
 def _reach(dist_get, points) -> Optional[int]:
     """The largest window length over ``points`` (0 for none), or None when
     one of them lies outside the window."""
@@ -561,6 +570,7 @@ def _g_properness(
     K_G: list,
     W_G: Window,
     g_candidates: list,
+    field_of_K: Optional[Callable[[], dict]] = None,
 ) -> tuple:
     """The properness part of :func:`check_g_action`: (least margin, its
     witness, margin_is_floor, population) over every (candidate, sample)
@@ -575,9 +585,10 @@ def _g_properness(
     so d(gc.a, k) >= |gc| - |a| - |k|: a pair with
     |gc| - reach(atoms) - reach(K_G) > W_G.radius, reach being the largest
     W_G length over a set, resolves no distance and takes the floor
-    without translating an atom.  The distance field of K_G is built at
-    the first pair this bound cannot settle, so never when all are floor
-    pairs; a point outside W_G has no reach and turns the bound off.
+    without translating an atom.  The distance field of K_G,
+    ``field_of_K()``, is read from the first pair this bound cannot
+    settle, so never built when all are floor pairs; a point outside W_G
+    has no reach and turns the bound off.
     """
     if not (g_candidates and qualifying):
         return None, None, False, 0
@@ -600,7 +611,7 @@ def _g_properness(
                     # one BFS from K_G resolves every support-to-K_G distance;
                     # the field holds exactly the points of K_G at 0, so a 0
                     # is a meeting point
-                    to_K_get = distance_field(W_G, K_G).get
+                    to_K_get = (field_of_K or _field_once(W_G, K_G))().get
                 margin, meet, floor = _K_margin(to_K_get, mul, gc, xi_1.atoms, radius)
             margin_is_floor |= floor
             if best is None or margin < best[0]:
@@ -624,6 +635,7 @@ def check_g_action(
     psi_of: Callable,
     tau: int,
     recenter_bound: int,
+    field_of_K: Optional[Callable[[], dict]] = None,
 ) -> CheckResult:
     """Properness and cocompactness of the left action.
 
@@ -632,8 +644,9 @@ def check_g_action(
     the bound the caller drew ``g_candidates``, (element, word length)
     pairs, past.  A pair whose length alone puts every translate beyond
     W_G by the triangle bound takes the floor margin untranslated, and the
-    distance field of K_G is built only for a pair the bound cannot settle
-    (see :func:`_g_properness`);
+    distance field of K_G, ``field_of_K()`` (shared with
+    :func:`check_properness_h` in a run), is built only for a pair the
+    bound cannot settle (see :func:`_g_properness`);
     (b) cocompactness: recentring the BFS-least support point confines any
     sampled orbit support in the ball of radius ``recenter_bound`` (the
     pipeline's is 4*omega(s+1) + 4) with full mass;
@@ -650,7 +663,7 @@ def check_g_action(
         if xi_1.inner_product(K_set) >= epsilon:
             qualifying.append((g, h, xi_1))
     margin, witness, margin_is_floor, pop_proper = _g_properness(
-        phi, qualifying, K_G, W_G, g_candidates)
+        phi, qualifying, K_G, W_G, g_candidates, field_of_K)
     if pop_proper:
         worst.update(margin, witness)
 
@@ -779,6 +792,7 @@ def run_all(config) -> Certificate:
             SAMPLE_CAP, config.seed)
 
         K_base = psi_of(H.identity).support()
+        field_of_K = _field_once(W_G, K_base)
         diam_K = pair_extremes(W_G, K_base)[2]
         if diam_K is None:
             raise ResolutionError("diameter of K does not resolve in the target window")
@@ -808,7 +822,7 @@ def run_all(config) -> Certificate:
                  if act_left(g, psi_of(h)).inner_product(K_set) >= epsilon), 8))
             checks.append(check_properness_h(
                 P, phi, zetas or [(G.identity, H.identity)], K_base, m, W_G,
-                epsilon, psi_of, diam_K, h_threshold))
+                epsilon, psi_of, diam_K, h_threshold, field_of_K))
         if "cocompactness_h" in selected:
             stage = "cocompactness_h"
             h_cc = min(h_rad, max(0, (P.inner_radius - config.eval_radius) // 3))
@@ -822,7 +836,7 @@ def run_all(config) -> Certificate:
             g_candidates = [(gc, aux.dist[gc]) for gc in aux.shell(tau, tau + 2)[:512]]
             checks.append(check_g_action(
                 P, phi, samples[:8], K_base, epsilon, W_G, g_candidates, psi_of, tau,
-                recenter_bound))
+                recenter_bound, field_of_K))
 
         stage = "assemble"
         constants = {

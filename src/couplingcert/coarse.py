@@ -16,20 +16,19 @@ the source window.  For a homomorphism
 without a stretch (the ``matrix:`` maps) the pipeline counts one pass over
 the difference ball ``B(t_max)``; the pair scan serves every other map and
 the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
-Z^e`` the pair scan reads both distances as closed-form l1 norms when each
-side's table of norms has at most as many entries as the scan has pairs:
-each side is one integer code column, coded by
-:func:`couplingcert.windows._l1_codes`, and a row is a slice of the table of
-l1 norms indexed by the later codes.  Other groups, and larger tables, take
+Z^e`` the pair scan reads both distances as l1 norms in byte lanes when
+each side's coordinate spreads sum to at most 255: each coordinate is one
+``bytes`` column, and a row's distances to every later row are one
+``bytes.translate`` per coordinate.  Other groups, and wider spreads, take
 the scan that looks both distances up in windows.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -41,7 +40,7 @@ from .errors import (
     TableMapError,
 )
 from .groups import FreeGroup, GroupModel, ZdGroup
-from .windows import Window, _l1_codes, _l1_table_size, ball_window, set_distance
+from .windows import Window, ball_window, set_distance
 
 
 @dataclass
@@ -231,16 +230,16 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     :func:`_window_table`; pairs at source distance above ``t_max`` are
     outside the table.
 
-    When source and target are both ``Z^d`` and each side's table of l1
-    norms has at most as many entries as the scan has pairs, both
-    distances are closed-form l1 norms: :func:`_l1_pair_keys` counts the
-    pairs from the two tables, indexed by code differences, with no group
-    product, window lookup or difference ball.  :func:`_window_table`
-    reads a key with ``dG > W_G.radius`` as a miss, exactly as the lookup
-    would, so images outside ``W_G`` give the same table.  Every other
-    input takes the lookup loop, which reads both distances off windows as
-    lengths of ``a^-1 b``, ``dH`` off the difference ball ``B(t_max)``: a
-    prefix of ``W_H``, or ``W_H`` grown.
+    When source and target are both ``Z^d`` and each side's coordinate
+    spreads sum to at most 255 (:func:`_l1_spread`), both distances are l1
+    norms of at most 255: :func:`_l1_pair_keys` counts the pairs from byte
+    columns of the coordinates, with no group product, window lookup or
+    difference ball.  :func:`_window_table` reads a key with
+    ``dG > W_G.radius`` as a miss, exactly as the lookup would, so images
+    outside ``W_G`` give the same table.  Every other input takes the
+    lookup loop, which reads both distances off windows as lengths of
+    ``a^-1 b``, ``dH`` off the difference ball ``B(t_max)``: a prefix of
+    ``W_H``, or ``W_H`` grown.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
@@ -249,9 +248,8 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     images = [apply(phi, h) for h in elements]
     # key = dH + T*dG with dH <= 2*W_H.radius < T
     T = 2 * W_H.radius + 1
-    n_pairs = len(elements) * (len(elements) - 1) // 2
     if (isinstance(H, ZdGroup) and isinstance(G, ZdGroup)
-            and _l1_table_size(elements) <= n_pairs and _l1_table_size(images) <= n_pairs):
+            and _l1_spread(elements) <= 255 and _l1_spread(images) <= 255):
         keys = _l1_pair_keys(elements, images, T)
     else:
         diff = ball_window(W_H, t_max)
@@ -311,27 +309,63 @@ def _window_table(keys: Counter, T: int, radius_G: int, t_max: int, counted: boo
     )
 
 
+def _l1_spread(points: list) -> int:
+    """The sum over coordinates of the spread ``max - min`` of ``points``:
+    the largest l1 distance between two of them."""
+    return sum(max(c) - min(c) for c in zip(*points))
+
+
 def _l1_pair_keys(elements: list, images: list, T: int) -> Counter:
     """Counter of ``dH + T*dG`` over the unordered pairs of ``elements``,
     with ``dH``, ``dG`` the l1 distances of the elements and of their
-    ``images``.
+    ``images``; each side's :func:`_l1_spread` is at most 255.
 
-    Each side is held as one integer code column (:func:`_l1_codes`, least
-    code 0), whose differences index a table of l1 norms (the image side's
-    times ``T``).  Row ``i`` slices each table at ``offset - col[i]``, so
-    the distances from row ``i`` to every later row are the two slices
-    mapped over the later codes and summed: no per-pair Python bytecode and
-    no per-pair difference.
+    Each coordinate of each side is one ``bytes`` column, shifted to least
+    value 0.  Row ``i`` translates the later bytes of a column by the table
+    ``x -> |x - col[i]|`` (a slice of ``_V``), which gives that coordinate's
+    distance from row ``i`` to every later row in one call; a side's
+    coordinates are added as integers, one byte lane per pair, and no lane
+    carries since the spreads sum to at most 255.  The two sides' bytes are
+    interleaved into one buffer of native 16-bit keys ``dH + 256*dG``,
+    counted with no Python bytecode per pair and re-keyed at the end; the
+    buffer holds one row, so the scan's memory does not grow with the
+    number of pairs.
     """
-    col_h, table_h, off_h = _l1_codes(elements, 1)
-    col_g, table_g, off_g = _l1_codes(images, T)
-    width_h, width_g = max(col_h) + 1, max(col_g) + 1
+    cols_h, cols_g = _byte_columns(elements), _byte_columns(images)
+    n = len(elements)
+    lo, hi = (0, 1) if sys.byteorder == "little" else (1, 0)
+    buf = bytearray(2 * n)
+    keys16 = memoryview(buf).cast("H")
+    counts = Counter()
+    for i in range(n - 1):
+        m = n - 1 - i
+        buf[lo:2 * m:2] = _row_distances(cols_h, i, m)
+        buf[hi:2 * m:2] = _row_distances(cols_g, i, m)
+        counts.update(keys16[:m])
     keys = Counter()
-    for i in range(len(elements)):
-        a, b = off_h - col_h[i], off_g - col_g[i]
-        keys.update(map(add, map(table_h[a:a + width_h].__getitem__, col_h[i + 1:]),
-                        map(table_g[b:b + width_g].__getitem__, col_g[i + 1:])))
+    for k, c in counts.items():
+        keys[(k & 255) + T * (k >> 8)] += c
     return keys
+
+
+# _V[255 - c:511 - c] maps each byte x to |x - c|, for every byte c
+_V = bytes(range(255, 0, -1)) + bytes(range(256))
+
+
+def _byte_columns(points: list) -> list:
+    """One ``bytes`` column per coordinate of ``points``, shifted to least
+    value 0."""
+    return [bytes([x - low for x in c]) for c in zip(*points) for low in [min(c)]]
+
+
+def _row_distances(cols: list, i: int, m: int) -> bytes:
+    """The l1 distances from point ``i`` to the ``m`` points after it, one
+    byte each, from the byte columns of their coordinates."""
+    total = 0
+    for col in cols:
+        c = col[i]
+        total += int.from_bytes(col[i + 1:].translate(_V[255 - c:511 - c]), sys.byteorder)
+    return total.to_bytes(m, sys.byteorder)
 
 
 def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:

@@ -10,8 +10,9 @@ distance field from its sources, a larger ball from a window's outer level
 miss means the distance exceeds the window radius.  On ``Z^d`` the packing
 search reads its distances as closed-form l1 norms instead:
 :func:`_l1_codes` codes points as integers whose differences index a table
-of norms, the coding the ``Z^d`` moduli pair scan of
-:mod:`couplingcert.coarse` also uses.
+of norms.  The ``Z^d`` moduli pair scan of :mod:`couplingcert.coarse`
+needs no such table: it reads its norms off byte columns, one
+``bytes.translate`` per coordinate and row.
 
 The search limits (``DEFAULT_ELEMENT_BUDGET`` for every BFS, the node
 budget and candidate cap of the packing search) are module constants, read
@@ -396,12 +397,6 @@ def _l1_codes(points: list, scale: int) -> tuple:
     low = min(code)
     scaled = [scale * v for v in range(max(table) + 1)]
     return [c - low for c in code], list(map(scaled.__getitem__, table)), radix // 2
-
-
-def _l1_table_size(points: list) -> int:
-    """The size of the table :func:`_l1_codes` builds for ``points``,
-    computed without building it."""
-    return math.prod(2 * (max(col) - min(col)) + 1 for col in zip(*points))
 
 
 def _volume_upper_bound(W: Window, lo: int, hi: int, n_candidates: int) -> int:

@@ -456,11 +456,13 @@ def overlap_count(W: Window, points, reach: int) -> int:
     return best
 
 
-def g_properness(phi, qualifying: list, K_G: list, W_G: Window, g_candidates: list) -> tuple:
+def g_properness(phi, qualifying: list, K_G: list, W_G: Window, g_candidates: list,
+                 field_of_K=None) -> tuple:
     """(margin, witness, margin_is_floor, population) of the left-action
     properness loop, with a witness built for every (candidate, sample) pair
-    and every support-to-K_G distance looked up pair by pair; the
-    candidates' word lengths are not read."""
+    and every support-to-K_G distance looked up pair by pair; neither the
+    candidates' word lengths nor the distance field ``field_of_K`` is
+    read."""
     G = phi.target
     fmtG = G.format_element
     K_set = set(K_G)

@@ -534,6 +534,14 @@ def test_g_action_builds_no_distance_field_on_shear_z2(field_builds, monkeypatch
     assert result.details["margin_is_floor"] is True
 
 
+@pytest.mark.parametrize("name", [name for name, _ in DEMO_CONFIGS])
+def test_a_run_builds_at_most_one_distance_field(field_builds, name):
+    # properness_h and g_action share one lazy field of K; shear-z2 needs
+    # none, the Z^1 demos one each
+    run_all(dict(DEMO_CONFIGS)[name])
+    assert len(field_builds) == (0 if name == "shear-z2" else 1)
+
+
 def test_stratified_sample_returns_a_grid_at_or_below_the_cap_unchanged():
     # the strata are not computed: a stratum call would divide by zero
     pairs = [(g, h) for g in range(4) for h in range(5)]

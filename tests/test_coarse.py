@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -301,25 +302,26 @@ def _random_table_map(seed: int, H, e: int, radius: int, spread: int, shift: int
     return table_map(H, G, mapping)
 
 
-# Z^d -> Z^e tables whose l1 tables have at most as many entries as the
-# scan has pairs, on each side, take the closed-form l1 scan, the rest the
-# lookup scan; small targets truncate and t_max above r_H builds the
-# separate difference window.  The first example runs the l1 scan and
-# truncates (Z^2, r_H = 3: 25 points, table 13^2 = 169 <= 300 pairs); the
-# next two truncate on the lookup scan (an image table of 525 entries for 36
-# pairs, a source table of 9^3 = 729 for 300); the fourth has far images.  The
-# last two run the l1 scan with shifted images, and the lookup scan on Z^4
-# (r_H = 2: 41 points, table 9^4 = 6,561 > 820 pairs).
+# Z^d -> Z^e tables whose coordinate spreads sum to at most 255 on each side
+# take the closed-form l1 scan, the rest the lookup scan; small targets
+# truncate and t_max above r_H builds the separate difference window.  The
+# first three examples run the l1 scan and truncate (Z^2 at t = 3, Z^1 -> Z^3
+# at 8, Z^3 -> Z^1 at 2); the fourth has far images.  The next two run the
+# lookup scan on C_5 x Z^1, truncated and whole, and the seventh on Z^2 with
+# images one past the limit (spread sum 256).  The last two run the l1 scan
+# with shifted images, on Z^2 and on Z^4.
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16),
        source=st.sampled_from(["Z^1", "Z^2", "Z^3", "Z^4", "C_5 x Z^1"]), e=st.integers(1, 4),
        r_H=st.integers(2, 4), t_frac=st.integers(1, 4), r_G=st.integers(1, 12),
-       spread=st.sampled_from([0, 1, 2, 30]), shift=st.integers(-3, 3))
+       spread=st.sampled_from([0, 1, 2, 30, 70]), shift=st.integers(-3, 3))
 @example(seed=1, source="Z^2", e=2, r_H=3, t_frac=3, r_G=6, spread=1, shift=0)
 @example(seed=1, source="Z^1", e=3, r_H=4, t_frac=4, r_G=10, spread=1, shift=0)
 @example(seed=1, source="Z^3", e=1, r_H=2, t_frac=3, r_G=3, spread=1, shift=0)
 @example(seed=4, source="Z^2", e=2, r_H=3, t_frac=4, r_G=4, spread=30, shift=0)
 @example(seed=5, source="C_5 x Z^1", e=2, r_H=3, t_frac=4, r_G=5, spread=2, shift=0)
+@example(seed=2, source="C_5 x Z^1", e=3, r_H=3, t_frac=4, r_G=12, spread=1, shift=0)
+@example(seed=2, source="Z^2", e=2, r_H=3, t_frac=4, r_G=12, spread=70, shift=0)
 @example(seed=2, source="Z^2", e=2, r_H=3, t_frac=4, r_G=12, spread=1, shift=2)
 @example(seed=3, source="Z^4", e=4, r_H=2, t_frac=4, r_G=12, spread=1, shift=-1)
 def _check_moduli_against_reference(seed, source, e, r_H, t_frac, r_G, spread, shift):
@@ -361,22 +363,30 @@ def test_estimate_moduli_matches_reference_pair_scan(monkeypatch):
     assert scans["closed form"] and scans["lookup"], scans
 
 
-@pytest.mark.parametrize("source,e,r_H,r_G,spread,shift,scan", [
-    # 41 points give 820 pairs, against 17^2 entries for the sources and
-    # 21^2 for the images; all 41 images, then 5 of them, leave the target
-    # window
-    ("Z^2", 2, 4, 8, 1, 10, "closed form"),
-    ("Z^2", 2, 4, 9, 1, 3, "closed form"),
-    # 41 points of Z^4: the one-code table has 9^4 = 6,561 > 820 entries;
-    # no image, then 6 of them, leave the target window
-    ("Z^4", 4, 2, 12, 0, 0, "lookup"),
-    ("Z^4", 4, 2, 6, 1, -1, "lookup"),
-])
-def test_estimate_moduli_scan_is_chosen_by_table_size(monkeypatch, source, e, r_H, r_G,
-                                                      spread, shift, scan):
-    H = make_group(source)
-    phi = _random_table_map(7, H, e, r_H, spread, shift)
-    W_H, W_G = build_window(H, r_H), build_window(phi.target, r_G)
+def _wide_table_map(top: int):
+    """A table on B(4) of Z^1 into Z^2 whose image coordinates spread 200
+    and ``top - 200``: two images ``top`` apart."""
+    mapping = {(a,): (25 * a, (a + 4) * (top - 200) // 8) for a in range(-4, 5)}
+    return table_map(Z, Z2, mapping)
+
+
+@pytest.mark.parametrize("phi,r_H,r_G,scan", [
+    # 41 points of Z^2 with images spread 2*(8 + 2) = 20; all 41 images,
+    # then 5 of them, leave the target window
+    (_random_table_map(7, Z2, 2, 4, 1, 10), 4, 8, "closed form"),
+    (_random_table_map(7, Z2, 2, 4, 1, 3), 4, 9, "closed form"),
+    # 41 points of Z^4, spread 4*4 = 16 at the source; no image, then 6 of
+    # them, leave the target window
+    (_random_table_map(7, make_group("Z^4"), 4, 2, 0, 0), 2, 12, "closed form"),
+    (_random_table_map(7, make_group("Z^4"), 4, 2, 1, -1), 2, 6, "closed form"),
+    # image spreads that sum to the largest byte, and one past it
+    (_wide_table_map(255), 4, 60, "closed form"),
+    (_wide_table_map(256), 4, 60, "lookup"),
+], ids=["Z^2-2-4-8-1-10-closed form", "Z^2-2-4-9-1-3-closed form",
+        "Z^4-4-2-12-0-0-closed form", "Z^4-4-2-6-1--1-closed form",
+        "Z^1-2-4-60-255-closed form", "Z^1-2-4-60-256-lookup"])
+def test_estimate_moduli_scan_is_chosen_by_spread(monkeypatch, phi, r_H, r_G, scan):
+    W_H, W_G = build_window(phi.source, r_H), build_window(phi.target, r_G)
     scans = _spy_scans(monkeypatch)
     m = estimate_moduli(phi, W_H, W_G, 2 * r_H)
     assert scans == {scan: 1}
@@ -384,16 +394,44 @@ def test_estimate_moduli_scan_is_chosen_by_table_size(monkeypatch, source, e, r_
         assert getattr(m, name) == value, name
 
 
+def _byte_points(data, k: int, n: int) -> list:
+    """``n`` points of ``Z^k`` whose coordinate spreads sum to a drawn total
+    of at most 255, exactly 255 when so drawn: two of the points are the
+    corners that make every spread exact."""
+    total = data.draw(st.one_of(st.just(255), st.integers(0, 255)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)))
+    spans = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    shift = data.draw(st.integers(-300, 300))
+    points = data.draw(st.lists(st.tuples(*[st.integers(shift, shift + s) for s in spans]),
+                                min_size=n - 2, max_size=n - 2))
+    for corner in (tuple(shift for _ in spans), tuple(shift + s for s in spans)):
+        points.insert(data.draw(st.integers(0, len(points))), corner)
+    assert coarse._l1_spread(points) == total
+    return points
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d=st.integers(1, 4), e=st.integers(1, 4), T=st.integers(1, 9))
 def test_coded_l1_pair_keys_match_the_column_oracle(data, d, e, T):
-    n = data.draw(st.integers(1, 30))
-    bound = data.draw(st.integers(0, 6))
-    shift = data.draw(st.integers(-9, 9))
-    coord = st.integers(shift - bound, shift + bound)
-    elements = data.draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
-    images = data.draw(st.lists(st.tuples(*[coord] * e), min_size=n, max_size=n))
+    n = data.draw(st.integers(2, 30))
+    elements, images = _byte_points(data, d, n), _byte_points(data, e, n)
     assert coarse._l1_pair_keys(elements, images, T) == oracles.l1_pair_keys(elements, images, T)
+    assert coarse._l1_pair_keys(elements[:1], images[:1], T) == Counter()
+
+
+def test_one_l1_pair_scan_stays_under_a_mebibyte():
+    # per-row byte lanes: a buffer across all 720,600 pairs of B(24) would
+    # take megabytes
+    phi = _seeded_table_map(0, 24)
+    elements = build_window(Z2, 24).elements
+    images = [phi.fn(h) for h in elements]
+    tracemalloc.start()
+    try:
+        coarse._l1_pair_keys(elements, images, 49)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_estimate_moduli_truncates_on_a_small_target():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -482,7 +483,7 @@ def test_l1_codes_sum_to_the_scaled_l1_distance(data, d, scale):
     # least code 0 and greatest at most offset: every row slice starts
     # inside the table and holds the later codes
     assert min(col) == 0 and max(col) <= offset and len(table) == 2 * offset + 1
-    assert len(table) == windows._l1_table_size(points)
+    assert len(table) == math.prod(2 * (max(c) - min(c)) + 1 for c in zip(*points))
     for i, a in enumerate(points):
         for j, b in enumerate(points):
             assert (table[col[j] - col[i] + offset] == table[offset - col[i]:][col[j]]
