@@ -15,12 +15,10 @@ run to ``t_max = 2*W_H.radius``, the largest source distance of a pair in
 the source window.  For a homomorphism
 without a stretch (the ``matrix:`` maps) the pipeline counts one pass over
 the difference ball ``B(t_max)``; the pair scan serves every other map and
-the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
-Z^e`` the pair scan reads both distances as l1 norms in byte lanes when
-each side's coordinate spreads sum to at most 255: each coordinate is one
-``bytes`` column, and a row's distances to every later row are one
-``bytes.translate`` per coordinate.  Other groups, and wider spreads, take
-the scan that looks both distances up in windows.
+the ``moduli`` subcommand, which prints the pair counts.  It reads the
+distance rows of :mod:`couplingcert.windows`: on ``Z^d -> Z^e`` within the
+byte limit both sides' l1 byte rows, interleaved and counted per row;
+otherwise both sides' lookup rows.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from .errors import (
     TableMapError,
 )
 from .groups import FreeGroup, GroupModel, ZdGroup
-from .windows import Window, ball_window, set_distance
+from .windows import Window, _byte_rows_fit, _l1_rows, _lookup_rows, ball_window, set_distance
 
 
 @dataclass
@@ -230,16 +228,14 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     :func:`_window_table`; pairs at source distance above ``t_max`` are
     outside the table.
 
-    When source and target are both ``Z^d`` and each side's coordinate
-    spreads sum to at most 255 (:func:`_l1_spread`), both distances are l1
-    norms of at most 255: :func:`_l1_pair_keys` counts the pairs from byte
-    columns of the coordinates, with no group product, window lookup or
-    difference ball.  :func:`_window_table` reads a key with
+    When both sides fit the byte limit of
+    :func:`~couplingcert.windows._byte_rows_fit`, :func:`_l1_pair_keys`
+    counts the pairs off the l1 byte rows, with no group product, window
+    lookup or difference ball.  :func:`_window_table` reads a key with
     ``dG > W_G.radius`` as a miss, exactly as the lookup would, so images
-    outside ``W_G`` give the same table.  Every other input takes the
-    lookup loop, which reads both distances off windows as lengths of
-    ``a^-1 b``, ``dH`` off the difference ball ``B(t_max)``: a prefix of
-    ``W_H``, or ``W_H`` grown.
+    outside ``W_G`` give the same table.  Every other input zips the lookup
+    rows of the images in ``W_G`` with those of the elements in the
+    difference ball ``B(t_max)``: a prefix of ``W_H``, or ``W_H`` grown.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
@@ -248,23 +244,18 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     images = [apply(phi, h) for h in elements]
     # key = dH + T*dG with dH <= 2*W_H.radius < T
     T = 2 * W_H.radius + 1
-    if (isinstance(H, ZdGroup) and isinstance(G, ZdGroup)
-            and _l1_spread(elements) <= 255 and _l1_spread(images) <= 255):
+    if _byte_rows_fit(H, elements) and _byte_rows_fit(G, images):
         keys = _l1_pair_keys(elements, images, T)
     else:
-        diff = ball_window(W_H, t_max)
-        mulH, invH, mulG, invG = H.mul, H.inv, G.mul, G.inv
-        diff_get, g_get, miss = diff.dist.get, W_G.dist.get, W_G.radius + 1
-        pairs = list(zip(elements, images))
+        rows_H = _lookup_rows(ball_window(W_H, t_max), elements)
+        counts = Counter()
+        for dHs, dGs in zip(rows_H, _lookup_rows(W_G, images)):
+            counts.update(zip(dHs, dGs))
+        # dH is None past t_max, dG where W_G misses
         keys = Counter()
-        for i, (hi, img_i) in enumerate(pairs):
-            inv_hi, inv_img = invH(hi), invG(img_i)
-            row = []
-            for hj, img_j in pairs[i + 1:]:
-                dH = diff_get(mulH(inv_hi, hj))
-                if dH is not None:
-                    row.append(dH + T * g_get(mulG(inv_img, img_j), miss))
-            keys.update(row)
+        for (dH, dG), c in counts.items():
+            if dH is not None:
+                keys[dH + T * (W_G.radius + 1 if dG is None else dG)] += c
     keys[0] += len(elements)  # the diagonal: each element with itself
     return _window_table(keys, T, W_G.radius, t_max, counted=True)
 
@@ -309,63 +300,31 @@ def _window_table(keys: Counter, T: int, radius_G: int, t_max: int, counted: boo
     )
 
 
-def _l1_spread(points: list) -> int:
-    """The sum over coordinates of the spread ``max - min`` of ``points``:
-    the largest l1 distance between two of them."""
-    return sum(max(c) - min(c) for c in zip(*points))
-
-
 def _l1_pair_keys(elements: list, images: list, T: int) -> Counter:
     """Counter of ``dH + T*dG`` over the unordered pairs of ``elements``,
     with ``dH``, ``dG`` the l1 distances of the elements and of their
-    ``images``; each side's :func:`_l1_spread` is at most 255.
+    ``images``, both sides under the byte limit of
+    :func:`~couplingcert.windows._byte_rows_fit`.
 
-    Each coordinate of each side is one ``bytes`` column, shifted to least
-    value 0.  Row ``i`` translates the later bytes of a column by the table
-    ``x -> |x - col[i]|`` (a slice of ``_V``), which gives that coordinate's
-    distance from row ``i`` to every later row in one call; a side's
-    coordinates are added as integers, one byte lane per pair, and no lane
-    carries since the spreads sum to at most 255.  The two sides' bytes are
+    The two sides' byte rows (:func:`~couplingcert.windows._l1_rows`) are
     interleaved into one buffer of native 16-bit keys ``dH + 256*dG``,
     counted with no Python bytecode per pair and re-keyed at the end; the
     buffer holds one row, so the scan's memory does not grow with the
     number of pairs.
     """
-    cols_h, cols_g = _byte_columns(elements), _byte_columns(images)
-    n = len(elements)
     lo, hi = (0, 1) if sys.byteorder == "little" else (1, 0)
-    buf = bytearray(2 * n)
+    buf = bytearray(2 * len(elements))
     keys16 = memoryview(buf).cast("H")
     counts = Counter()
-    for i in range(n - 1):
-        m = n - 1 - i
-        buf[lo:2 * m:2] = _row_distances(cols_h, i, m)
-        buf[hi:2 * m:2] = _row_distances(cols_g, i, m)
+    for dH, dG in zip(_l1_rows(elements), _l1_rows(images)):
+        m = len(dH)
+        buf[lo:2 * m:2] = dH
+        buf[hi:2 * m:2] = dG
         counts.update(keys16[:m])
     keys = Counter()
     for k, c in counts.items():
         keys[(k & 255) + T * (k >> 8)] += c
     return keys
-
-
-# _V[255 - c:511 - c] maps each byte x to |x - c|, for every byte c
-_V = bytes(range(255, 0, -1)) + bytes(range(256))
-
-
-def _byte_columns(points: list) -> list:
-    """One ``bytes`` column per coordinate of ``points``, shifted to least
-    value 0."""
-    return [bytes([x - low for x in c]) for c in zip(*points) for low in [min(c)]]
-
-
-def _row_distances(cols: list, i: int, m: int) -> bytes:
-    """The l1 distances from point ``i`` to the ``m`` points after it, one
-    byte each, from the byte columns of their coordinates."""
-    total = 0
-    for col in cols:
-        c = col[i]
-        total += int.from_bytes(col[i + 1:].translate(_V[255 - c:511 - c]), sys.byteorder)
-    return total.to_bytes(m, sys.byteorder)
 
 
 def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:

@@ -7,12 +7,15 @@ of a search from the identity in the model's fixed generator order.  One
 search, :func:`_bfs`, extends such tables: a ball from the identity, a
 distance field from its sources, a larger ball from a window's outer level
 (:func:`ball_window`).  ``d(a, b)`` is ``dist.get(a^-1 b)``, and a lookup
-miss means the distance exceeds the window radius.  On ``Z^d`` the packing
-search reads its distances as closed-form l1 norms instead:
-:func:`_l1_codes` codes points as integers whose differences index a table
-of norms.  The ``Z^d`` moduli pair scan of :mod:`couplingcert.coarse`
-needs no such table: it reads its norms off byte columns, one
-``bytes.translate`` per coordinate and row.
+miss means the distance exceeds the window radius.
+
+The packing search here and the moduli pair scan of
+:mod:`couplingcert.coarse` read the same rows of pairwise distances, row
+``i`` holding those from ``points[i]`` to ``points[i+1:]``: :func:`_l1_rows`
+as ``bytes`` on ``Z^d`` within the byte limit of :func:`_byte_rows_fit`,
+:func:`_lookup_rows` otherwise.  Past the limit are the packing search on
+``Z^1`` from ``hi = 128`` and the moduli scan from ``R_H = 128`` on ``Z^1``
+and ``R_H = 64`` on ``Z^2``.
 
 The search limits (``DEFAULT_ELEMENT_BUDGET`` for every BFS, the node
 budget and candidate cap of the packing search) are module constants, read
@@ -25,7 +28,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from itertools import repeat
 from typing import Optional
 
 from .errors import PreconditionError, ResolutionError, WindowBudgetError
@@ -250,7 +253,7 @@ def packing_number(W: Window, separation, diam_bound) -> PackingResult:
     radius diam_bound via branch and bound, with the compatibility graph
     and the branching sets held as integer bitmasks.  It branches in
     increasing index order, so the compatibility rows keep only their
-    upper triangle (:func:`_compat_rows`, closed-form on ``Z^d``).  A child
+    upper triangle (:func:`_compat_rows`).  A child
     that cannot branch (an empty mask, or one too small to beat the best
     size) is counted and may record a new best without a call; ``nodes``
     still counts every node.  When the candidate set exceeds
@@ -342,61 +345,65 @@ def _compat_rows(W: Window, candidates: list, lo: int, hi: int) -> list:
     ``i`` and ``j`` are ``lo`` to ``hi`` apart; the search reads ``rows[j]``
     only under masks of indices above ``j``.
 
-    On ``Z^d`` the distances are l1 norms, read off one code table
-    (:func:`_l1_codes`) mapped to ``"0"``/``"1"``: row ``i`` joins the
-    characters of the later candidates, highest index first, and parses
-    them as one binary integer, with no group product or window lookup.
-    Other groups look each distance up in ``W``; a distance the window
-    misses exceeds its radius, hence ``hi``.
+    Each distance row (:func:`_l1_rows` when :func:`_byte_rows_fit`, else
+    :func:`_lookup_rows`) is mapped to ``"0"``/``"1"`` per later
+    candidate and parsed, highest index first, as one binary integer.
     """
-    n = len(candidates)
-    if isinstance(W.group, ZdGroup):
-        col, table, offset = _l1_codes(candidates, 1)
-        # the candidates are B(hi): every coordinate spans [-hi, hi], so the
-        # table has (4*hi+1)^d entries, at most 17^4 = 83,521 under the
-        # default candidate cap (Z^4 at hi = 4)
-        assert len(table) == (4 * hi + 1) ** W.group.d
-        bits = "".join(["1" if lo <= v <= hi else "0" for v in table])
-        later = col[::-1]  # later[:n-1-i] holds the codes of candidates n-1, ..., i+1
-        return [int("".join(map(bits[offset - c:].__getitem__, later[:n - 1 - i])), 2) << (i + 1)
-                for i, c in enumerate(col[:-1])] + [0]
-    dist_get = W.dist.get
-    mul, inv = W.group.mul, W.group.inv
-    rows = []
-    for i, c in enumerate(candidates):
-        inv_i = inv(c)
-        row = 0
-        for j in range(i + 1, n):
-            d = dist_get(mul(inv_i, candidates[j]))
-            if d is not None and lo <= d <= hi:
-                row |= 1 << j
-        rows.append(row)
-    return rows
+    if _byte_rows_fit(W.group, candidates):
+        bits = bytes(b"01"[lo <= d <= hi] for d in range(256))
+        rows = (row.translate(bits) for row in _l1_rows(candidates))
+    else:
+        # a window miss exceeds the radius, hence hi
+        bits = {d: "01"[lo <= d <= hi] for d in range(W.radius + 1)} | {None: "0"}
+        rows = ("".join(map(bits.__getitem__, row)) for row in _lookup_rows(W, candidates))
+    return [int(row[::-1], 2) << (i + 1) for i, row in enumerate(rows)] + [0]
 
 
-def _l1_codes(points: list, scale: int) -> tuple:
-    """``(column, table, offset)`` with ``scale`` times the l1 distance of
-    points ``a`` and ``b`` equal to ``table[col[b] - col[a] + offset]``.
+def _byte_rows_fit(G: GroupModel, points: list) -> bool:
+    """Whether :func:`_l1_rows` serves ``points``: ``G`` is ``Z^d`` and
+    their :func:`_l1_spread` is at most 255, so no distance between two of
+    them exceeds one byte."""
+    return isinstance(G, ZdGroup) and _l1_spread(points) <= 255
 
-    The points are coded in mixed radix, with base ``2*span + 1`` for a
-    coordinate of spread ``span`` over the points, so a code difference
-    names exactly one difference vector and the table holds its norm: the
-    table has the product of the bases as its size.  The column is shifted
-    to least code 0, so it is at most ``offset``: row ``a`` of the table is
-    the slice from ``offset - col[a]``, indexed by ``col[b]``.  Equal table
-    values share one int object.
+
+def _l1_spread(points: list) -> int:
+    """The sum over coordinates of the spread ``max - min`` of ``points``:
+    the largest l1 distance between two of them."""
+    return sum(max(c) - min(c) for c in zip(*points))
+
+
+# _V[255 - c:511 - c] maps each byte x to |x - c|, for every byte c
+_V = bytes(range(255, 0, -1)) + bytes(range(256))
+
+
+def _l1_rows(points: list):
+    """Yield, for each point of ``Z^d`` but the last, its l1 distances to
+    the later points as ``bytes``, one byte each, when
+    :func:`_byte_rows_fit`.
+
+    Each coordinate is one ``bytes`` column, shifted to least value 0.  Row
+    ``i`` translates the later bytes of a column by the table ``x -> |x -
+    col[i]|`` (a slice of ``_V``), which gives that coordinate's distance
+    from point ``i`` to every later point in one call; the coordinates are
+    added as integers, one byte lane per pair, and no lane carries since
+    the spreads sum to at most 255.
     """
-    code = [0] * len(points)
-    table = [0]
-    radix = 1
-    for col in zip(*points):
-        span = max(col) - min(col)
-        code = list(map(add, code, [radix * x for x in col]))
-        table = [a + abs(x) for x in range(-span, span + 1) for a in table]
-        radix *= 2 * span + 1
-    low = min(code)
-    scaled = [scale * v for v in range(max(table) + 1)]
-    return [c - low for c in code], list(map(scaled.__getitem__, table)), radix // 2
+    cols = [bytes([x - low for x in c]) for c in zip(*points) for low in [min(c)]]
+    for i in range(len(points) - 1):
+        total = 0
+        for col in cols:
+            c = col[i]
+            total += int.from_bytes(col[i + 1:].translate(_V[255 - c:511 - c]), "little")
+        yield total.to_bytes(len(points) - 1 - i, "little")
+
+
+def _lookup_rows(W: Window, points: list):
+    """Yield, for each point but the last, its distances to the later
+    points as a list, each the length of ``a^-1 b`` in ``W``, ``None``
+    where the window misses; each point is inverted once."""
+    dist_get, mul = W.dist.get, W.group.mul
+    for i, a in enumerate(points[:-1]):
+        yield list(map(dist_get, map(mul, repeat(W.group.inv(a)), points[i + 1:])))
 
 
 def _volume_upper_bound(W: Window, lo: int, hi: int, n_candidates: int) -> int:

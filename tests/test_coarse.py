@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from couplingcert import coarse
+from couplingcert import coarse, windows
 from couplingcert.coarse import (
     analytic_moduli,
     apply,
@@ -406,7 +406,7 @@ def _byte_points(data, k: int, n: int) -> list:
                                 min_size=n - 2, max_size=n - 2))
     for corner in (tuple(shift for _ in spans), tuple(shift + s for s in spans)):
         points.insert(data.draw(st.integers(0, len(points))), corner)
-    assert coarse._l1_spread(points) == total
+    assert windows._l1_spread(points) == total
     return points
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from unittest import mock
 
@@ -28,6 +27,7 @@ from couplingcert.windows import (
 
 import oracles
 from oracles import distance, is_dense, is_discrete, packing_number_lookup, packing_number_naive
+from test_coarse import _byte_points
 
 
 @pytest.mark.parametrize(
@@ -449,7 +449,7 @@ def test_packing_result_matches_the_lookup_search(desc, half_diam, sep_num, sep_
     assert res == packing_number_lookup(W, sep, diam, budget)
 
 
-def _lookup_rows(W, candidates, lo, hi):
+def _symmetric_rows(W, candidates, lo, hi):
     """Symmetric compatibility masks, one window lookup per ordered pair;
     a distance the window misses exceeds ``hi``."""
     rows = []
@@ -467,24 +467,34 @@ def test_l1_rows_are_the_upper_triangle_of_the_lookup_rows(desc, radius):
         candidates = W.ball(hi)
         for lo in range(1, 2 * radius - hi + 1):
             rows = windows._compat_rows(W, candidates, lo, hi)
-            full = _lookup_rows(W, candidates, lo, hi)
+            full = _symmetric_rows(W, candidates, lo, hi)
             assert rows == [row >> (i + 1) << (i + 1) for i, row in enumerate(full)]
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), d=st.integers(1, 4), scale=st.integers(1, 9))
-def test_l1_codes_sum_to_the_scaled_l1_distance(data, d, scale):
-    n = data.draw(st.integers(1, 12))
-    bound = data.draw(st.integers(0, 6))
-    shift = data.draw(st.integers(-9, 9))
-    coord = st.integers(shift - bound, shift + bound)
-    points = data.draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
-    col, table, offset = windows._l1_codes(points, scale)
-    # least code 0 and greatest at most offset: every row slice starts
-    # inside the table and holds the later codes
-    assert min(col) == 0 and max(col) <= offset and len(table) == 2 * offset + 1
-    assert len(table) == math.prod(2 * (max(c) - min(c)) + 1 for c in zip(*points))
-    for i, a in enumerate(points):
-        for j, b in enumerate(points):
-            assert (table[col[j] - col[i] + offset] == table[offset - col[i]:][col[j]]
-                    == scale * sum(abs(x - y) for x, y in zip(a, b)))
+@pytest.mark.parametrize("hi,source", [(127, "_l1_rows"), (128, "_lookup_rows")])
+def test_compat_rows_take_byte_rows_up_to_the_byte_limit(monkeypatch, hi, source):
+    # B(127) of Z^1 spreads 254, within one byte; B(128) spreads 256
+    W = build_window(make_group("Z^1"), hi)
+    candidates = W.ball(hi)
+    calls = []
+    for name in ("_l1_rows", "_lookup_rows"):
+        def spy(*args, name=name, fn=getattr(windows, name)):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(windows, name, spy)
+    for lo in (1, 64, hi):
+        rows = windows._compat_rows(W, candidates, lo, hi)
+        full = _symmetric_rows(W, candidates, lo, hi)
+        assert rows == [row >> (i + 1) << (i + 1) for i, row in enumerate(full)]
+    assert calls == [source] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4))
+def test_l1_rows_are_the_l1_distances_to_later_points(data, d):
+    points = _byte_points(data, d, data.draw(st.integers(2, 30)))
+    assert windows._byte_rows_fit(make_group(f"Z^{d}"), points)
+    assert list(windows._l1_rows(points)) == [
+        bytes(sum(abs(x - y) for x, y in zip(a, b)) for b in points[i + 1:])
+        for i, a in enumerate(points[:-1])]
+    assert list(windows._l1_rows(points[:1])) == []
