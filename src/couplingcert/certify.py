@@ -54,6 +54,7 @@ from .errors import (
     PipelineError,
     PreconditionError,
     ResolutionError,
+    require_int,
 )
 from .groups import make_group
 from .windows import (Window, ball_window, build_window, distance_field, distances_from,
@@ -143,9 +144,7 @@ def validate_config(config: RunConfig) -> tuple:
     PreconditionError names the first value of the wrong type or out of
     range."""
     for name in INT_FIELDS:
-        value = getattr(config, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+        require_int(name, getattr(config, name))
     for name in STR_FIELDS:
         value = getattr(config, name)
         optional = _HINTS[name] is not str

@@ -7,15 +7,14 @@ distance >= t, ``omega[t]`` the largest over pairs at source distance
 carries it as ``stretch``; its moduli ``stretch*t`` hold at every scale
 and are preferred by the certificate pipeline.
 
-Every window scan only counts pairs, by the key ``dH + T*dG`` of their
-source and image distances, with an image distance the target window
-misses keyed as ``W_G.radius + 1``; :func:`_window_table` is the one
-reducer that turns the count into a table.  The pipeline's window tables
-run to ``t_max = 2*W_H.radius``, the largest source distance of a pair in
-the source window.  For a homomorphism
-without a stretch (the ``matrix:`` maps) the pipeline counts one pass over
-the difference ball ``B(t_max)``; the pair scan serves every other map and
-the ``moduli`` subcommand, which prints the pair counts.  It reads the
+Every window scan only counts pairs by their source and image distances
+``(dH, dG)``, with ``None`` for a distance a window misses;
+:func:`_window_table` is the one reducer that turns the count into a
+table.  The pipeline's window tables run to ``t_max = 2*W_H.radius``, the
+largest source distance of a pair in the source window.  For a
+homomorphism without a stretch (the ``matrix:`` maps) the pipeline counts
+one pass over the difference ball ``B(t_max)``; the pair scan serves every
+other map and the ``moduli`` subcommand, which prints the pair counts.  It reads the
 distance rows of :mod:`couplingcert.windows`: on ``Z^d -> Z^e`` within the
 byte limit both sides' l1 byte rows, interleaved and counted per row;
 otherwise both sides' lookup rows.
@@ -231,7 +230,7 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     When both sides fit the byte limit of
     :func:`~couplingcert.windows._byte_rows_fit`, :func:`_l1_pair_keys`
     counts the pairs off the l1 byte rows, with no group product, window
-    lookup or difference ball.  :func:`_window_table` reads a key with
+    lookup or difference ball.  :func:`_window_table` reads a pair with
     ``dG > W_G.radius`` as a miss, exactly as the lookup would, so images
     outside ``W_G`` give the same table.  Every other input zips the lookup
     rows of the images in ``W_G`` with those of the elements in the
@@ -242,75 +241,71 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     H, G = phi.source, phi.target
     elements = W_H.elements
     images = [apply(phi, h) for h in elements]
-    # key = dH + T*dG with dH <= 2*W_H.radius < T
-    T = 2 * W_H.radius + 1
     if _byte_rows_fit(H, elements) and _byte_rows_fit(G, images):
-        keys = _l1_pair_keys(elements, images, T)
+        counts = _l1_pair_keys(elements, images)
     else:
+        # dH is None past t_max, dG where W_G misses
         rows_H = _lookup_rows(ball_window(W_H, t_max), elements)
         counts = Counter()
         for dHs, dGs in zip(rows_H, _lookup_rows(W_G, images)):
             counts.update(zip(dHs, dGs))
-        # dH is None past t_max, dG where W_G misses
-        keys = Counter()
-        for (dH, dG), c in counts.items():
-            if dH is not None:
-                keys[dH + T * (W_G.radius + 1 if dG is None else dG)] += c
-    keys[0] += len(elements)  # the diagonal: each element with itself
-    return _window_table(keys, T, W_G.radius, t_max, counted=True)
+    counts[0, 0] += len(elements)  # the diagonal: each element with itself
+    return _window_table(counts, W_G.radius, t_max, counted=True)
 
 
-def _window_table(keys: Counter, T: int, radius_G: int, t_max: int, counted: bool) -> Moduli:
-    """The window-estimated table from a count of scanned pairs by key
-    ``dH + T*dG``, ``dH < T`` the source and ``dG`` the image distance;
-    ``dG > radius_G`` is an image distance the target window misses.
+def _window_table(counts: Counter, radius_G: int, t_max: int, counted: bool) -> Moduli:
+    """The window-estimated table from a count of scanned pairs by
+    ``(dH, dG)``, the source and the image distance, ``None`` where a
+    window misses.
 
-    Keys with ``dH > t_max`` are outside the table.  A missed image
-    distance truncates the table below the least such ``dH`` (enlarging
-    the source window can only shrink kappa and grow omega, so truncation
-    keeps every recorded entry exact for the scanned window), recorded as
-    ``truncated_at``.  The table is also trimmed to the last distance with
+    A pair with ``dH`` None or above ``t_max`` is outside the table; one
+    with ``dG`` None or above ``radius_G`` is an image distance the target
+    window misses.  A missed image distance truncates the table below the
+    least such ``dH`` (enlarging the source window can only shrink kappa
+    and grow omega, so truncation keeps every recorded entry exact for the
+    scanned window), recorded as ``truncated_at``.  The table is also trimmed to the last distance with
     a counted pair, so every entry is supported; below it the running
     minimum and maximum never hold a sentinel.  ``pair_counts`` is kept
     when ``counted``.
     """
     min_img = [radius_G + 1] * (t_max + 1)
     max_img = [-1] * (t_max + 1)
-    counts = [0] * (t_max + 1)
+    pairs = [0] * (t_max + 1)
     bad = t_max + 1
-    for key, c in keys.items():
-        dG, dH = divmod(key, T)
-        if dG > radius_G:
-            bad = min(bad, dH)  # no change for dH > t_max
-        elif dH <= t_max:
-            counts[dH] += c
+    for (dH, dG), c in counts.items():
+        if dH is None or dH > t_max:
+            continue
+        if dG is None or dG > radius_G:
+            bad = min(bad, dH)
+        else:
+            pairs[dH] += c
             min_img[dH] = min(min_img[dH], dG)
             max_img[dH] = max(max_img[dH], dG)
     eff = bad - 1
-    while eff > 0 and not counts[eff]:
+    while eff > 0 and not pairs[eff]:
         eff -= 1
     return Moduli(
         t_max=eff,
         kappa=list(accumulate(reversed(min_img[: eff + 1]), min))[::-1],
         omega=list(accumulate(max_img[: eff + 1], max)),
         provenance="window-estimated",
-        pair_counts=counts[: eff + 1] if counted else None,
+        pair_counts=pairs[: eff + 1] if counted else None,
         requested_t_max=t_max,
         truncated_at=bad if bad <= t_max else None,
     )
 
 
-def _l1_pair_keys(elements: list, images: list, T: int) -> Counter:
-    """Counter of ``dH + T*dG`` over the unordered pairs of ``elements``,
+def _l1_pair_keys(elements: list, images: list) -> Counter:
+    """Counter of ``(dH, dG)`` over the unordered pairs of ``elements``,
     with ``dH``, ``dG`` the l1 distances of the elements and of their
     ``images``, both sides under the byte limit of
     :func:`~couplingcert.windows._byte_rows_fit`.
 
     The two sides' byte rows (:func:`~couplingcert.windows._l1_rows`) are
     interleaved into one buffer of native 16-bit keys ``dH + 256*dG``,
-    counted with no Python bytecode per pair and re-keyed at the end; the
-    buffer holds one row, so the scan's memory does not grow with the
-    number of pairs.
+    counted with no Python bytecode per pair and split into ``(dH, dG)``
+    at the end; the buffer holds one row, so the scan's memory does not
+    grow with the number of pairs.
     """
     lo, hi = (0, 1) if sys.byteorder == "little" else (1, 0)
     buf = bytearray(2 * len(elements))
@@ -321,10 +316,7 @@ def _l1_pair_keys(elements: list, images: list, T: int) -> Counter:
         buf[lo:2 * m:2] = dH
         buf[hi:2 * m:2] = dG
         counts.update(keys16[:m])
-    keys = Counter()
-    for k, c in counts.items():
-        keys[(k & 255) + T * (k >> 8)] += c
-    return keys
+    return Counter({(k & 255, k >> 8): c for k, c in counts.items()})
 
 
 def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:
@@ -337,21 +329,22 @@ def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> 
     ``d(phi a, phi b) = |phi(a^-1 b)|``, so the scanned pairs at source
     distance t have exactly the image distances ``|phi x|`` over the
     sphere of radius t, for every t <= t_max <= 2R.  The pass counts one
-    key per ``x`` for :func:`_window_table`, up to the first image the
-    target window misses; ``pair_counts`` is not computed.
+    pair ``(|x|, |phi x|)`` per ``x`` for :func:`_window_table`, up to the
+    first image the target window misses; ``pair_counts`` is not
+    computed.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
     diff = ball_window(W_H, t_max)
-    g_get, miss, T = W_G.dist.get, W_G.radius + 1, t_max + 1
-    keys = []
+    g_get = W_G.dist.get
+    pairs = []
     for x, dH in diff.dist.items():
-        dG = g_get(apply(phi, x), miss)
-        keys.append(dH + T * dG)
-        if dG == miss:  # BFS order: every later x is at least as long
+        dG = g_get(apply(phi, x))
+        pairs.append((dH, dG))
+        if dG is None:  # BFS order: every later x is at least as long
             break
     # a finite group's spheres run out; the identity fills distance 0
-    return _window_table(Counter(keys), T, W_G.radius, t_max, counted=False)
+    return _window_table(Counter(pairs), W_G.radius, t_max, counted=False)
 
 
 def pipeline_moduli(phi: CoarseMap, W_H: Window, W_G: Window) -> Moduli:

@@ -7,11 +7,11 @@ counting measure scaled by 1/|B|, where B is the closed unit ball
 exactly 1 and every ``psi_h`` is a convex combination of disjointly
 supported blocks.
 
-Weights are held as integer numerators over one integer denominator:
-theta_y(h) = n_y / q with q = (s+1).denominator, and every atom of the
-block zB of ``psi_h`` carries n_z over the denominator Theta(h)*q*|B|.
-``build_partition`` finds every n_y(h) by walking each net point's ball
-y*B(floor(s+1)) once; the same walk counts the bump overlap.
+The scale s is an integer, as every word length is, so each bump value
+theta_y(h) = s+1 - d(y, h) is a positive integer, and every atom of the
+block zB of ``psi_h``, z = phi(y), carries theta_y(h) over the denominator
+Theta(h)*|B|.  ``build_partition`` finds every theta_y(h) by walking each
+net point's ball y*B(s+1) once; the same walk counts the bump overlap.
 Masses, inner products and L1 distances sum integers and build one
 ``Fraction`` per call, at the boundary where a margin or report reads it.
 
@@ -22,19 +22,18 @@ Theta and the alpha weights are truncation-free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .coarse import CoarseMap, Moduli, apply
-from .errors import CouplingCertError, PreconditionError, ResolutionError
+from .errors import CouplingCertError, PreconditionError, ResolutionError, require_int
 from .windows import Net, Window, greedy_net, packing_number, pair_extremes, set_distance
 
 
 @dataclass
 class PartitionOfUnity:
-    scale: Fraction                     # s
+    scale: int                          # s
     net: Net                            # Y, subset of the H-window
     images: list                        # Z = phi[Y], aligned with net.points
     window_H: Window
@@ -45,7 +44,7 @@ class PartitionOfUnity:
     M: int
     M_exact: bool
     omega_s1: int                       # omega(s+1)
-    thetas: dict = field(repr=False)    # inner h -> [(net index, n)], theta_y(h) = n/q > 0
+    thetas: dict = field(repr=False)    # inner h -> [(net index, theta_y(h) > 0)]
 
     @property
     def N(self) -> Fraction:
@@ -62,23 +61,17 @@ class PartitionOfUnity:
         """2*omega(s+1) + 2: every supp psi_h has at most this diameter."""
         return 2 * self.omega_s1 + 2
 
-    @property
-    def theta_denominator(self) -> int:
-        """q = (s+1).denominator: every theta_y(h) is an integer over q."""
-        return (self.scale + 1).denominator
-
     def alpha_terms(self, h) -> tuple:
         """(terms, total): alpha_y(h) = n/total for each (net index, n) of
-        ``thetas[h]``, over the support Z_h in net order; total is
-        Theta(h)*q."""
-        terms = self.thetas.get(h, [])
-        total = sum(n for _, n in terms)
-        if total < self.theta_denominator:
+        ``thetas[h]``, over the support Z_h in net order; total is Theta(h).
+        Every n is at least 1, so Theta(h) < 1 exactly when Z_h is empty."""
+        terms = self.thetas.get(h)
+        if not terms:
             raise CouplingCertError(
                 f"Theta < 1 at {self.window_H.group.format_element(h)}; "
                 "point is outside the region covered by the net"
             )
-        return terms, total
+        return terms, sum(n for _, n in terms)
 
     def is_inner(self, h) -> bool:
         l = self.window_H.dist.get(h)
@@ -144,21 +137,21 @@ def build_partition(
     W_G: Window,
     phi: CoarseMap,
     m: Moduli,
-    s,
+    s: int,
     m_slack: int = 0,
 ) -> PartitionOfUnity:
     """Assemble net, bumps, weights and the constants N and M."""
-    s = Fraction(s)
-    ks = m.kappa_at(int(s))
+    require_int("scale", s)
+    ks = m.kappa_at(s)
     if ks is None or ks < 3:
         raise PreconditionError(f"kappa({s}) = {ks} < 3; pick a larger scale")
     s1 = s + 1
-    inner_radius = W_H.radius - int(s1)
+    inner_radius = W_H.radius - s1
     if inner_radius < 0:
         raise PreconditionError(
             f"window radius {W_H.radius} below s+1 = {s1}; no inner window"
         )
-    omega_s1 = m.omega_at(int(s1))
+    omega_s1 = m.omega_at(s1)
     if omega_s1 is None:
         raise PreconditionError(f"omega({s1}) is not available in the moduli table")
 
@@ -175,7 +168,7 @@ def build_partition(
 
     # the bumps, and their worst overlap C over the window for the a-priori
     # Lipschitz constant 1 + C*(s+1) of the alphas
-    thetas, C = _bump_walk(W_H, net.points, s)
+    thetas, C = _bump_walk(W_H, net.points, s, inner_radius)
     P = PartitionOfUnity(
         scale=s,
         net=net,
@@ -183,7 +176,7 @@ def build_partition(
         window_H=W_H,
         inner_radius=inner_radius,
         N_empirical=Fraction(0),
-        N_apriori=Fraction(1) + C * s1,
+        N_apriori=Fraction(1 + C * s1),
         overlap_count=C,
         M=0,
         M_exact=False,
@@ -218,25 +211,18 @@ def build_partition(
     return P
 
 
-def _bump_walk(W: Window, points: list, s) -> tuple:
+def _bump_walk(W: Window, points: list, s: int, inner_radius: int) -> tuple:
     """(thetas, overlap count) of the bumps theta_y(h) = s+1 - d(y, h).
 
     The elements within distance d of y are y*B(d), so each point walks
-    its ball y*B(floor(s+1)) once, keeping the hits inside W.  ``thetas``
-    maps each h to ``[(i, n)]`` in net order, with theta_{points[i]}(h) =
-    n/q > 0 (q the denominator of s+1), for the h of the inner window only,
-    the radius ``W.radius - floor(s+1)`` ball where the weights are read;
-    the overlap count is the most points within distance s+1 of one element
-    of W.
+    its ball y*B(s+1) once, keeping the hits inside W.  ``thetas`` maps each
+    h to ``[(i, theta_{points[i]}(h))]`` in net order, for the bumps above
+    0 and the h of length <= ``inner_radius`` only, the ball where the
+    weights are read; the overlap count is the most points within distance
+    s+1 of one element of W.
     """
-    s1 = Fraction(s) + 1
-    top, q = s1.numerator, s1.denominator
-    below = math.ceil(s1) - 1  # integer d < s+1 exactly when d <= below
-    # integer d <= s+1 exactly when d <= floor(s+1); the ball is a BFS
-    # prefix of W, so W.lengths holds each |b|
-    reach = math.floor(s1)
-    inner_radius = W.radius - reach
-    ball = W.ball(reach)
+    # the ball is a BFS prefix of W, so W.lengths holds each |b|
+    ball = W.ball(s + 1)
     dist_get, mul = W.dist.get, W.group.mul
     thetas = {}
     counts = {}
@@ -246,8 +232,8 @@ def _bump_walk(W: Window, points: list, s) -> tuple:
             l = dist_get(h)
             if l is not None:
                 counts[h] = counts.get(h, 0) + 1
-                if d <= below and l <= inner_radius:
-                    thetas.setdefault(h, []).append((i, top - q * d))
+                if d <= s and l <= inner_radius:
+                    thetas.setdefault(h, []).append((i, s + 1 - d))
     return thetas, max(counts.values(), default=0)
 
 

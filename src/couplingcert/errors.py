@@ -31,6 +31,13 @@ class PreconditionError(CouplingCertError):
     """An operation's stated precondition is violated."""
 
 
+def require_int(name: str, value) -> None:
+    """Refuse a value that is not an ``int``, a ``bool`` included: radii,
+    scales and bounds are integers, as word lengths are."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
 class TableMapError(CouplingCertError):
     """Lookup-table map problem: bad file syntax or missing key."""
 

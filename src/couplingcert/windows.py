@@ -14,24 +14,23 @@ The packing search here and the moduli pair scan of
 ``i`` holding those from ``points[i]`` to ``points[i+1:]``: :func:`_l1_rows`
 as ``bytes`` on ``Z^d`` within the byte limit of :func:`_byte_rows_fit`,
 :func:`_lookup_rows` otherwise.  Past the limit are the packing search on
-``Z^1`` from ``hi = 128`` and the moduli scan from ``R_H = 128`` on ``Z^1``
-and ``R_H = 64`` on ``Z^2``.
+``Z^1`` from ``diam_bound = 128`` and the moduli scan from ``R_H = 128``
+on ``Z^1`` and ``R_H = 64`` on ``Z^2``.
 
-The search limits (``DEFAULT_ELEMENT_BUDGET`` for every BFS, the node
-budget and candidate cap of the packing search) are module constants, read
-when a search runs.
+Net scales and packing bounds are ``int`` word-length thresholds; any
+other value is refused.  The search limits (``DEFAULT_ELEMENT_BUDGET`` for
+every BFS, the node budget and candidate cap of the packing search) are
+module constants, read when a search runs.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import repeat
 from typing import Optional
 
-from .errors import PreconditionError, ResolutionError, WindowBudgetError
+from .errors import PreconditionError, ResolutionError, WindowBudgetError, require_int
 from .groups import GroupModel, ZdGroup
 
 DEFAULT_ELEMENT_BUDGET = 5_000_000
@@ -205,22 +204,21 @@ class Net:
     points: list
 
 
-def greedy_net(W: Window, s) -> Net:
+def greedy_net(W: Window, s: int) -> Net:
     """Greedy maximal s-discrete subset, scanned in BFS order.
 
     Each chosen point e blocks the elements within distance < s of it: the
-    e*b of W with |b| <= ceil(s)-1, read off the prefix ``W.ball``.  An
-    element is chosen when no earlier choice blocks it, so the result is
+    e*b of W with |b| <= s-1, read off the prefix ``W.ball``.  An element
+    is chosen when no earlier choice blocks it, so the result is
     s-discrete, and maximality of the scan makes it s-dense in the window.
-    When ceil(s)-1 >= radius the ball is all of W, so the identity, first
-    in BFS order, blocks every element: the net is [identity], found with
-    no search past W.
+    When s-1 >= radius the ball is all of W, so the identity, first in BFS
+    order, blocks every element: the net is [identity], found with no
+    search past W.
     """
-    s = Fraction(s)
+    require_int("net scale", s)
     if s < 1:
         raise PreconditionError(f"net scale must be >= 1, got {s}")
-    # integer d < s exactly when d <= ceil(s) - 1
-    ball = W.ball(math.ceil(s) - 1)
+    ball = W.ball(s - 1)
     dist, mul = W.dist, W.group.mul
     blocked = set()
     chosen = []
@@ -244,7 +242,7 @@ class PackingResult:
     note: str = ""
 
 
-def packing_number(W: Window, separation, diam_bound) -> PackingResult:
+def packing_number(W: Window, separation: int, diam_bound: int) -> PackingResult:
     """Maximum size of a subset with pairwise distances >= separation and
     diameter <= diam_bound.
 
@@ -261,8 +259,8 @@ def packing_number(W: Window, separation, diam_bound) -> PackingResult:
     nodes, the volume upper bound is returned with the exactness flag
     cleared; an overestimate is always safe downstream.
     """
-    separation = Fraction(separation)
-    diam_bound = Fraction(diam_bound)
+    require_int("separation", separation)
+    require_int("diam_bound", diam_bound)
     if separation <= 0 or diam_bound < 0:
         raise PreconditionError("separation must be positive and diam_bound nonnegative")
     if diam_bound + separation > 2 * W.radius:
@@ -276,12 +274,9 @@ def packing_number(W: Window, separation, diam_bound) -> PackingResult:
             "build a larger window"
         )
 
-    # word lengths are integers: lo <= d <= hi is exactly
-    # separation <= d <= diam_bound
-    lo, hi = math.ceil(separation), math.floor(diam_bound)
     node_budget, candidate_cap = DEFAULT_NODE_BUDGET, DEFAULT_CANDIDATE_CAP
-    candidates = W.ball(hi)
-    ub = _volume_upper_bound(W, lo, hi, len(candidates))
+    candidates = W.ball(diam_bound)
+    ub = _volume_upper_bound(W, separation, diam_bound, len(candidates))
     if len(candidates) > candidate_cap:
         return PackingResult(
             value=ub,
@@ -291,7 +286,7 @@ def packing_number(W: Window, separation, diam_bound) -> PackingResult:
             note=f"candidate set of size {len(candidates)} exceeds cap {candidate_cap}",
         )
 
-    compat = _compat_rows(W, candidates, lo, hi)
+    compat = _compat_rows(W, candidates, separation, diam_bound)
     best, best_set = 1, [0]
     nodes = 1  # the root: configurations are translated so candidate 0 (the identity) is a member
 

@@ -3,7 +3,6 @@ package against.  They are not part of the runtime API."""
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import repeat
@@ -131,14 +130,15 @@ def homomorphic_moduli(phi, W_H: Window, W_G: Window, t_max: int) -> Moduli:
     )
 
 
-def window_table(keys: Counter, T: int, radius_G: int, t_max: int, counted: bool) -> Moduli:
+def window_table(counts: Counter, radius_G: int, t_max: int, counted: bool) -> Moduli:
     """The table of ``coarse._window_table`` from its definitions: the
-    counted keys expanded into (dH, dG) pairs with their multiplicities,
-    those past ``t_max`` dropped, truncated below the least dH whose dG
-    exceeds ``radius_G``, trimmed to the last dH with a pair, and kappa and
-    omega taken as minima and maxima over distance ranges."""
-    pairs = [(key % T, key // T, c) for key, c in keys.items() if key % T <= t_max]
-    t_bad = min((dH for dH, dG, _ in pairs if dG > radius_G), default=t_max + 1)
+    counted (dH, dG) pairs with their multiplicities, those with dH None
+    or past ``t_max`` dropped, truncated below the least dH whose dG is
+    None or exceeds ``radius_G``, trimmed to the last dH with a pair, and
+    kappa and omega taken as minima and maxima over distance ranges."""
+    pairs = [(dH, dG, c) for (dH, dG), c in counts.items() if dH is not None and dH <= t_max]
+    t_bad = min((dH for dH, dG, _ in pairs if dG is None or dG > radius_G),
+                default=t_max + 1)
     kept = [(dH, dG, c) for dH, dG, c in pairs if dH < t_bad]
     eff = max(dH for dH, _, _ in kept)
     return Moduli(
@@ -153,8 +153,7 @@ def window_table(keys: Counter, T: int, radius_G: int, t_max: int, counted: bool
     )
 
 
-def is_discrete(W: Window, points, s) -> bool:
-    s = Fraction(s)
+def is_discrete(W: Window, points, s: int) -> bool:
     for i, y in enumerate(points):
         for y2 in points[i + 1:]:
             d = resolved_distance(W, y, y2)
@@ -163,8 +162,7 @@ def is_discrete(W: Window, points, s) -> bool:
     return True
 
 
-def is_dense(W: Window, points, s) -> bool:
-    s = Fraction(s)
+def is_dense(W: Window, points, s: int) -> bool:
     for e in W.elements:
         if not any(
             (d := resolved_distance(W, y, e)) is not None and d < s for y in points
@@ -185,18 +183,23 @@ def pair_extremes(W: Window, points: list) -> tuple:
     return least, pair, greatest
 
 
-def l1_pair_keys(elements: list, images: list, T: int) -> Counter:
-    """Counter of ``dH + T*dG`` over the unordered pairs of ``elements``,
-    from one list per coordinate of the points ``(h, T*phi(h))`` of
-    ``Z^(d+e)``: per row, ``abs`` of the column differences, summed."""
-    cols = [list(c) for c in zip(*elements)] + [[T * x for x in c] for c in zip(*images)]
+def l1_pair_keys(elements: list, images: list) -> Counter:
+    """Counter of ``(dH, dG)`` over the unordered pairs of ``elements``,
+    from one list per coordinate of each side: per row, ``abs`` of the
+    column differences, summed per side."""
+
+    def rows(points):
+        cols = [list(c) for c in zip(*points)]
+        for i in range(len(points)):
+            dist = None
+            for col in cols:
+                d = map(abs, map(sub, col[i + 1:], repeat(col[i])))
+                dist = d if dist is None else map(add, dist, d)
+            yield dist
+
     keys = Counter()
-    for i in range(len(elements)):
-        dist = None
-        for col in cols:
-            d = map(abs, map(sub, col[i + 1:], repeat(col[i])))
-            dist = d if dist is None else map(add, dist, d)
-        keys.update(dist)
+    for dH, dG in zip(rows(elements), rows(images)):
+        keys.update(zip(dH, dG))
     return keys
 
 
@@ -206,8 +209,6 @@ def packing_number_naive(W: Window, separation, diam_bound) -> int:
     No translation trick, no bound pruning; only feasibility pruning.
     Intended for windows of a few dozen elements.
     """
-    separation = Fraction(separation)
-    diam_bound = Fraction(diam_bound)
     n = len(W.elements)
     dist_get = W.dist.get
     mul, inv = W.group.mul, W.group.inv
@@ -256,8 +257,6 @@ def packing_number_lookup(
     with the exactness flag cleared; an overestimate is always safe
     downstream.
     """
-    separation = Fraction(separation)
-    diam_bound = Fraction(diam_bound)
     if separation <= 0 or diam_bound < 0:
         raise PreconditionError("separation must be positive and diam_bound nonnegative")
     if diam_bound + separation > 2 * W.radius:
@@ -271,9 +270,7 @@ def packing_number_lookup(
             "build a larger window"
         )
 
-    # word lengths are integers: lo <= d <= hi is exactly
-    # separation <= d <= diam_bound
-    lo, hi = math.ceil(separation), math.floor(diam_bound)
+    lo, hi = separation, diam_bound
     candidates = W.ball(hi)
     ub = _volume_upper_bound(W, lo, hi, len(candidates))
     if len(candidates) > candidate_cap:
@@ -408,36 +405,32 @@ def n_empirical(P: PartitionOfUnity) -> Fraction:
     return worst
 
 
-def greedy_net_scan(W: Window, s) -> Net:
+def greedy_net_scan(W: Window, s: int) -> Net:
     """The greedy s-discrete net, each element of W in BFS
     order looked up against every point chosen so far; when s exceeds
     radius+1 the lookups resolve in a ball that reaches just below s
     (pairwise distances in W stay <= 2*radius)."""
-    s = Fraction(s)
     G = W.group
-    below = math.ceil(s) - 1
-    lookup = build_window(G, min(below, 2 * W.radius)) if s > W.radius + 1 else W
+    lookup = build_window(G, min(s - 1, 2 * W.radius)) if s > W.radius + 1 else W
     chosen = []
     for e in W.elements:
-        if all((d := resolved_distance(lookup, y, e)) is None or d > below for y in chosen):
+        if all((d := resolved_distance(lookup, y, e)) is None or d >= s for y in chosen):
             chosen.append(e)
     return Net(points=chosen)
 
 
-def bump_walk(W: Window, points, s) -> tuple:
+def bump_walk(W: Window, points, s: int, inner_radius: int) -> tuple:
     """(thetas, overlap count) of the bumps theta_y(h) = s+1 - d(y, h), from
-    the ``resolved_distance`` of every (h, y) pair in Fractions: thetas
-    maps each h of the inner window (radius ``W.radius - floor(s+1)``) with
-    some bump above 0 to [(i, theta * q)] in point order, q the
-    denominator of s+1."""
-    s1 = Fraction(s) + 1
+    the ``resolved_distance`` of every (h, y) pair: thetas maps each h of
+    length <= ``inner_radius`` with some bump above 0 to [(i, theta)] in
+    point order."""
     thetas = {}
-    for h in W.ball(W.radius - math.floor(s1)):
-        terms = [(i, int((s1 - d) * s1.denominator)) for i, y in enumerate(points)
-                 if (d := resolved_distance(W, y, h)) is not None and d < s1]
+    for h in W.ball(inner_radius):
+        terms = [(i, s + 1 - d) for i, y in enumerate(points)
+                 if (d := resolved_distance(W, y, h)) is not None and d <= s]
         if terms:
             thetas[h] = terms
-    return thetas, overlap_count(W, points, math.floor(s1))
+    return thetas, overlap_count(W, points, s + 1)
 
 
 def overlap_count(W: Window, points, reach: int) -> int:

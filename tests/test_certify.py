@@ -105,6 +105,23 @@ def test_membership_passes_single_block():
     assert res.details["worst_diameter_margin"] == 8
 
 
+@pytest.mark.parametrize("blocks,denominator,reason,margin", [
+    (None, 3, "no block structure", -1),
+    ([((0,), 2)], 3, "not a convex combination", -1),  # one block of weight 2
+    # 13 apart in a radius-12 window: the diameter counts as 13 against 8
+    ([((0,), 1), ((13,), 1)], 6, "diameter exceeds window radius", -5),
+], ids=["no-blocks", "not-convex", "diameter-unresolved"])
+def test_membership_names_each_failure_reason(blocks, denominator, reason, margin):
+    # without blocks, the atoms are those of the unit block at 0
+    B = unit_ball(Z)
+    atoms = {Z.mul(z, b): n for z, n in blocks or [((0,), 1)] for b in B}
+    dens = SparseDensity(group=Z, denominator=denominator, atoms=atoms, blocks=blocks)
+    res = check_membership_x([("p", dens)], build_window(Z, 12), 8)
+    assert res.status == "fail"
+    assert res.margin == margin
+    assert res.witness == {"point": "p", "reason": reason}
+
+
 def test_lipschitz_passes_and_reports_tightest(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     res = check_lipschitz(P, pair_window, psi_of)
