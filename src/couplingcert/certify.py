@@ -15,8 +15,9 @@ coordinates it needs through ``psi`` and builds no orbit-point object.
 
 :func:`validate_config` holds the one copy of every rule on a run's
 input, a :class:`RunConfig` (integer and string fields, radii, eval
-radius, ``m_slack``, check names, epsilon); ``run_all`` calls it at its
-``configure`` stage, and the CLI before any subcommand runs.  A run sets
+radius, check names, epsilon); ``run_all`` calls it at its ``configure``
+stage, and the CLI before any subcommand runs.  :func:`make_models` turns
+its descriptors into the group models and the map, for both.  A run sets
 no scale, core radius or moduli extent: ``run_all`` derives the scale
 ``s`` from the moduli table (:func:`couplingcert.coarse.choose_scale`), the
 core radius from ``radius_G``, and the table's extent from ``radius_H``.
@@ -81,7 +82,6 @@ class RunConfig:
     radius_G: int = 40
     eval_radius: int = 8
     seed: int = 0
-    m_slack: int = 0
     epsilon: Union[str, Fraction] = "1/2"
     checks: Optional[list] = None
     output_path: Optional[str] = None
@@ -158,13 +158,19 @@ def validate_config(config: RunConfig) -> tuple:
         raise PreconditionError(f"checks must be a nonempty list of check names, got {checks!r}")
     if config.radius_H <= 0 or config.radius_G <= 0 or config.eval_radius < 0:
         raise PreconditionError("window radii must be positive and eval radius nonnegative")
-    if config.m_slack < 0:
-        raise PreconditionError(f"m_slack must be nonnegative, got {config.m_slack}")
     selected = set(CHECK_NAMES) if checks is None else set(checks)
     unknown = selected - set(CHECK_NAMES)
     if unknown:
         raise PreconditionError(f"unknown checks: {sorted(unknown)}")
     return selected, parse_epsilon(config.epsilon)
+
+
+def make_models(config: RunConfig) -> tuple:
+    """(H, G, phi): the group models and the coarse map that a run
+    configuration's descriptors name."""
+    H = make_group(config.group_H)
+    G = make_group(config.group_G)
+    return H, G, make_coarse_map(config.map_descriptor, H, G)
 
 
 def parse_epsilon(value) -> Fraction:
@@ -742,9 +748,7 @@ def run_all(config) -> Certificate:
         selected, epsilon = validate_config(config)
 
         stage = "groups"
-        H = make_group(config.group_H)
-        G = make_group(config.group_G)
-        phi = make_coarse_map(config.map_descriptor, H, G)
+        H, G, phi = make_models(config)
 
         stage = "windows"
         W_H = build_window(H, config.radius_H)
@@ -767,7 +771,7 @@ def run_all(config) -> Certificate:
         R = cobounded_radius(phi, W_H, core)
 
         stage = "partition"
-        P = build_partition(W_H, W_G, phi, m, s, m_slack=config.m_slack)
+        P = build_partition(W_H, W_G, phi, m, s)
 
         stage = "samples"
         if selected & {"lipschitz", "sandwich"}:
@@ -842,7 +846,7 @@ def run_all(config) -> Certificate:
             "s": Fraction(s),
             "M": P.M,
             "M_exact": P.M_exact,
-            "m_slack": config.m_slack,
+            "m_slack": 0,  # no slack; kept for the pinned report digests
             "N_empirical": P.N_empirical,
             "N_apriori": P.N_apriori,
             "N_used": P.N,

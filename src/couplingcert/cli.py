@@ -1,12 +1,14 @@
 """Command-line pipeline: parse configuration, run stages, emit bit-exact
 reports.
 
-Configuration is ``key = value`` text (``#`` comments); flags override
-file values.  One table, ``_CONFIG_KEYS``, names each key, the field of
+Configuration is ``key = value`` text (``#`` comments), read by
+:func:`couplingcert.coarse.separated_lines`; flags override file values.
+One table, ``_CONFIG_KEYS``, names each key, the field of
 :class:`couplingcert.certify.RunConfig` it sets and its flag help; the
-flags are generated from it, and a field of ``INT_FIELDS`` (annotated
-``int``) is parsed as an integer from either source.  Every subcommand
-validates the merged configuration with
+flags are generated from it.  Flags and file lines both give text, which
+:func:`build_config` parses alike: a field of ``INT_FIELDS`` (annotated
+``int``) as an integer, ``checks`` as a comma-separated list.  Every
+subcommand validates the merged configuration with
 :func:`couplingcert.certify.validate_config`, the same call ``run_all``
 makes at its ``configure`` stage.  Every subcommand but ``demo`` writes
 its text to ``--out`` when given, else to stdout.
@@ -28,8 +30,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Optional
 
-from .certify import INT_FIELDS, Certificate, RunConfig, fmt_rat, run_all, validate_config
-from .coarse import choose_scale, estimate_moduli, make_coarse_map, pipeline_moduli
+from .certify import (INT_FIELDS, Certificate, RunConfig, fmt_rat, make_models, run_all,
+                      validate_config)
+from .coarse import choose_scale, estimate_moduli, pipeline_moduli, separated_lines
 from .coupling import build_partition, psi, serialize_density
 from .errors import CouplingCertError, PreconditionError
 from .groups import make_group
@@ -48,7 +51,6 @@ _CONFIG_KEYS = {
     "checks": ("checks", "comma-separated check subset, or 'all'"),
     "out": ("output_path", "output path (default stdout)"),
     "epsilon": ("epsilon", "threshold for [K, eps] membership, e.g. 1/2"),
-    "mslack": ("m_slack", "extra slack added to M (testing aid)"),
 }
 
 
@@ -64,23 +66,12 @@ DEMO_CONFIGS = (
 
 
 def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines into RunConfig field values.  A key on
-    two lines is an error, naming both."""
+    """Read ``key = value`` lines into RunConfig field values, as text.  A
+    key on two lines is an error, naming both."""
     values: dict = {}
     line_of: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PreconditionError(f"cannot read config file {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise PreconditionError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in separated_lines(path, "=", "config file", "key = value",
+                                              PreconditionError):
         if key not in _CONFIG_KEYS:
             raise PreconditionError(f"{path}:{lineno}: unknown key {key!r}")
         if key in line_of:
@@ -92,7 +83,8 @@ def parse_config_file(path) -> dict:
 
 
 def build_config(args) -> RunConfig:
-    """Merge config file and flags (flags win) into a validated RunConfig."""
+    """Merge config file and flags (flags win) into a validated RunConfig.
+    Both give every value as text, parsed here alike."""
     cfg = RunConfig()
     values: dict = {}
     if getattr(args, "config", None):
@@ -103,11 +95,10 @@ def build_config(args) -> RunConfig:
             values[fieldname] = v
     for fieldname, v in values.items():
         if fieldname == "checks":
-            if isinstance(v, str):
-                v = [c.strip() for c in v.split(",") if c.strip()]
+            v = [c.strip() for c in v.split(",") if c.strip()]
             if v == ["all"]:
                 v = None
-        elif fieldname in INT_FIELDS and isinstance(v, str):
+        elif fieldname in INT_FIELDS:
             try:
                 v = int(v)
             except ValueError:
@@ -140,15 +131,8 @@ def emit_report(cert: Certificate, path: Optional[str]) -> int:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    for flag, (fieldname, text) in _CONFIG_KEYS.items():
-        p.add_argument(f"--{flag}", type=int if fieldname in INT_FIELDS else None, help=text)
-
-
-def _groups_and_map(cfg: RunConfig):
-    H = make_group(cfg.group_H)
-    G = make_group(cfg.group_G)
-    phi = make_coarse_map(cfg.map_descriptor, H, G)
-    return H, G, phi
+    for flag, (_, text) in _CONFIG_KEYS.items():
+        p.add_argument(f"--{flag}", help=text)
 
 
 def _lines(lines: list) -> str:
@@ -164,7 +148,7 @@ def cmd_ball(cfg: RunConfig) -> str:
 
 
 def cmd_moduli(cfg: RunConfig) -> str:
-    H, G, phi = _groups_and_map(cfg)
+    H, G, phi = make_models(cfg)
     W_H = build_window(H, cfg.radius_H)
     W_G = build_window(G, cfg.radius_G)
     m = estimate_moduli(phi, W_H, W_G, 2 * W_H.radius)
@@ -198,12 +182,12 @@ def cmd_packing(cfg: RunConfig, separation, diam) -> str:
 
 
 def cmd_psi(cfg: RunConfig, h_text: Optional[str]) -> str:
-    H, G, phi = _groups_and_map(cfg)
+    H, G, phi = make_models(cfg)
     h = H.identity if h_text is None else H.parse_element(h_text)
     W_H = build_window(H, cfg.radius_H)
     W_G = build_window(G, cfg.radius_G)
     m = pipeline_moduli(phi, W_H, W_G)
-    P = build_partition(W_H, W_G, phi, m, choose_scale(m), m_slack=cfg.m_slack)
+    P = build_partition(W_H, W_G, phi, m, choose_scale(m))
     return serialize_density(psi(P, phi, h))
 
 
@@ -265,10 +249,8 @@ def main(argv: Optional[list] = None) -> int:
             text = cmd_net(cfg, args.s)
         elif args.command == "packing":
             text = cmd_packing(cfg, args.sep, args.diam)
-        elif args.command == "psi":
-            text = cmd_psi(cfg, args.h_text)
         else:
-            raise PreconditionError(f"unknown command {args.command!r}")
+            text = cmd_psi(cfg, args.h_text)
         _write(text, cfg.output_path)
         return 0
     except CouplingCertError as exc:

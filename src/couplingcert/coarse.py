@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import (
+    CouplingCertError,
     DescriptorError,
     PreconditionError,
     ResolutionError,
@@ -131,27 +132,38 @@ def table_map(H: GroupModel, G: GroupModel, mapping: dict, descriptor: str = "ta
     return CoarseMap(H, G, descriptor, look)
 
 
+def separated_lines(path, sep: str, kind: str, form: str, error: type):
+    """Yield ``(line number, left, right)`` for each line of the text file
+    ``path`` that is not blank or a ``#`` comment, split at its first
+    ``sep`` and stripped.  ``error`` names the file, as a ``kind``, when it
+    cannot be read, and ``path:line`` and the expected ``form`` for a line
+    without ``sep``.  The one reader of config files and lookup tables."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {kind} {path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        left, found, right = line.partition(sep)
+        if not found:
+            raise error(f"{path}:{lineno}: expected {form!r}, got {raw!r}")
+        yield lineno, left.strip(), right.strip()
+
+
 def load_map_table(path, H: GroupModel, G: GroupModel) -> CoarseMap:
     """Read a lookup table: one ``<source> -> <target>`` per line, ``#``
     comments and blank lines ignored.  A source on two lines is an error,
     even with equal targets: the file must define the map uniquely."""
     mapping = {}
     line_of = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TableMapError(f"cannot read lookup table {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" not in line:
-            raise TableMapError(f"{path}:{lineno}: expected '<src> -> <tgt>', got {raw!r}")
-        left, _, right = line.partition("->")
+    for lineno, left, right in separated_lines(path, "->", "lookup table",
+                                               "<src> -> <tgt>", TableMapError):
         try:
-            src = H.parse_element(left.strip())
-            tgt = G.parse_element(right.strip())
-        except Exception as exc:
+            src = H.parse_element(left)
+            tgt = G.parse_element(right)
+        except CouplingCertError as exc:
             raise TableMapError(f"{path}:{lineno}: {exc}") from None
         if src in line_of:
             raise TableMapError(

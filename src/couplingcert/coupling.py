@@ -138,7 +138,6 @@ def build_partition(
     phi: CoarseMap,
     m: Moduli,
     s: int,
-    m_slack: int = 0,
 ) -> PartitionOfUnity:
     """Assemble net, bumps, weights and the constants N and M."""
     require_int("scale", s)
@@ -206,8 +205,7 @@ def build_partition(
     P.N_empirical = Fraction(best_num, best_den)
 
     pk = packing_number(W_G, 3, 2 * omega_s1)
-    P.M = pk.value + m_slack
-    P.M_exact = pk.exact and m_slack == 0
+    P.M, P.M_exact = pk.value, pk.exact
     return P
 
 

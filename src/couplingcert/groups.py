@@ -5,18 +5,23 @@ model object owns multiplication, inversion, validation and the string
 syntax.  Equality of normal forms is equality of group elements, and the
 identity is always the designated zero form.
 
-Built-in models and their encodings:
+Built-in models, their encodings and their element text; ``parse_element``
+refuses, with ``NormalFormError``, text that does not spell a normal form:
 
-* ``Z^d``   -- tuple of ``d`` ints, generators ``+-e_i``.
-* ``C_n``   -- int in ``[0, n)``, generators ``+-1 mod n`` (none for ``n = 1``).
+* ``Z^d``   -- tuple of ``d`` ints, generators ``+-e_i``; written
+  ``(3,-1)``, and ``Z^1`` as the bare integer ``3`` (``(3)`` is read too).
+* ``C_n``   -- int in ``[0, n)``, generators ``+-1 mod n`` (none for
+  ``n = 1``); written as that integer, so ``7`` on ``C_5`` is refused.
 * ``F_k``   -- reduced word as a tuple of nonzero ints in ``+-{1..k}``
-  (``1 -> a``, ``-1 -> a^-1``, ...), generators ``a, a^-1, b, b^-1, ...``.
+  (``1 -> a``, ``-1 -> a^-1``, ...), generators ``a, a^-1, b, b^-1, ...``;
+  written as letters, capitals for inverses (``aBa``), the identity ``1``.
 * ``Heis``  -- triple ``(a, b, c)`` meaning ``x^a y^b z^c`` with
   ``(a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')``; generators ``x^-+1,
-  y^-+1`` and ``z = [x, y]`` derived.
+  y^-+1`` and ``z = [x, y]`` derived; written ``(1,2,-3)``.
 * ``A x B`` -- tuple of factor normal forms; generators are the factor
   generators embedded with identity elsewhere, so the word metric is the
-  l1-sum of the factor word metrics.
+  l1-sum of the factor word metrics; written as the factor texts joined by
+  ``|`` (``4|ab``).
 """
 
 from __future__ import annotations
@@ -60,7 +65,40 @@ class GroupModel:
         return f"<GroupModel {self.descriptor}>"
 
 
-class ZdGroup(GroupModel):
+class _IntTupleGroup(GroupModel):
+    """A model whose normal forms are tuples of ``width`` ints, written
+    ``(a,b,...)``; a width-1 tuple is written as its bare integer, and read
+    from either form."""
+
+    width: int
+
+    def validate(self, a):
+        if not (isinstance(a, tuple) and len(a) == self.width
+                and all(isinstance(x, int) for x in a)):
+            raise NormalFormError(f"not a {self.descriptor} normal form: {a!r}")
+
+    def format_element(self, a):
+        if self.width == 1:
+            return str(a[0])
+        return "(" + ",".join(str(x) for x in a) + ")"
+
+    def parse_element(self, s):
+        s = s.strip()
+        if s.startswith("(") and s.endswith(")"):
+            parts = s[1:-1].split(",")
+        elif self.width == 1:
+            parts = [s]
+        else:
+            raise NormalFormError(f"bad {self.descriptor} element: {s!r}")
+        if len(parts) != self.width:
+            raise NormalFormError(f"expected {self.width} coordinates: {s!r}")
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            raise NormalFormError(f"bad {self.descriptor} element: {s!r}") from None
+
+
+class ZdGroup(_IntTupleGroup):
     """``Z^d``.  ``ZdGroup(d)`` is an instance of the rank-``d`` subclass,
     whose ``mul``/``inv`` spell out the coordinates: the pair scans call
     them millions of times, and a generator expression per call costs about
@@ -75,7 +113,7 @@ class ZdGroup(GroupModel):
     def __init__(self, d: int):
         if not 1 <= d <= MAX_ZD_RANK:
             raise DescriptorError(f"Z^d supports 1 <= d <= {MAX_ZD_RANK}, got d={d}")
-        self.d = d
+        self.d = self.width = d
         self.descriptor = f"Z^{d}"
         self.identity = (0,) * d
         gens = []
@@ -86,32 +124,6 @@ class ZdGroup(GroupModel):
             e[i] = -1
             gens.append(tuple(e))
         self.generators = gens
-
-    def validate(self, a):
-        if not (isinstance(a, tuple) and len(a) == self.d and all(isinstance(x, int) for x in a)):
-            raise NormalFormError(f"not a Z^{self.d} normal form: {a!r}")
-
-    def format_element(self, a):
-        if self.d == 1:
-            return str(a[0])
-        return "(" + ",".join(str(x) for x in a) + ")"
-
-    def parse_element(self, s):
-        s = s.strip()
-        if self.d == 1 and not s.startswith("("):
-            try:
-                return (int(s),)
-            except ValueError:
-                raise NormalFormError(f"bad Z^1 element: {s!r}") from None
-        if not (s.startswith("(") and s.endswith(")")):
-            raise NormalFormError(f"bad Z^{self.d} element: {s!r}")
-        parts = s[1:-1].split(",")
-        if len(parts) != self.d:
-            raise NormalFormError(f"expected {self.d} coordinates: {s!r}")
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise NormalFormError(f"bad Z^{self.d} element: {s!r}") from None
 
 
 class _Z1(ZdGroup):
@@ -176,9 +188,11 @@ class CyclicGroup(GroupModel):
 
     def parse_element(self, s):
         try:
-            return int(s.strip()) % self.n
+            a = int(s)
         except ValueError:
             raise NormalFormError(f"bad C_{self.n} element: {s!r}") from None
+        self.validate(a)
+        return a
 
 
 class FreeGroup(GroupModel):
@@ -243,8 +257,10 @@ class FreeGroup(GroupModel):
         return w
 
 
-class HeisenbergGroup(GroupModel):
+class HeisenbergGroup(_IntTupleGroup):
     """Discrete Heisenberg group on generators x, y with z = [x, y]."""
+
+    width = 3
 
     def __init__(self):
         self.descriptor = "Heis"
@@ -257,25 +273,6 @@ class HeisenbergGroup(GroupModel):
     def inv(self, a):
         # (a,b,c)(-a,-b,ab-c) = (0,0,0)
         return (-a[0], -a[1], a[0] * a[1] - a[2])
-
-    def validate(self, a):
-        if not (isinstance(a, tuple) and len(a) == 3 and all(isinstance(x, int) for x in a)):
-            raise NormalFormError(f"not a Heis normal form: {a!r}")
-
-    def format_element(self, a):
-        return "(" + ",".join(str(x) for x in a) + ")"
-
-    def parse_element(self, s):
-        s = s.strip()
-        if not (s.startswith("(") and s.endswith(")")):
-            raise NormalFormError(f"bad Heis element: {s!r}")
-        parts = s[1:-1].split(",")
-        if len(parts) != 3:
-            raise NormalFormError(f"bad Heis element: {s!r}")
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise NormalFormError(f"bad Heis element: {s!r}") from None
 
 
 class ProductGroup(GroupModel):

@@ -45,7 +45,7 @@ from couplingcert.coupling import (
     psi,
     unit_ball,
 )
-from couplingcert.errors import PipelineError, PreconditionError
+from couplingcert.errors import PipelineError, PreconditionError, ResolutionError
 from couplingcert.groups import make_group
 from couplingcert.windows import build_window, distance_field, pair_extremes
 
@@ -659,7 +659,7 @@ def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
 @pytest.mark.parametrize("field,value", [
     ("radius_H", "10"),
     ("radius_H", 10.5),
-    ("m_slack", 2.5),
+    ("eval_radius", 2.5),
     ("seed", True),
     ("checks", "lipschitz"),
     ("checks", ["lipschitz", 3]),
@@ -675,7 +675,7 @@ def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
 ])
 def test_run_all_rejects_a_wrong_typed_value_at_configure(field, value):
     # a library caller's value of the wrong type is input error, not a
-    # TypeError or AttributeError deep in a stage, and not a float m_slack or
+    # TypeError or AttributeError deep in a stage, and not a float radius or
     # epsilon taken as is (0.1 is the binary fraction 3602879701896397/2**55)
     with pytest.raises(PipelineError) as exc:
         run_all(replace(RunConfig(), **{field: value}))
@@ -718,15 +718,69 @@ def test_output_path_may_be_none_or_a_string(path):
     validate_config(RunConfig(output_path=path))
 
 
-@pytest.mark.parametrize("field,group,desc", [
-    ("m_slack", "Z^1", "identity"),
-])
-def test_run_all_rejects_a_negative_t_max_or_m_slack_at_configure(field, group, desc):
-    # a negative slack would shrink M below the packing bound
-    cfg = replace(RunConfig(group_H=group, group_G=group, map_descriptor=desc), **{field: -2})
+_HALF = Fraction(1, 2)
+
+# id -> (call(P, phi, m, W_G, psi_of, K), error type, message) for each
+# refusal of a check whose window or inputs cannot support it, on the
+# identity of Z with W_G of radius 40 and K the support of psi_0
+CHECK_REFUSALS = {
+    # g = 30 carries the identity's density off K
+    "properness-zeta-misses-K": (
+        lambda P, phi, m, W_G, psi_of, K: check_properness_h(
+            P, phi, [((30,), (0,))], K, m, W_G, _HALF, psi_of, 8, 1000),
+        PreconditionError, "a zeta sample does not meet [K, epsilon] at the identity"),
+    # K is the atom -4 of psi_0, and its atom 4 is 8 > 1 from it
+    "properness-atom-unresolved": (
+        lambda P, phi, m, W_G, psi_of, K: check_properness_h(
+            P, phi, [((0,), (0,))], [(-4,)], m, build_window(Z, 1), Fraction(1, 100), psi_of,
+            0, 1000),
+        ResolutionError, "support-to-K distance does not resolve"),
+    "cocompactness-K-radius": (
+        lambda P, phi, m, W_G, psi_of, K: check_cocompactness_h(
+            P, phi, [], m, 0, W_G, psi_of, 41),
+        PreconditionError, "K radius 41 exceeds the target window radius 40"),
+    "cocompactness-straddle": (
+        lambda P, phi, m, W_G, psi_of, K: check_cocompactness_h(
+            P, phi, [((0,), (0,))], m, 0, build_window(Z, 2), psi_of, 0),
+        ResolutionError, "the support of a sampled orbit point straddles the target window "
+                         "edge; enlarge the window or shrink the sample radii"),
+    # h = 20 sits on the inner edge, so the search stops at radius 0, where
+    # an empty K (radius -1) absorbs no mass
+    "cocompactness-truncated": (
+        lambda P, phi, m, W_G, psi_of, K: check_cocompactness_h(
+            P, phi, [((0,), (20,))], m, 0, W_G, psi_of, -1),
+        ResolutionError, "witness search truncated at radius 0 below r=27; "
+                         "enlarge the source window"),
+    # no sample qualifies, so the identity's support is recentred
+    "g_action-support-leaves": (
+        lambda P, phi, m, W_G, psi_of, K: check_g_action(
+            P, phi, [], K, _HALF, build_window(Z, 1), [], psi_of, 0, 20),
+        ResolutionError, "support of a sample leaves the target window"),
+    # psi_1 (diameter 5) recentres within radius 5; psi_0 has diameter 8
+    "g_action-inner-diameter": (
+        lambda P, phi, m, W_G, psi_of, K: check_g_action(
+            P, phi, [((0,), (1,))], psi_of((1,)).support(), _HALF, build_window(Z, 5), [],
+            psi_of, 0, 20),
+        ResolutionError, "inner support diameter does not resolve"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECK_REFUSALS))
+def test_a_check_refuses_inputs_its_window_cannot_support(pipeline, case):
+    P, phi, m, _, W_G, _, psi_of = pipeline
+    call, error, message = CHECK_REFUSALS[case]
+    with pytest.raises(error) as exc:
+        call(P, phi, m, W_G, psi_of, psi_of((0,)).support())
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_an_unresolved_diameter_of_K_is_a_samples_stage_error(monkeypatch):
+    # a stand-in pair_extremes that resolves no pair
+    monkeypatch.setattr(certify, "pair_extremes", lambda W, points: (None, None, None))
     with pytest.raises(PipelineError) as exc:
-        run_all(cfg)
-    assert exc.value.stage == "configure" and field in str(exc.value)
+        run_all(RunConfig())
+    assert exc.value.stage == "samples" and type(exc.value.cause) is ResolutionError
+    assert str(exc.value) == "[samples] diameter of K does not resolve in the target window"
 
 
 def test_scale_stage_error_prints_the_sum():
@@ -737,11 +791,22 @@ def test_scale_stage_error_prints_the_sum():
     assert str(exc.value) == "[scale] eval radius 3 + (s+1) = 7 exceeds radius_H = 5"
 
 
-def test_monotone_safety_of_m():
-    base = RunConfig(radius_H=24, radius_G=40, eval_radius=8, seed=7)
-    bumped = RunConfig(radius_H=24, radius_G=40, eval_radius=8, seed=7, m_slack=3)
-    before = {c.name: c.status for c in run_all(base).checks}
-    after = {c.name: c.status for c in run_all(bumped).checks}
+def test_monotone_safety_of_m(monkeypatch):
+    cfg = RunConfig(radius_H=24, radius_G=40, eval_radius=8, seed=7)
+    base = run_all(cfg)
+    exact = windows.packing_number
+
+    def bumped_packing(*args):
+        # M -> M+3, flagged inexact: a looser bound is still a safe one
+        res = exact(*args)
+        return replace(res, value=res.value + 3, exact=False)
+
+    monkeypatch.setattr(coupling, "packing_number", bumped_packing)
+    bumped = run_all(cfg)
+    assert (bumped.constants["M"], bumped.constants["M_exact"]) == (base.constants["M"] + 3,
+                                                                     False)
+    before = {c.name: c.status for c in base.checks}
+    after = {c.name: c.status for c in bumped.checks}
     for name, status in before.items():
         if status == "pass":
             assert after[name] == "pass"

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from couplingcert import cli, windows
-from couplingcert.certify import Certificate, CheckResult, run_all
+from couplingcert.certify import CHECK_NAMES, Certificate, CheckResult, run_all, validate_config
 from couplingcert.cli import (
     _CONFIG_KEYS,
     RunConfig,
@@ -71,7 +71,7 @@ def test_config_file_roundtrip(tmp_path):
 # one accepted value per config key, each away from its default
 GOOD_VALUES = {"H": "Z^2", "G": "Z^2", "map": "matrix:1,1,0,1", "rH": "10", "rG": "30",
                "eval": "2", "seed": "3", "checks": "lipschitz,sandwich", "out": "r.json",
-               "epsilon": "1/3", "mslack": "1"}
+               "epsilon": "1/3"}
 
 
 @pytest.mark.parametrize("key", list(_CONFIG_KEYS))
@@ -146,6 +146,51 @@ def test_config_rejects_bad_values():
         build_config(_Args(rH=-1))
     with pytest.raises(PreconditionError):
         build_config(_Args(checks="lipschitz,unheard_of"))
+
+
+@pytest.mark.parametrize("key,text", [("rH", "abc"), ("seed", "1.5"), ("eval", "")])
+def test_a_non_integer_prints_one_error_from_flag_or_file(tmp_path, capsys, key, text):
+    # flags carry text as file lines do, and build_config parses both
+    p = tmp_path / "run.cfg"
+    p.write_text(f"{key} = {text}\n")
+    field = _CONFIG_KEYS[key][0]
+    for given in ([f"--{key}={text}"], ["--config", str(p)]):
+        assert main(["certify", *given]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config value for {field} must be an integer: {text!r}\n"
+        assert not captured.out
+
+
+def test_all_selects_every_check_from_flag_or_file(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("checks = all\n")
+    for args in (_parse_flags(["--checks", "all"]), _parse_flags(["--config", str(p)])):
+        cfg = build_config(args)
+        assert cfg.checks is None and validate_config(cfg)[0] == set(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("run.cfg", "seed = 1\nrH 3\n", "{path}:2: expected 'key = value', got 'rH 3'"),
+    ("run.cfg", "seed = 1\n\n seed = 2\n", "{path}:3: key 'seed' already set on line 1"),
+    ("run.cfg", "# seed = 1\nradius = 3\n", "{path}:2: unknown key 'radius'"),
+    ("phi.map", "0 -> 0\n  1 => 1\n", "[groups] {path}:2: expected '<src> -> <tgt>', got '  1 => 1'"),
+    ("phi.map", "0 -> 0\n# again\n0 -> 1\n",
+     "[groups] {path}:3: source 0 already mapped on line 1"),
+    ("phi.map", "0 -> x\n", "[groups] {path}:1: bad Z^1 element: 'x'"),
+    ("absent.cfg", None, "cannot read config file {path}: "),
+    ("absent.map", None, "[groups] cannot read lookup table {path}: "),
+], ids=["config-separator", "config-repeat", "config-unknown", "table-separator",
+        "table-repeat", "table-element", "config-unreadable", "table-unreadable"])
+def test_line_file_errors_name_the_file_and_the_line(tmp_path, capsys, name, text, message):
+    # config files and lookup tables share one reader and its messages
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    given = ["--config", str(path)] if name.endswith(".cfg") else ["--map", f"table:{path}"]
+    assert main(["certify", "--rH", "4", "--rG", "8", "--eval", "0", *given]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=path))
+    assert text is None or err.endswith(message.format(path=path) + "\n")
 
 
 def test_ball_subcommand(capsys):
@@ -309,11 +354,10 @@ def test_a_truncated_table_is_not_blamed_on_the_map(tmp_path, capsys):
     ["moduli", "--map", "table:{tmp}/absent.map"],
     ["certify", "--map", "table:{tmp}/repeated.map"],
     ["certify", "--config", "{tmp}/repeated.cfg"],
-    ["certify", "--mslack", "-100"],
 ], ids=["epsilon-syntax", "epsilon-zero-denominator", "epsilon-zero", "epsilon-negative",
         "epsilon-above-one", "unwritable-out", "missing-config",
         "undecodable-config", "missing-table", "missing-table-moduli", "repeated-source",
-        "repeated-config-key", "negative-mslack"])
+        "repeated-config-key"])
 def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     # exit 1 means a check failed; unusable input is an error, exit 2
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
@@ -326,15 +370,13 @@ def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-BAD_VALUES = [("rH", "0"), ("rG", "0"), ("eval", "-1"), ("mslack", "-1"), ("checks", "nope"),
-              ("epsilon", "3/2")]
+BAD_VALUES = [("rH", "0"), ("rG", "0"), ("eval", "-1"), ("checks", "nope"), ("epsilon", "3/2")]
 
 
 @pytest.mark.parametrize("key,text", BAD_VALUES, ids=[f"{k}={v}" for k, v in BAD_VALUES])
 def test_a_bad_value_is_rejected_at_configure_everywhere(capsys, key, text):
     # one validator: run_all rejects the value at its configure stage, and
-    # certify, psi and moduli print the same message.  psi and moduli run
-    # no run_all: a negative slack would shrink M below the packing bound
+    # certify, psi and moduli, which run no run_all, print the same message
     field = _CONFIG_KEYS[key][0]
     value = [text] if field == "checks" else text if field == "epsilon" else int(text)
     with pytest.raises(PipelineError) as exc:

@@ -246,6 +246,30 @@ def test_table_map_repeated_source_names_both_lines(tmp_path, text, lines):
     assert all(line in str(exc.value) for line in lines)
 
 
+def test_a_table_source_outside_the_c_n_normal_forms_is_refused(tmp_path):
+    # 7 would otherwise define the image of 2 on C_5
+    C5 = make_group("C_5")
+    p = tmp_path / "phi.txt"
+    p.write_text("0 -> 0\n7 -> 1\n")
+    with pytest.raises(TableMapError) as exc:
+        load_map_table(p, C5, C5)
+    assert str(exc.value) == f"{p}:2: not a C_5 normal form: 7"
+
+
+def test_a_fault_inside_an_element_parser_is_no_table_error(tmp_path):
+    # only input errors become table syntax errors; an internal fault propagates
+    p = tmp_path / "phi.txt"
+    p.write_text("0 -> 0\n")
+    H = make_group("Z^1")
+
+    def broken(text):
+        raise RuntimeError("parser fault")
+
+    H.parse_element = broken
+    with pytest.raises(RuntimeError, match="^parser fault$"):
+        load_map_table(p, H, Z)
+
+
 def _seeded_table_map(seed: int, radius: int):
     """v -> v + e(v) on the radius ball of Z^2, e(v) drawn from {0, e1, e2}:
     not a homomorphism, and not injective."""

@@ -29,7 +29,7 @@ from couplingcert.coupling import (
     support_distance,
     unit_ball,
 )
-from couplingcert.errors import CouplingCertError, PreconditionError
+from couplingcert.errors import CouplingCertError, PreconditionError, ResolutionError
 from couplingcert.groups import make_group
 from couplingcert.windows import Net, build_window, greedy_net
 
@@ -142,6 +142,28 @@ def test_net_images_closer_than_3_are_refused():
         build_partition(W_H, W_G, phi, m, choose_scale(m))
 
 
+@pytest.mark.parametrize("radius_H,t_max,s,message", [
+    (24, 136, 2, "kappa(2) = 2 < 3; pick a larger scale"),
+    (3, 136, 3, "window radius 3 below s+1 = 4; no inner window"),
+    (24, 3, 3, "omega(4) is not available in the moduli table"),
+], ids=["kappa-below-3", "no-inner-window", "omega-beyond-table"])
+def test_partition_preconditions(radius_H, t_max, s, message):
+    phi = make_coarse_map("identity", Z, Z)
+    with pytest.raises(PreconditionError) as exc:
+        build_partition(build_window(Z, radius_H), build_window(Z, 40), phi,
+                        analytic_moduli(phi, t_max), s)
+    assert str(exc.value) == message
+
+
+def test_alpha_terms_refuse_a_point_no_bump_reaches(z_identity):
+    # the weights are kept on the inner window (radius 20) only
+    P, *_ = z_identity
+    with pytest.raises(CouplingCertError) as exc:
+        P.alpha_terms((24,))
+    assert str(exc.value) == ("Theta < 1 at 24; point is outside the region covered "
+                              "by the net")
+
+
 def test_psi_outside_inner_window_rejected(z_identity):
     P, phi, *_ = z_identity
     with pytest.raises(PreconditionError):
@@ -200,6 +222,9 @@ def test_support_distance_examples(z_identity):
     b10 = act_left((10,), _single_block(W_G.group))
     assert support_distance(b0, b10, W_G) == 8  # {0 +-1} vs {10 +-1}
     assert support_distance(d0, psi(P, phi, (1,)), W_G) == 0  # overlap
+    with pytest.raises(ResolutionError, match="^no support distance resolves within the "
+                                              "target window; enlarge it$"):
+        support_distance(b0, b10, build_window(Z, 7))
 
 
 def _single_block(G):

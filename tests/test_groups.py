@@ -181,12 +181,45 @@ def test_malformed_normal_forms_rejected():
         ("F_2", "1", ()),
         ("Heis", "(1,2,-3)", (1, 2, -3)),
         ("Z^1 x F_2", "4|ab", ((4,), (1, 2))),
+        ("C_5", "4", 4),
     ],
 )
 def test_parse_format_roundtrip(desc, text, elem):
     G = make_group(desc)
     assert G.parse_element(text) == elem
     assert G.parse_element(G.format_element(elem)) == elem
+
+
+@pytest.mark.parametrize("desc,text,message", [
+    ("C_5", "7", "not a C_5 normal form: 7"),
+    ("C_5", "-1", "not a C_5 normal form: -1"),
+    ("C_5", "x", "bad C_5 element: 'x'"),
+    ("Z^1", "abc", "bad Z^1 element: 'abc'"),
+    ("Z^1", "(x)", "bad Z^1 element: '(x)'"),
+    ("Z^1", "(1,2)", "expected 1 coordinates: '(1,2)'"),
+    ("Z^2", "3,4", "bad Z^2 element: '3,4'"),
+    ("Z^2", "(3)", "expected 2 coordinates: '(3)'"),
+    ("Z^2", "(3,x)", "bad Z^2 element: '(3,x)'"),
+    ("Heis", "1,2,3", "bad Heis element: '1,2,3'"),
+    ("Heis", "(1,2)", "expected 3 coordinates: '(1,2)'"),
+    ("Heis", "(1,2,z)", "bad Heis element: '(1,2,z)'"),
+    ("F_2", "abc", "bad F_2 letter 'c' in 'abc'"),
+    ("F_2", "aA", "word not reduced: (1, -1)"),
+    ("Z^1 x F_2", "3|a|b", "expected 2 factors: '3|a|b'"),
+    ("Z^1 x F_2", "3", "expected 2 factors: '3'"),
+])
+def test_text_that_spells_no_normal_form_is_refused(desc, text, message):
+    # C_n text is read as written, not reduced mod n, as F_k words are not reduced
+    with pytest.raises(NormalFormError) as exc:
+        make_group(desc).parse_element(text)
+    assert str(exc.value) == message
+
+
+def test_heis_shares_the_tuple_text_of_z_d_without_being_one():
+    # coarse's Z^d maps test isinstance(G, ZdGroup); Heis must fail it
+    Heis = make_group("Heis")
+    assert not isinstance(Heis, ZdGroup)
+    assert not {"validate", "format_element", "parse_element"} & vars(type(Heis)).keys()
 
 
 @settings(max_examples=60, deadline=None)

@@ -357,6 +357,20 @@ def test_packing_preconditions():
         packing_number(W, 3, 9)  # diam + sep > 2*radius... (9+3 > 10)
     with pytest.raises(PreconditionError):
         packing_number(W, 0, 2)
+    # 6 + 3 <= 10, but the candidates B(6) leave the window
+    with pytest.raises(PreconditionError,
+                       match="^diam_bound 6 exceeds the window radius 5; build a larger window$"):
+        packing_number(W, 3, 6)
+
+
+def test_negative_radii_and_net_scales_below_one_are_refused():
+    Z = make_group("Z^1")
+    W = build_window(Z, 3)
+    for build in (lambda: build_window(Z, -1), lambda: ball_window(W, -1)):
+        with pytest.raises(PreconditionError, match="^radius must be nonnegative, got -1$"):
+            build()
+    with pytest.raises(PreconditionError, match="^net scale must be >= 1, got 0$"):
+        greedy_net(W, 0)
 
 
 def test_non_integer_scales_and_bounds_are_refused():
