@@ -29,6 +29,7 @@ from .coupling import (
     orbit_point,
     psi,
     serialize_density,
+    support_diameter,
     support_distance,
 )
 from .groups import GroupModel, make_group
@@ -71,6 +72,7 @@ __all__ = [
     "psi",
     "run_all",
     "serialize_density",
+    "support_diameter",
     "support_distance",
 ]
 

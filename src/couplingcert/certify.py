@@ -48,6 +48,7 @@ from .coupling import (
     build_partition,
     l1_distance,
     psi,
+    support_diameter,
     support_distance,
 )
 from .errors import (
@@ -204,17 +205,20 @@ def _canon(value):
 class _Worst:
     """Track the minimum margin and its witness; the first one wins ties.
 
-    ``update`` compares the raw int or Fraction margin, and only a strict
-    improvement builds the Fraction and the witness: a callable witness is
-    called then, so hot loops format nothing for the instances that lose.
+    ``update`` compares the raw int or Fraction margin against the raw
+    least one, and only a strict improvement builds the Fraction and the
+    witness: a callable witness is called then, so hot loops format nothing
+    for the instances that lose.
     """
 
     def __init__(self):
         self.margin: Optional[Fraction] = None
         self.witness: Optional[dict] = None
+        self._least = None
 
     def update(self, margin, witness) -> None:
-        if self.margin is None or margin < self.margin:
+        if self._least is None or margin < self._least:
+            self._least = margin
             self.margin = Fraction(margin)
             self.witness = witness() if callable(witness) else witness
 
@@ -478,9 +482,8 @@ def check_cocompactness_h(
     r_seen = []
     for g, h in samples:
         xi_1 = act_left(g, psi_of(h))
-        C = xi_1.support()
-        diam_C = pair_extremes(W_G, C)[2]
-        dists = [W_G.dist.get(c) for c in C]
+        diam_C = support_diameter(xi_1, W_G)
+        dists = [W_G.dist.get(c) for c in xi_1.atoms]
         if diam_C is None or any(d is None for d in dists):
             raise ResolutionError(
                 "the support of a sampled orbit point straddles the target "
@@ -693,7 +696,7 @@ def check_g_action(
 
     pop_diam = 0
     for h in P.inner_elements:
-        diam = pair_extremes(W_G, psi_of(h).support())[2]
+        diam = support_diameter(psi_of(h), W_G)
         if diam is None:
             raise ResolutionError("inner support diameter does not resolve")
         worst.update(P.support_diameter_bound - diam,

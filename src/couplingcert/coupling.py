@@ -15,6 +15,13 @@ net point's ball y*B(s+1) once; the same walk counts the bump overlap.
 Masses, inner products and L1 distances sum integers and build one
 ``Fraction`` per call, at the boundary where a margin or report reads it.
 
+Distances between two block densities depend only on their block centres:
+the atom pairs of zB x z'B read the window lengths of b^-1 w b' over b, b'
+in B, for w = z^-1 z'.  :func:`support_distance` and
+:func:`support_diameter` read the least and greatest of those, the block
+kernel of w, memoized per target window; :func:`l1_distance` matches the
+centres the two densities share.
+
 The inner window is the ball of radius ``window_radius - (s+1)``: for h
 inside it, every net point whose bump touches h lies in the window, so
 Theta and the alpha weights are truncation-free.
@@ -22,13 +29,14 @@ Theta and the alpha weights are truncation-free.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .coarse import CoarseMap, Moduli, apply
 from .errors import CouplingCertError, PreconditionError, ResolutionError, require_int
-from .windows import Net, Window, greedy_net, packing_number, pair_extremes, set_distance
+from .windows import Net, Window, greedy_net, packing_number, pair_extremes
 
 
 @dataclass
@@ -103,8 +111,11 @@ class SparseDensity:
     integer ``denominator``: atom ``a`` carries measure
     ``atoms[a] / denominator``, so the L1 mass is
     ``sum(atoms.values()) / denominator``.  Densities produced by ``psi``
-    keep their block decomposition ``[(z, n_z)]``, where ``n_z`` is the
-    numerator of every atom of the block ``zB``.
+    keep their block decomposition ``[(z, n_z)]``.  ``blocks``, when
+    given, are pairwise disjoint unit balls ``zB``, each of ``|B|``
+    distinct atoms carrying ``n_z``, and they hold every atom.
+    :func:`l1_distance`, :func:`support_distance` and
+    :func:`support_diameter` read the blocks and refuse a density without.
     """
 
     group: object
@@ -270,28 +281,131 @@ def psi(P: PartitionOfUnity, phi: CoarseMap, h) -> SparseDensity:
 
 
 def l1_distance(xi: SparseDensity, eta: SparseDensity) -> Fraction:
-    """Exact L1 distance with respect to Haar measure:
-    sum_a |n_a*D_eta - m_a*D_xi| / (D_xi*D_eta)."""
+    """Exact L1 distance with respect to Haar measure,
+    sum_a |n_a*D_eta - m_a*D_xi| / (D_xi*D_eta), read off the blocks.
+
+    The centres of one density are at least 3 apart, so a block on a
+    centre both densities share meets no other block and adds
+    |B|*|n*D_eta - m*D_xi|; a block on an unshared centre adds its whole
+    mass.  Only unshared blocks can overlap partially, and only when the
+    densities share more atoms than their shared blocks hold (one count,
+    of the atoms of both) are those pairs walked: each atom zB and z'B
+    share takes back 2*min(n*D_eta, m*D_xi).
+    """
     if xi.group.descriptor != eta.group.descriptor:
         raise PreconditionError("densities live on different measured groups")
+    xi_blocks = dict(_blocks(xi, "l1_distance"))
+    eta_blocks = dict(_blocks(eta, "l1_distance"))
     d_xi, d_eta = xi.denominator, eta.denominator
-    xi_atoms, eta_get = xi.atoms, eta.atoms.get
-    total = 0
-    for a, n in xi_atoms.items():
-        total += abs(n * d_eta - eta_get(a, 0) * d_xi)
-    for a, m in eta.atoms.items():
-        if a not in xi_atoms:
-            total += abs(m) * d_xi
+    total = shared = 0
+    for z, n in xi_blocks.items():
+        m = eta_blocks.get(z)
+        if m is None:
+            total += n * d_eta
+        else:
+            total += abs(n * d_eta - m * d_xi)
+            shared += 1
+    for z, m in eta_blocks.items():
+        if z not in xi_blocks:
+            total += m * d_xi
+    G = xi.group
+    size = len(G.generators) + 1  # |B|
+    total *= size
+    xi_atoms, eta_atoms = xi.atoms, eta.atoms
+    if (shared < len(xi_blocks) and shared < len(eta_blocks)
+            and len(xi_atoms | eta_atoms) != len(xi_atoms) + len(eta_atoms) - size * shared):
+        mul, inv = G.mul, G.inv
+        B = unit_ball(G)
+        # the atoms zB and z'B share: the pairs (b, b') of B with
+        # z*b = z'*b', counted at z^-1 z' = b*b'^-1
+        overlaps = Counter(mul(b, inv(b2)) for b in B for b2 in B)
+        eta_only = [(z, m) for z, m in eta_blocks.items() if z not in xi_blocks]
+        for z, n in xi_blocks.items():
+            if z in eta_blocks:
+                continue
+            inv_z = inv(z)
+            for z2, m in eta_only:
+                count = overlaps.get(mul(inv_z, z2))
+                if count:
+                    total -= 2 * count * min(n * d_eta, m * d_xi)
     return Fraction(total, d_xi * d_eta)
 
 
 def support_distance(xi: SparseDensity, eta: SparseDensity, W_G: Window) -> int:
-    """min d_G over supp(xi) x supp(eta); supports are genuine (no null sets)."""
-    best = set_distance(W_G, xi.atoms, eta.atoms)
+    """min d_G over supp(xi) x supp(eta): the least block kernel over the
+    pairs of blocks, stopping at 0; supports are genuine (no null sets)."""
+    G = W_G.group
+    mul, inv = G.mul, G.inv
+    kernels = W_G.kernels
+    eta_centres = [z for z, _ in _blocks(eta, "support_distance")]
+    best = None
+    for z, _ in _blocks(xi, "support_distance"):
+        inv_z = inv(z)
+        for z2 in eta_centres:
+            w = mul(inv_z, z2)
+            least = (kernels.get(w) or _block_kernel(W_G, w))[0]
+            if least is not None and (best is None or least < best):
+                best = least
+                if best == 0:
+                    return 0
     if best is None:
         raise ResolutionError(
             "no support distance resolves within the target window; enlarge it")
     return best
+
+
+def support_diameter(xi: SparseDensity, W_G: Window) -> Optional[int]:
+    """The greatest d_G between two atoms of ``xi`` (0 for fewer than two),
+    or None when one such distance exceeds the window radius: the greatest
+    block kernel over the pairs of blocks, each block with itself
+    included."""
+    G = W_G.group
+    mul, inv = G.mul, G.inv
+    kernels = W_G.kernels
+    centres = [z for z, _ in _blocks(xi, "support_diameter")]
+    if not centres:
+        return 0
+    greatest = (kernels.get(G.identity) or _block_kernel(W_G, G.identity))[1]
+    if greatest is None:
+        return None
+    for i, z in enumerate(centres):
+        inv_z = inv(z)
+        for z2 in centres[i + 1:]:
+            w = mul(inv_z, z2)
+            d = (kernels.get(w) or _block_kernel(W_G, w))[1]
+            if d is None:
+                return None
+            if d > greatest:
+                greatest = d
+    return greatest
+
+
+def _blocks(d: SparseDensity, routine: str) -> list:
+    """The blocks of ``d``; ``routine`` reads them and refuses a density
+    without."""
+    if d.blocks is None:
+        raise PreconditionError(
+            f"{routine} reads the blocks of its densities, and this density "
+            "has none (blocks is None)")
+    return d.blocks
+
+
+def _block_kernel(W: Window, w) -> tuple:
+    """(least, greatest) window length of b^-1 w b' over b, b' in B: the
+    distances between the atoms of zB and z'B for any z^-1 z' = w.  The
+    least is None when none resolves, the greatest when one misses.  The
+    kernel is stored in ``W.kernels``, so each w is looked up once per
+    window."""
+    G = W.group
+    B = unit_ball(G)
+    mul, dist_get = G.mul, W.dist.get
+    moved = [mul(w, b) for b in B]
+    lengths = [dist_get(mul(b_inv, x)) for b_inv in map(G.inv, B) for x in moved]
+    resolved = [d for d in lengths if d is not None]
+    kernel = (min(resolved, default=None),
+              max(resolved) if len(resolved) == len(lengths) else None)
+    W.kernels[w] = kernel
+    return kernel
 
 
 def act_left(g, xi: SparseDensity) -> SparseDensity:

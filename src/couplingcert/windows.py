@@ -44,13 +44,16 @@ DEFAULT_CANDIDATE_CAP = 600
 class Window:
     """The radius-``radius`` ball: ``dist`` maps each element to its word
     length in BFS order; ``elements`` and ``lengths`` are its keys and
-    values as lists."""
+    values as lists.  ``kernels`` memoizes, per centre difference ``w``,
+    the block kernel that :mod:`couplingcert.coupling` reads distances
+    between unit-ball blocks from."""
 
     group: GroupModel
     radius: int
     dist: dict
     elements: list = field(init=False, repr=False)
     lengths: list = field(init=False, repr=False)
+    kernels: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.elements = list(self.dist)

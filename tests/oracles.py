@@ -379,6 +379,22 @@ def l1_distance(xi: SparseDensity, eta: SparseDensity) -> Fraction:
     return total
 
 
+def support_distance(xi: SparseDensity, eta: SparseDensity, W_G: Window) -> int:
+    """``set_distance`` over every pair of atoms; raises ResolutionError
+    when no pair resolves."""
+    best = set_distance(W_G, xi.atoms, eta.atoms)
+    if best is None:
+        raise ResolutionError(
+            "no support distance resolves within the target window; enlarge it")
+    return best
+
+
+def support_diameter(xi: SparseDensity, W_G: Window) -> Optional[int]:
+    """The greatest distance of the all-pairs ``pair_extremes`` over the
+    atoms."""
+    return pair_extremes(W_G, xi.support())[2]
+
+
 def n_empirical(P: PartitionOfUnity) -> Fraction:
     """Worst alpha increment over adjacent inner pairs, with the bumps
     theta_y(h) = s+1 - d(y, h) computed from distances, in Fractions."""

@@ -559,6 +559,21 @@ def test_a_run_builds_at_most_one_distance_field(field_builds, name):
     assert len(field_builds) == (0 if name == "shear-z2" else 1)
 
 
+@pytest.mark.parametrize("name", [name for name, _ in DEMO_CONFIGS])
+def test_a_run_computes_each_block_kernel_at_most_once_per_window(monkeypatch, name):
+    computed = []  # (window, w); holding the window keeps its id unique
+    kernel = coupling._block_kernel
+
+    def spy(W, w):
+        computed.append((W, w))
+        return kernel(W, w)
+
+    monkeypatch.setattr(coupling, "_block_kernel", spy)
+    run_all(dict(DEMO_CONFIGS)[name])
+    keys = Counter((id(W), w) for W, w in computed)
+    assert keys and max(keys.values()) == 1
+
+
 def test_stratified_sample_returns_a_grid_at_or_below_the_cap_unchanged():
     # the strata are not computed: a stratum call would divide by zero
     pairs = [(g, h) for g in range(4) for h in range(5)]

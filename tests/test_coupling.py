@@ -26,12 +26,13 @@ from couplingcert.coupling import (
     orbit_point,
     psi,
     serialize_density,
+    support_diameter,
     support_distance,
     unit_ball,
 )
 from couplingcert.errors import CouplingCertError, PreconditionError, ResolutionError
 from couplingcert.groups import make_group
-from couplingcert.windows import Net, build_window, greedy_net
+from couplingcert.windows import Net, ball_window, build_window, greedy_net
 
 import oracles
 from oracles import distance
@@ -227,6 +228,44 @@ def test_support_distance_examples(z_identity):
         support_distance(b0, b10, build_window(Z, 7))
 
 
+def test_support_diameter_examples(z_identity):
+    P, phi, _, W_G = z_identity
+    d0 = psi(P, phi, (0,))  # blocks at 0, 3 and -3
+    assert support_diameter(d0, W_G) == 8
+    assert support_diameter(act_left((7,), d0), W_G) == 8
+    assert support_diameter(d0, build_window(Z, 7)) is None
+    assert support_diameter(_single_block(Z), W_G) == 2
+    assert support_diameter(_single_block(Z), build_window(Z, 1)) is None
+    empty = SparseDensity(group=Z, denominator=1, atoms={}, blocks=[])
+    assert support_diameter(empty, W_G) == 0
+
+
+def _blockless():
+    B = unit_ball(Z)
+    return SparseDensity(group=Z, denominator=len(B), atoms={b: 1 for b in B})
+
+
+_NO_BLOCKS = "reads the blocks of its densities, and this density has none"
+
+
+def test_l1_distance_refuses_a_density_without_blocks():
+    for pair in ((_blockless(), _single_block(Z)), (_single_block(Z), _blockless())):
+        with pytest.raises(PreconditionError, match=f"^l1_distance {_NO_BLOCKS}"):
+            l1_distance(*pair)
+
+
+def test_support_distance_refuses_a_density_without_blocks():
+    W = build_window(Z, 8)
+    for pair in ((_blockless(), _single_block(Z)), (_single_block(Z), _blockless())):
+        with pytest.raises(PreconditionError, match=f"^support_distance {_NO_BLOCKS}"):
+            support_distance(*pair, W)
+
+
+def test_support_diameter_refuses_a_density_without_blocks():
+    with pytest.raises(PreconditionError, match=f"^support_diameter {_NO_BLOCKS}"):
+        support_diameter(_blockless(), build_window(Z, 8))
+
+
 def _single_block(G):
     B = unit_ball(G)
     return SparseDensity(group=G, denominator=len(B), atoms={b: 1 for b in B},
@@ -356,6 +395,72 @@ def test_integer_density_arithmetic_matches_fraction_oracle(oracle_partitions, n
     K = data.draw(st.sets(st.sampled_from(pool)))
     assert xi.inner_product(K) == oracles.inner_product(xi, K)
     assert eta.inner_product(K) == oracles.inner_product(eta, K)
+
+
+def _outcome(routine, *args):
+    """The value of ``routine(*args)``, or the message of its
+    ResolutionError."""
+    try:
+        return routine(*args)
+    except ResolutionError as exc:
+        return str(exc)
+
+
+def _assert_block_routines_match_the_oracles(xi, eta, W):
+    assert l1_distance(xi, eta) == oracles.l1_distance(xi, eta)
+    assert l1_distance(eta, xi) == oracles.l1_distance(eta, xi)
+    assert (_outcome(support_distance, xi, eta, W)
+            == _outcome(oracles.support_distance, xi, eta, W))
+    for d in (xi, eta):
+        assert support_diameter(d, W) == oracles.support_diameter(d, W)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_CASES)), st.data())
+def test_block_routines_match_the_atom_oracles_on_psi(oracle_partitions, name, data):
+    # psi pairs of one partition, or translates by two different g, whose
+    # blocks can overlap partially; on the target window, or on a window
+    # too small to resolve every kernel entry
+    P, phi, W_G = oracle_partitions[name]
+    near = [g for g, l in zip(W_G.elements, W_G.lengths) if l <= 2]
+    f1, f2 = (data.draw(st.sampled_from(P.inner_elements)) for _ in range(2))
+    g1 = data.draw(st.sampled_from(near))
+    g2 = g1 if data.draw(st.booleans()) else data.draw(st.sampled_from(near))
+    W = data.draw(st.sampled_from([W_G, ball_window(W_G, 1), ball_window(W_G, 4)]))
+    xi = act_left(g1, psi(P, phi, f1))
+    eta = act_left(g2, psi(P, phi, f2))
+    _assert_block_routines_match_the_oracles(xi, eta, W)
+
+
+# radius 6 holds every atom of a block centred at most 5 from the identity
+BLOCK_GROUPS = {desc: build_window(make_group(desc), 6)
+                for desc in ("Z^1", "Z^2", "Heis", "F_2")}
+
+
+def _density(G, blocks, denominator):
+    atoms = {G.mul(z, b): n for z, n in blocks for b in unit_ball(G)}
+    return SparseDensity(group=G, denominator=denominator, atoms=atoms, blocks=blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(BLOCK_GROUPS)), st.data())
+def test_block_routines_match_the_atom_oracles_on_blocks_one_and_two_apart(desc, data):
+    # unshared blocks 1 or 2 apart overlap partially, so l1_distance walks
+    # them; a block both densities share, 5 from the identity and so at
+    # least 3 from both, sits beside them or not
+    W = BLOCK_GROUPS[desc]
+    G = W.group
+    w = data.draw(st.sampled_from(W.shell(0, 2)))
+    c = data.draw(st.sampled_from(W.shell(4, 5)))
+    shared = data.draw(st.booleans())
+    nums = st.integers(1, 9)
+    xi = _density(G, [(G.identity, data.draw(nums))] + [(c, data.draw(nums))] * shared,
+                  data.draw(st.integers(1, 60)))
+    eta = _density(G, [(w, data.draw(nums))] + [(c, data.draw(nums))] * shared,
+                   data.draw(st.integers(1, 60)))
+    assert len(xi.atoms.keys() & eta.atoms.keys()) > len(unit_ball(G)) * shared
+    _assert_block_routines_match_the_oracles(
+        xi, eta, data.draw(st.sampled_from([W, ball_window(W, 1)])))
 
 
 def test_oracle_pairs_have_different_denominators(oracle_partitions):

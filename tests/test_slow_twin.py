@@ -45,6 +45,8 @@ SWAPS = (
     ("windows", "pair_extremes", oracles.pair_extremes),
     ("windows", "distances_from", oracles.distances_from),
     ("coupling", "l1_distance", oracles.l1_distance),
+    ("coupling", "support_distance", oracles.support_distance),
+    ("coupling", "support_diameter", oracles.support_diameter),
     ("certify", "_g_properness", oracles.g_properness),
     ("certify", "_kappa_sublevel_radius", oracles.kappa_sublevel_radius),
     ("certify", "_far_shell", oracles.far_shell),
