@@ -235,9 +235,6 @@ def check_membership_x(
     sep_worst = _Worst()
     fmt = W_G.group.format_element
     for label, dens in labeled_points:
-        if dens.blocks is None:
-            worst.update(-1, {"point": label, "reason": "no block structure"})
-            continue
         coeffs = [a for _, a in dens.block_coefficients()]
         if any(a < 0 for a in coeffs) or sum(coeffs, Fraction(0)) != 1:
             worst.update(-1, {"point": label, "reason": "not a convex combination"})
@@ -799,7 +796,7 @@ def run_all(config) -> Certificate:
 
         K_base = psi_of(H.identity).support()
         field_of_K = _field_once(W_G, K_base)
-        diam_K = pair_extremes(W_G, K_base)[2]
+        diam_K = support_diameter(psi_of(H.identity), W_G)
         if diam_K is None:
             raise ResolutionError("diameter of K does not resolve in the target window")
         supp_bound = P.support_diameter_bound

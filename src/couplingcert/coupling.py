@@ -5,7 +5,9 @@ All masses are exact rationals.  Haar measure on a discrete group is
 counting measure scaled by 1/|B|, where B is the closed unit ball
 (identity plus generators), so each indicator block ``zB`` has L1 mass
 exactly 1 and every ``psi_h`` is a convex combination of disjointly
-supported blocks.
+supported blocks.  A :class:`SparseDensity` is held as its blocks
+``[(z, n_z)]``; its atoms are derived from them, and :func:`act_left`
+moves the centres only.
 
 The scale s is an integer, as every word length is, so each bump value
 theta_y(h) = s+1 - d(y, h) is a positive integer, and every atom of the
@@ -105,23 +107,24 @@ def unit_ball(G) -> tuple:
 
 @dataclass
 class SparseDensity:
-    """Finitely supported nonnegative rational density on the target group.
-
-    ``atoms`` maps group elements to integer numerators over the one
-    integer ``denominator``: atom ``a`` carries measure
-    ``atoms[a] / denominator``, so the L1 mass is
-    ``sum(atoms.values()) / denominator``.  Densities produced by ``psi``
-    keep their block decomposition ``[(z, n_z)]``.  ``blocks``, when
-    given, are pairwise disjoint unit balls ``zB``, each of ``|B|``
-    distinct atoms carrying ``n_z``, and they hold every atom.
-    :func:`l1_distance`, :func:`support_distance` and
-    :func:`support_diameter` read the blocks and refuse a density without.
+    """Finitely supported nonnegative rational density on the target group,
+    held as its blocks ``[(z, n_z)]``: each atom of the unit ball ``zB``
+    carries the integer numerator ``n_z`` over the one integer
+    ``denominator``.  ``atoms`` is derived from them once, as ``{z*b: n_z}``
+    in block order and then :func:`unit_ball` order, so the L1 mass is
+    ``sum(atoms.values()) / denominator``.  ``psi`` verifies that its
+    blocks are pairwise disjoint; where blocks overlap, the atoms count once.
     """
 
     group: object
     denominator: int
-    atoms: dict
-    blocks: Optional[list] = None
+    blocks: list
+    atoms: dict = field(init=False, compare=False)
+
+    def __post_init__(self):
+        mul = self.group.mul
+        B = unit_ball(self.group)
+        self.atoms = {mul(z, b): n for z, n in self.blocks for b in B}
 
     def mass(self) -> Fraction:
         return Fraction(sum(self.atoms.values()), self.denominator)
@@ -254,28 +257,17 @@ def psi(P: PartitionOfUnity, phi: CoarseMap, h) -> SparseDensity:
             f"(radius {P.inner_radius})"
         )
     G = phi.target
-    B = unit_ball(G)
+    size = len(unit_ball(G))
     weights, total = P.alpha_terms(h)
     if len(weights) > P.M:
         raise CouplingCertError(
             f"|Z_h| = {len(weights)} exceeds M = {P.M}; the packing bound is broken"
         )
-    mul = G.mul
-    atoms = {}
-    blocks = []
-    for i, n in weights:
-        z = P.images[i]
-        blocks.append((z, n))
-        for b in B:
-            pt = mul(z, b)
-            if pt in atoms:
-                raise CouplingCertError(
-                    f"blocks overlap at {G.format_element(pt)}; "
-                    "Z_h is not 3-discrete (internal bug)"
-                )
-            atoms[pt] = n
-    d = SparseDensity(group=G, denominator=total * len(B), atoms=atoms, blocks=blocks)
-    if sum(atoms.values()) != d.denominator:
+    d = SparseDensity(group=G, denominator=total * size,
+                      blocks=[(P.images[i], n) for i, n in weights])
+    if len(d.atoms) != size * len(weights):
+        raise CouplingCertError("blocks of psi_h overlap; Z_h is not 3-discrete (internal bug)")
+    if sum(d.atoms.values()) != d.denominator:
         raise CouplingCertError(f"psi mass {d.mass()} != 1")
     return d
 
@@ -294,8 +286,7 @@ def l1_distance(xi: SparseDensity, eta: SparseDensity) -> Fraction:
     """
     if xi.group.descriptor != eta.group.descriptor:
         raise PreconditionError("densities live on different measured groups")
-    xi_blocks = dict(_blocks(xi, "l1_distance"))
-    eta_blocks = dict(_blocks(eta, "l1_distance"))
+    xi_blocks, eta_blocks = dict(xi.blocks), dict(eta.blocks)
     d_xi, d_eta = xi.denominator, eta.denominator
     total = shared = 0
     for z, n in xi_blocks.items():
@@ -337,9 +328,9 @@ def support_distance(xi: SparseDensity, eta: SparseDensity, W_G: Window) -> int:
     G = W_G.group
     mul, inv = G.mul, G.inv
     kernels = W_G.kernels
-    eta_centres = [z for z, _ in _blocks(eta, "support_distance")]
+    eta_centres = [z for z, _ in eta.blocks]
     best = None
-    for z, _ in _blocks(xi, "support_distance"):
+    for z, _ in xi.blocks:
         inv_z = inv(z)
         for z2 in eta_centres:
             w = mul(inv_z, z2)
@@ -362,7 +353,7 @@ def support_diameter(xi: SparseDensity, W_G: Window) -> Optional[int]:
     G = W_G.group
     mul, inv = G.mul, G.inv
     kernels = W_G.kernels
-    centres = [z for z, _ in _blocks(xi, "support_diameter")]
+    centres = [z for z, _ in xi.blocks]
     if not centres:
         return 0
     greatest = (kernels.get(G.identity) or _block_kernel(W_G, G.identity))[1]
@@ -378,16 +369,6 @@ def support_diameter(xi: SparseDensity, W_G: Window) -> Optional[int]:
             if d > greatest:
                 greatest = d
     return greatest
-
-
-def _blocks(d: SparseDensity, routine: str) -> list:
-    """The blocks of ``d``; ``routine`` reads them and refuses a density
-    without."""
-    if d.blocks is None:
-        raise PreconditionError(
-            f"{routine} reads the blocks of its densities, and this density "
-            "has none (blocks is None)")
-    return d.blocks
 
 
 def _block_kernel(W: Window, w) -> tuple:
@@ -409,15 +390,11 @@ def _block_kernel(W: Window, w) -> tuple:
 
 
 def act_left(g, xi: SparseDensity) -> SparseDensity:
-    """Left-regular translation: atoms move from a to g*a, weights fixed."""
-    G = xi.group
-    mul = G.mul
-    return SparseDensity(
-        group=G,
-        denominator=xi.denominator,
-        atoms={mul(g, a): n for a, n in xi.atoms.items()},
-        blocks=None if xi.blocks is None else [(mul(g, z), n) for z, n in xi.blocks],
-    )
+    """Left-regular translation: block centres move from z to g*z, weights
+    fixed, so each atom moves from a to g*a."""
+    mul = xi.group.mul
+    return SparseDensity(group=xi.group, denominator=xi.denominator,
+                         blocks=[(mul(g, z), n) for z, n in xi.blocks])
 
 
 @dataclass
@@ -456,7 +433,6 @@ def serialize_density(d: SparseDensity) -> str:
         w = Fraction(d.atoms[a] * size, d.denominator)
         lines.append(f"{G.format_element(a)} {w.numerator}/{w.denominator}")
     lines.append(f"# normalizer 1/{size}")
-    if d.blocks is not None:
-        for z, a in d.block_coefficients():
-            lines.append(f"# block {G.format_element(z)} {a.numerator}/{a.denominator}")
+    for z, a in d.block_coefficients():
+        lines.append(f"# block {G.format_element(z)} {a.numerator}/{a.denominator}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,8 @@ from typing import Optional
 
 from couplingcert.coarse import Moduli, apply
 from couplingcert.coupling import PartitionOfUnity, SparseDensity
-from couplingcert.errors import PreconditionError, ResolutionError, WindowBudgetError
+from couplingcert.errors import (CouplingCertError, PreconditionError, ResolutionError,
+                                 WindowBudgetError)
 from couplingcert.groups import GroupModel
 from couplingcert.windows import (DEFAULT_CANDIDATE_CAP, DEFAULT_ELEMENT_BUDGET,
                                   DEFAULT_NODE_BUDGET, Net, PackingResult, Window,
@@ -363,6 +364,28 @@ def inner_product(d: SparseDensity, subset) -> Fraction:
         if a in subset:
             total += w
     return total
+
+
+def psi_atoms(P: PartitionOfUnity, phi, h) -> dict:
+    """The atoms of psi_h built block by block over Z_h in net order, each
+    atom z*b checked to be new: two blocks that share an atom raise a
+    CouplingCertError naming it."""
+    G = phi.target
+    atoms = {}
+    for i, n in P.alpha_terms(h)[0]:
+        z = P.images[i]
+        for b in (G.identity, *G.generators):
+            a = G.mul(z, b)
+            if a in atoms:
+                raise CouplingCertError(f"blocks overlap at {G.format_element(a)}")
+            atoms[a] = n
+    return atoms
+
+
+def act_left(g, xi: SparseDensity) -> dict:
+    """The atoms of g.xi, each atom of ``xi`` moved from a to g*a in the
+    order of ``xi.atoms``."""
+    return {xi.group.mul(g, a): n for a, n in xi.atoms.items()}
 
 
 def l1_distance(xi: SparseDensity, eta: SparseDensity) -> Fraction:

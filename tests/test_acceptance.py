@@ -209,15 +209,9 @@ def test_criterion_6_checker_liveness():
 
     failures = {}
 
-    # membership: two blocks at distance 2 break 3-discreteness
-    B = unit_ball(Z)
-    atoms = {}
-    for z in ((0,), (2,)):
-        for b in B:
-            atoms[Z.mul(z, b)] = 1
-    # each block has weight 1/2: atoms 1 over the denominator 2*|B| = 6
-    bad = SparseDensity(group=Z, denominator=6, atoms=atoms,
-                        blocks=[((0,), 1), ((2,), 1)])
+    # membership: two blocks at distance 2 break 3-discreteness; each has
+    # weight 1/2, numerator 1 over the denominator 2*|B| = 6
+    bad = SparseDensity(group=Z, denominator=6, blocks=[((0,), 1), ((2,), 1)])
     failures["membership_x"] = check_membership_x([("bad", bad)], W_G, 8).status
 
     # lipschitz: a constant far below the true slope

@@ -83,39 +83,27 @@ def test_membership_passes_on_pipeline_densities(pipeline):
 
 
 def test_membership_fails_on_two_close_blocks():
-    B = unit_ball(Z)
-    atoms = {}
-    for z in ((0,), (2,)):
-        for b in B:
-            atoms[Z.mul(z, b)] = 1
-    # each block has weight 1/2: atoms 1 over the denominator 2*|B| = 6
-    dens = SparseDensity(group=Z, denominator=6, atoms=atoms,
-                         blocks=[((0,), 1), ((2,), 1)])
+    # each block has weight 1/2: numerator 1 over the denominator 2*|B| = 6
+    dens = SparseDensity(group=Z, denominator=6, blocks=[((0,), 1), ((2,), 1)])
     res = check_membership_x([("bad", dens)], build_window(Z, 12), 8)
     assert res.status == "fail"
     assert res.margin == -1  # separation 2 against the 3-discreteness bound
 
 
 def test_membership_passes_single_block():
-    B = unit_ball(Z)
-    dens = SparseDensity(group=Z, denominator=len(B), atoms={b: 1 for b in B},
-                         blocks=[((0,), 1)])
+    dens = SparseDensity(group=Z, denominator=len(unit_ball(Z)), blocks=[((0,), 1)])
     res = check_membership_x([("one", dens)], build_window(Z, 12), 8)
     assert res.status == "pass"
     assert res.details["worst_diameter_margin"] == 8
 
 
 @pytest.mark.parametrize("blocks,denominator,reason,margin", [
-    (None, 3, "no block structure", -1),
     ([((0,), 2)], 3, "not a convex combination", -1),  # one block of weight 2
     # 13 apart in a radius-12 window: the diameter counts as 13 against 8
     ([((0,), 1), ((13,), 1)], 6, "diameter exceeds window radius", -5),
-], ids=["no-blocks", "not-convex", "diameter-unresolved"])
+], ids=["not-convex", "diameter-unresolved"])
 def test_membership_names_each_failure_reason(blocks, denominator, reason, margin):
-    # without blocks, the atoms are those of the unit block at 0
-    B = unit_ball(Z)
-    atoms = {Z.mul(z, b): n for z, n in blocks or [((0,), 1)] for b in B}
-    dens = SparseDensity(group=Z, denominator=denominator, atoms=atoms, blocks=blocks)
+    dens = SparseDensity(group=Z, denominator=denominator, blocks=blocks)
     res = check_membership_x([("p", dens)], build_window(Z, 12), 8)
     assert res.status == "fail"
     assert res.margin == margin
@@ -474,9 +462,9 @@ def test_g_properness_matches_per_pair_oracle(g_action_cases, name, dist_radius,
             == oracles.g_properness(phi, drawn, K, dist_window, candidates))
 
 
-def single_atom_sample(a) -> list:
-    """One qualifying (g, h, xi_1) entry whose density is the unit atom at a."""
-    return [((0,), (0,), SparseDensity(group=Z, denominator=1, atoms={a: 1}))]
+def one_block_sample(z) -> list:
+    """One qualifying (g, h, xi_1) entry whose density is the unit block zB."""
+    return [((0,), (0,), SparseDensity(group=Z, denominator=len(unit_ball(Z)), blocks=[(z, 1)]))]
 
 
 @pytest.fixture
@@ -494,12 +482,12 @@ def field_builds(monkeypatch) -> list:
 
 
 def test_g_properness_bound_stops_at_the_radius(field_builds):
-    # |gc| - reach(atoms) - reach(K) equals the radius 3 for gc = 5, a = -1,
-    # k = 1, and d(gc.a, k) = d(4, 1) = 3 resolves: the bound must not
-    # settle this pair, whose margin is radius - 1.  Nor gc = -5, whose
-    # translate -6 is 7 from k: one field serves both pairs
+    # the block at 0 reaches 1, so |gc| - reach(atoms) - reach(K) equals the
+    # radius 3 for gc = 5, k = 1, and d(gc.(-1), k) = d(4, 1) = 3 resolves:
+    # the bound must not settle this pair, whose margin is radius - 1.  Nor
+    # gc = -5, whose translate is 5 from k: one field serves both pairs
     W = build_window(Z, 3)
-    xis, K = single_atom_sample((-1,)), [(1,)]
+    xis, K = one_block_sample((0,)), [(1,)]
     got = _g_properness(PHI_Z, xis, K, W, [((5,), 5)])
     assert got == (2, {"g": "5", "xi": ["0", "0"]}, False, 1)
     assert got == oracles.g_properness(PHI_Z, xis, K, W, [((5,), 5)])
@@ -517,14 +505,14 @@ def test_g_properness_bound_stops_at_the_radius(field_builds):
 
 
 @pytest.mark.parametrize("atom,K,gc", [
-    ((4,), [(0,)], (-4,)),  # the atom lies outside the radius-3 window
+    ((4,), [(0,)], (-4,)),  # the block's centre lies outside the radius-3 window
     ((0,), [(5,)], (5,)),   # the point of K does
 ])
 def test_g_properness_bound_is_off_outside_the_window(field_builds, atom, K, gc):
     # with the outside point's length taken as 0 the bound would call the
     # pair a floor pair, yet the translate meets K
     W = build_window(Z, 3)
-    xis = single_atom_sample(atom)
+    xis = one_block_sample(atom)
     got = _g_properness(PHI_Z, xis, K, W, [(gc, abs(gc[0]))])
     assert got[0] == -1 and got[1]["meeting_point"] == Z.format_element(K[0])
     assert got == oracles.g_properness(PHI_Z, xis, K, W, [(gc, abs(gc[0]))])
@@ -790,8 +778,8 @@ def test_a_check_refuses_inputs_its_window_cannot_support(pipeline, case):
 
 
 def test_an_unresolved_diameter_of_K_is_a_samples_stage_error(monkeypatch):
-    # a stand-in pair_extremes that resolves no pair
-    monkeypatch.setattr(certify, "pair_extremes", lambda W, points: (None, None, None))
+    # a stand-in support_diameter that resolves no pair
+    monkeypatch.setattr(certify, "support_diameter", lambda xi, W: None)
     with pytest.raises(PipelineError) as exc:
         run_all(RunConfig())
     assert exc.value.stage == "samples" and type(exc.value.cause) is ResolutionError

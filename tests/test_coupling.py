@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,18 @@ def test_psi_outside_inner_window_rejected(z_identity):
         psi(P, phi, (21,))
 
 
+def test_psi_refuses_overlapping_blocks(z_identity):
+    # psi_0 has blocks at 0, 3 and -3; moving the image 3 to 2 makes the
+    # blocks at 0 and 2 share the atom 1
+    P, phi, *_ = z_identity
+    moved = replace(P, images=[(2,) if z == (3,) else z for z in P.images])
+    with pytest.raises(CouplingCertError, match="^blocks of psi_h overlap; Z_h is not "
+                                                "3-discrete"):
+        psi(moved, phi, (0,))
+    with pytest.raises(CouplingCertError, match="^blocks overlap at 1$"):
+        oracles.psi_atoms(moved, phi, (0,))
+
+
 def test_z_h_bounded_by_m(z_identity):
     P, phi, *_ = z_identity
     sizes = {len(psi(P, phi, h).blocks) for h in P.inner_elements}
@@ -236,40 +249,12 @@ def test_support_diameter_examples(z_identity):
     assert support_diameter(d0, build_window(Z, 7)) is None
     assert support_diameter(_single_block(Z), W_G) == 2
     assert support_diameter(_single_block(Z), build_window(Z, 1)) is None
-    empty = SparseDensity(group=Z, denominator=1, atoms={}, blocks=[])
+    empty = SparseDensity(group=Z, denominator=1, blocks=[])
     assert support_diameter(empty, W_G) == 0
 
 
-def _blockless():
-    B = unit_ball(Z)
-    return SparseDensity(group=Z, denominator=len(B), atoms={b: 1 for b in B})
-
-
-_NO_BLOCKS = "reads the blocks of its densities, and this density has none"
-
-
-def test_l1_distance_refuses_a_density_without_blocks():
-    for pair in ((_blockless(), _single_block(Z)), (_single_block(Z), _blockless())):
-        with pytest.raises(PreconditionError, match=f"^l1_distance {_NO_BLOCKS}"):
-            l1_distance(*pair)
-
-
-def test_support_distance_refuses_a_density_without_blocks():
-    W = build_window(Z, 8)
-    for pair in ((_blockless(), _single_block(Z)), (_single_block(Z), _blockless())):
-        with pytest.raises(PreconditionError, match=f"^support_distance {_NO_BLOCKS}"):
-            support_distance(*pair, W)
-
-
-def test_support_diameter_refuses_a_density_without_blocks():
-    with pytest.raises(PreconditionError, match=f"^support_diameter {_NO_BLOCKS}"):
-        support_diameter(_blockless(), build_window(Z, 8))
-
-
 def _single_block(G):
-    B = unit_ball(G)
-    return SparseDensity(group=G, denominator=len(B), atoms={b: 1 for b in B},
-                         blocks=[(G.identity, 1)])
+    return SparseDensity(group=G, denominator=len(unit_ball(G)), blocks=[(G.identity, 1)])
 
 
 def test_act_left_examples(z_identity):
@@ -432,14 +417,22 @@ def test_block_routines_match_the_atom_oracles_on_psi(oracle_partitions, name, d
     _assert_block_routines_match_the_oracles(xi, eta, W)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_CASES)), st.data())
+def test_derived_atoms_match_the_per_atom_oracles(oracle_partitions, name, data):
+    # the atoms psi and act_left derive from their blocks are the ones, in
+    # the order, that a per-block build and an atom-by-atom translation give
+    P, phi, W_G = oracle_partitions[name]
+    h = data.draw(st.sampled_from(P.inner_elements))
+    g = data.draw(st.sampled_from(W_G.ball(3)))
+    xi = psi(P, phi, h)
+    assert list(xi.atoms.items()) == list(oracles.psi_atoms(P, phi, h).items())
+    assert list(act_left(g, xi).atoms.items()) == list(oracles.act_left(g, xi).items())
+
+
 # radius 6 holds every atom of a block centred at most 5 from the identity
 BLOCK_GROUPS = {desc: build_window(make_group(desc), 6)
                 for desc in ("Z^1", "Z^2", "Heis", "F_2")}
-
-
-def _density(G, blocks, denominator):
-    atoms = {G.mul(z, b): n for z, n in blocks for b in unit_ball(G)}
-    return SparseDensity(group=G, denominator=denominator, atoms=atoms, blocks=blocks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -454,10 +447,10 @@ def test_block_routines_match_the_atom_oracles_on_blocks_one_and_two_apart(desc,
     c = data.draw(st.sampled_from(W.shell(4, 5)))
     shared = data.draw(st.booleans())
     nums = st.integers(1, 9)
-    xi = _density(G, [(G.identity, data.draw(nums))] + [(c, data.draw(nums))] * shared,
-                  data.draw(st.integers(1, 60)))
-    eta = _density(G, [(w, data.draw(nums))] + [(c, data.draw(nums))] * shared,
-                   data.draw(st.integers(1, 60)))
+    xi = SparseDensity(G, blocks=[(G.identity, data.draw(nums))] + [(c, data.draw(nums))] * shared,
+                       denominator=data.draw(st.integers(1, 60)))
+    eta = SparseDensity(G, blocks=[(w, data.draw(nums))] + [(c, data.draw(nums))] * shared,
+                        denominator=data.draw(st.integers(1, 60)))
     assert len(xi.atoms.keys() & eta.atoms.keys()) > len(unit_ball(G)) * shared
     _assert_block_routines_match_the_oracles(
         xi, eta, data.draw(st.sampled_from([W, ball_window(W, 1)])))
