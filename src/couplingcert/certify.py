@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
@@ -74,33 +73,42 @@ CHECK_NAMES = (
 )
 
 
-@dataclass
 class RunConfig:
-    group_H: str = "Z^1"
-    group_G: str = "Z^1"
-    map_descriptor: str = "identity"
-    radius_H: int = 24
-    radius_G: int = 40
-    eval_radius: int = 8
-    seed: int = 0
-    epsilon: Union[str, Fraction] = "1/2"
-    checks: Optional[list] = None
-    output_path: Optional[str] = None
+    def __init__(self, group_H: str = "Z^1", group_G: str = "Z^1",
+                 map_descriptor: str = "identity", radius_H: int = 24, radius_G: int = 40,
+                 eval_radius: int = 8, seed: int = 0, epsilon: Union[str, Fraction] = "1/2",
+                 checks: Optional[list] = None, output_path: Optional[str] = None):
+        self.group_H = group_H
+        self.group_G = group_G
+        self.map_descriptor = map_descriptor
+        self.radius_H = radius_H
+        self.radius_G = radius_G
+        self.eval_radius = eval_radius
+        self.seed = seed
+        self.epsilon = epsilon
+        self.checks = checks
+        self.output_path = output_path
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
 
-_HINTS = get_type_hints(RunConfig)
+_HINTS = get_type_hints(RunConfig.__init__)
 INT_FIELDS = tuple(name for name, hint in _HINTS.items() if hint is int)
 # fields annotated str, or Optional[str] (None allowed)
 STR_FIELDS = tuple(name for name, hint in _HINTS.items() if hint in (str, Optional[str]))
 
 
-@dataclass
 class CheckResult:
-    name: str
-    witness: Optional[dict]
-    margin: Optional[Fraction]
-    population: int
-    details: dict = field(default_factory=dict)
+    def __init__(self, name: str, witness: Optional[dict], margin: Optional[Fraction],
+                 population: int, details: Optional[dict] = None):
+        self.name = name
+        self.witness = witness
+        self.margin = margin
+        self.population = population
+        self.details = {} if details is None else details
 
     @property
     def status(self) -> str:
@@ -109,11 +117,11 @@ class CheckResult:
         return "pass" if self.margin >= 0 else "fail"
 
 
-@dataclass
 class Certificate:
-    constants: dict
-    checks: list
-    window_metadata: dict
+    def __init__(self, constants: dict, checks: list, window_metadata: dict):
+        self.constants = constants
+        self.checks = checks
+        self.window_metadata = window_metadata
 
     def all_pass(self) -> bool:
         return all(c.status != "fail" for c in self.checks)

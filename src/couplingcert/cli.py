@@ -23,7 +23,6 @@ fails, 2 on a pipeline error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import Counter
@@ -129,7 +128,8 @@ def emit_report(cert: Certificate, path: Optional[str]) -> int:
     return 0 if cert.all_pass() else 1
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p) -> None:
+    """Add ``--config`` and one flag per config key to the parser ``p``."""
     p.add_argument("--config", help="key = value config file")
     for flag, (_, text) in _CONFIG_KEYS.items():
         p.add_argument(f"--{flag}", help=text)
@@ -216,6 +216,9 @@ def cmd_demo() -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
+    # imported here, so that importing the package loads no parser
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="couplingcert",
         description="Finite-window certificates for topological couplings "

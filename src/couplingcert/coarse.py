@@ -14,17 +14,16 @@ table.  The pipeline's window tables run to ``t_max = 2*W_H.radius``, the
 largest source distance of a pair in the source window.  For a
 homomorphism without a stretch (the ``matrix:`` maps) the pipeline counts
 one pass over the difference ball ``B(t_max)``; the pair scan serves every
-other map and the ``moduli`` subcommand, which prints the pair counts.  It reads the
-distance rows of :mod:`couplingcert.windows`: on ``Z^d -> Z^e`` within the
-byte limit both sides' l1 byte rows, interleaved and counted per row;
-otherwise both sides' lookup rows.
+other map and the ``moduli`` subcommand, which prints the pair counts.  On
+``Z^d -> Z^e`` within the byte limit it reads both sides' l1 byte rows of
+:mod:`couplingcert.windows`, interleaved and counted per row; otherwise
+one window lookup per pair and side (:func:`_lookup_pair_keys`).
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Optional
@@ -38,20 +37,21 @@ from .errors import (
     TableMapError,
 )
 from .groups import FreeGroup, GroupModel, ZdGroup
-from .windows import Window, _byte_rows_fit, _l1_rows, _lookup_rows, ball_window, set_distance
+from .windows import Window, _byte_rows_fit, _l1_rows, ball_window, set_distance
 
 
-@dataclass
 class CoarseMap:
-    source: GroupModel
-    target: GroupModel
-    descriptor: str
-    fn: Callable
-    # fn multiplies every word distance by exactly this factor:
-    # d(fn(a), fn(b)) = stretch * d(a, b), so kappa(t) = omega(t) = stretch*t
-    stretch: Optional[int] = None
-    # fn is a group homomorphism: d(fn(a), fn(b)) = |fn(a^-1 b)|
-    homomorphic: bool = False
+    def __init__(self, source: GroupModel, target: GroupModel, descriptor: str, fn: Callable,
+                 stretch: Optional[int] = None, homomorphic: bool = False):
+        self.source = source
+        self.target = target
+        self.descriptor = descriptor
+        self.fn = fn
+        # fn multiplies every word distance by exactly this factor:
+        # d(fn(a), fn(b)) = stretch * d(a, b), so kappa(t) = omega(t) = stretch*t
+        self.stretch = stretch
+        # fn is a group homomorphism: d(fn(a), fn(b)) = |fn(a^-1 b)|
+        self.homomorphic = homomorphic
 
 
 def apply(phi: CoarseMap, h):
@@ -204,18 +204,20 @@ def make_coarse_map(descriptor: str, H: GroupModel, G: GroupModel) -> CoarseMap:
     raise DescriptorError(f"unknown map descriptor: {descriptor!r}")
 
 
-@dataclass
 class Moduli:
-    t_max: int
-    kappa: list
-    omega: list
-    provenance: str  # "window-estimated" | "analytic"
-    # per t: number of scanned pairs at source distance exactly t
-    pair_counts: Optional[list] = None
-    requested_t_max: Optional[int] = None
-    # the least source distance with an image distance the target window
-    # misses, when it cut the table below requested_t_max
-    truncated_at: Optional[int] = None
+    def __init__(self, t_max: int, kappa: list, omega: list, provenance: str,
+                 pair_counts: Optional[list] = None, requested_t_max: Optional[int] = None,
+                 truncated_at: Optional[int] = None):
+        self.t_max = t_max
+        self.kappa = kappa
+        self.omega = omega
+        self.provenance = provenance  # "window-estimated" | "analytic"
+        # per t: number of scanned pairs at source distance exactly t
+        self.pair_counts = pair_counts
+        self.requested_t_max = requested_t_max
+        # the least source distance with an image distance the target window
+        # misses, when it cut the table below requested_t_max
+        self.truncated_at = truncated_at
 
     def kappa_at(self, t: int) -> Optional[int]:
         """kappa at integer t (step interpolation); None beyond the table."""
@@ -244,9 +246,10 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     counts the pairs off the l1 byte rows, with no group product, window
     lookup or difference ball.  :func:`_window_table` reads a pair with
     ``dG > W_G.radius`` as a miss, exactly as the lookup would, so images
-    outside ``W_G`` give the same table.  Every other input zips the lookup
-    rows of the images in ``W_G`` with those of the elements in the
-    difference ball ``B(t_max)``: a prefix of ``W_H``, or ``W_H`` grown.
+    outside ``W_G`` give the same table.  Every other input is counted by
+    :func:`_lookup_pair_keys`, with source distances read in the difference
+    ball ``B(t_max)`` (a prefix of ``W_H``, or ``W_H`` grown) and image
+    distances in ``W_G``.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
@@ -256,11 +259,7 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     if _byte_rows_fit(H, elements) and _byte_rows_fit(G, images):
         counts = _l1_pair_keys(elements, images)
     else:
-        # dH is None past t_max, dG where W_G misses
-        rows_H = _lookup_rows(ball_window(W_H, t_max), elements)
-        counts = Counter()
-        for dHs, dGs in zip(rows_H, _lookup_rows(W_G, images)):
-            counts.update(zip(dHs, dGs))
+        counts = _lookup_pair_keys(ball_window(W_H, t_max), W_G, elements, images)
     counts[0, 0] += len(elements)  # the diagonal: each element with itself
     return _window_table(counts, W_G.radius, t_max, counted=True)
 
@@ -329,6 +328,33 @@ def _l1_pair_keys(elements: list, images: list) -> Counter:
         buf[hi:2 * m:2] = dG
         counts.update(keys16[:m])
     return Counter({(k & 255, k >> 8): c for k, c in counts.items()})
+
+
+def _lookup_pair_keys(W_D: Window, W_G: Window, elements: list, images: list) -> Counter:
+    """Counter of ``(dH, dG)`` over the unordered pairs of ``elements`` whose
+    distance ``dH`` resolves in the difference ball ``W_D``, with ``dG`` the
+    distance of their ``images`` in ``W_G``, ``None`` where it misses.
+
+    One window lookup of ``a^-1 b`` per pair on each side, each point
+    inverted once; the image distance is looked up only where the source
+    one resolves, so a pair past ``W_D`` costs one product.  Each counted
+    pair is one ``int`` key ``dG*stride + dH`` (``dG = -1`` for a miss),
+    split into ``(dH, dG)`` at the end.
+    """
+    H, G = W_D.group, W_G.group
+    dH_get, dG_get, mul_H, mul_G = W_D.dist.get, W_G.dist.get, H.mul, G.mul
+    stride = W_D.radius + 1
+    counts = Counter()
+    for i, (a, x) in enumerate(zip(elements, images)):
+        a_inv, x_inv = H.inv(a), G.inv(x)
+        counts.update([dG_get(mul_G(x_inv, y), -1) * stride + dH
+                       for b, y in zip(elements[i + 1:], images[i + 1:])
+                       if (dH := dH_get(mul_H(a_inv, b))) is not None])
+    pairs = Counter()
+    for k, c in counts.items():
+        dG, dH = divmod(k, stride)
+        pairs[dH, None if dG < 0 else dG] = c
+    return pairs
 
 
 def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:

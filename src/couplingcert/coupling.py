@@ -32,7 +32,6 @@ Theta and the alpha weights are truncation-free.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -41,20 +40,22 @@ from .errors import CouplingCertError, PreconditionError, ResolutionError, requi
 from .windows import Net, Window, greedy_net, packing_number, pair_extremes
 
 
-@dataclass
 class PartitionOfUnity:
-    scale: int                          # s
-    net: Net                            # Y, subset of the H-window
-    images: list                        # Z = phi[Y], aligned with net.points
-    window_H: Window
-    inner_radius: int
-    N_empirical: Fraction
-    N_apriori: Fraction
-    overlap_count: int                  # max net points within s+1 of a window point
-    M: int
-    M_exact: bool
-    omega_s1: int                       # omega(s+1)
-    thetas: dict = field(repr=False)    # inner h -> [(net index, theta_y(h) > 0)]
+    def __init__(self, scale: int, net: Net, images: list, window_H: Window, inner_radius: int,
+                 N_empirical: Fraction, N_apriori: Fraction, overlap_count: int, M: int,
+                 M_exact: bool, omega_s1: int, thetas: dict):
+        self.scale = scale                  # s
+        self.net = net                      # Y, subset of the H-window
+        self.images = images                # Z = phi[Y], aligned with net.points
+        self.window_H = window_H
+        self.inner_radius = inner_radius
+        self.N_empirical = N_empirical
+        self.N_apriori = N_apriori
+        self.overlap_count = overlap_count  # max net points within s+1 of a window point
+        self.M = M
+        self.M_exact = M_exact
+        self.omega_s1 = omega_s1            # omega(s+1)
+        self.thetas = thetas                # inner h -> [(net index, theta_y(h) > 0)]
 
     @property
     def N(self) -> Fraction:
@@ -105,26 +106,24 @@ def unit_ball(G) -> tuple:
     return (G.identity, *G.generators)
 
 
-@dataclass
 class SparseDensity:
     """Finitely supported nonnegative rational density on the target group,
     held as its blocks ``[(z, n_z)]``: each atom of the unit ball ``zB``
     carries the integer numerator ``n_z`` over the one integer
-    ``denominator``.  ``atoms`` is derived from them once, as ``{z*b: n_z}``
-    in block order and then :func:`unit_ball` order, so the L1 mass is
-    ``sum(atoms.values()) / denominator``.  ``psi`` verifies that its
-    blocks are pairwise disjoint; where blocks overlap, the atoms count once.
+    ``denominator``.  ``__init__`` derives ``atoms`` from them, as
+    ``{z*b: n_z}`` in block order and then :func:`unit_ball` order, so the
+    L1 mass is ``sum(atoms.values()) / denominator``.  ``psi`` verifies that
+    its blocks are pairwise disjoint; where blocks overlap, the atoms count
+    once.
     """
 
-    group: object
-    denominator: int
-    blocks: list
-    atoms: dict = field(init=False, compare=False)
-
-    def __post_init__(self):
-        mul = self.group.mul
-        B = unit_ball(self.group)
-        self.atoms = {mul(z, b): n for z, n in self.blocks for b in B}
+    def __init__(self, group, denominator: int, blocks: list):
+        self.group = group
+        self.denominator = denominator
+        self.blocks = blocks
+        mul = group.mul
+        B = unit_ball(group)
+        self.atoms = {mul(z, b): n for z, n in blocks for b in B}
 
     def mass(self) -> Fraction:
         return Fraction(sum(self.atoms.values()), self.denominator)
@@ -267,6 +266,7 @@ def psi(P: PartitionOfUnity, phi: CoarseMap, h) -> SparseDensity:
                       blocks=[(P.images[i], n) for i, n in weights])
     if len(d.atoms) != size * len(weights):
         raise CouplingCertError("blocks of psi_h overlap; Z_h is not 3-discrete (internal bug)")
+    # implied by the overlap check; guards the atoms SparseDensity.__init__ derives
     if sum(d.atoms.values()) != d.denominator:
         raise CouplingCertError(f"psi mass {d.mass()} != 1")
     return d
@@ -397,16 +397,16 @@ def act_left(g, xi: SparseDensity) -> SparseDensity:
                          blocks=[(mul(g, z), n) for z, n in xi.blocks])
 
 
-@dataclass
 class OrbitPoint:
     """g.psi.h on a finite evaluation window of f's, with coordinates
     (g.psi.h)_f = lambda(g) psi_{hf} computed on demand."""
 
-    g: object
-    h: object
-    eval_window: Window
-    P: PartitionOfUnity = field(repr=False)
-    phi: CoarseMap = field(repr=False)
+    def __init__(self, g, h, eval_window: Window, P: PartitionOfUnity, phi: CoarseMap):
+        self.g = g
+        self.h = h
+        self.eval_window = eval_window
+        self.P = P
+        self.phi = phi
 
     def coord(self, f) -> SparseDensity:
         return act_left(self.g, psi(self.P, self.phi, self.phi.source.mul(self.h, f)))

@@ -9,13 +9,13 @@ distance field from its sources, a larger ball from a window's outer level
 (:func:`ball_window`).  ``d(a, b)`` is ``dist.get(a^-1 b)``, and a lookup
 miss means the distance exceeds the window radius.
 
-The packing search here and the moduli pair scan of
-:mod:`couplingcert.coarse` read the same rows of pairwise distances, row
-``i`` holding those from ``points[i]`` to ``points[i+1:]``: :func:`_l1_rows`
-as ``bytes`` on ``Z^d`` within the byte limit of :func:`_byte_rows_fit`,
-:func:`_lookup_rows` otherwise.  Past the limit are the packing search on
-``Z^1`` from ``diam_bound = 128`` and the moduli scan from ``R_H = 128``
-on ``Z^1`` and ``R_H = 64`` on ``Z^2``.
+The packing search here reads rows of pairwise distances, row ``i``
+holding those from ``points[i]`` to ``points[i+1:]``: :func:`_l1_rows` as
+``bytes`` on ``Z^d`` within the byte limit of :func:`_byte_rows_fit`,
+:func:`_lookup_rows` otherwise.  The moduli pair scan of
+:mod:`couplingcert.coarse` reads the byte rows too.  Past the limit are the
+packing search on ``Z^1`` from ``diam_bound = 128`` and the moduli scan
+from ``R_H = 128`` on ``Z^1`` and ``R_H = 64`` on ``Z^2``.
 
 Net scales and packing bounds are ``int`` word-length thresholds; any
 other value is refused.  The search limits (``DEFAULT_ELEMENT_BUDGET`` for
@@ -26,7 +26,6 @@ module constants, read when a search runs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional
 
@@ -40,24 +39,20 @@ DEFAULT_NODE_BUDGET = 200_000
 DEFAULT_CANDIDATE_CAP = 600
 
 
-@dataclass
 class Window:
     """The radius-``radius`` ball: ``dist`` maps each element to its word
-    length in BFS order; ``elements`` and ``lengths`` are its keys and
-    values as lists.  ``kernels`` memoizes, per centre difference ``w``,
-    the block kernel that :mod:`couplingcert.coupling` reads distances
-    between unit-ball blocks from."""
+    length in BFS order; ``elements`` and ``lengths``, its keys and values
+    as lists, are derived in ``__init__``.  ``kernels`` memoizes, per centre
+    difference ``w``, the block kernel that :mod:`couplingcert.coupling`
+    reads distances between unit-ball blocks from."""
 
-    group: GroupModel
-    radius: int
-    dist: dict
-    elements: list = field(init=False, repr=False)
-    lengths: list = field(init=False, repr=False)
-    kernels: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self.elements = list(self.dist)
-        self.lengths = list(self.dist.values())
+    def __init__(self, group: GroupModel, radius: int, dist: dict):
+        self.group = group
+        self.radius = radius
+        self.dist = dist
+        self.elements = list(dist)
+        self.lengths = list(dist.values())
+        self.kernels = {}
 
     def ball(self, r: int) -> list:
         """The elements of length <= r: a prefix of ``elements`` in BFS
@@ -202,9 +197,14 @@ def distance_field(W: Window, sources) -> dict:
     return _bfs(W.group, dict.fromkeys(sources, 0), W.radius)
 
 
-@dataclass
 class Net:
-    points: list
+    def __init__(self, points: list):
+        self.points = points
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
 
 def greedy_net(W: Window, s: int) -> Net:
@@ -236,13 +236,19 @@ def greedy_net(W: Window, s: int) -> Net:
     return Net(points=chosen)
 
 
-@dataclass
 class PackingResult:
-    value: int
-    exact: bool
-    witness: Optional[list] = None
-    nodes: int = 0
-    note: str = ""
+    def __init__(self, value: int, exact: bool, witness: Optional[list] = None,
+                 nodes: int = 0, note: str = ""):
+        self.value = value
+        self.exact = exact
+        self.witness = witness
+        self.nodes = nodes
+        self.note = note
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
 
 def packing_number(W: Window, separation: int, diam_bound: int) -> PackingResult:

@@ -7,7 +7,7 @@ are asserted with wall-clock measurements of the full pipeline runs.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from copy import copy
 from fractions import Fraction
 
 import pytest
@@ -32,6 +32,7 @@ from couplingcert.coupling import (
 )
 from couplingcert.groups import make_group
 from couplingcert.windows import (
+    PackingResult,
     build_window,
     greedy_net,
     packing_number,
@@ -215,7 +216,8 @@ def test_criterion_6_checker_liveness():
     failures["membership_x"] = check_membership_x([("bad", bad)], W_G, 8).status
 
     # lipschitz: a constant far below the true slope
-    tiny_N = replace(P, N_empirical=Fraction(1, 1000), N_apriori=Fraction(1, 1000))
+    tiny_N = copy(P)
+    tiny_N.N_empirical = tiny_N.N_apriori = Fraction(1, 1000)
     failures["lipschitz"] = check_lipschitz(tiny_N, pair_window, psi_of).status
 
     # sandwich: one slice translated far beyond the expansion bound
@@ -256,7 +258,7 @@ def test_criterion_7_byte_identical_reports():
 def _bumped_packing(*args):
     """packing_number with M -> M+3, flagged inexact: a looser safe bound."""
     res = packing_number(*args)
-    return replace(res, value=res.value + 3, exact=False)
+    return PackingResult(res.value + 3, False, res.witness, res.nodes, res.note)
 
 
 def test_criterion_8_monotone_safety(cert1, monkeypatch):

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -380,7 +379,7 @@ def test_a_bad_value_is_rejected_at_configure_everywhere(capsys, key, text):
     field = _CONFIG_KEYS[key][0]
     value = [text] if field == "checks" else text if field == "epsilon" else int(text)
     with pytest.raises(PipelineError) as exc:
-        run_all(replace(RunConfig(), **{field: value}))
+        run_all(RunConfig(**{field: value}))
     assert exc.value.stage == "configure"
     for command in ("certify", "psi", "moduli"):
         argv = [command, "--rH", "12", "--rG", "24", "--eval", "3", f"--{key}={text}"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from copy import copy
 from fractions import Fraction
 
 import pytest
@@ -176,7 +176,8 @@ def test_psi_refuses_overlapping_blocks(z_identity):
     # psi_0 has blocks at 0, 3 and -3; moving the image 3 to 2 makes the
     # blocks at 0 and 2 share the atom 1
     P, phi, *_ = z_identity
-    moved = replace(P, images=[(2,) if z == (3,) else z for z in P.images])
+    moved = copy(P)
+    moved.images = [(2,) if z == (3,) else z for z in P.images]
     with pytest.raises(CouplingCertError, match="^blocks of psi_h overlap; Z_h is not "
                                                 "3-discrete"):
         psi(moved, phi, (0,))

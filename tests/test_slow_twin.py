@@ -26,7 +26,6 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 
@@ -122,12 +121,12 @@ def twin_reports(cfg: RunConfig, calls: Counter) -> tuple:
 
 
 def small_config(name: str, root) -> RunConfig:
-    cfg = RunConfig(**workloads.config(name, workloads.DEFAULT_SEED))
+    values = {**workloads.config(name, workloads.DEFAULT_SEED), **SMALL[name]}
     if name == "table-z2":
         path = Path(root) / "table-z2.map"
         path.write_text(workloads.table_text(workloads.DEFAULT_SEED))
-        cfg = replace(cfg, map_descriptor=f"table:{path}")
-    return replace(cfg, **SMALL[name])
+        values["map_descriptor"] = f"table:{path}"
+    return RunConfig(**values)
 
 
 TWIN_NAMES = [n for n, _ in DEMO_CONFIGS] + sorted(SMALL) + list(SAMPLED)
