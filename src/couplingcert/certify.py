@@ -49,6 +49,7 @@ from .coupling import (
     psi,
     support_diameter,
     support_distance,
+    unit_ball,
 )
 from .errors import (
     CouplingCertError,
@@ -237,14 +238,17 @@ def check_membership_x(
     two_omega: int,
 ) -> CheckResult:
     """Each density must be a convex combination of unit-ball blocks over a
-    3-discrete center set of diameter <= 2*omega(s+1)."""
+    3-discrete center set of diameter <= 2*omega(s+1).  The block weights
+    ``alpha_z = n_z*|B|/denominator`` are checked in integers: none is
+    negative, and they sum to 1."""
     worst = _Worst()
     diam_worst = _Worst()
     sep_worst = _Worst()
     fmt = W_G.group.format_element
+    size = len(unit_ball(W_G.group))
     for label, dens in labeled_points:
-        coeffs = [a for _, a in dens.block_coefficients()]
-        if any(a < 0 for a in coeffs) or sum(coeffs, Fraction(0)) != 1:
+        if (any(n < 0 for _, n in dens.blocks)
+                or sum(n for _, n in dens.blocks) * size != dens.denominator):
             worst.update(-1, {"point": label, "reason": "not a convex combination"})
             continue
         # an unresolved distance exceeds the window radius >= 3

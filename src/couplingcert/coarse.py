@@ -7,23 +7,26 @@ distance >= t, ``omega[t]`` the largest over pairs at source distance
 carries it as ``stretch``; its moduli ``stretch*t`` hold at every scale
 and are preferred by the certificate pipeline.
 
-Every window scan only counts pairs by their source and image distances
-``(dH, dG)``, with ``None`` for a distance a window misses;
-:func:`_window_table` is the one reducer that turns the count into a
-table.  The pipeline's window tables run to ``t_max = 2*W_H.radius``, the
-largest source distance of a pair in the source window.  For a
-homomorphism without a stretch (the ``matrix:`` maps) the pipeline counts
-one pass over the difference ball ``B(t_max)``; the pair scan serves every
-other map and the ``moduli`` subcommand, which prints the pair counts.  On
-``Z^d -> Z^e`` within the byte limit it reads both sides' l1 byte rows of
-:mod:`couplingcert.windows`, interleaved and counted per row; otherwise
-one window lookup per pair and side (:func:`_lookup_pair_keys`).
+Every window scan only collects the distinct pairs of source and image
+distances ``(dH, dG)``, with ``None`` for a distance a window misses;
+:func:`_window_table` is the one reducer that turns them into a table.
+The pipeline's window tables run to ``t_max = 2*W_H.radius``, the largest
+source distance of a pair in the source window.  For a homomorphism
+without a stretch (the ``matrix:`` maps) the pipeline reads one pass over
+the difference ball ``B(t_max)``; the pair scan serves every other map and
+the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
+Z^e`` within the byte limit it reads both sides' l1 byte rows of
+:mod:`couplingcert.windows`, interleaved into one set of keys per row;
+otherwise one window lookup per pair and side (:func:`_lookup_pair_keys`).
+The pair counts of a scan are counted only when read
+(:func:`_source_pair_counts`).
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Optional
@@ -37,7 +40,7 @@ from .errors import (
     TableMapError,
 )
 from .groups import FreeGroup, GroupModel, ZdGroup
-from .windows import Window, _byte_rows_fit, _l1_rows, ball_window, set_distance
+from .windows import Window, _byte_rows_fit, _l1_rows, _lookup_rows, ball_window
 
 
 class CoarseMap:
@@ -212,12 +215,20 @@ class Moduli:
         self.kappa = kappa
         self.omega = omega
         self.provenance = provenance  # "window-estimated" | "analytic"
-        # per t: number of scanned pairs at source distance exactly t
-        self.pair_counts = pair_counts
+        self._pair_counts = pair_counts
         self.requested_t_max = requested_t_max
         # the least source distance with an image distance the target window
         # misses, when it cut the table below requested_t_max
         self.truncated_at = truncated_at
+
+    @property
+    def pair_counts(self) -> Optional[list]:
+        """Per t: the number of scanned pairs at source distance exactly t,
+        None when not counted.  A function given in its place runs once,
+        on the first read."""
+        if callable(self._pair_counts):
+            self._pair_counts = self._pair_counts()
+        return self._pair_counts
 
     def kappa_at(self, t: int) -> Optional[int]:
         """kappa at integer t (step interpolation); None beyond the table."""
@@ -237,19 +248,24 @@ def analytic_moduli(phi: CoarseMap, t_max: int) -> Moduli:
 
 
 def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:
-    """Exhaustive pair scan over the source window, counted for
-    :func:`_window_table`; pairs at source distance above ``t_max`` are
-    outside the table.
+    """Exhaustive pair scan over the source window, its distinct
+    ``(dH, dG)`` keys reduced by :func:`_window_table`; pairs at source
+    distance above ``t_max`` are outside the table.
 
     When both sides fit the byte limit of
     :func:`~couplingcert.windows._byte_rows_fit`, :func:`_l1_pair_keys`
-    counts the pairs off the l1 byte rows, with no group product, window
+    reads the keys off the l1 byte rows, with no group product, window
     lookup or difference ball.  :func:`_window_table` reads a pair with
     ``dG > W_G.radius`` as a miss, exactly as the lookup would, so images
-    outside ``W_G`` give the same table.  Every other input is counted by
+    outside ``W_G`` give the same table.  Every other input is scanned by
     :func:`_lookup_pair_keys`, with source distances read in the difference
     ball ``B(t_max)`` (a prefix of ``W_H``, or ``W_H`` grown) and image
     distances in ``W_G``.
+
+    ``pair_counts`` is computed on its first read, by
+    :func:`_source_pair_counts`: every pair at a source distance in the
+    table has a resolved image, so its count depends on the source window
+    alone.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
@@ -257,104 +273,119 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     elements = W_H.elements
     images = [apply(phi, h) for h in elements]
     if _byte_rows_fit(H, elements) and _byte_rows_fit(G, images):
-        counts = _l1_pair_keys(elements, images)
+        keys = _l1_pair_keys(elements, images)
     else:
-        counts = _lookup_pair_keys(ball_window(W_H, t_max), W_G, elements, images)
-    counts[0, 0] += len(elements)  # the diagonal: each element with itself
-    return _window_table(counts, W_G.radius, t_max, counted=True)
+        keys = _lookup_pair_keys(ball_window(W_H, t_max), W_G, elements, images)
+    keys.add((0, 0))  # the diagonal: each element with itself
+    m = _window_table(keys, W_G.radius, t_max)
+    m._pair_counts = partial(_source_pair_counts, W_H, m.t_max)
+    return m
 
 
-def _window_table(counts: Counter, radius_G: int, t_max: int, counted: bool) -> Moduli:
-    """The window-estimated table from a count of scanned pairs by
-    ``(dH, dG)``, the source and the image distance, ``None`` where a
+def _source_pair_counts(W_H: Window, t_max: int) -> list:
+    """Per source distance ``t <= t_max``, the number of pairs of
+    ``W_H.elements`` at distance t, each element with itself included at
+    ``t = 0``.  The unordered pairs are counted off the l1 byte rows
+    (:func:`~couplingcert.windows._l1_rows`) within the byte limit, else
+    off the lookup rows (:func:`~couplingcert.windows._lookup_rows`) of
+    the difference ball ``B(t_max)``, built only here."""
+    elements = W_H.elements
+    if _byte_rows_fit(W_H.group, elements):
+        rows = _l1_rows(elements)
+    else:
+        rows = _lookup_rows(ball_window(W_H, t_max), elements)
+    counts = Counter()
+    for row in rows:
+        counts.update(row)
+    counts[0] += len(elements)
+    return [counts[t] for t in range(t_max + 1)]
+
+
+def _window_table(keys: set, radius_G: int, t_max: int) -> Moduli:
+    """The window-estimated table from the distinct keys ``(dH, dG)`` of
+    the scanned pairs, the source and the image distance, ``None`` where a
     window misses.
 
-    A pair with ``dH`` None or above ``t_max`` is outside the table; one
+    A key with ``dH`` None or above ``t_max`` is outside the table; one
     with ``dG`` None or above ``radius_G`` is an image distance the target
     window misses.  A missed image distance truncates the table below the
     least such ``dH`` (enlarging the source window can only shrink kappa
     and grow omega, so truncation keeps every recorded entry exact for the
-    scanned window), recorded as ``truncated_at``.  The table is also trimmed to the last distance with
-    a counted pair, so every entry is supported; below it the running
-    minimum and maximum never hold a sentinel.  ``pair_counts`` is kept
-    when ``counted``.
+    scanned window), recorded as ``truncated_at``.  The table is also
+    trimmed to the last distance with a scanned pair, so every entry is
+    supported; below it the running minimum and maximum never hold a
+    sentinel.
     """
     min_img = [radius_G + 1] * (t_max + 1)
     max_img = [-1] * (t_max + 1)
-    pairs = [0] * (t_max + 1)
     bad = t_max + 1
-    for (dH, dG), c in counts.items():
+    for dH, dG in keys:
         if dH is None or dH > t_max:
             continue
         if dG is None or dG > radius_G:
             bad = min(bad, dH)
         else:
-            pairs[dH] += c
             min_img[dH] = min(min_img[dH], dG)
             max_img[dH] = max(max_img[dH], dG)
     eff = bad - 1
-    while eff > 0 and not pairs[eff]:
+    while eff > 0 and max_img[eff] < 0:
         eff -= 1
     return Moduli(
         t_max=eff,
         kappa=list(accumulate(reversed(min_img[: eff + 1]), min))[::-1],
         omega=list(accumulate(max_img[: eff + 1], max)),
         provenance="window-estimated",
-        pair_counts=pairs[: eff + 1] if counted else None,
         requested_t_max=t_max,
         truncated_at=bad if bad <= t_max else None,
     )
 
 
-def _l1_pair_keys(elements: list, images: list) -> Counter:
-    """Counter of ``(dH, dG)`` over the unordered pairs of ``elements``,
+def _l1_pair_keys(elements: list, images: list) -> set:
+    """The distinct ``(dH, dG)`` over the unordered pairs of ``elements``,
     with ``dH``, ``dG`` the l1 distances of the elements and of their
     ``images``, both sides under the byte limit of
     :func:`~couplingcert.windows._byte_rows_fit`.
 
     The two sides' byte rows (:func:`~couplingcert.windows._l1_rows`) are
     interleaved into one buffer of native 16-bit keys ``dH + 256*dG``,
-    counted with no Python bytecode per pair and split into ``(dH, dG)``
-    at the end; the buffer holds one row, so the scan's memory does not
-    grow with the number of pairs.
+    added to one set with no Python bytecode per pair and split into
+    ``(dH, dG)`` at the end; the buffer holds one row, so the scan's memory
+    does not grow with the number of pairs.
     """
     lo, hi = (0, 1) if sys.byteorder == "little" else (1, 0)
     buf = bytearray(2 * len(elements))
     keys16 = memoryview(buf).cast("H")
-    counts = Counter()
+    keys = set()
     for dH, dG in zip(_l1_rows(elements), _l1_rows(images)):
         m = len(dH)
         buf[lo:2 * m:2] = dH
         buf[hi:2 * m:2] = dG
-        counts.update(keys16[:m])
-    return Counter({(k & 255, k >> 8): c for k, c in counts.items()})
+        keys.update(keys16[:m])
+    return {(k & 255, k >> 8) for k in keys}
 
 
-def _lookup_pair_keys(W_D: Window, W_G: Window, elements: list, images: list) -> Counter:
-    """Counter of ``(dH, dG)`` over the unordered pairs of ``elements`` whose
-    distance ``dH`` resolves in the difference ball ``W_D``, with ``dG`` the
-    distance of their ``images`` in ``W_G``, ``None`` where it misses.
+def _lookup_pair_keys(W_D: Window, W_G: Window, elements: list, images: list) -> set:
+    """The distinct ``(dH, dG)`` over the unordered pairs of ``elements``
+    whose distance ``dH`` resolves in the difference ball ``W_D``, with
+    ``dG`` the distance of their ``images`` in ``W_G``, ``None`` where it
+    misses.
 
     One window lookup of ``a^-1 b`` per pair on each side, each point
     inverted once; the image distance is looked up only where the source
-    one resolves, so a pair past ``W_D`` costs one product.  Each counted
+    one resolves, so a pair past ``W_D`` costs one product.  Each scanned
     pair is one ``int`` key ``dG*stride + dH`` (``dG = -1`` for a miss),
     split into ``(dH, dG)`` at the end.
     """
     H, G = W_D.group, W_G.group
     dH_get, dG_get, mul_H, mul_G = W_D.dist.get, W_G.dist.get, H.mul, G.mul
     stride = W_D.radius + 1
-    counts = Counter()
+    keys = set()
     for i, (a, x) in enumerate(zip(elements, images)):
         a_inv, x_inv = H.inv(a), G.inv(x)
-        counts.update([dG_get(mul_G(x_inv, y), -1) * stride + dH
-                       for b, y in zip(elements[i + 1:], images[i + 1:])
-                       if (dH := dH_get(mul_H(a_inv, b))) is not None])
-    pairs = Counter()
-    for k, c in counts.items():
-        dG, dH = divmod(k, stride)
-        pairs[dH, None if dG < 0 else dG] = c
-    return pairs
+        keys.update([dG_get(mul_G(x_inv, y), -1) * stride + dH
+                     for b, y in zip(elements[i + 1:], images[i + 1:])
+                     if (dH := dH_get(mul_H(a_inv, b))) is not None])
+    return {(k % stride, None if k < 0 else k // stride) for k in keys}
 
 
 def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:
@@ -366,23 +397,23 @@ def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> 
     word for ``x`` in two halves of length <= R.  A homomorphism has
     ``d(phi a, phi b) = |phi(a^-1 b)|``, so the scanned pairs at source
     distance t have exactly the image distances ``|phi x|`` over the
-    sphere of radius t, for every t <= t_max <= 2R.  The pass counts one
-    pair ``(|x|, |phi x|)`` per ``x`` for :func:`_window_table`, up to the
-    first image the target window misses; ``pair_counts`` is not
+    sphere of radius t, for every t <= t_max <= 2R.  The pass collects
+    the key ``(|x|, |phi x|)`` of each ``x`` for :func:`_window_table`, up
+    to the first image the target window misses; ``pair_counts`` is not
     computed.
     """
     if t_max < 0 or t_max > 2 * W_H.radius:
         raise PreconditionError(f"need 0 <= t_max <= 2*radius_H, got {t_max}")
     diff = ball_window(W_H, t_max)
     g_get = W_G.dist.get
-    pairs = []
+    keys = set()
     for x, dH in diff.dist.items():
         dG = g_get(apply(phi, x))
-        pairs.append((dH, dG))
+        keys.add((dH, dG))
         if dG is None:  # BFS order: every later x is at least as long
             break
     # a finite group's spheres run out; the identity fills distance 0
-    return _window_table(Counter(pairs), W_G.radius, t_max, counted=False)
+    return _window_table(keys, W_G.radius, t_max)
 
 
 def pipeline_moduli(phi: CoarseMap, W_H: Window, W_G: Window) -> Moduli:
@@ -425,12 +456,18 @@ def choose_scale(m: Moduli) -> int:
 
 def cobounded_radius(phi: CoarseMap, W_H: Window, W_G_core: Window) -> int:
     """R = 1 + max over core g of the distance from g to the image of the
-    source window, each a point-to-set :func:`set_distance` resolved in the
-    core window; the +1 keeps the coboundedness inequality strict."""
-    images = [apply(phi, h) for h in W_H.elements]
+    source window, resolved in the core window; the +1 keeps the
+    coboundedness inequality strict.
+
+    That distance is the length of the first ``b``, in the breadth-first
+    order of the core window, with ``g*b`` an image: ``d(g, g*b) = |b|``,
+    and the order makes the first hit the least length."""
+    images = {apply(phi, h) for h in W_H.elements}
+    mul = W_G_core.group.mul
+    ball = W_G_core.dist.items()
     worst = 0
     for g in W_G_core.elements:
-        dmin = set_distance(W_G_core, [g], images)
+        dmin = next((d for b, d in ball if mul(g, b) in images), None)
         if dmin is None:
             raise ResolutionError(
                 f"no image of the source window is visible from "

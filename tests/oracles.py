@@ -3,7 +3,7 @@ package against.  They are not part of the runtime API."""
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from fractions import Fraction
 from itertools import repeat
 from operator import add, sub
@@ -131,24 +131,21 @@ def homomorphic_moduli(phi, W_H: Window, W_G: Window, t_max: int) -> Moduli:
     )
 
 
-def window_table(counts: Counter, radius_G: int, t_max: int, counted: bool) -> Moduli:
+def window_table(keys: set, radius_G: int, t_max: int) -> Moduli:
     """The table of ``coarse._window_table`` from its definitions: the
-    counted (dH, dG) pairs with their multiplicities, those with dH None
-    or past ``t_max`` dropped, truncated below the least dH whose dG is
-    None or exceeds ``radius_G``, trimmed to the last dH with a pair, and
-    kappa and omega taken as minima and maxima over distance ranges."""
-    pairs = [(dH, dG, c) for (dH, dG), c in counts.items() if dH is not None and dH <= t_max]
-    t_bad = min((dH for dH, dG, _ in pairs if dG is None or dG > radius_G),
-                default=t_max + 1)
-    kept = [(dH, dG, c) for dH, dG, c in pairs if dH < t_bad]
-    eff = max(dH for dH, _, _ in kept)
+    (dH, dG) keys, those with dH None or past ``t_max`` dropped, truncated
+    below the least dH whose dG is None or exceeds ``radius_G``, trimmed
+    to the last dH with a key, and kappa and omega taken as minima and
+    maxima over distance ranges."""
+    pairs = [(dH, dG) for dH, dG in keys if dH is not None and dH <= t_max]
+    t_bad = min((dH for dH, dG in pairs if dG is None or dG > radius_G), default=t_max + 1)
+    kept = [(dH, dG) for dH, dG in pairs if dH < t_bad]
+    eff = max(dH for dH, _ in kept)
     return Moduli(
         t_max=eff,
-        kappa=[min(dG for dH, dG, _ in kept if dH >= t) for t in range(eff + 1)],
-        omega=[max(dG for dH, dG, _ in kept if dH <= t) for t in range(eff + 1)],
+        kappa=[min(dG for dH, dG in kept if dH >= t) for t in range(eff + 1)],
+        omega=[max(dG for dH, dG in kept if dH <= t) for t in range(eff + 1)],
         provenance="window-estimated",
-        pair_counts=([sum(c for dH, _, c in kept if dH == t) for t in range(eff + 1)]
-                     if counted else None),
         requested_t_max=t_max,
         truncated_at=t_bad if t_bad <= t_max else None,
     )
@@ -184,8 +181,8 @@ def pair_extremes(W: Window, points: list) -> tuple:
     return least, pair, greatest
 
 
-def l1_pair_keys(elements: list, images: list) -> Counter:
-    """Counter of ``(dH, dG)`` over the unordered pairs of ``elements``,
+def l1_pair_keys(elements: list, images: list) -> set:
+    """The distinct ``(dH, dG)`` over the unordered pairs of ``elements``,
     from one list per coordinate of each side: per row, ``abs`` of the
     column differences, summed per side."""
 
@@ -198,10 +195,26 @@ def l1_pair_keys(elements: list, images: list) -> Counter:
                 dist = d if dist is None else map(add, dist, d)
             yield dist
 
-    keys = Counter()
+    keys = set()
     for dH, dG in zip(rows(elements), rows(images)):
         keys.update(zip(dH, dG))
     return keys
+
+
+def cobounded_radius(phi, W_H: Window, W_G_core: Window) -> int:
+    """``coarse.cobounded_radius`` with one point-to-set ``set_distance``
+    per core element over every image of the source window."""
+    images = [apply(phi, h) for h in W_H.elements]
+    worst = 0
+    for g in W_G_core.elements:
+        dmin = set_distance(W_G_core, [g], images)
+        if dmin is None:
+            raise ResolutionError(
+                f"no image of the source window is visible from "
+                f"{phi.target.format_element(g)} within the core window; enlarge windows"
+            )
+        worst = max(worst, dmin)
+    return worst + 1
 
 
 def packing_number_naive(W: Window, separation, diam_bound) -> int:

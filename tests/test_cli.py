@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from couplingcert import cli, windows
+from couplingcert import cli, coarse, windows
 from couplingcert.certify import CHECK_NAMES, Certificate, CheckResult, run_all, validate_config
 from couplingcert.cli import (
     _CONFIG_KEYS,
@@ -338,6 +338,29 @@ def test_a_truncated_table_is_not_blamed_on_the_map(tmp_path, capsys):
         f"# window-estimated moduli of table:{table}, t_max 0 of 8 requested, truncated "
         "at t=1, where an image distance exceeds the target window\n"
         "# t kappa omega pairs\n0 0 0 9\n")
+
+
+def test_only_the_moduli_subcommand_counts_pairs(tmp_path, monkeypatch, capsys):
+    # run_all reads kappa and omega of the table scan, never its pair
+    # counts; the moduli subcommand reads them on every row, counted once
+    calls = []
+    count = coarse._source_pair_counts
+
+    def spy(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(coarse, "_source_pair_counts", spy)
+    table = tmp_path / "id.map"
+    table.write_text("".join(f"{v} -> {v}\n" for v in range(-10, 11)))
+    flags = ["--H", "Z^1", "--G", "Z^1", "--map", f"table:{table}", "--rH", "10", "--rG", "25"]
+    cfg = RunConfig(group_H="Z^1", group_G="Z^1", map_descriptor=f"table:{table}",
+                    radius_H=10, radius_G=25, eval_radius=2)
+    assert run_all(cfg).checks and calls == []
+    assert main(["moduli", *flags]) == 0
+    rows = [l.split() for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert [int(r[3]) for r in rows] == [21] + [21 - t for t in range(1, 21)]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

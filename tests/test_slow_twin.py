@@ -51,6 +51,7 @@ SWAPS = (
     ("certify", "_far_shell", oracles.far_shell),
     ("coarse", "_l1_pair_keys", oracles.l1_pair_keys),
     ("coarse", "_window_table", oracles.window_table),
+    ("coarse", "cobounded_radius", oracles.cobounded_radius),
     ("windows", "greedy_net", oracles.greedy_net_scan),
     ("coupling", "_bump_walk", oracles.bump_walk),
     ("windows", "build_window", oracles.build_window),
