@@ -27,6 +27,7 @@ refuses, with ``NormalFormError``, text that does not spell a normal form:
 from __future__ import annotations
 
 import re
+from math import comb
 from typing import Iterable
 
 from .errors import DescriptorError, NormalFormError
@@ -60,6 +61,17 @@ class GroupModel:
 
     def parse_element(self, s: str):
         raise NotImplementedError
+
+    def sphere(self, r: int, prev: list):
+        """``(size, listing)`` for the sphere of length ``r >= 1``: its exact
+        size, and a function listing it in the order ``windows._bfs`` meets
+        it, given ``prev``, the sphere of length r-1 in that order; None
+        where ``_bfs`` must search.  ``_bfs`` meets each element first from
+        its parent of least position in ``prev``, by the least generator
+        that steps there, so by induction on ``r`` a sphere comes in the
+        lexicographic order of its elements' least geodesic words, letters
+        ranked by generator index."""
+        return None
 
     def __repr__(self):
         return f"<GroupModel {self.descriptor}>"
@@ -124,6 +136,23 @@ class ZdGroup(_IntTupleGroup):
             e[i] = -1
             gens.append(tuple(e))
         self.generators = gens
+        self._canonical = list(gens)
+
+    def sphere(self, r, prev):
+        """The l1 sphere, for the generators ``+e_1, -e_1, ..., -e_d`` in
+        that order (else None): ``y_1`` runs ``r, ..., 1, -r, ..., -1, 0``,
+        each value followed by the radius ``r-|y_1|`` sphere of the other
+        coordinates in the same order.  Proof: the least geodesic word of
+        ``y`` is ``(s_1 e_1)^|y_1| ... (s_d e_d)^|y_d|``, ``s_i`` the sign
+        of ``y_i``.  Where ``y`` and ``y'`` first differ, at ``i``, ``y``
+        comes first if ``y_i > 0 > y'_i`` (it reads ``+e_i`` against
+        ``-e_i``), or if their signs are not opposite and ``|y_i| >
+        |y'_i|`` (it reads ``+-e_i`` where ``y'`` reads a later letter)."""
+        if self.generators != self._canonical:
+            return None
+        d = self.d
+        size = sum(2**i * comb(d, i) * comb(r - 1, i - 1) for i in range(1, d + 1))
+        return size, lambda: _zd_sphere(d, r)
 
 
 class _Z1(ZdGroup):
@@ -160,6 +189,14 @@ class _Z4(ZdGroup):
 
 # one subclass per rank up to MAX_ZD_RANK
 _ZD_BY_RANK = {1: _Z1, 2: _Z2, 3: _Z3, 4: _Z4}
+
+
+def _zd_sphere(d: int, r: int) -> list:
+    """The radius-r l1 sphere of ``Z^d`` in the order of ZdGroup.sphere."""
+    if d == 1:
+        return [(r,), (-r,)] if r else [(0,)]
+    return [(x,) + t for x in [*range(r, 0, -1), *range(-r, 1)]
+            for t in _zd_sphere(d - 1, r - abs(x))]
 
 
 class CyclicGroup(GroupModel):
@@ -219,6 +256,15 @@ class FreeGroup(GroupModel):
 
     def inv(self, a):
         return tuple(-x for x in reversed(a))
+
+    def sphere(self, r, prev):
+        """Each reduced word of length r, ``w + (g,)`` for ``w`` in ``prev``
+        and ``g`` a generator not cancelling ``w``'s last letter, in that
+        order, for any generator order: a word's one geodesic is itself and
+        its one parent is ``w``, so no child needs a membership test."""
+        gens, k = self.generators, self.k
+        return 2 * k * (2 * k - 1) ** (r - 1), lambda: [
+            w + g for w in prev for g in gens if not (w and w[-1] == -g[0])]
 
     def validate(self, a):
         if not isinstance(a, tuple):

@@ -3,11 +3,12 @@ nets, and packing numbers.
 
 A :class:`Window` is the radius-R ball of the word metric as one table:
 ``dist`` maps each element to its word length, in the breadth-first order
-of a search from the identity in the model's fixed generator order.  One
-search, :func:`_bfs`, extends such tables: a ball from the identity, a
-distance field from its sources, a larger ball from a window's outer level
-(:func:`ball_window`).  ``d(a, b)`` is ``dist.get(a^-1 b)``, and a lookup
-miss means the distance exceeds the window radius.
+of a search from the identity in the model's fixed generator order.  A
+ball, and a larger ball from a window's outer level (:func:`ball_window`),
+is listed sphere by sphere where the model knows its spheres in that order
+(``GroupModel.sphere``), else searched by :func:`_bfs`, which also builds
+distance fields.  ``d(a, b)`` is ``dist.get(a^-1 b)``, and a lookup miss
+means the distance exceeds the window radius.
 
 The packing search here reads rows of pairwise distances, row ``i``
 holding those from ``points[i]`` to ``points[i+1:]``: :func:`_l1_rows` as
@@ -19,8 +20,8 @@ from ``R_H = 128`` on ``Z^1`` and ``R_H = 64`` on ``Z^2``.
 
 Net scales and packing bounds are ``int`` word-length thresholds; any
 other value is refused.  The search limits (``DEFAULT_ELEMENT_BUDGET`` for
-every BFS, the node budget and candidate cap of the packing search) are
-module constants, read when a search runs.
+every ball and field, the node budget and candidate cap of the packing
+search) are module constants, read when a search runs.
 """
 
 from __future__ import annotations
@@ -67,16 +68,14 @@ class Window:
         return len(self.elements)
 
 
-def _bfs(G: GroupModel, dist: dict, depth: int) -> dict:
+def _bfs(G: GroupModel, dist: dict, frontier: list, level: int, depth: int) -> dict:
     """Extend the BFS table ``dist`` level by level from its outermost level
-    to ``depth``, each element stepping by right multiplication with the
-    generators in their fixed order, up to ``DEFAULT_ELEMENT_BUDGET``
-    elements."""
+    ``level``, ``frontier`` in table order, to ``depth``, each element
+    stepping by right multiplication with the generators in their fixed
+    order, up to ``DEFAULT_ELEMENT_BUDGET`` elements."""
     budget = DEFAULT_ELEMENT_BUDGET
     mul = G.mul
     gens = G.generators
-    level = max(dist.values(), default=0)
-    frontier = [e for e, d in dist.items() if d == level]
     while frontier and level < depth:
         level += 1
         reached = []
@@ -86,22 +85,43 @@ def _bfs(G: GroupModel, dist: dict, depth: int) -> dict:
                 if child in dist:
                     continue
                 if len(dist) >= budget:
-                    raise WindowBudgetError(
-                        f"breadth-first search in {G.descriptor} exceeded the "
-                        f"{budget}-element budget at radius {level}",
-                        radius_reached=level - 1,
-                    )
+                    raise _over_budget(G, level)
                 dist[child] = level
                 reached.append(child)
         frontier = reached
     return dist
 
 
+def _over_budget(G: GroupModel, level: int) -> WindowBudgetError:
+    return WindowBudgetError(
+        f"breadth-first search in {G.descriptor} exceeded the "
+        f"{DEFAULT_ELEMENT_BUDGET}-element budget at radius {level}",
+        radius_reached=level - 1,
+    )
+
+
+def _grow(G: GroupModel, dist: dict, shell: list, level: int, depth: int) -> dict:
+    """Extend the ball ``dist`` from its outer level ``level``, ``shell``,
+    to ``depth``: by ``G.sphere``, each sphere checked against the budget
+    from its size before it is listed, else by :func:`_bfs`."""
+    while shell and level < depth:
+        known = G.sphere(level + 1, shell)
+        if known is None:
+            return _bfs(G, dist, shell, level, depth)
+        size, listing = known
+        level += 1
+        if len(dist) + size > DEFAULT_ELEMENT_BUDGET:
+            raise _over_budget(G, level)
+        shell = listing()
+        dist.update(zip(shell, repeat(level)))
+    return dist
+
+
 def build_window(G: GroupModel, R: int) -> Window:
-    """Enumerate the radius-R ball by BFS in fixed generator order."""
+    """Enumerate the radius-R ball in BFS order (:func:`_grow`)."""
     if R < 0:
         raise PreconditionError(f"radius must be nonnegative, got {R}")
-    return Window(group=G, radius=R, dist=_bfs(G, {G.identity: 0}, R))
+    return Window(group=G, radius=R, dist=_grow(G, {G.identity: 0}, [G.identity], 0, R))
 
 
 def ball_window(W: Window, r: int) -> Window:
@@ -114,7 +134,8 @@ def ball_window(W: Window, r: int) -> Window:
         return W
     if r < W.radius:
         return Window(group=W.group, radius=r, dist=dict(zip(W.ball(r), W.lengths)))
-    return Window(group=W.group, radius=r, dist=_bfs(W.group, dict(W.dist), r))
+    shell = W.shell(W.radius - 1, W.radius)
+    return Window(group=W.group, radius=r, dist=_grow(W.group, dict(W.dist), shell, W.radius, r))
 
 
 def distances_from(W: Window, a, bs) -> list:
@@ -194,7 +215,8 @@ def distance_field(W: Window, sources) -> dict:
     ``field.get(x)`` is ``set_distance(W, [x], sources)``: None exactly when
     no distance from x to the sources resolves.
     """
-    return _bfs(W.group, dict.fromkeys(sources, 0), W.radius)
+    field = dict.fromkeys(sources, 0)
+    return _bfs(W.group, field, list(field), 0, W.radius)
 
 
 class Net:

@@ -54,8 +54,8 @@ def build_window(G: GroupModel, R: int, budget: int = DEFAULT_ELEMENT_BUDGET) ->
                     continue
                 if len(elements) >= budget:
                     raise WindowBudgetError(
-                        f"ball of {G.descriptor} exceeded the {budget}-element "
-                        f"budget at radius {level}",
+                        f"breadth-first search in {G.descriptor} exceeded the "
+                        f"{budget}-element budget at radius {level}",
                         radius_reached=level - 1,
                     )
                 index[child] = len(elements)

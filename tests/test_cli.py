@@ -225,15 +225,15 @@ def test_net_subcommand(capsys):
 
 def test_net_past_the_window_grows_no_ball(monkeypatch, capsys):
     # every element of the radius-6 window lies within 6 < 13 of the
-    # identity: the one search is the window's own
+    # identity: the one ball grown is the window's own
     searches = []
-    bfs = windows._bfs
+    grow = windows._grow
 
     def spy(*args):
-        searches.append(args[2])
-        return bfs(*args)
+        searches.append(args[-1])
+        return grow(*args)
 
-    monkeypatch.setattr(windows, "_bfs", spy)
+    monkeypatch.setattr(windows, "_grow", spy)
     assert main(["net", "--H", "F_2", "--rH", "6", "--s", "13"]) == 0
     assert capsys.readouterr().out == "# maximal 13-discrete net in F_2 radius 6: 1 points\n1\n"
     assert searches == [6]

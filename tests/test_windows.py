@@ -133,10 +133,38 @@ def test_set_distance_of_far_sets_is_none():
 
 
 def test_budget_error_reports_radius(monkeypatch):
-    monkeypatch.setattr(windows, "DEFAULT_ELEMENT_BUDGET", 50)
+    # the error of the deque BFS, from the ball and from its growth; B(3)
+    # of F_2 holds exactly 53 elements
+    for desc, budget in [("F_2", 50), ("F_2", 53), ("F_3", 200), ("Z^2", 60)]:
+        G = make_group(desc)
+        with pytest.raises(WindowBudgetError) as expected:
+            oracles.build_window(G, 10, budget=budget)
+        W = build_window(G, 2)
+        monkeypatch.setattr(windows, "DEFAULT_ELEMENT_BUDGET", budget)
+        for build in (lambda: build_window(G, 10), lambda: ball_window(W, 10)):
+            with pytest.raises(WindowBudgetError) as exc:
+                build()
+            assert str(exc.value) == str(expected.value)
+            assert exc.value.radius_reached == expected.value.radius_reached
+        monkeypatch.undo()
+
+
+def test_a_sphere_over_the_budget_is_refused_before_it_is_listed(monkeypatch):
+    # B(4) of F_3 holds 937 elements, and its radius-5 sphere 3,750 more
+    G = make_group("F_3")
+    listed = []
+    sphere = G.sphere
+
+    def spy(r, prev):
+        size, listing = sphere(r, prev)
+        return size, lambda: listed.append(r) or listing()
+
+    monkeypatch.setattr(G, "sphere", spy)
+    monkeypatch.setattr(windows, "DEFAULT_ELEMENT_BUDGET", 4_000)
     with pytest.raises(WindowBudgetError) as exc:
-        build_window(make_group("F_2"), 10)
-    assert exc.value.radius_reached >= 1
+        build_window(G, 40)
+    assert exc.value.radius_reached == 4
+    assert listed == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize(
@@ -170,6 +198,26 @@ def test_one_bfs_builds_balls_and_distance_fields(desc, radius, data):
     assert list(distance_field(W, [G.identity]).items()) == list(W.dist.items())
 
 
+# the largest radius drawn for each model that lists its spheres
+SPHERE_RADII = {"Z^1": 12, "Z^2": 9, "Z^3": 6, "Z^4": 5, "F_1": 12, "F_2": 6, "F_3": 4}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SPHERE_RADII)), st.data())
+def test_balls_listed_by_sphere_are_the_bfs_balls(desc, data):
+    # the closed-form Z^d spheres, and the F_k recurrence in any generator
+    # order, give the deque BFS table, built afresh or grown from a smaller
+    # ball's outer shell; Z^2 with its generators permuted is searched
+    G = make_group(desc)
+    if desc.startswith("F") or desc == "Z^2" and data.draw(st.booleans()):
+        G.generators = data.draw(st.permutations(G.generators))
+    R = data.draw(st.integers(0, SPHERE_RADII[desc]))
+    r0 = data.draw(st.integers(0, R + 1))
+    expected = list(oracles.build_window(G, R).dist.items())
+    assert list(build_window(G, R).dist.items()) == expected
+    assert list(ball_window(build_window(G, r0), R).dist.items()) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("Z^2", "Heis", "F_2", "C_5 x Z^1", "C_5")), st.integers(0, 3),
        st.integers(0, 6))
@@ -193,16 +241,19 @@ def test_ball_window_is_the_fresh_ball(desc, radius, r):
     ("Z^2", 3, 4), ("Heis", 2, 3), ("Z^2", 3, 5), ("Z^2", 3, 8), ("F_2", 2, 9), ("C_5", 3, 6)])
 def test_greedy_net_searches_nothing(monkeypatch, desc, radius, s):
     # the blocking ball B(s-1) is a prefix of W, or all of W when it
-    # would reach past it, and then the net is the identity alone
+    # would reach past it, and then the net is the identity alone: no
+    # ball is grown and no field searched
     calls = []
-    bfs = windows._bfs
 
-    def spy(*args):
-        calls.append(args[2])
-        return bfs(*args)
+    def spy(search):
+        def run(*args):
+            calls.append(args[-1])
+            return search(*args)
+        return run
 
     W = build_window(make_group(desc), radius)
-    monkeypatch.setattr(windows, "_bfs", spy)
+    for name in ("_grow", "_bfs"):
+        monkeypatch.setattr(windows, name, spy(getattr(windows, name)))
     net = greedy_net(W, s)
     assert net.points == oracles.greedy_net_scan(W, s).points
     assert calls == []
