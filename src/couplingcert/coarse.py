@@ -7,8 +7,9 @@ distance >= t, ``omega[t]`` the largest over pairs at source distance
 carries it as ``stretch``; its moduli ``stretch*t`` hold at every scale
 and are preferred by the certificate pipeline.
 
-Every window scan only collects the distinct pairs of source and image
-distances ``(dH, dG)``, with ``None`` for a distance a window misses;
+Every window scan collects keys ``(dH, dG)``, pairs of source and image
+distances with ``None`` for a distance a window misses: the distinct ones,
+or on ``Z^d`` only, per ``dH``, those of least and greatest ``dG``;
 :func:`_window_table` is the one reducer that turns them into a table.
 The pipeline's window tables run to ``t_max = 2*W_H.radius``, the largest
 source distance of a pair in the source window.  For a homomorphism
@@ -16,7 +17,8 @@ without a stretch (the ``matrix:`` maps) the pipeline reads one pass over
 the difference ball ``B(t_max)``; the pair scan serves every other map and
 the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
 Z^e`` within the byte limit it reads both sides' l1 byte rows of
-:mod:`couplingcert.windows`, interleaved into one set of keys per row;
+:mod:`couplingcert.windows` for those extremes, skipping by one lane test
+each row with no new extreme when the images spread at most 127;
 otherwise one window lookup per pair and side (:func:`_lookup_pair_keys`).
 The pair counts of a scan are counted only when read
 (:func:`_source_pair_counts`).
@@ -40,7 +42,7 @@ from .errors import (
     TableMapError,
 )
 from .groups import FreeGroup, GroupModel, ZdGroup
-from .windows import Window, _byte_rows_fit, _l1_rows, _lookup_rows, ball_window
+from .windows import Window, _byte_rows_fit, _l1_rows, _l1_spread, _lookup_rows, ball_window
 
 
 class CoarseMap:
@@ -248,19 +250,21 @@ def analytic_moduli(phi: CoarseMap, t_max: int) -> Moduli:
 
 
 def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:
-    """Exhaustive pair scan over the source window, its distinct
-    ``(dH, dG)`` keys reduced by :func:`_window_table`; pairs at source
-    distance above ``t_max`` are outside the table.
+    """Exhaustive pair scan over the source window, its ``(dH, dG)`` keys
+    reduced by :func:`_window_table`; pairs at source distance above
+    ``t_max`` are outside the table.
 
     When both sides fit the byte limit of
     :func:`~couplingcert.windows._byte_rows_fit`, :func:`_l1_pair_keys`
-    reads the keys off the l1 byte rows, with no group product, window
-    lookup or difference ball.  :func:`_window_table` reads a pair with
-    ``dG > W_G.radius`` as a miss, exactly as the lookup would, so images
-    outside ``W_G`` give the same table.  Every other input is scanned by
-    :func:`_lookup_pair_keys`, with source distances read in the difference
-    ball ``B(t_max)`` (a prefix of ``W_H``, or ``W_H`` grown) and image
-    distances in ``W_G``.
+    keeps off the l1 byte rows, per ``dH``, only the keys of least and
+    greatest ``dG`` (skipping by one lane test each row with no new
+    extreme when the images spread at most 127), with no group product,
+    window lookup or difference ball.  :func:`_window_table` reads a pair
+    with ``dG > W_G.radius`` as a miss, exactly as the lookup would, so
+    images outside ``W_G`` give the same table.  Every other input is
+    scanned by :func:`_lookup_pair_keys`, with source distances read in the
+    difference ball ``B(t_max)`` (a prefix of ``W_H``, or ``W_H`` grown)
+    and image distances in ``W_G``.
 
     ``pair_counts`` is computed on its first read, by
     :func:`_source_pair_counts`: every pair at a source distance in the
@@ -314,7 +318,8 @@ def _window_table(keys: set, radius_G: int, t_max: int) -> Moduli:
     scanned window), recorded as ``truncated_at``.  The table is also
     trimmed to the last distance with a scanned pair, so every entry is
     supported; below it the running minimum and maximum never hold a
-    sentinel.
+    sentinel.  So keeping, per ``dH``, only the keys of least and greatest
+    ``dG`` (a miss above every distance) gives the same table.
     """
     min_img = [radius_G + 1] * (t_max + 1)
     max_img = [-1] * (t_max + 1)
@@ -341,27 +346,57 @@ def _window_table(keys: set, radius_G: int, t_max: int) -> Moduli:
 
 
 def _l1_pair_keys(elements: list, images: list) -> set:
-    """The distinct ``(dH, dG)`` over the unordered pairs of ``elements``,
-    with ``dH``, ``dG`` the l1 distances of the elements and of their
+    """For each l1 distance ``dH`` of a pair of ``elements``, the keys
+    ``(dH, dG)`` of least and greatest l1 distance ``dG`` of their
     ``images``, both sides under the byte limit of
-    :func:`~couplingcert.windows._byte_rows_fit`.
+    :func:`~couplingcert.windows._byte_rows_fit`; :func:`_window_table`
+    reads no more (and a ``dH``'s greatest ``dG`` is a miss if any is).
 
-    The two sides' byte rows (:func:`~couplingcert.windows._l1_rows`) are
-    interleaved into one buffer of native 16-bit keys ``dH + 256*dG``,
-    added to one set with no Python bytecode per pair and split into
-    ``(dH, dG)`` at the end; the buffer holds one row, so the scan's memory
-    does not grow with the number of pairs.
+    ``least`` and ``most`` hold the extremes per ``dH``, 128 and 0 while
+    unmet.  When the images spread at most 127, each row of
+    :func:`~couplingcert.windows._l1_rows` is first tested whole.  Read the
+    image distances ``D`` and the source distances translated by ``least``
+    (``L``) and ``most`` (``U``) as integers of byte lanes, and let ``k``
+    hold 0x80 per lane.  As ``dG, most <= 127`` and ``least <= 128``, the
+    lanes ``128 + dG - least`` of ``k + D - L`` and ``128 + most - dG`` of
+    ``k + U - D`` lie in [0, 255]: none borrows from the next, and bit 7 is
+    set exactly when ``dG >= least``, resp. ``dG <= most``.  A row with
+    ``(k + D - L) & (k + U - D) & k == k`` holds no new extreme and is
+    skipped.  Any other row is interleaved into a one-row buffer of native
+    16-bit keys ``dH + 256*dG``, added to one set, and its new keys folded
+    into the extremes before the next test.  With wider images no row is
+    tested, ``least`` starts at 255, and the keys are folded at the end.
     """
     lo, hi = (0, 1) if sys.byteorder == "little" else (1, 0)
     buf = bytearray(2 * len(elements))
     keys16 = memoryview(buf).cast("H")
-    keys = set()
+    lanes = _l1_spread(images) <= 127
+    least, most = bytearray([128 if lanes else 255]) * 256, bytearray(256)
+    keys, folded = set(), set()
+
+    def fold():
+        for key in keys - folded:
+            t, d = key & 255, key >> 8
+            least[t], most[t] = min(least[t], d), max(most[t], d)
+        folded.update(keys)
+
+    k = int.from_bytes(b"\x80" * len(elements), "little")
     for dH, dG in zip(_l1_rows(elements), _l1_rows(images)):
+        k >>= 8  # one lane per later point
+        if lanes:
+            D = int.from_bytes(dG, "little")
+            L = int.from_bytes(dH.translate(least), "little")
+            U = int.from_bytes(dH.translate(most), "little")
+            if (k + D - L) & (k + U - D) & k == k:
+                continue
         m = len(dH)
         buf[lo:2 * m:2] = dH
         buf[hi:2 * m:2] = dG
         keys.update(keys16[:m])
-    return {(k & 255, k >> 8) for k in keys}
+        if lanes:
+            fold()
+    fold()
+    return {(t, d) for t in range(256) if least[t] <= most[t] for d in (least[t], most[t])}
 
 
 def _lookup_pair_keys(W_D: Window, W_G: Window, elements: list, images: list) -> set:

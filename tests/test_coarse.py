@@ -434,13 +434,70 @@ def _byte_points(data, k: int, n: int) -> list:
     return points
 
 
+def _extremes(keys: set) -> set:
+    """Per source distance ``dH`` of ``keys`` (None too), the keys of
+    least and of greatest image distance ``dG``, a ``None`` ``dG`` above
+    every integer."""
+    by_dH = {}
+    for dH, dG in keys:
+        by_dH.setdefault(dH, []).append(dG)
+    return {(dH, pick(dGs, key=lambda dG: (dG is None, dG or 0)))
+            for dH, dGs in by_dH.items() for pick in (min, max)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d=st.integers(1, 4), e=st.integers(1, 4))
 def test_coded_l1_pair_keys_match_the_column_oracle(data, d, e):
+    # the scan keeps only the per-distance extremes of the oracle's keys
     n = data.draw(st.integers(2, 30))
     elements, images = _byte_points(data, d, n), _byte_points(data, e, n)
-    assert coarse._l1_pair_keys(elements, images) == oracles.l1_pair_keys(elements, images)
+    want = _extremes(oracles.l1_pair_keys(elements, images))
+    assert coarse._l1_pair_keys(elements, images) == want
     assert coarse._l1_pair_keys(elements[:1], images[:1]) == set()
+
+
+@pytest.mark.parametrize("spread", [127, 128])
+@pytest.mark.parametrize("seed", range(4))
+def test_l1_pair_keys_on_both_sides_of_the_lane_guard(spread, seed):
+    # images spread 127: rows are tested whole; 128: every row is reduced
+    rng = random.Random(seed)
+    elements = build_window(Z2, 6).elements
+    a = rng.randint(0, spread)
+    images = [(0, 0), *[(rng.randint(0, a), rng.randint(0, spread - a))
+                        for _ in elements[2:]], (a, spread - a)]
+    assert windows._l1_spread(images) == spread
+    want = _extremes(oracles.l1_pair_keys(elements, images))
+    assert coarse._l1_pair_keys(elements, images) == want
+
+
+@pytest.mark.parametrize("images,want", [
+    # not injective: the only pair at dH = 2 has dG = 0
+    ([0, 1, 0], {(1, 1), (2, 0)}),
+    ([3, 3, 3, 3], {(1, 0), (2, 0), (3, 0)}),
+    # the only new extreme, dG = 4 at dH = 1, is in the last row
+    ([0, 1, 5], {(1, 1), (1, 4), (2, 5)}),
+    # images spread 129: the lane test would read the lane 128 - 129 as
+    # 255, bit 7 set, and skip the one row
+    ([0, 129], {(1, 129)}),
+], ids=["non-injective", "constant", "last-row", "past-the-guard"])
+def test_l1_pair_keys_examples(images, want):
+    elements = [(i,) for i in range(len(images))]
+    images = [(x,) for x in images]
+    assert _extremes(oracles.l1_pair_keys(elements, images)) == want
+    assert coarse._l1_pair_keys(elements, images) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.sets(st.tuples(st.none() | st.integers(0, 8), st.none() | st.integers(0, 8)),
+                    max_size=40),
+       radius_G=st.integers(0, 6), t_max=st.integers(0, 6))
+def test_window_table_reads_only_the_extremes(keys, radius_G, t_max):
+    # keys outside the table (dH None or above t_max) and misses (dG None
+    # or above radius_G) are drawn too
+    full = coarse._window_table(keys, radius_G, t_max)
+    ext = coarse._window_table(_extremes(keys), radius_G, t_max)
+    for name in ("t_max", "kappa", "omega", "truncated_at", "requested_t_max"):
+        assert getattr(ext, name) == getattr(full, name), name
 
 
 def test_one_l1_pair_scan_stays_under_a_mebibyte():
