@@ -7,21 +7,18 @@ distance >= t, ``omega[t]`` the largest over pairs at source distance
 carries it as ``stretch``; its moduli ``stretch*t`` hold at every scale
 and are preferred by the certificate pipeline.
 
-Every window scan collects keys ``(dH, dG)``, pairs of source and image
-distances with ``None`` for a distance a window misses: the distinct ones,
-or on ``Z^d`` only, per ``dH``, those of least and greatest ``dG``;
-:func:`_window_table` is the one reducer that turns them into a table.
-The pipeline's window tables run to ``t_max = 2*W_H.radius``, the largest
-source distance of a pair in the source window.  For a homomorphism
-without a stretch (the ``matrix:`` maps) the pipeline reads one pass over
-the difference ball ``B(t_max)``; the pair scan serves every other map and
-the ``moduli`` subcommand, which prints the pair counts.  On ``Z^d ->
-Z^e`` within the byte limit it reads both sides' l1 byte rows of
-:mod:`couplingcert.windows` for those extremes, skipping by one lane test
-each row with no new extreme when the images spread at most 127;
-otherwise one window lookup per pair and side (:func:`_lookup_pair_keys`).
-The pair counts of a scan are counted only when read
-(:func:`_source_pair_counts`).
+Every window scan collects keys ``(dH, dG)``, source and image distances
+with ``None`` for a distance a window misses, and :func:`_window_table`
+alone turns them into a table.  The pipeline's tables run to ``t_max =
+2*W_H.radius``, the largest source distance of a pair in the source
+window.  A homomorphism without a stretch (the ``matrix:`` maps) is read
+in one pass over the difference ball ``B(t_max)``.  Every other map, and
+the ``moduli`` subcommand, take one of two pair scans.  The lane scan
+runs on ``Z^d -> Z^e`` with the source within the byte limit of
+:mod:`couplingcert.windows` and the images spread at most 127, and keeps
+per ``dH`` only the least and greatest ``dG``.  The row scan takes the
+rest: each side reads its l1 byte rows within the byte limit, else its
+lookup rows.  Pair counts are counted only when read.
 """
 
 from __future__ import annotations
@@ -254,17 +251,14 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     reduced by :func:`_window_table`; pairs at source distance above
     ``t_max`` are outside the table.
 
-    When both sides fit the byte limit of
-    :func:`~couplingcert.windows._byte_rows_fit`, :func:`_l1_pair_keys`
-    keeps off the l1 byte rows, per ``dH``, only the keys of least and
-    greatest ``dG`` (skipping by one lane test each row with no new
-    extreme when the images spread at most 127), with no group product,
-    window lookup or difference ball.  :func:`_window_table` reads a pair
-    with ``dG > W_G.radius`` as a miss, exactly as the lookup would, so
-    images outside ``W_G`` give the same table.  Every other input is
-    scanned by :func:`_lookup_pair_keys`, with source distances read in the
-    difference ball ``B(t_max)`` (a prefix of ``W_H``, or ``W_H`` grown)
-    and image distances in ``W_G``.
+    The lane scan :func:`_l1_pair_keys` runs on ``Z^d -> Z^e`` with the
+    source within the byte limit of
+    :func:`~couplingcert.windows._byte_rows_fit` and the images spread at
+    most 127.  Any other input takes the row scan, which zips one source
+    row (:func:`_source_rows`) and one image row per point into keys, the
+    images' rows their l1 byte rows within the byte limit, else their
+    lookup rows in ``W_G``.  :func:`_window_table` reads an l1 ``dG``
+    above ``W_G.radius`` as a miss, as the lookup would.
 
     ``pair_counts`` is computed on its first read, by
     :func:`_source_pair_counts`: every pair at a source distance in the
@@ -276,32 +270,37 @@ def estimate_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Mod
     H, G = phi.source, phi.target
     elements = W_H.elements
     images = [apply(phi, h) for h in elements]
-    if _byte_rows_fit(H, elements) and _byte_rows_fit(G, images):
+    if _byte_rows_fit(H, elements) and isinstance(G, ZdGroup) and _l1_spread(images) <= 127:
         keys = _l1_pair_keys(elements, images)
     else:
-        keys = _lookup_pair_keys(ball_window(W_H, t_max), W_G, elements, images)
+        image_rows = _l1_rows(images) if _byte_rows_fit(G, images) else _lookup_rows(W_G, images)
+        keys = set()
+        for dH, dG in zip(_source_rows(W_H, t_max), image_rows):
+            keys.update(zip(dH, dG))
     keys.add((0, 0))  # the diagonal: each element with itself
     m = _window_table(keys, W_G.radius, t_max)
     m._pair_counts = partial(_source_pair_counts, W_H, m.t_max)
     return m
 
 
+def _source_rows(W_H: Window, t_max: int):
+    """The distance rows of ``W_H.elements``: its l1 byte rows within the
+    byte limit, else its lookup rows in the difference ball ``B(t_max)``,
+    built only then."""
+    elements = W_H.elements
+    if _byte_rows_fit(W_H.group, elements):
+        return _l1_rows(elements)
+    return _lookup_rows(ball_window(W_H, t_max), elements)
+
+
 def _source_pair_counts(W_H: Window, t_max: int) -> list:
     """Per source distance ``t <= t_max``, the number of pairs of
     ``W_H.elements`` at distance t, each element with itself included at
-    ``t = 0``.  The unordered pairs are counted off the l1 byte rows
-    (:func:`~couplingcert.windows._l1_rows`) within the byte limit, else
-    off the lookup rows (:func:`~couplingcert.windows._lookup_rows`) of
-    the difference ball ``B(t_max)``, built only here."""
-    elements = W_H.elements
-    if _byte_rows_fit(W_H.group, elements):
-        rows = _l1_rows(elements)
-    else:
-        rows = _lookup_rows(ball_window(W_H, t_max), elements)
+    ``t = 0``, counted off :func:`_source_rows`."""
     counts = Counter()
-    for row in rows:
+    for row in _source_rows(W_H, t_max):
         counts.update(row)
-    counts[0] += len(elements)
+    counts[0] += len(W_H.elements)
     return [counts[t] for t in range(t_max + 1)]
 
 
@@ -348,79 +347,47 @@ def _window_table(keys: set, radius_G: int, t_max: int) -> Moduli:
 def _l1_pair_keys(elements: list, images: list) -> set:
     """For each l1 distance ``dH`` of a pair of ``elements``, the keys
     ``(dH, dG)`` of least and greatest l1 distance ``dG`` of their
-    ``images``, both sides under the byte limit of
-    :func:`~couplingcert.windows._byte_rows_fit`; :func:`_window_table`
-    reads no more (and a ``dH``'s greatest ``dG`` is a miss if any is).
+    ``images``: the lane scan, for ``elements`` under the byte limit of
+    :func:`~couplingcert.windows._byte_rows_fit` and ``images`` spread at
+    most 127.  :func:`_window_table` reads no more (and a ``dH``'s
+    greatest ``dG`` is a miss if any is).
 
     ``least`` and ``most`` hold the extremes per ``dH``, 128 and 0 while
-    unmet.  When the images spread at most 127, each row of
-    :func:`~couplingcert.windows._l1_rows` is first tested whole.  Read the
-    image distances ``D`` and the source distances translated by ``least``
-    (``L``) and ``most`` (``U``) as integers of byte lanes, and let ``k``
-    hold 0x80 per lane.  As ``dG, most <= 127`` and ``least <= 128``, the
-    lanes ``128 + dG - least`` of ``k + D - L`` and ``128 + most - dG`` of
-    ``k + U - D`` lie in [0, 255]: none borrows from the next, and bit 7 is
-    set exactly when ``dG >= least``, resp. ``dG <= most``.  A row with
-    ``(k + D - L) & (k + U - D) & k == k`` holds no new extreme and is
-    skipped.  Any other row is interleaved into a one-row buffer of native
-    16-bit keys ``dH + 256*dG``, added to one set, and its new keys folded
-    into the extremes before the next test.  With wider images no row is
-    tested, ``least`` starts at 255, and the keys are folded at the end.
+    unmet.  Each row of :func:`~couplingcert.windows._l1_rows` is first
+    tested whole.  Read the image distances ``D`` and the source distances
+    translated by ``least`` (``L``) and ``most`` (``U``) as integers of
+    byte lanes, and let ``k`` hold 0x80 per lane.  As ``dG, most <= 127``
+    and ``least <= 128``, the lanes ``128 + dG - least`` of ``k + D - L``
+    and ``128 + most - dG`` of ``k + U - D`` lie in [0, 255]: none borrows
+    from the next, and bit 7 is set exactly when ``dG >= least``, resp.
+    ``dG <= most``.  A row with ``(k + D - L) & (k + U - D) & k == k``
+    holds no new extreme and is skipped.  Any other row is interleaved
+    into a one-row buffer of native 16-bit keys ``dH + 256*dG``, and its
+    keys not seen before are folded into the extremes before the next
+    test.
     """
     lo, hi = (0, 1) if sys.byteorder == "little" else (1, 0)
     buf = bytearray(2 * len(elements))
     keys16 = memoryview(buf).cast("H")
-    lanes = _l1_spread(images) <= 127
-    least, most = bytearray([128 if lanes else 255]) * 256, bytearray(256)
-    keys, folded = set(), set()
-
-    def fold():
-        for key in keys - folded:
-            t, d = key & 255, key >> 8
-            least[t], most[t] = min(least[t], d), max(most[t], d)
-        folded.update(keys)
-
+    least, most = bytearray([128]) * 256, bytearray(256)
+    seen = set()
     k = int.from_bytes(b"\x80" * len(elements), "little")
     for dH, dG in zip(_l1_rows(elements), _l1_rows(images)):
         k >>= 8  # one lane per later point
-        if lanes:
-            D = int.from_bytes(dG, "little")
-            L = int.from_bytes(dH.translate(least), "little")
-            U = int.from_bytes(dH.translate(most), "little")
-            if (k + D - L) & (k + U - D) & k == k:
-                continue
+        D = int.from_bytes(dG, "little")
+        L = int.from_bytes(dH.translate(least), "little")
+        U = int.from_bytes(dH.translate(most), "little")
+        if (k + D - L) & (k + U - D) & k == k:
+            continue
         m = len(dH)
         buf[lo:2 * m:2] = dH
         buf[hi:2 * m:2] = dG
-        keys.update(keys16[:m])
-        if lanes:
-            fold()
-    fold()
+        new = set(keys16[:m]) - seen
+        seen |= new
+        for key in new:
+            t, d = key & 255, key >> 8
+            least[t], most[t] = min(least[t], d), max(most[t], d)
     return {(t, d) for t in range(256) if least[t] <= most[t] for d in (least[t], most[t])}
-
-
-def _lookup_pair_keys(W_D: Window, W_G: Window, elements: list, images: list) -> set:
-    """The distinct ``(dH, dG)`` over the unordered pairs of ``elements``
-    whose distance ``dH`` resolves in the difference ball ``W_D``, with
-    ``dG`` the distance of their ``images`` in ``W_G``, ``None`` where it
-    misses.
-
-    One window lookup of ``a^-1 b`` per pair on each side, each point
-    inverted once; the image distance is looked up only where the source
-    one resolves, so a pair past ``W_D`` costs one product.  Each scanned
-    pair is one ``int`` key ``dG*stride + dH`` (``dG = -1`` for a miss),
-    split into ``(dH, dG)`` at the end.
-    """
-    H, G = W_D.group, W_G.group
-    dH_get, dG_get, mul_H, mul_G = W_D.dist.get, W_G.dist.get, H.mul, G.mul
-    stride = W_D.radius + 1
-    keys = set()
-    for i, (a, x) in enumerate(zip(elements, images)):
-        a_inv, x_inv = H.inv(a), G.inv(x)
-        keys.update([dG_get(mul_G(x_inv, y), -1) * stride + dH
-                     for b, y in zip(elements[i + 1:], images[i + 1:])
-                     if (dH := dH_get(mul_H(a_inv, b))) is not None])
-    return {(k % stride, None if k < 0 else k // stride) for k in keys}
 
 
 def homomorphic_moduli(phi: CoarseMap, W_H: Window, W_G: Window, t_max: int) -> Moduli:

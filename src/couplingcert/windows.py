@@ -13,10 +13,12 @@ means the distance exceeds the window radius.
 The packing search here reads rows of pairwise distances, row ``i``
 holding those from ``points[i]`` to ``points[i+1:]``: :func:`_l1_rows` as
 ``bytes`` on ``Z^d`` within the byte limit of :func:`_byte_rows_fit`,
-:func:`_lookup_rows` otherwise.  The moduli pair scan of
-:mod:`couplingcert.coarse` reads the byte rows too.  Past the limit are the
-packing search on ``Z^1`` from ``diam_bound = 128`` and the moduli scan
-from ``R_H = 128`` on ``Z^1`` and ``R_H = 64`` on ``Z^2``.
+:func:`_lookup_rows` otherwise.  The moduli pair scans of
+:mod:`couplingcert.coarse` read them too: the lane scan reads byte rows on
+both sides, and the row scan reads each side's byte rows within the limit
+and its lookup rows past it.  Past the limit are the packing search on
+``Z^1`` from ``diam_bound = 128``, and moduli source windows from ``R_H =
+128`` on ``Z^1`` and ``R_H = 64`` on ``Z^2``.
 
 Net scales and packing bounds are ``int`` word-length thresholds; any
 other value is refused.  The search limits (``DEFAULT_ELEMENT_BUDGET`` for

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -364,65 +363,112 @@ def _check_moduli_against_reference(seed, source, e, r_H, t_frac, r_G, spread, s
     assert m.kappa_at(m.t_max + 1) is None and m.omega_at(m.t_max + 1) is None
 
 
-def _spy_scans(monkeypatch) -> Counter:
-    """Which scan each pair scan of :func:`estimate_moduli` takes from now
-    on: the closed-form l1 keys, or the lookup scan with its difference
-    ball."""
-    scans = Counter()
+def _spy_scans(monkeypatch) -> list:
+    """From now on, one set per :func:`estimate_moduli` call naming what
+    its pair scan ran: ``lane scan`` when it took :func:`_l1_pair_keys`
+    (else it took the row scan), each side's rows (``source l1``, ``image
+    lookup``, ...), and ``difference ball`` when it called ``ball_window``.
+    Rows read after the call, for the pair counts, are not recorded."""
+    scans, sources = [], []
+    estimate = coarse.estimate_moduli
 
-    def spy(name, fn):
-        def counted(*args):
-            scans[name] += 1
+    def scan(phi, W_H, W_G, t_max):
+        scans.append(set())
+        sources.append(W_H.elements)
+        try:
+            return estimate(phi, W_H, W_G, t_max)
+        finally:
+            sources.pop()
+
+    def spy(name, fn, rows=False):
+        # a row source takes its points last; the source's are W_H.elements
+        def run(*args):
+            if sources:
+                side = ("source " if args[-1] is sources[-1] else "image ") if rows else ""
+                scans[-1].add(side + name)
             return fn(*args)
-        return counted
+        return run
 
-    monkeypatch.setattr(coarse, "_l1_pair_keys", spy("closed form", coarse._l1_pair_keys))
-    monkeypatch.setattr(coarse, "ball_window", spy("lookup", coarse.ball_window))
+    monkeypatch.setitem(globals(), "estimate_moduli", scan)
+    monkeypatch.setattr(coarse, "_l1_pair_keys", spy("lane scan", coarse._l1_pair_keys))
+    monkeypatch.setattr(coarse, "ball_window", spy("difference ball", coarse.ball_window))
+    monkeypatch.setattr(coarse, "_l1_rows", spy("l1", coarse._l1_rows, rows=True))
+    monkeypatch.setattr(coarse, "_lookup_rows", spy("lookup", coarse._lookup_rows, rows=True))
     return scans
+
+
+LANE = {"lane scan", "source l1", "image l1"}
+BYTE_ROWS = {"source l1", "image l1"}
+LOOKUP_IMAGES = {"source l1", "image lookup"}
+LOOKUP_SOURCE = {"difference ball", "source lookup", "image l1"}
+LOOKUP_BOTH = {"difference ball", "source lookup", "image lookup"}
 
 
 def test_estimate_moduli_matches_reference_pair_scan(monkeypatch):
     scans = _spy_scans(monkeypatch)
     _check_moduli_against_reference()
-    assert scans["closed form"] and scans["lookup"], scans
+    assert LANE in scans and any("lane scan" not in scan for scan in scans), scans
 
 
-def _wide_table_map(top: int):
-    """A table on B(4) of Z^1 into Z^2 whose image coordinates spread 200
-    and ``top - 200``: two images ``top`` apart."""
-    mapping = {(a,): (25 * a, (a + 4) * (top - 200) // 8) for a in range(-4, 5)}
-    return table_map(Z, Z2, mapping)
+def _spread_table_map(H, r_H: int, top: int):
+    """A table on B(r_H) of ``Z^d`` into ``Z^2`` whose images spread
+    ``top``: in the order of ``h[0]``, from ``-r_H`` to ``r_H``, ``h``
+    goes to a point on the segment from the origin to ``(top//2, top -
+    top//2)``."""
+    x, y, n = top // 2, top - top // 2, 2 * r_H
+    return table_map(H, Z2, {h: ((h[0] + r_H) * x // n, (h[0] + r_H) * y // n)
+                             for h in build_window(H, r_H).elements})
 
 
 @pytest.mark.parametrize("phi,r_H,r_G,scan", [
     # 41 points of Z^2 with images spread 2*(8 + 2) = 20; all 41 images,
     # then 5 of them, leave the target window
-    (_random_table_map(7, Z2, 2, 4, 1, 10), 4, 8, "closed form"),
-    (_random_table_map(7, Z2, 2, 4, 1, 3), 4, 9, "closed form"),
+    (_random_table_map(7, Z2, 2, 4, 1, 10), 4, 8, LANE),
+    (_random_table_map(7, Z2, 2, 4, 1, 3), 4, 9, LANE),
     # 41 points of Z^4, spread 4*4 = 16 at the source; no image, then 6 of
     # them, leave the target window
-    (_random_table_map(7, make_group("Z^4"), 4, 2, 0, 0), 2, 12, "closed form"),
-    (_random_table_map(7, make_group("Z^4"), 4, 2, 1, -1), 2, 6, "closed form"),
-    # image spreads that sum to the largest byte, and one past it
-    (_wide_table_map(255), 4, 60, "closed form"),
-    (_wide_table_map(256), 4, 60, "lookup"),
+    (_random_table_map(7, make_group("Z^4"), 4, 2, 0, 0), 2, 12, LANE),
+    (_random_table_map(7, make_group("Z^4"), 4, 2, 1, -1), 2, 6, LANE),
+    # images spread 127, the most the lane test allows, and one past it
+    (_spread_table_map(Z, 4, 127), 4, 60, LANE),
+    (_spread_table_map(Z, 4, 128), 4, 60, BYTE_ROWS),
+    # images spread 129: the lane test would read the lane 128 - 129 as
+    # 255, bit 7 set, and skip the row of (0,)
+    (table_map(Z, Z, {(0,): (0,), (1,): (129,), (-1,): (0,)}), 1, 130, BYTE_ROWS),
+    # images spread to the largest byte, and one past it
+    (_spread_table_map(Z, 4, 255), 4, 60, BYTE_ROWS),
+    (_spread_table_map(Z, 4, 256), 4, 60, LOOKUP_IMAGES),
+    # a Z^2 source within the byte limit keeps its byte rows, and builds no
+    # difference ball, when the images take lookups
+    (_spread_table_map(Z2, 4, 300), 4, 60, LOOKUP_IMAGES),
+    # sources spread 254 (a ball of Z^d spreads 2dR: the widest under the
+    # byte limit) and 256, with images spread 20, then 300
+    (_spread_table_map(Z, 127, 20), 127, 20, LANE),
+    (_spread_table_map(Z, 128, 20), 128, 20, LOOKUP_SOURCE),
+    (_spread_table_map(Z, 128, 300), 128, 60, LOOKUP_BOTH),
+    # a source with no byte rows, images with them
+    (_random_table_map(5, make_group("C_5 x Z^1"), 2, 3, 2), 3, 5, LOOKUP_SOURCE),
 ], ids=["Z^2-2-4-8-1-10-closed form", "Z^2-2-4-9-1-3-closed form",
         "Z^4-4-2-12-0-0-closed form", "Z^4-4-2-6-1--1-closed form",
-        "Z^1-2-4-60-255-closed form", "Z^1-2-4-60-256-lookup"])
+        "Z^1-2-4-60-127-closed form", "Z^1-2-4-60-128-byte rows",
+        "Z^1-1-1-130-129-byte rows",
+        "Z^1-2-4-60-255-byte rows", "Z^1-2-4-60-256-lookup", "Z^2-2-4-60-300-lookup",
+        "Z^1-2-127-20-20-closed form", "Z^1-2-128-20-20-lookup", "Z^1-2-128-60-300-lookup",
+        "C_5 x Z^1-2-3-5-2-0-lookup"])
 def test_estimate_moduli_scan_is_chosen_by_spread(monkeypatch, phi, r_H, r_G, scan):
     W_H, W_G = build_window(phi.source, r_H), build_window(phi.target, r_G)
     scans = _spy_scans(monkeypatch)
     m = estimate_moduli(phi, W_H, W_G, 2 * r_H)
-    assert scans == {scan: 1}
+    assert scans == [scan]
     for name, value in _reference_moduli(phi, W_H, W_G, 2 * r_H).items():
         assert getattr(m, name) == value, name
 
 
-def _byte_points(data, k: int, n: int) -> list:
+def _byte_points(data, k: int, n: int, top: int = 255, low: int = 0) -> list:
     """``n`` points of ``Z^k`` whose coordinate spreads sum to a drawn total
-    of at most 255, exactly 255 when so drawn: two of the points are the
-    corners that make every spread exact."""
-    total = data.draw(st.one_of(st.just(255), st.integers(0, 255)))
+    from ``low`` to ``top``, exactly ``top`` when so drawn: two of the
+    points are the corners that make every spread exact."""
+    total = data.draw(st.one_of(st.just(top), st.integers(low, top)))
     cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)))
     spans = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
     shift = data.draw(st.integers(-300, 300))
@@ -448,26 +494,51 @@ def _extremes(keys: set) -> set:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d=st.integers(1, 4), e=st.integers(1, 4))
 def test_coded_l1_pair_keys_match_the_column_oracle(data, d, e):
-    # the scan keeps only the per-distance extremes of the oracle's keys
+    # the scan keeps only the per-distance extremes of the oracle's keys;
+    # it serves images spread at most 127
     n = data.draw(st.integers(2, 30))
-    elements, images = _byte_points(data, d, n), _byte_points(data, e, n)
+    elements, images = _byte_points(data, d, n), _byte_points(data, e, n, top=127)
     want = _extremes(oracles.l1_pair_keys(elements, images))
     assert coarse._l1_pair_keys(elements, images) == want
     assert coarse._l1_pair_keys(elements[:1], images[:1]) == set()
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), e=st.integers(1, 2),
+       r_G=st.sampled_from([4, 40, 130, 260]))
+def test_wide_image_tables_match_the_reference(data, d, e, r_G):
+    # images spread 128 to 255, past the lane scan: the row scan zips both
+    # sides' byte rows
+    H = make_group(f"Z^{d}")
+    W_H = build_window(H, 2)
+    images = _byte_points(data, e, len(W_H), top=255, low=128)
+    phi = table_map(H, make_group(f"Z^{e}"), dict(zip(W_H.elements, images)))
+    W_G = build_window(phi.target, r_G)
+    m = estimate_moduli(phi, W_H, W_G, 4)
+    for name, value in _reference_moduli(phi, W_H, W_G, 4).items():
+        assert getattr(m, name) == value, name
+
+
 @pytest.mark.parametrize("spread", [127, 128])
 @pytest.mark.parametrize("seed", range(4))
-def test_l1_pair_keys_on_both_sides_of_the_lane_guard(spread, seed):
-    # images spread 127: rows are tested whole; 128: every row is reduced
+def test_l1_pair_keys_on_both_sides_of_the_lane_guard(monkeypatch, spread, seed):
+    # images spread 127 take the lane scan, 128 the row scan of byte rows
     rng = random.Random(seed)
-    elements = build_window(Z2, 6).elements
+    W_H = build_window(Z2, 6)
     a = rng.randint(0, spread)
     images = [(0, 0), *[(rng.randint(0, a), rng.randint(0, spread - a))
-                        for _ in elements[2:]], (a, spread - a)]
+                        for _ in W_H.elements[2:]], (a, spread - a)]
     assert windows._l1_spread(images) == spread
-    want = _extremes(oracles.l1_pair_keys(elements, images))
-    assert coarse._l1_pair_keys(elements, images) == want
+    if spread == 127:
+        want = _extremes(oracles.l1_pair_keys(W_H.elements, images))
+        assert coarse._l1_pair_keys(W_H.elements, images) == want
+    phi = table_map(Z2, Z2, dict(zip(W_H.elements, images)))
+    W_G = build_window(Z2, 40)
+    scans = _spy_scans(monkeypatch)
+    m = estimate_moduli(phi, W_H, W_G, 12)
+    assert scans == [LANE if spread == 127 else BYTE_ROWS]
+    for name, value in _reference_moduli(phi, W_H, W_G, 12).items():
+        assert getattr(m, name) == value, name
 
 
 @pytest.mark.parametrize("images,want", [
@@ -476,10 +547,7 @@ def test_l1_pair_keys_on_both_sides_of_the_lane_guard(spread, seed):
     ([3, 3, 3, 3], {(1, 0), (2, 0), (3, 0)}),
     # the only new extreme, dG = 4 at dH = 1, is in the last row
     ([0, 1, 5], {(1, 1), (1, 4), (2, 5)}),
-    # images spread 129: the lane test would read the lane 128 - 129 as
-    # 255, bit 7 set, and skip the one row
-    ([0, 129], {(1, 129)}),
-], ids=["non-injective", "constant", "last-row", "past-the-guard"])
+], ids=["non-injective", "constant", "last-row"])
 def test_l1_pair_keys_examples(images, want):
     elements = [(i,) for i in range(len(images))]
     images = [(x,) for x in images]
