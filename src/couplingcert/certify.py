@@ -25,7 +25,6 @@ core radius from ``radius_G``, and the table's extent from ``radius_H``.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -61,8 +60,6 @@ from .errors import (
 from .groups import make_group
 from .windows import (Window, ball_window, build_window, distance_field, distances_from,
                       pair_extremes, set_distance)
-
-SAMPLE_CAP = 10_000
 
 CHECK_NAMES = (
     "cocompactness_h",
@@ -730,30 +727,14 @@ def check_g_action(
     )
 
 
-def _stratified_sample(pairs: list, stratum: Callable, cap: int, seed: int) -> list:
-    """Deterministic seeded subsample, proportionally by ``stratum(pair)``;
-    strata are computed only when the pairs exceed the cap."""
-    if len(pairs) <= cap:
-        return pairs
-    rnd = random.Random(seed)
-    by_stratum: dict = {}
-    for p in pairs:
-        by_stratum.setdefault(stratum(p), []).append(p)
-    out = []
-    for s in sorted(by_stratum):
-        bucket = by_stratum[s]
-        want = max(1, cap * len(bucket) // len(pairs))
-        out.extend(bucket if len(bucket) <= want else rnd.sample(bucket, want))
-    return out
-
-
 def run_all(config) -> Certificate:
     """Run the full pipeline and aggregate the certificate.
 
-    Deterministic given the config (including the seed): windows are BFS
-    ordered, samples are enumerated exhaustively below the sample cap, and
-    every margin is an exact rational.  An input out of range fails at the
-    ``configure`` stage, before any group is built.
+    Deterministic given the config: windows are BFS ordered, the samples
+    are the whole grid ``B_G(g_rad) x B_H(h_rad)`` in that order, and
+    every margin is an exact rational; the seed is only echoed in the
+    report.  An input out of range fails at the ``configure`` stage,
+    before any group is built.
     """
     stage = "configure"
     try:
@@ -801,10 +782,7 @@ def run_all(config) -> Certificate:
         h_rad = max(0, min(4, P.inner_radius - config.eval_radius))
         g_rad = min(core_radius, 4)
         hs = W_H.ball(h_rad)
-        grid = [(g, h) for g in W_G.ball(g_rad) for h in hs]
-        samples = _stratified_sample(
-            grid, lambda p: W_G.dist.get(p[0]) + W_H.dist.get(p[1]),
-            SAMPLE_CAP, config.seed)
+        samples = [(g, h) for g in W_G.ball(g_rad) for h in hs]
 
         K_base = psi_of(H.identity).support()
         field_of_K = _field_once(W_G, K_base)

@@ -46,7 +46,7 @@ _CONFIG_KEYS = {
     "rH": ("radius_H", "source window radius"),
     "rG": ("radius_G", "target window radius"),
     "eval": ("eval_radius", "evaluation window radius"),
-    "seed": ("seed", "sampling seed"),
+    "seed": ("seed", "recorded in the report; no other effect"),
     "checks": ("checks", "comma-separated check subset, or 'all'"),
     "out": ("output_path", "output path (default stdout)"),
     "epsilon": ("epsilon", "threshold for [K, eps] membership, e.g. 1/2"),

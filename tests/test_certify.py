@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from couplingcert import certify, coarse, coupling, windows
 from couplingcert.certify import (
     _far_shell,
-    _stratified_sample,
     _g_properness,
     _K_margin,
     _kappa_sublevel_radius,
@@ -562,33 +561,6 @@ def test_a_run_computes_each_block_kernel_at_most_once_per_window(monkeypatch, n
     run_all(dict(DEMO_CONFIGS)[name])
     keys = Counter((id(W), w) for W, w in computed)
     assert keys and max(keys.values()) == 1
-
-
-def test_stratified_sample_returns_a_grid_at_or_below_the_cap_unchanged():
-    # the strata are not computed: a stratum call would divide by zero
-    pairs = [(g, h) for g in range(4) for h in range(5)]
-    for cap in (20, 21):
-        assert _stratified_sample(pairs, lambda p: 1 // 0, cap, 3) is pairs
-
-
-def test_stratified_sample_keeps_every_stratum_in_proportion():
-    # 1,200 pairs over six strata, one of them a single pair: each stratum
-    # keeps floor(cap * share) of its pairs, and at least one
-    pairs = [(g, h) for g in range(30) for h in range(40)]
-
-    def stratum(p):
-        return 0 if p == (0, 0) else 1 + (p[0] + p[1]) % 5
-
-    cap = 100
-    sample = _stratified_sample(pairs, stratum, cap, 5)
-    assert sample == _stratified_sample(pairs, stratum, cap, 5)
-    assert len(set(sample)) == len(sample) and set(sample) <= set(pairs)
-    strata = [stratum(p) for p in sample]
-    assert strata == sorted(strata)
-    sizes = Counter(map(stratum, pairs))
-    assert Counter(strata) == {k: min(n, max(1, cap * n // len(pairs)))
-                               for k, n in sizes.items()}
-    assert sample != _stratified_sample(pairs, stratum, cap, 6)
 
 
 def test_run_all_reports_every_check_pass():

@@ -14,12 +14,12 @@ from couplingcert.windows import build_window
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_loads_no_dataclasses_inspect_or_argparse():
+def test_import_loads_no_dataclasses_inspect_argparse_or_random():
     # -I -S: no user site, no environment variables and no site .pth
     # imports, so the modules loaded are the package's own on every machine
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
             "import couplingcert, couplingcert.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'random'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
