@@ -9,13 +9,15 @@ the population is empty (always reported, never silently passed), else
 
 Checks run on orbit points g.psi.h only; the closure of the orbit is not
 materializable, and the underlying estimates transfer to limits by
-continuity.  Certificates are orbit-scale statements.  The pipeline
+continuity.  Certificates are orbit-scale statements.  Properness, the
+left action and cocompactness are certified on ``[K, 1/2]``, the orbit
+points with mass at least :data:`HALF` on ``K``.  The pipeline
 certifies an orbit point from its ``(g, h)`` pair: each check reads the
 coordinates it needs through ``psi`` and builds no orbit-point object.
 
 :func:`validate_config` holds the one copy of every rule on a run's
 input, a :class:`RunConfig` (integer and string fields, radii, eval
-radius, check names, epsilon); ``run_all`` calls it at its ``configure``
+radius, check names); ``run_all`` calls it at its ``configure``
 stage, and the CLI before any subcommand runs.  :func:`make_models` turns
 its descriptors into the group models and the map, for both.  A run sets
 no scale, core radius or moduli extent: ``run_all`` derives the scale
@@ -30,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
-from typing import Callable, Optional, Union, get_type_hints
+from typing import Callable, Optional, get_type_hints
 
 from .coarse import (
     CoarseMap,
@@ -70,12 +72,15 @@ CHECK_NAMES = (
     "sandwich",
 )
 
+# the mass on K that puts a density in [K, 1/2]
+HALF = Fraction(1, 2)
+
 
 class RunConfig:
     def __init__(self, group_H: str = "Z^1", group_G: str = "Z^1",
                  map_descriptor: str = "identity", radius_H: int = 24, radius_G: int = 40,
-                 eval_radius: int = 8, seed: int = 0, epsilon: Union[str, Fraction] = "1/2",
-                 checks: Optional[list] = None, output_path: Optional[str] = None):
+                 eval_radius: int = 8, seed: int = 0, checks: Optional[list] = None,
+                 output_path: Optional[str] = None):
         self.group_H = group_H
         self.group_G = group_G
         self.map_descriptor = map_descriptor
@@ -83,7 +88,6 @@ class RunConfig:
         self.radius_G = radius_G
         self.eval_radius = eval_radius
         self.seed = seed
-        self.epsilon = epsilon
         self.checks = checks
         self.output_path = output_path
 
@@ -146,10 +150,9 @@ def fmt_rat(x) -> str:
     return str(Fraction(x))
 
 
-def validate_config(config: RunConfig) -> tuple:
-    """(selected check names, epsilon) of a run configuration; a
-    PreconditionError names the first value of the wrong type or out of
-    range."""
+def validate_config(config: RunConfig) -> set:
+    """The selected check names of a run configuration; a PreconditionError
+    names the first value of the wrong type or out of range."""
     for name in INT_FIELDS:
         require_int(name, getattr(config, name))
     for name in STR_FIELDS:
@@ -169,7 +172,7 @@ def validate_config(config: RunConfig) -> tuple:
     unknown = selected - set(CHECK_NAMES)
     if unknown:
         raise PreconditionError(f"unknown checks: {sorted(unknown)}")
-    return selected, parse_epsilon(config.epsilon)
+    return selected
 
 
 def make_models(config: RunConfig) -> tuple:
@@ -178,20 +181,6 @@ def make_models(config: RunConfig) -> tuple:
     H = make_group(config.group_H)
     G = make_group(config.group_G)
     return H, G, make_coarse_map(config.map_descriptor, H, G)
-
-
-def parse_epsilon(value) -> Fraction:
-    """The [K, eps] membership threshold as an exact rational in (0, 1]; a
-    float (binary, so 0.1 is not 1/10) or a bool is refused."""
-    if isinstance(value, (float, bool)):
-        raise PreconditionError(f"epsilon must be an exact rational, got {value!r}")
-    try:
-        eps = Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise PreconditionError(f"epsilon must be an exact rational, got {value!r}") from None
-    if not 0 < eps <= 1:
-        raise PreconditionError(f"epsilon must lie in (0, 1], got {value!r}")
-    return eps
 
 
 def _canon(value):
@@ -388,14 +377,13 @@ def check_properness_h(
     K: list,
     m: Moduli,
     W_G: Window,
-    epsilon: Fraction,
     psi_of: Callable,
     diam_K: int,
     threshold,
     field_of_K: Optional[Callable[[], dict]] = None,
 ) -> CheckResult:
     """For h with kappa(d(h,1)) above ``threshold``, the h-slice of any
-    orbit point meeting [K, eps] at the identity has support disjoint from
+    orbit point meeting [K, 1/2] at the identity has support disjoint from
     K.  The pipeline's threshold is diam(K) + 2*omega(s+1) + 2.
 
     kappa is nondecreasing, so those h are one shell of the source window.
@@ -415,12 +403,10 @@ def check_properness_h(
     to_K_get = (field_of_K or _field_once(W_G, K))().get if far else None
     for g, h0 in zeta_samples:
         zeta_1 = act_left(g, psi_of(h0))
-        if zeta_1.inner_product(K_set) < epsilon:
-            raise PreconditionError(
-                "a zeta sample does not meet [K, epsilon] at the identity"
-            )
-        # members of [K, eps] stay confined near K: the finite-window
-        # analogue of the compactness of [K, eps]
+        if zeta_1.inner_product(K_set) < HALF:
+            raise PreconditionError("a zeta sample does not meet [K, 1/2] at the identity")
+        # members of [K, 1/2] stay confined near K: the finite-window
+        # analogue of the compactness of [K, 1/2]
         for a in zeta_1.support():
             d = set_distance(W_G, [a], K)
             if d is None:
@@ -481,7 +467,6 @@ def check_cocompactness_h(
             f"K radius {K_radius} exceeds the target window radius {W_G.radius}"
         )
     K_set = set(W_G.ball(K_radius))
-    half = Fraction(1, 2)
     worst = _Worst()
     population = 0
     truncated = 0
@@ -506,18 +491,18 @@ def check_cocompactness_h(
             ip = act_left(g, psi_of(H.mul(h, f))).inner_product(K_set)
             if ip > best_ip:
                 best_ip = ip
-            if ip >= half:
+            if ip >= HALF:
                 found = f
                 break
         wit = {"g": G.format_element(g), "h": H.format_element(h),
                "r": "unresolved" if r is None else r}
         r_seen.append(-1 if r is None else r)
         if found is not None:
-            worst.update(best_ip - half, dict(wit, f=H.format_element(found)))
+            worst.update(best_ip - HALF, dict(wit, f=H.format_element(found)))
             if r is None or r > f_cap:
                 truncated += 1
         elif r is not None and r <= f_cap:
-            worst.update(best_ip - half, wit)
+            worst.update(best_ip - HALF, wit)
         else:
             raise ResolutionError(
                 f"witness search truncated at radius {search_radius} below "
@@ -643,7 +628,6 @@ def check_g_action(
     phi: CoarseMap,
     xi_samples: list,
     K_G: list,
-    epsilon: Fraction,
     W_G: Window,
     g_candidates: list,
     psi_of: Callable,
@@ -653,7 +637,7 @@ def check_g_action(
 ) -> CheckResult:
     """Properness and cocompactness of the left action.
 
-    (a) properness: translates of [K_G, eps] by far g miss it -- supports
+    (a) properness: translates of [K_G, 1/2] by far g miss it -- supports
     become disjoint from K_G beyond tau = 2*omega(s+1) + 2 + 2*diam(K_G),
     the bound the caller drew ``g_candidates``, (element, word length)
     pairs, past.  A pair whose length alone puts every translate beyond
@@ -674,7 +658,7 @@ def check_g_action(
     qualifying = []
     for g, h in xi_samples:
         xi_1 = act_left(g, psi_of(h))
-        if xi_1.inner_product(K_set) >= epsilon:
+        if xi_1.inner_product(K_set) >= HALF:
             qualifying.append((g, h, xi_1))
     margin, witness, margin_is_floor, pop_proper = _g_properness(
         phi, qualifying, K_G, W_G, g_candidates, field_of_K)
@@ -738,7 +722,7 @@ def run_all(config) -> Certificate:
     """
     stage = "configure"
     try:
-        selected, epsilon = validate_config(config)
+        selected = validate_config(config)
 
         stage = "groups"
         H, G, phi = make_models(config)
@@ -770,14 +754,7 @@ def run_all(config) -> Certificate:
         if selected & {"lipschitz", "sandwich"}:
             pair_radius = 2 * P.inner_radius
             pair_window = ball_window(W_H, pair_radius)
-        cache: dict = {}
-
-        def psi_of(h):
-            d = cache.get(h)
-            if d is None:
-                d = psi(P, phi, h)
-                cache[h] = d
-            return d
+        psi_of = cache(partial(psi, P, phi))
 
         h_rad = max(0, min(4, P.inner_radius - config.eval_radius))
         g_rad = min(core_radius, 4)
@@ -812,10 +789,10 @@ def run_all(config) -> Certificate:
             K_set = set(K_base)
             zetas = list(islice(
                 ((g, h) for g, h in samples
-                 if act_left(g, psi_of(h)).inner_product(K_set) >= epsilon), 8))
+                 if act_left(g, psi_of(h)).inner_product(K_set) >= HALF), 8))
             checks.append(check_properness_h(
                 P, phi, zetas or [(G.identity, H.identity)], K_base, m, W_G,
-                epsilon, psi_of, diam_K, h_threshold, field_of_K))
+                psi_of, diam_K, h_threshold, field_of_K))
         if "cocompactness_h" in selected:
             stage = "cocompactness_h"
             h_cc = min(h_rad, max(0, (P.inner_radius - config.eval_radius) // 3))
@@ -828,7 +805,7 @@ def run_all(config) -> Certificate:
             aux = ball_window(W_G, tau + 2)
             g_candidates = [(gc, aux.dist[gc]) for gc in aux.shell(tau, tau + 2)[:512]]
             checks.append(check_g_action(
-                P, phi, samples[:8], K_base, epsilon, W_G, g_candidates, psi_of, tau,
+                P, phi, samples[:8], K_base, W_G, g_candidates, psi_of, tau,
                 recenter_bound, field_of_K))
 
         stage = "assemble"
@@ -860,7 +837,7 @@ def run_all(config) -> Certificate:
             "radius_G": config.radius_G,
             "eval_radius": config.eval_radius,
             "seed": config.seed,
-            "epsilon": epsilon,
+            "epsilon": HALF,  # a constant; kept for the pinned report digests
             "moduli_provenance": m.provenance,
             "moduli_t_max": m.t_max,
             "sample_count": len(samples),

@@ -49,7 +49,6 @@ _CONFIG_KEYS = {
     "seed": ("seed", "recorded in the report; no other effect"),
     "checks": ("checks", "comma-separated check subset, or 'all'"),
     "out": ("output_path", "output path (default stdout)"),
-    "epsilon": ("epsilon", "threshold for [K, eps] membership, e.g. 1/2"),
 }
 
 

@@ -252,7 +252,7 @@ def test_properness_h_passes_nonvacuously(pipeline):
     diam_K = pair_extremes(W_G, K)[2]
     assert diam_K == 8
     res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G,
-                             Fraction(1, 2), psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
+                             psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
     assert res.status == "pass"
     assert res.population == 4  # h in {+-19, +-20}: kappa(|h|) > 18
     assert res.margin == 10  # confinement slack 2w+2 - 0 beats gap 13 - 1
@@ -262,8 +262,7 @@ def test_properness_h_passes_nonvacuously(pipeline):
 def test_properness_h_fails_with_zero_threshold(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G,
-                             Fraction(1, 2), psi_of, 8, 0)
+    res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G, psi_of, 8, 0)
     assert res.status == "fail"
     assert res.witness["h"] in {"1", "-1"}  # first violators are adjacent slices
 
@@ -273,8 +272,7 @@ def test_properness_h_meeting_point_lies_in_K(pipeline):
     # translate of its atom 5
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_properness_h(P, phi, [((-1,), (0,))], K, m, W_G,
-                             Fraction(1, 2), psi_of, 8, 6)
+    res = check_properness_h(P, phi, [((-1,), (0,))], K, m, W_G, psi_of, 8, 6)
     assert res.status == "fail"
     assert res.witness == {"h": "7", "zeta": ["-1", "0"], "meeting_point": "4"}
     assert Z.parse_element(res.witness["meeting_point"]) in K
@@ -296,7 +294,7 @@ def test_properness_h_vacuous_in_tiny_window():
     K = psi_of(Z.identity).support()
     diam_K = pair_extremes(W_G, K)[2]
     res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G,
-                             Fraction(1, 2), psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
+                             psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
     assert res.status == "vacuous"
     assert res.population == 0
 
@@ -330,7 +328,7 @@ def test_g_action_passes(pipeline):
     K = psi_of(Z.identity).support()
     tau = 2 * P.omega_s1 + 2 + 2 * 8  # diam K = 8
     ring = [(e, l) for e, l in zip(W_G.elements, W_G.lengths) if tau < l <= tau + 2]
-    res = check_g_action(P, phi, [((0,), (0,)), ((2,), (1,))], K, Fraction(1, 2),
+    res = check_g_action(P, phi, [((0,), (0,)), ((2,), (1,))], K,
                          W_G, ring, psi_of, tau, 4 * P.omega_s1 + 4)
     assert res.status == "pass"
     assert res.details["properness_population"] > 0
@@ -340,7 +338,7 @@ def test_g_action_passes(pipeline):
 def test_g_action_fails_with_shrunk_recenter_ball(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1, 2), W_G, [],
+    res = check_g_action(P, phi, [((0,), (0,))], K, W_G, [],
                          psi_of, 2 * P.omega_s1 + 2 + 2 * 8, 0)
     assert res.status == "fail"
 
@@ -350,17 +348,18 @@ def test_g_action_recentring_ball_is_closed(pipeline):
     # of its mass, so the recentring part of the margin is exactly 0
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1, 2), W_G, [],
+    res = check_g_action(P, phi, [((0,), (0,))], K, W_G, [],
                          psi_of, 2 * P.omega_s1 + 2 + 2 * 8, 4)
     assert res.status == "pass"
     assert res.margin == 0
 
 
 def test_g_action_vacuous_properness_population(pipeline):
-    # epsilon = 1 with a K that no sample fills completely
+    # one atom carries at most 1/|B| = 1/3 of a density's mass, so no
+    # sample meets [K, 1/2] for a one-point K
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = [(0,)]
-    res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1), W_G,
+    res = check_g_action(P, phi, [((0,), (0,))], K, W_G,
                          [((30,), 30)], psi_of, 2 * P.omega_s1 + 2,  # diam K = 0
                          4 * P.omega_s1 + 4)
     assert res.details["properness_population"] == 0
@@ -370,7 +369,7 @@ def test_g_action_vacuous_properness_population(pipeline):
 def test_g_action_fails_where_a_candidate_translate_meets_k(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_g_action(P, phi, [((0,), (0,))], K, Fraction(1, 2), W_G,
+    res = check_g_action(P, phi, [((0,), (0,))], K, W_G,
                          [((3,), 3), ((1,), 1)], psi_of, 2 * P.omega_s1 + 2 + 2 * 8,
                          4 * P.omega_s1 + 4)
     assert res.status == "fail"
@@ -626,13 +625,6 @@ def test_run_all_stage_tagged_error_on_constant_map(tmp_path):
     assert exc.value.stage == "scale"
 
 
-@pytest.mark.parametrize("epsilon", ["abc", "1/0", "0", "-1/2", "3/2"])
-def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
-    with pytest.raises(PipelineError) as exc:
-        run_all(RunConfig(epsilon=epsilon))
-    assert exc.value.stage == "configure"
-
-
 @pytest.mark.parametrize("field,value", [
     ("radius_H", "10"),
     ("radius_H", 10.5),
@@ -646,14 +638,11 @@ def test_run_all_rejects_a_bad_epsilon_at_configure(epsilon):
     ("group_G", None),
     ("map_descriptor", None),
     ("output_path", 3),
-    ("epsilon", 0.1),
-    ("epsilon", 0.5),
-    ("epsilon", True),
 ])
 def test_run_all_rejects_a_wrong_typed_value_at_configure(field, value):
     # a library caller's value of the wrong type is input error, not a
-    # TypeError or AttributeError deep in a stage, and not a float radius or
-    # epsilon taken as is (0.1 is the binary fraction 3602879701896397/2**55)
+    # TypeError or AttributeError deep in a stage, and not a float radius
+    # taken as is
     with pytest.raises(PipelineError) as exc:
         run_all(RunConfig(**{field: value}))
     assert exc.value.stage == "configure" and f"{field} must be" in str(exc.value)
@@ -685,17 +674,10 @@ def test_every_field_refuses_a_wrong_typed_value_at_configure(data, name):
     assert exc.value.stage == "configure"
 
 
-@pytest.mark.parametrize("epsilon", ["1/10", Fraction(1, 10), "0.1"])
-def test_epsilon_reads_exactly(epsilon):
-    assert validate_config(RunConfig(epsilon=epsilon))[1] == Fraction(1, 10)
-
-
 @pytest.mark.parametrize("path", [None, "report.json"])
 def test_output_path_may_be_none_or_a_string(path):
     validate_config(RunConfig(output_path=path))
 
-
-_HALF = Fraction(1, 2)
 
 # id -> (call(P, phi, m, W_G, psi_of, K), error type, message) for each
 # refusal of a check whose window or inputs cannot support it, on the
@@ -704,13 +686,13 @@ CHECK_REFUSALS = {
     # g = 30 carries the identity's density off K
     "properness-zeta-misses-K": (
         lambda P, phi, m, W_G, psi_of, K: check_properness_h(
-            P, phi, [((30,), (0,))], K, m, W_G, _HALF, psi_of, 8, 1000),
-        PreconditionError, "a zeta sample does not meet [K, epsilon] at the identity"),
-    # K is the atom -4 of psi_0, and its atom 4 is 8 > 1 from it
+            P, phi, [((30,), (0,))], K, m, W_G, psi_of, 8, 1000),
+        PreconditionError, "a zeta sample does not meet [K, 1/2] at the identity"),
+    # 2.psi_0 puts 8/9 of its mass on K = [-4, 4], and its atom 6 is 2 > 1
+    # from K
     "properness-atom-unresolved": (
         lambda P, phi, m, W_G, psi_of, K: check_properness_h(
-            P, phi, [((0,), (0,))], [(-4,)], m, build_window(Z, 1), Fraction(1, 100), psi_of,
-            0, 1000),
+            P, phi, [((2,), (0,))], K, m, build_window(Z, 1), psi_of, 0, 1000),
         ResolutionError, "support-to-K distance does not resolve"),
     "cocompactness-K-radius": (
         lambda P, phi, m, W_G, psi_of, K: check_cocompactness_h(
@@ -731,12 +713,12 @@ CHECK_REFUSALS = {
     # no sample qualifies, so the identity's support is recentred
     "g_action-support-leaves": (
         lambda P, phi, m, W_G, psi_of, K: check_g_action(
-            P, phi, [], K, _HALF, build_window(Z, 1), [], psi_of, 0, 20),
+            P, phi, [], K, build_window(Z, 1), [], psi_of, 0, 20),
         ResolutionError, "support of a sample leaves the target window"),
     # psi_1 (diameter 5) recentres within radius 5; psi_0 has diameter 8
     "g_action-inner-diameter": (
         lambda P, phi, m, W_G, psi_of, K: check_g_action(
-            P, phi, [((0,), (1,))], psi_of((1,)).support(), _HALF, build_window(Z, 5), [],
+            P, phi, [((0,), (1,))], psi_of((1,)).support(), build_window(Z, 5), [],
             psi_of, 0, 20),
         ResolutionError, "inner support diameter does not resolve"),
 }

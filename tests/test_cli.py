@@ -69,8 +69,7 @@ def test_config_file_roundtrip(tmp_path):
 
 # one accepted value per config key, each away from its default
 GOOD_VALUES = {"H": "Z^2", "G": "Z^2", "map": "matrix:1,1,0,1", "rH": "10", "rG": "30",
-               "eval": "2", "seed": "3", "checks": "lipschitz,sandwich", "out": "r.json",
-               "epsilon": "1/3"}
+               "eval": "2", "seed": "3", "checks": "lipschitz,sandwich", "out": "r.json"}
 
 
 @pytest.mark.parametrize("key", list(_CONFIG_KEYS))
@@ -165,7 +164,7 @@ def test_all_selects_every_check_from_flag_or_file(tmp_path):
     p.write_text("checks = all\n")
     for args in (_parse_flags(["--checks", "all"]), _parse_flags(["--config", str(p)])):
         cfg = build_config(args)
-        assert cfg.checks is None and validate_config(cfg)[0] == set(CHECK_NAMES)
+        assert cfg.checks is None and validate_config(cfg) == set(CHECK_NAMES)
 
 
 @pytest.mark.parametrize("name,text,message", [
@@ -364,11 +363,6 @@ def test_only_the_moduli_subcommand_counts_pairs(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["certify", "--epsilon", "abc"],
-    ["certify", "--epsilon", "1/0"],
-    ["certify", "--epsilon", "0"],
-    ["certify", "--epsilon=-1/2"],
-    ["certify", "--epsilon", "3/2"],
     ["certify", "--out", "{tmp}/missing/r.json"],
     ["certify", "--config", "{tmp}/absent.cfg"],
     ["certify", "--config", "{tmp}/binary.cfg"],
@@ -376,10 +370,8 @@ def test_only_the_moduli_subcommand_counts_pairs(tmp_path, monkeypatch, capsys):
     ["moduli", "--map", "table:{tmp}/absent.map"],
     ["certify", "--map", "table:{tmp}/repeated.map"],
     ["certify", "--config", "{tmp}/repeated.cfg"],
-], ids=["epsilon-syntax", "epsilon-zero-denominator", "epsilon-zero", "epsilon-negative",
-        "epsilon-above-one", "unwritable-out", "missing-config",
-        "undecodable-config", "missing-table", "missing-table-moduli", "repeated-source",
-        "repeated-config-key"])
+], ids=["unwritable-out", "missing-config", "undecodable-config", "missing-table",
+        "missing-table-moduli", "repeated-source", "repeated-config-key"])
 def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     # exit 1 means a check failed; unusable input is an error, exit 2
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
@@ -392,7 +384,20 @@ def test_bad_outside_input_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-BAD_VALUES = [("rH", "0"), ("rG", "0"), ("eval", "-1"), ("checks", "nope"), ("epsilon", "3/2")]
+def test_epsilon_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    # properness, the left action and cocompactness are certified on
+    # [K, 1/2] only; a run that asks for another threshold is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--epsilon", "1/3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon 1/3" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epsilon = 1/3\n")
+    assert main(["certify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'epsilon'\n"
+
+
+BAD_VALUES = [("rH", "0"), ("rG", "0"), ("eval", "-1"), ("checks", "nope")]
 
 
 @pytest.mark.parametrize("key,text", BAD_VALUES, ids=[f"{k}={v}" for k, v in BAD_VALUES])
@@ -400,7 +405,7 @@ def test_a_bad_value_is_rejected_at_configure_everywhere(capsys, key, text):
     # one validator: run_all rejects the value at its configure stage, and
     # certify, psi and moduli, which run no run_all, print the same message
     field = _CONFIG_KEYS[key][0]
-    value = [text] if field == "checks" else text if field == "epsilon" else int(text)
+    value = [text] if field == "checks" else int(text)
     with pytest.raises(PipelineError) as exc:
         run_all(RunConfig(**{field: value}))
     assert exc.value.stage == "configure"
