@@ -35,7 +35,6 @@ from itertools import islice
 from typing import Callable, Optional, get_type_hints
 
 from .coarse import (
-    CoarseMap,
     Moduli,
     choose_scale,
     cobounded_radius,
@@ -372,39 +371,35 @@ def check_sandwich(
 
 def check_properness_h(
     P: PartitionOfUnity,
-    phi: CoarseMap,
-    zeta_samples: list,
+    samples: list,
     K: list,
     m: Moduli,
     W_G: Window,
     psi_of: Callable,
     diam_K: int,
     threshold,
-    field_of_K: Optional[Callable[[], dict]] = None,
 ) -> CheckResult:
     """For h with kappa(d(h,1)) above ``threshold``, the h-slice of any
     orbit point meeting [K, 1/2] at the identity has support disjoint from
-    K.  The pipeline's threshold is diam(K) + 2*omega(s+1) + 2.
+    K.  The pipeline's threshold is diam(K) + 2*omega(s+1) + 2.  The zetas
+    are the first 8 samples that meet [K, 1/2], or the identity sample
+    when none does.
 
     kappa is nondecreasing, so those h are one shell of the source window.
     By left-invariance d(a, g^-1 k) = d(g.a, k): a slice of the sample
     zeta = g.psi_h0 is measured untranslated against one distance field of
-    K, built only when the shell is non-empty: ``field_of_K()``, which a
-    run shares with :func:`check_g_action` (:func:`_field_once`).
+    K, built only when the shell is non-empty.
     """
-    G = phi.target
-    H = phi.source
-    K_set = set(K)
+    H, G = P.window_H.group, W_G.group
+    zetas = list(islice(_meeting_K(samples, K, psi_of), 8)) or [
+        (G.identity, H.identity, act_left(G.identity, psi_of(H.identity)))]
     worst = _Worst()
     confinement = _Worst()
     population = 0
     margin_is_floor = False
     far = _far_shell(P.window_H, m, threshold)
-    to_K_get = (field_of_K or _field_once(W_G, K))().get if far else None
-    for g, h0 in zeta_samples:
-        zeta_1 = act_left(g, psi_of(h0))
-        if zeta_1.inner_product(K_set) < HALF:
-            raise PreconditionError("a zeta sample does not meet [K, 1/2] at the identity")
+    to_K_get = distance_field(W_G, K).get if far else None
+    for g, h0, zeta_1 in zetas:
         # members of [K, 1/2] stay confined near K: the finite-window
         # analogue of the compactness of [K, 1/2]
         for a in zeta_1.support():
@@ -442,7 +437,6 @@ def check_properness_h(
 
 def check_cocompactness_h(
     P: PartitionOfUnity,
-    phi: CoarseMap,
     samples: list,
     m: Moduli,
     R: int,
@@ -461,7 +455,7 @@ def check_cocompactness_h(
     r-ball without one is a failure, and truncation without a witness is
     a window-size error.
     """
-    H, G = phi.source, phi.target
+    H, G = P.window_H.group, W_G.group
     if K_radius > W_G.radius:
         raise PreconditionError(
             f"K radius {K_radius} exceeds the target window radius {W_G.radius}"
@@ -550,10 +544,14 @@ def _K_margin(to_K_get, mul, t, atoms, floor) -> tuple:
     return (floor, None, True) if d is None else (d - 1, None, False)
 
 
-def _field_once(W: Window, sources: list) -> Callable[[], dict]:
-    """``distance_field(W, sources)``, built at the first call and returned
-    again by every later one."""
-    return cache(partial(distance_field, W, sources))
+def _meeting_K(samples: list, K: list, psi_of: Callable):
+    """(g, h, g.psi_h) for each sample (g, h) whose orbit point puts mass
+    at least :data:`HALF` on K, in sample order."""
+    K_set = set(K)
+    for g, h in samples:
+        xi_1 = act_left(g, psi_of(h))
+        if xi_1.inner_product(K_set) >= HALF:
+            yield g, h, xi_1
 
 
 def _reach(dist_get, points) -> Optional[int]:
@@ -564,18 +562,17 @@ def _reach(dist_get, points) -> Optional[int]:
 
 
 def _g_properness(
-    phi: CoarseMap,
+    H,
     qualifying: list,
     K_G: list,
     W_G: Window,
     g_candidates: list,
-    field_of_K: Optional[Callable[[], dict]] = None,
 ) -> tuple:
     """The properness part of :func:`check_g_action`: (least margin, its
     witness, margin_is_floor, population) over every (candidate, sample)
     pair, the first pair winning ties; margin and witness are None when
     the population is empty.  ``g_candidates`` are (element, word length)
-    pairs.
+    pairs and H is the source group of the samples' h.
 
     A pair's margin is :func:`_K_margin` of the candidate's translate of
     the sample's support: -1 when it meets K_G, else the least
@@ -584,10 +581,9 @@ def _g_properness(
     so d(gc.a, k) >= |gc| - |a| - |k|: a pair with
     |gc| - reach(atoms) - reach(K_G) > W_G.radius, reach being the largest
     W_G length over a set, resolves no distance and takes the floor
-    without translating an atom.  The distance field of K_G,
-    ``field_of_K()``, is read from the first pair this bound cannot
-    settle, so never built when all are floor pairs; a point outside W_G
-    has no reach and turns the bound off.
+    without translating an atom.  The distance field of K_G is built at
+    the first pair this bound cannot settle, so never when all are floor
+    pairs; a point outside W_G has no reach and turns the bound off.
     """
     if not (g_candidates and qualifying):
         return None, None, False, 0
@@ -598,7 +594,7 @@ def _g_properness(
                else r_a + reach_K for _, _, xi_1 in qualifying]
     radius = W_G.radius
     to_K_get = None
-    mul = phi.target.mul
+    mul = W_G.group.mul
     margin_is_floor = False
     best = None  # (margin, candidate, sample g, sample h, meeting atom)
     for gc, length in g_candidates:
@@ -610,14 +606,14 @@ def _g_properness(
                     # one BFS from K_G resolves every support-to-K_G distance;
                     # the field holds exactly the points of K_G at 0, so a 0
                     # is a meeting point
-                    to_K_get = (field_of_K or _field_once(W_G, K_G))().get
+                    to_K_get = distance_field(W_G, K_G).get
                 margin, meet, floor = _K_margin(to_K_get, mul, gc, xi_1.atoms, radius)
             margin_is_floor |= floor
             if best is None or margin < best[0]:
                 best = (margin, gc, g, h, meet)
     margin, gc, g, h, meet = best
-    fmtG = phi.target.format_element
-    witness = {"g": fmtG(gc), "xi": [fmtG(g), phi.source.format_element(h)]}
+    fmtG = W_G.group.format_element
+    witness = {"g": fmtG(gc), "xi": [fmtG(g), H.format_element(h)]}
     if meet is not None:
         witness["meeting_point"] = fmtG(mul(gc, meet))
     return margin, witness, margin_is_floor, len(g_candidates) * len(qualifying)
@@ -625,7 +621,6 @@ def _g_properness(
 
 def check_g_action(
     P: PartitionOfUnity,
-    phi: CoarseMap,
     xi_samples: list,
     K_G: list,
     W_G: Window,
@@ -633,7 +628,6 @@ def check_g_action(
     psi_of: Callable,
     tau: int,
     recenter_bound: int,
-    field_of_K: Optional[Callable[[], dict]] = None,
 ) -> CheckResult:
     """Properness and cocompactness of the left action.
 
@@ -642,34 +636,26 @@ def check_g_action(
     the bound the caller drew ``g_candidates``, (element, word length)
     pairs, past.  A pair whose length alone puts every translate beyond
     W_G by the triangle bound takes the floor margin untranslated, and the
-    distance field of K_G, ``field_of_K()`` (shared with
-    :func:`check_properness_h` in a run), is built only for a pair the
-    bound cannot settle (see :func:`_g_properness`);
+    distance field of K_G is built only for a pair the bound cannot settle
+    (see :func:`_g_properness`);
     (b) cocompactness: recentring the BFS-least support point confines any
     sampled orbit support in the ball of radius ``recenter_bound`` (the
     pipeline's is 4*omega(s+1) + 4) with full mass;
     (c) the ingredient diameter bound diam(supp psi_h) <= 2*omega(s+1) + 2,
     exhaustively over the inner window.
     """
-    G = phi.target
+    H, G = P.window_H.group, W_G.group
     fmtG = G.format_element
-    K_set = set(K_G)
     worst = _Worst()
-    qualifying = []
-    for g, h in xi_samples:
-        xi_1 = act_left(g, psi_of(h))
-        if xi_1.inner_product(K_set) >= HALF:
-            qualifying.append((g, h, xi_1))
+    qualifying = list(_meeting_K(xi_samples, K_G, psi_of))
     margin, witness, margin_is_floor, pop_proper = _g_properness(
-        phi, qualifying, K_G, W_G, g_candidates, field_of_K)
+        H, qualifying, K_G, W_G, g_candidates)
     if pop_proper:
         worst.update(margin, witness)
 
     pop_recenter = 0
     for g, h, xi_1 in qualifying or [
-        (W_G.group.identity, phi.source.identity,
-         act_left(W_G.group.identity, psi_of(phi.source.identity)))
-    ]:
+            (G.identity, H.identity, act_left(G.identity, psi_of(H.identity)))]:
         supp = xi_1.support()
         if not all(map(W_G.dist.__contains__, supp)):
             raise ResolutionError("support of a sample leaves the target window")
@@ -678,7 +664,7 @@ def check_g_action(
         m_len = max(lengths)
         # mass of the recentred density inside the recentring ball
         ip = xi_1.inner_product({a for a, l in zip(supp, lengths) if l <= recenter_bound})
-        wit = {"xi": [fmtG(g), phi.source.format_element(h)],
+        wit = {"xi": [fmtG(g), H.format_element(h)],
                "recentring_g": fmtG(G.inv(least)), "max_length": m_len}
         worst.update(recenter_bound - m_len, wit)
         worst.update(ip - 1, wit)  # full mass must sit inside the ball
@@ -690,7 +676,7 @@ def check_g_action(
         if diam is None:
             raise ResolutionError("inner support diameter does not resolve")
         worst.update(P.support_diameter_bound - diam,
-                     lambda: {"h": phi.source.format_element(h), "diameter": diam,
+                     lambda: {"h": H.format_element(h), "diameter": diam,
                               "reason": "support diameter"})
         pop_diam += 1
 
@@ -762,7 +748,6 @@ def run_all(config) -> Certificate:
         samples = [(g, h) for g in W_G.ball(g_rad) for h in hs]
 
         K_base = psi_of(H.identity).support()
-        field_of_K = _field_once(W_G, K_base)
         diam_K = support_diameter(psi_of(H.identity), W_G)
         if diam_K is None:
             raise ResolutionError("diameter of K does not resolve in the target window")
@@ -786,27 +771,21 @@ def run_all(config) -> Certificate:
                                          pair_window, psi_of))
         if "properness_h" in selected:
             stage = "properness_h"
-            K_set = set(K_base)
-            zetas = list(islice(
-                ((g, h) for g, h in samples
-                 if act_left(g, psi_of(h)).inner_product(K_set) >= HALF), 8))
-            checks.append(check_properness_h(
-                P, phi, zetas or [(G.identity, H.identity)], K_base, m, W_G,
-                psi_of, diam_K, h_threshold, field_of_K))
+            checks.append(check_properness_h(P, samples, K_base, m, W_G, psi_of,
+                                             diam_K, h_threshold))
         if "cocompactness_h" in selected:
             stage = "cocompactness_h"
             h_cc = min(h_rad, max(0, (P.inner_radius - config.eval_radius) // 3))
             cc_samples = [(g, h) for g, h in samples
                           if W_H.dist.get(h) <= h_cc][:64]
             checks.append(check_cocompactness_h(
-                P, phi, cc_samples, m, R, W_G, psi_of, K_radius))
+                P, cc_samples, m, R, W_G, psi_of, K_radius))
         if "g_action" in selected:
             stage = "g_action"
             aux = ball_window(W_G, tau + 2)
             g_candidates = [(gc, aux.dist[gc]) for gc in aux.shell(tau, tau + 2)[:512]]
             checks.append(check_g_action(
-                P, phi, samples[:8], K_base, W_G, g_candidates, psi_of, tau,
-                recenter_bound, field_of_K))
+                P, samples[:8], K_base, W_G, g_candidates, psi_of, tau, recenter_bound))
 
         stage = "assemble"
         constants = {

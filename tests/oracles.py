@@ -501,14 +501,12 @@ def overlap_count(W: Window, points, reach: int) -> int:
     return best
 
 
-def g_properness(phi, qualifying: list, K_G: list, W_G: Window, g_candidates: list,
-                 field_of_K=None) -> tuple:
+def g_properness(H, qualifying: list, K_G: list, W_G: Window, g_candidates: list) -> tuple:
     """(margin, witness, margin_is_floor, population) of the left-action
     properness loop, with a witness built for every (candidate, sample) pair
-    and every support-to-K_G distance looked up pair by pair; neither the
-    candidates' word lengths nor the distance field ``field_of_K`` is
-    read."""
-    G = phi.target
+    and every support-to-K_G distance looked up pair by pair; the
+    candidates' word lengths are not read and no distance field is built."""
+    G = W_G.group
     fmtG = G.format_element
     K_set = set(K_G)
     margin = witness = None
@@ -518,7 +516,7 @@ def g_properness(phi, qualifying: list, K_G: list, W_G: Window, g_candidates: li
         for g, h, xi_1 in qualifying:
             moved = [G.mul(gc, a) for a in xi_1.support()]
             hit = [a for a in moved if a in K_set]
-            wit = {"g": fmtG(gc), "xi": [fmtG(g), phi.source.format_element(h)]}
+            wit = {"g": fmtG(gc), "xi": [fmtG(g), H.format_element(h)]}
             if hit:
                 m, wit = Fraction(-1), dict(wit, meeting_point=fmtG(hit[0]))
             else:

@@ -232,15 +232,15 @@ def test_criterion_6_checker_liveness():
     # properness: threshold hand-shrunk to 0 qualifies adjacent slices
     K = psi_of(Z.identity).support()
     failures["properness_h"] = check_properness_h(
-        P, phi, [((0,), (0,))], K, m, W_G, psi_of, 8, 0).status
+        P, [((0,), (0,))], K, m, W_G, psi_of, 8, 0).status
 
     # cocompactness: an empty target set can never absorb half the mass
     failures["cocompactness_h"] = check_cocompactness_h(
-        P, phi, [((0,), (0,))], m, 0, W_G, psi_of, -1).status
+        P, [((0,), (0,))], m, 0, W_G, psi_of, -1).status
 
     # g-action: recentring ball shrunk to a point
     failures["g_action"] = check_g_action(
-        P, phi, [((0,), (0,))], K, W_G, [], psi_of,
+        P, [((0,), (0,))], K, W_G, [], psi_of,
         2 * P.omega_s1 + 2 + 2 * 8, 0).status
 
     ok = all(status == "fail" for status in failures.values())

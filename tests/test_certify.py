@@ -8,6 +8,7 @@ import inspect
 from collections import Counter
 from copy import copy
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 
@@ -52,7 +53,6 @@ from couplingcert.windows import PackingResult, build_window, distance_field, pa
 import oracles
 
 Z = make_group("Z^1")
-PHI_Z = make_coarse_map("identity", Z, Z)
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +251,7 @@ def test_properness_h_passes_nonvacuously(pipeline):
     K = psi_of(Z.identity).support()
     diam_K = pair_extremes(W_G, K)[2]
     assert diam_K == 8
-    res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G,
+    res = check_properness_h(P, [((0,), (0,))], K, m, W_G,
                              psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
     assert res.status == "pass"
     assert res.population == 4  # h in {+-19, +-20}: kappa(|h|) > 18
@@ -262,7 +262,7 @@ def test_properness_h_passes_nonvacuously(pipeline):
 def test_properness_h_fails_with_zero_threshold(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G, psi_of, 8, 0)
+    res = check_properness_h(P, [((0,), (0,))], K, m, W_G, psi_of, 8, 0)
     assert res.status == "fail"
     assert res.witness["h"] in {"1", "-1"}  # first violators are adjacent slices
 
@@ -272,7 +272,7 @@ def test_properness_h_meeting_point_lies_in_K(pipeline):
     # translate of its atom 5
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_properness_h(P, phi, [((-1,), (0,))], K, m, W_G, psi_of, 8, 6)
+    res = check_properness_h(P, [((-1,), (0,))], K, m, W_G, psi_of, 8, 6)
     assert res.status == "fail"
     assert res.witness == {"h": "7", "zeta": ["-1", "0"], "meeting_point": "4"}
     assert Z.parse_element(res.witness["meeting_point"]) in K
@@ -293,15 +293,51 @@ def test_properness_h_vacuous_in_tiny_window():
 
     K = psi_of(Z.identity).support()
     diam_K = pair_extremes(W_G, K)[2]
-    res = check_properness_h(P, phi, [((0,), (0,))], K, m, W_G,
+    res = check_properness_h(P, [((0,), (0,))], K, m, W_G,
                              psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
     assert res.status == "vacuous"
     assert res.population == 0
 
 
+def _outcome(res) -> tuple:
+    return res.status, res.margin, res.witness, res.population, res.details
+
+
+def test_properness_h_takes_the_first_8_samples_meeting_K(pipeline, monkeypatch):
+    # the zetas are the first 8 samples whose orbit point meets [K, 1/2]; a
+    # sample that misses it is skipped, and with none left the identity
+    # sample stands in
+    P, _, m, W_H, W_G, _, psi_of = pipeline
+    K = psi_of(Z.identity).support()
+    # g runs from the far sphere in, so misses open the grid
+    grid = [(g, h) for h in W_H.ball(2) for g in W_G.ball(8)[::-1]]
+    expected = [(g, h) for g, h in grid
+                if act_left(g, psi_of(h)).inner_product(set(K)) >= Fraction(1, 2)][:8]
+    assert len(expected) == 8 and grid.index(expected[0]) > 0
+    taken = []
+    meeting = certify._meeting_K
+
+    def spy(*args):
+        for item in meeting(*args):
+            taken.append(item[:2])
+            yield item
+
+    monkeypatch.setattr(certify, "_meeting_K", spy)
+    check = partial(check_properness_h, P, K=K, m=m, W_G=W_G, psi_of=psi_of, diam_K=8,
+                    threshold=0)
+    res = check(grid)
+    assert taken == expected
+    assert _outcome(res) == _outcome(check(expected))
+    # g = 30 carries the identity's density off K
+    identity = _outcome(check([((0,), (0,))]))
+    assert identity[2]["zeta"] == ["0", "0"]
+    assert _outcome(check([((30,), (0,)), ((0,), (0,))])) == identity
+    assert _outcome(check([((30,), (0,))])) == identity
+
+
 def test_cocompactness_passes(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
-    res = check_cocompactness_h(P, phi, [((0,), (0,)), ((4,), (4,)), ((20,), (0,))],
+    res = check_cocompactness_h(P, [((0,), (0,)), ((4,), (4,)), ((20,), (0,))],
                                 m, 1, W_G, psi_of, 1 + P.omega_s1 + 1)
     assert res.status == "pass"
     assert res.margin >= 0
@@ -310,7 +346,7 @@ def test_cocompactness_passes(pipeline):
 
 def test_cocompactness_trivial_witness_at_identity(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
-    res = check_cocompactness_h(P, phi, [((0,), (0,))], m, 1, W_G, psi_of,
+    res = check_cocompactness_h(P, [((0,), (0,))], m, 1, W_G, psi_of,
                                 1 + P.omega_s1 + 1)
     assert res.status == "pass"
     assert res.witness["f"] == "0"  # f = identity already recenters fully
@@ -319,7 +355,7 @@ def test_cocompactness_trivial_witness_at_identity(pipeline):
 
 def test_cocompactness_fails_with_empty_target_set(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
-    res = check_cocompactness_h(P, phi, [((0,), (0,))], m, 0, W_G, psi_of, -1)
+    res = check_cocompactness_h(P, [((0,), (0,))], m, 0, W_G, psi_of, -1)
     assert res.status == "fail"
 
 
@@ -328,7 +364,7 @@ def test_g_action_passes(pipeline):
     K = psi_of(Z.identity).support()
     tau = 2 * P.omega_s1 + 2 + 2 * 8  # diam K = 8
     ring = [(e, l) for e, l in zip(W_G.elements, W_G.lengths) if tau < l <= tau + 2]
-    res = check_g_action(P, phi, [((0,), (0,)), ((2,), (1,))], K,
+    res = check_g_action(P, [((0,), (0,)), ((2,), (1,))], K,
                          W_G, ring, psi_of, tau, 4 * P.omega_s1 + 4)
     assert res.status == "pass"
     assert res.details["properness_population"] > 0
@@ -338,7 +374,7 @@ def test_g_action_passes(pipeline):
 def test_g_action_fails_with_shrunk_recenter_ball(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_g_action(P, phi, [((0,), (0,))], K, W_G, [],
+    res = check_g_action(P, [((0,), (0,))], K, W_G, [],
                          psi_of, 2 * P.omega_s1 + 2 + 2 * 8, 0)
     assert res.status == "fail"
 
@@ -348,7 +384,7 @@ def test_g_action_recentring_ball_is_closed(pipeline):
     # of its mass, so the recentring part of the margin is exactly 0
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_g_action(P, phi, [((0,), (0,))], K, W_G, [],
+    res = check_g_action(P, [((0,), (0,))], K, W_G, [],
                          psi_of, 2 * P.omega_s1 + 2 + 2 * 8, 4)
     assert res.status == "pass"
     assert res.margin == 0
@@ -359,7 +395,7 @@ def test_g_action_vacuous_properness_population(pipeline):
     # sample meets [K, 1/2] for a one-point K
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = [(0,)]
-    res = check_g_action(P, phi, [((0,), (0,))], K, W_G,
+    res = check_g_action(P, [((0,), (0,))], K, W_G,
                          [((30,), 30)], psi_of, 2 * P.omega_s1 + 2,  # diam K = 0
                          4 * P.omega_s1 + 4)
     assert res.details["properness_population"] == 0
@@ -369,7 +405,7 @@ def test_g_action_vacuous_properness_population(pipeline):
 def test_g_action_fails_where_a_candidate_translate_meets_k(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_g_action(P, phi, [((0,), (0,))], K, W_G,
+    res = check_g_action(P, [((0,), (0,))], K, W_G,
                          [((3,), 3), ((1,), 1)], psi_of, 2 * P.omega_s1 + 2 + 2 * 8,
                          4 * P.omega_s1 + 4)
     assert res.status == "fail"
@@ -403,7 +439,7 @@ def g_action_cases():
         near_h = [h for h in P.inner_elements if W_H.dist.get(h) <= 1]
         xis = [(g, h, act_left(g, psi(P, phi, h)))
                       for g in W_G.elements[:3] for h in near_h[:2]]
-        out[name] = (phi, xis, K, W_G)
+        out[name] = (H, xis, K, W_G)
     return out
 
 
@@ -415,36 +451,36 @@ def with_lengths(W, elements) -> list:
 
 @pytest.mark.parametrize("name", sorted(G_ACTION_CASES))
 def test_g_properness_matches_per_pair_oracle_on_each_kind(g_action_cases, name):
-    phi, xis, K, W_G = g_action_cases[name]
-    dist_window = build_window(phi.target, 3)
+    H, xis, K, W_G = g_action_cases[name]
+    dist_window = build_window(H, 3)
     kinds = {"meets": [], "resolved": [], "floor": []}
     for g in with_lengths(W_G, W_G.elements[::len(W_G.elements) // 400 + 1]):
-        margin, _, floor, _ = _g_properness(phi, xis[:1], K, dist_window, [g])
+        margin, _, floor, _ = _g_properness(H, xis[:1], K, dist_window, [g])
         kind = "meets" if margin == -1 else "floor" if floor else "resolved"
         kinds[kind].append(g)
     for kind, pool in kinds.items():
         candidates = pool[:3] + pool[-3:]
-        got = _g_properness(phi, xis, K, dist_window, candidates)
-        assert got == oracles.g_properness(phi, xis, K, dist_window, candidates), kind
+        got = _g_properness(H, xis, K, dist_window, candidates)
+        assert got == oracles.g_properness(H, xis, K, dist_window, candidates), kind
         assert got[3] == len(candidates) * len(xis)
-    assert "meeting_point" in _g_properness(phi, xis, K, dist_window,
+    assert "meeting_point" in _g_properness(H, xis, K, dist_window,
                                             kinds["meets"][:1])[1]
-    assert 0 <= _g_properness(phi, xis[:1], K, dist_window,
+    assert 0 <= _g_properness(H, xis[:1], K, dist_window,
                               kinds["resolved"])[0] < dist_window.radius
-    assert _g_properness(phi, xis, K, dist_window, kinds["floor"][-3:])[2] is True
+    assert _g_properness(H, xis, K, dist_window, kinds["floor"][-3:])[2] is True
 
 
 @pytest.mark.parametrize("name", sorted(G_ACTION_CASES))
 def test_K_margin_matches_the_moved_back_K_oracle(g_action_cases, name):
     # t.atoms against a field of K, and the atoms against t^-1 K by set
     # distance, must agree on meeting, resolved and floor translates
-    phi, xis, K, W_G = g_action_cases[name]
-    dist_window = build_window(phi.target, 3)
+    H, xis, K, W_G = g_action_cases[name]
+    dist_window = build_window(H, 3)
     to_K_get = distance_field(dist_window, K).get
     kinds = set()
     for t in W_G.elements[::len(W_G.elements) // 60 + 1]:
         for _, _, xi in xis[::2]:
-            got = _K_margin(to_K_get, phi.target.mul, t, xi.atoms, dist_window.radius)
+            got = _K_margin(to_K_get, H.mul, t, xi.atoms, dist_window.radius)
             assert got == oracles.slice_K_margin(dist_window, t, xi.support(), K)
             kinds.add("meets" if got[1] is not None else "floor" if got[2] else "resolved")
     assert kinds == {"meets", "resolved", "floor"}
@@ -453,13 +489,13 @@ def test_K_margin_matches_the_moved_back_K_oracle(g_action_cases, name):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(G_ACTION_CASES)), st.integers(1, 6), st.data())
 def test_g_properness_matches_per_pair_oracle(g_action_cases, name, dist_radius, data):
-    phi, xis, K, W_G = g_action_cases[name]
-    dist_window = build_window(phi.target, dist_radius)
+    H, xis, K, W_G = g_action_cases[name]
+    dist_window = build_window(H, dist_radius)
     candidates = with_lengths(W_G, data.draw(st.lists(st.sampled_from(W_G.elements),
                                                       max_size=12)))
     drawn = data.draw(st.lists(st.sampled_from(xis), max_size=4))
-    assert (_g_properness(phi, drawn, K, dist_window, candidates)
-            == oracles.g_properness(phi, drawn, K, dist_window, candidates))
+    assert (_g_properness(H, drawn, K, dist_window, candidates)
+            == oracles.g_properness(H, drawn, K, dist_window, candidates))
 
 
 def one_block_sample(z) -> list:
@@ -488,19 +524,19 @@ def test_g_properness_bound_stops_at_the_radius(field_builds):
     # gc = -5, whose translate is 5 from k: one field serves both pairs
     W = build_window(Z, 3)
     xis, K = one_block_sample((0,)), [(1,)]
-    got = _g_properness(PHI_Z, xis, K, W, [((5,), 5)])
+    got = _g_properness(Z, xis, K, W, [((5,), 5)])
     assert got == (2, {"g": "5", "xi": ["0", "0"]}, False, 1)
-    assert got == oracles.g_properness(PHI_Z, xis, K, W, [((5,), 5)])
+    assert got == oracles.g_properness(Z, xis, K, W, [((5,), 5)])
     field_builds.clear()
-    got = _g_properness(PHI_Z, xis, K, W, [((5,), 5), ((-5,), 5)])
+    got = _g_properness(Z, xis, K, W, [((5,), 5), ((-5,), 5)])
     assert got == (2, {"g": "5", "xi": ["0", "0"]}, True, 2)
-    assert got == oracles.g_properness(PHI_Z, xis, K, W, [((5,), 5), ((-5,), 5)])
+    assert got == oracles.g_properness(Z, xis, K, W, [((5,), 5), ((-5,), 5)])
     assert field_builds == [K]
     # one step further the bound settles the pair without a field
     field_builds.clear()
-    got = _g_properness(PHI_Z, xis, K, W, [((6,), 6), ((-6,), 6)])
+    got = _g_properness(Z, xis, K, W, [((6,), 6), ((-6,), 6)])
     assert got == (3, {"g": "6", "xi": ["0", "0"]}, True, 2)
-    assert got == oracles.g_properness(PHI_Z, xis, K, W, [((6,), 6), ((-6,), 6)])
+    assert got == oracles.g_properness(Z, xis, K, W, [((6,), 6), ((-6,), 6)])
     assert field_builds == []
 
 
@@ -513,9 +549,9 @@ def test_g_properness_bound_is_off_outside_the_window(field_builds, atom, K, gc)
     # pair a floor pair, yet the translate meets K
     W = build_window(Z, 3)
     xis = one_block_sample(atom)
-    got = _g_properness(PHI_Z, xis, K, W, [(gc, abs(gc[0]))])
+    got = _g_properness(Z, xis, K, W, [(gc, abs(gc[0]))])
     assert got[0] == -1 and got[1]["meeting_point"] == Z.format_element(K[0])
-    assert got == oracles.g_properness(PHI_Z, xis, K, W, [(gc, abs(gc[0]))])
+    assert got == oracles.g_properness(Z, xis, K, W, [(gc, abs(gc[0]))])
     assert field_builds == [K]
 
 
@@ -540,11 +576,21 @@ def test_g_action_builds_no_distance_field_on_shear_z2(field_builds, monkeypatch
 
 
 @pytest.mark.parametrize("name", [name for name, _ in DEMO_CONFIGS])
-def test_a_run_builds_at_most_one_distance_field(field_builds, name):
-    # properness_h and g_action share one lazy field of K; shear-z2 needs
-    # none, the Z^1 demos one each
+def test_each_check_builds_at_most_one_distance_field(field_builds, monkeypatch, name):
+    # only check_properness_h and check_g_action read a field of K, each
+    # builds at most one, and shear-z2 needs none
+    built = Counter()
+    for check in ("check_properness_h", "check_g_action"):
+        def marked(*args, check=check, run=getattr(certify, check)):
+            start = len(field_builds)
+            result = run(*args)
+            built[check] += len(field_builds) - start
+            return result
+
+        monkeypatch.setattr(certify, check, marked)
     run_all(dict(DEMO_CONFIGS)[name])
-    assert len(field_builds) == (0 if name == "shear-z2" else 1)
+    assert sum(built.values()) == len(field_builds)
+    assert max(built.values()) <= (0 if name == "shear-z2" else 1)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in DEMO_CONFIGS])
@@ -679,46 +725,41 @@ def test_output_path_may_be_none_or_a_string(path):
     validate_config(RunConfig(output_path=path))
 
 
-# id -> (call(P, phi, m, W_G, psi_of, K), error type, message) for each
+# id -> (call(P, m, W_G, psi_of, K), error type, message) for each
 # refusal of a check whose window or inputs cannot support it, on the
 # identity of Z with W_G of radius 40 and K the support of psi_0
 CHECK_REFUSALS = {
-    # g = 30 carries the identity's density off K
-    "properness-zeta-misses-K": (
-        lambda P, phi, m, W_G, psi_of, K: check_properness_h(
-            P, phi, [((30,), (0,))], K, m, W_G, psi_of, 8, 1000),
-        PreconditionError, "a zeta sample does not meet [K, 1/2] at the identity"),
     # 2.psi_0 puts 8/9 of its mass on K = [-4, 4], and its atom 6 is 2 > 1
     # from K
     "properness-atom-unresolved": (
-        lambda P, phi, m, W_G, psi_of, K: check_properness_h(
-            P, phi, [((2,), (0,))], K, m, build_window(Z, 1), psi_of, 0, 1000),
+        lambda P, m, W_G, psi_of, K: check_properness_h(
+            P, [((2,), (0,))], K, m, build_window(Z, 1), psi_of, 0, 1000),
         ResolutionError, "support-to-K distance does not resolve"),
     "cocompactness-K-radius": (
-        lambda P, phi, m, W_G, psi_of, K: check_cocompactness_h(
-            P, phi, [], m, 0, W_G, psi_of, 41),
+        lambda P, m, W_G, psi_of, K: check_cocompactness_h(
+            P, [], m, 0, W_G, psi_of, 41),
         PreconditionError, "K radius 41 exceeds the target window radius 40"),
     "cocompactness-straddle": (
-        lambda P, phi, m, W_G, psi_of, K: check_cocompactness_h(
-            P, phi, [((0,), (0,))], m, 0, build_window(Z, 2), psi_of, 0),
+        lambda P, m, W_G, psi_of, K: check_cocompactness_h(
+            P, [((0,), (0,))], m, 0, build_window(Z, 2), psi_of, 0),
         ResolutionError, "the support of a sampled orbit point straddles the target window "
                          "edge; enlarge the window or shrink the sample radii"),
     # h = 20 sits on the inner edge, so the search stops at radius 0, where
     # an empty K (radius -1) absorbs no mass
     "cocompactness-truncated": (
-        lambda P, phi, m, W_G, psi_of, K: check_cocompactness_h(
-            P, phi, [((0,), (20,))], m, 0, W_G, psi_of, -1),
+        lambda P, m, W_G, psi_of, K: check_cocompactness_h(
+            P, [((0,), (20,))], m, 0, W_G, psi_of, -1),
         ResolutionError, "witness search truncated at radius 0 below r=27; "
                          "enlarge the source window"),
     # no sample qualifies, so the identity's support is recentred
     "g_action-support-leaves": (
-        lambda P, phi, m, W_G, psi_of, K: check_g_action(
-            P, phi, [], K, build_window(Z, 1), [], psi_of, 0, 20),
+        lambda P, m, W_G, psi_of, K: check_g_action(
+            P, [], K, build_window(Z, 1), [], psi_of, 0, 20),
         ResolutionError, "support of a sample leaves the target window"),
     # psi_1 (diameter 5) recentres within radius 5; psi_0 has diameter 8
     "g_action-inner-diameter": (
-        lambda P, phi, m, W_G, psi_of, K: check_g_action(
-            P, phi, [((0,), (1,))], psi_of((1,)).support(), build_window(Z, 5), [],
+        lambda P, m, W_G, psi_of, K: check_g_action(
+            P, [((0,), (1,))], psi_of((1,)).support(), build_window(Z, 5), [],
             psi_of, 0, 20),
         ResolutionError, "inner support diameter does not resolve"),
 }
@@ -726,10 +767,10 @@ CHECK_REFUSALS = {
 
 @pytest.mark.parametrize("case", list(CHECK_REFUSALS))
 def test_a_check_refuses_inputs_its_window_cannot_support(pipeline, case):
-    P, phi, m, _, W_G, _, psi_of = pipeline
+    P, _, m, _, W_G, _, psi_of = pipeline
     call, error, message = CHECK_REFUSALS[case]
     with pytest.raises(error) as exc:
-        call(P, phi, m, W_G, psi_of, psi_of((0,)).support())
+        call(P, m, W_G, psi_of, psi_of((0,)).support())
     assert type(exc.value) is error and str(exc.value) == message
 
 
