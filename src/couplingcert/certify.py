@@ -28,7 +28,6 @@ core radius from ``radius_G``, and the table's extent from ``radius_H``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
@@ -316,8 +315,8 @@ def check_sandwich(
     By left-invariance the support distance of (g.psi.h)_f1 and
     (g.psi.h)_f2 is that of psi_{h f1} and psi_{h f2}, so the witness
     carries no g: distinct h are walked once, in first-seen order, and
-    counted with their multiplicity.  The evaluation pairs do not depend
-    on h and distinct coordinate pairs are evaluated once.
+    each sample counts every evaluation pair.  The evaluation pairs do not
+    depend on h and distinct coordinate pairs are evaluated once.
     """
     if not 0 <= eval_radius <= P.inner_radius:
         raise PreconditionError(f"eval radius {eval_radius} is outside [0, {P.inner_radius}]")
@@ -336,9 +335,7 @@ def check_sandwich(
     lower_worst = _Worst()
     upper_worst = _Worst()
     cache: dict = {}
-    population = 0
-    skipped = 0
-    for h, mult in Counter(h for _, h in samples).items():
+    for h in dict.fromkeys(h for _, h in samples):
         hf = P.inner_translates(h, fs)
         for i, j, t, kap, ome in pairs:
             a, b = hf[i], hf[j]
@@ -351,8 +348,8 @@ def check_sandwich(
                            "distance": t, "support_distance": sd}
             lower_worst.update(sd - (kap - pad), wit)
             upper_worst.update((ome + pad) - sd, wit)
-        population += len(pairs) * mult
-        skipped += unsupported * mult
+    population = len(pairs) * len(samples)
+    skipped = unsupported * len(samples)
     if population == 0:
         return CheckResult("sandwich", None, None, 0,
                            details={"skipped_unsupported_t": skipped})
@@ -382,8 +379,8 @@ def check_properness_h(
     """For h with kappa(d(h,1)) above ``threshold``, the h-slice of any
     orbit point meeting [K, 1/2] at the identity has support disjoint from
     K.  The pipeline's threshold is diam(K) + 2*omega(s+1) + 2.  The zetas
-    are the first 8 samples that meet [K, 1/2], or the identity sample
-    when none does.
+    are the first 8 samples that meet [K, 1/2]; with none, the check is
+    vacuous.
 
     kappa is nondecreasing, so those h are one shell of the source window.
     By left-invariance d(a, g^-1 k) = d(g.a, k): a slice of the sample
@@ -391,8 +388,7 @@ def check_properness_h(
     K, built only when the shell is non-empty.
     """
     H, G = P.window_H.group, W_G.group
-    zetas = list(islice(_meeting_K(samples, K, psi_of), 8)) or [
-        (G.identity, H.identity, act_left(G.identity, psi_of(H.identity)))]
+    zetas = list(islice(_meeting_K(samples, K, psi_of), 8))
     worst = _Worst()
     confinement = _Worst()
     population = 0
@@ -621,7 +617,7 @@ def _g_properness(
 
 def check_g_action(
     P: PartitionOfUnity,
-    xi_samples: list,
+    samples: list,
     K_G: list,
     W_G: Window,
     g_candidates: list,
@@ -630,6 +626,9 @@ def check_g_action(
     recenter_bound: int,
 ) -> CheckResult:
     """Properness and cocompactness of the left action.
+
+    Parts (a) and (b) walk those of the first 8 ``samples`` that meet
+    [K_G, 1/2]; when none does, both are empty.
 
     (a) properness: translates of [K_G, 1/2] by far g miss it -- supports
     become disjoint from K_G beyond tau = 2*omega(s+1) + 2 + 2*diam(K_G),
@@ -647,15 +646,14 @@ def check_g_action(
     H, G = P.window_H.group, W_G.group
     fmtG = G.format_element
     worst = _Worst()
-    qualifying = list(_meeting_K(xi_samples, K_G, psi_of))
+    qualifying = list(_meeting_K(samples[:8], K_G, psi_of))
     margin, witness, margin_is_floor, pop_proper = _g_properness(
         H, qualifying, K_G, W_G, g_candidates)
     if pop_proper:
         worst.update(margin, witness)
 
     pop_recenter = 0
-    for g, h, xi_1 in qualifying or [
-            (G.identity, H.identity, act_left(G.identity, psi_of(H.identity)))]:
+    for g, h, xi_1 in qualifying:
         supp = xi_1.support()
         if not all(map(W_G.dist.__contains__, supp)):
             raise ResolutionError("support of a sample leaves the target window")
@@ -785,7 +783,7 @@ def run_all(config) -> Certificate:
             aux = ball_window(W_G, tau + 2)
             g_candidates = [(gc, aux.dist[gc]) for gc in aux.shell(tau, tau + 2)[:512]]
             checks.append(check_g_action(
-                P, samples[:8], K_base, W_G, g_candidates, psi_of, tau, recenter_bound))
+                P, samples, K_base, W_G, g_candidates, psi_of, tau, recenter_bound))
 
         stage = "assemble"
         constants = {

@@ -208,13 +208,12 @@ def make_coarse_map(descriptor: str, H: GroupModel, G: GroupModel) -> CoarseMap:
 
 class Moduli:
     def __init__(self, t_max: int, kappa: list, omega: list, provenance: str,
-                 pair_counts: Optional[list] = None, requested_t_max: Optional[int] = None,
-                 truncated_at: Optional[int] = None):
+                 requested_t_max: Optional[int] = None, truncated_at: Optional[int] = None):
         self.t_max = t_max
         self.kappa = kappa
         self.omega = omega
         self.provenance = provenance  # "window-estimated" | "analytic"
-        self._pair_counts = pair_counts
+        self._pair_counts = None  # set by estimate_moduli
         self.requested_t_max = requested_t_max
         # the least source distance with an image distance the target window
         # misses, when it cut the table below requested_t_max
@@ -223,8 +222,8 @@ class Moduli:
     @property
     def pair_counts(self) -> Optional[list]:
         """Per t: the number of scanned pairs at source distance exactly t,
-        None when not counted.  A function given in its place runs once,
-        on the first read."""
+        None when not counted.  A function set in its place runs once, on
+        the first read."""
         if callable(self._pair_counts):
             self._pair_counts = self._pair_counts()
         return self._pair_counts

@@ -305,8 +305,8 @@ def _outcome(res) -> tuple:
 
 def test_properness_h_takes_the_first_8_samples_meeting_K(pipeline, monkeypatch):
     # the zetas are the first 8 samples whose orbit point meets [K, 1/2]; a
-    # sample that misses it is skipped, and with none left the identity
-    # sample stands in
+    # sample that misses it is skipped, and with none left the check is
+    # vacuous
     P, _, m, W_H, W_G, _, psi_of = pipeline
     K = psi_of(Z.identity).support()
     # g runs from the far sphere in, so misses open the grid
@@ -332,7 +332,8 @@ def test_properness_h_takes_the_first_8_samples_meeting_K(pipeline, monkeypatch)
     identity = _outcome(check([((0,), (0,))]))
     assert identity[2]["zeta"] == ["0", "0"]
     assert _outcome(check([((30,), (0,)), ((0,), (0,))])) == identity
-    assert _outcome(check([((30,), (0,))])) == identity
+    res = check([((30,), (0,))])
+    assert (res.status, res.population) == ("vacuous", 0)
 
 
 def test_cocompactness_passes(pipeline):
@@ -399,7 +400,22 @@ def test_g_action_vacuous_properness_population(pipeline):
                          [((30,), 30)], psi_of, 2 * P.omega_s1 + 2,  # diam K = 0
                          4 * P.omega_s1 + 4)
     assert res.details["properness_population"] == 0
-    assert res.status == "pass"  # recentring and diameter parts still run
+    assert res.status == "pass"  # the diameter part still runs
+
+
+def test_action_checks_certify_no_sample_off_K(pipeline):
+    # one atom carries at most 1/3 of a density's mass, so no sample meets
+    # [K, 1/2] for a one-point K, and neither check recentres or measures
+    # a sample it was not handed
+    P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
+    K = [(0,)]
+    res = check_properness_h(P, [((0,), (0,))], K, m, W_G, psi_of, 0, 10)
+    assert (res.status, res.population) == ("vacuous", 0)
+    res = check_g_action(P, [((0,), (0,))], K, W_G,
+                         [((30,), 30)], psi_of, 2 * P.omega_s1 + 2,
+                         4 * P.omega_s1 + 4)
+    assert res.details["recenter_population"] == 0
+    assert res.population == res.details["diameter_population"] == 41
 
 
 def test_g_action_fails_where_a_candidate_translate_meets_k(pipeline):
@@ -751,10 +767,10 @@ CHECK_REFUSALS = {
             P, [((0,), (20,))], m, 0, W_G, psi_of, -1),
         ResolutionError, "witness search truncated at radius 0 below r=27; "
                          "enlarge the source window"),
-    # no sample qualifies, so the identity's support is recentred
+    # psi_0 meets K = supp psi_0, so its support is recentred
     "g_action-support-leaves": (
         lambda P, m, W_G, psi_of, K: check_g_action(
-            P, [], K, build_window(Z, 1), [], psi_of, 0, 20),
+            P, [((0,), (0,))], K, build_window(Z, 1), [], psi_of, 0, 20),
         ResolutionError, "support of a sample leaves the target window"),
     # psi_1 (diameter 5) recentres within radius 5; psi_0 has diameter 8
     "g_action-inner-diameter": (

@@ -9,9 +9,9 @@ every loaded ``couplingcert`` module that holds the routine, so
 
 Run as a script, the file checks the four full-size benchmark workloads of
 ``perfbench/workloads.py`` instead, and then the demo configurations that
-are not among them: on the full-size workloads ``distance_field`` runs only
-inside ``_g_properness``, whose own oracle replaces it, while the ``Z^1``
-demos also reach it from ``check_properness_h``.  Each line gives the wall
+are not among them: no full-size workload builds a distance field, while
+the two ``Z^1`` demos each build one in ``check_properness_h`` and one in
+``_g_properness``.  Each line gives the wall
 seconds of the shipped run and of the oracle run beside the verdict.  From
 the checkout root::
 
