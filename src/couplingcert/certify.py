@@ -379,8 +379,8 @@ def check_properness_h(
     """For h with kappa(d(h,1)) above ``threshold``, the h-slice of any
     orbit point meeting [K, 1/2] at the identity has support disjoint from
     K.  The pipeline's threshold is diam(K) + 2*omega(s+1) + 2.  The zetas
-    are the first 8 samples that meet [K, 1/2]; with none, the check is
-    vacuous.
+    are the first 8 samples that meet [K, 1/2] (:func:`_meeting_K`); with
+    none, the check is vacuous.
 
     kappa is nondecreasing, so those h are one shell of the source window.
     By left-invariance d(a, g^-1 k) = d(g.a, k): a slice of the sample
@@ -388,7 +388,7 @@ def check_properness_h(
     K, built only when the shell is non-empty.
     """
     H, G = P.window_H.group, W_G.group
-    zetas = list(islice(_meeting_K(samples, K, psi_of), 8))
+    zetas = _meeting_K(samples, K, psi_of)
     worst = _Worst()
     confinement = _Worst()
     population = 0
@@ -540,14 +540,13 @@ def _K_margin(to_K_get, mul, t, atoms, floor) -> tuple:
     return (floor, None, True) if d is None else (d - 1, None, False)
 
 
-def _meeting_K(samples: list, K: list, psi_of: Callable):
-    """(g, h, g.psi_h) for each sample (g, h) whose orbit point puts mass
-    at least :data:`HALF` on K, in sample order."""
+def _meeting_K(samples: list, K: list, psi_of: Callable) -> list:
+    """(g, h, g.psi_h) for the first 8 samples (g, h), in sample order, whose
+    orbit point puts mass at least :data:`HALF` on K: the zetas of both
+    action checks."""
     K_set = set(K)
-    for g, h in samples:
-        xi_1 = act_left(g, psi_of(h))
-        if xi_1.inner_product(K_set) >= HALF:
-            yield g, h, xi_1
+    points = ((g, h, act_left(g, psi_of(h))) for g, h in samples)
+    return list(islice((p for p in points if p[2].inner_product(K_set) >= HALF), 8))
 
 
 def _reach(dist_get, points) -> Optional[int]:
@@ -627,8 +626,9 @@ def check_g_action(
 ) -> CheckResult:
     """Properness and cocompactness of the left action.
 
-    Parts (a) and (b) walk those of the first 8 ``samples`` that meet
-    [K_G, 1/2]; when none does, both are empty.
+    Parts (a) and (b) walk the first 8 ``samples`` that meet [K_G, 1/2]
+    (:func:`_meeting_K`), as :func:`check_properness_h` does; when none
+    does, both are empty.
 
     (a) properness: translates of [K_G, 1/2] by far g miss it -- supports
     become disjoint from K_G beyond tau = 2*omega(s+1) + 2 + 2*diam(K_G),
@@ -646,7 +646,7 @@ def check_g_action(
     H, G = P.window_H.group, W_G.group
     fmtG = G.format_element
     worst = _Worst()
-    qualifying = list(_meeting_K(samples[:8], K_G, psi_of))
+    qualifying = _meeting_K(samples, K_G, psi_of)
     margin, witness, margin_is_floor, pop_proper = _g_properness(
         H, qualifying, K_G, W_G, g_candidates)
     if pop_proper:

@@ -64,9 +64,10 @@ class GroupModel:
 
     def sphere(self, r: int, prev: list):
         """``(size, listing)`` for the sphere of length ``r >= 1``: its exact
-        size, and a function listing it in the order ``windows._bfs`` meets
-        it, given ``prev``, the sphere of length r-1 in that order; None
-        where ``_bfs`` must search.  ``_bfs`` meets each element first from
+        size, which does not depend on ``prev``, and a function listing it
+        in the order ``windows._bfs`` meets it, given ``prev``, the sphere of
+        length r-1 in that order; None, for every ``r``, where ``_bfs``
+        must search.  ``_bfs`` meets each element first from
         its parent of least position in ``prev``, by the least generator
         that steps there, so by induction on ``r`` a sphere comes in the
         lexicographic order of its elements' least geodesic words, letters

@@ -6,7 +6,8 @@ A :class:`Window` is the radius-R ball of the word metric as one table:
 of a search from the identity in the model's fixed generator order.  A
 ball, and a larger ball from a window's outer level (:func:`ball_window`),
 is listed sphere by sphere where the model knows its spheres in that order
-(``GroupModel.sphere``), else searched by :func:`_bfs`, which also builds
+(``GroupModel.sphere``), once their sizes are within the element budget,
+else searched by :func:`_bfs`, which also builds
 distance fields.  ``d(a, b)`` is ``dist.get(a^-1 b)``, and a lookup miss
 means the distance exceeds the window radius.
 
@@ -104,18 +105,20 @@ def _over_budget(G: GroupModel, level: int) -> WindowBudgetError:
 
 def _grow(G: GroupModel, dist: dict, shell: list, level: int, depth: int) -> dict:
     """Extend the ball ``dist`` from its outer level ``level``, ``shell``,
-    to ``depth``: by ``G.sphere``, each sphere checked against the budget
-    from its size before it is listed, else by :func:`_bfs`."""
-    while shell and level < depth:
-        known = G.sphere(level + 1, shell)
+    to ``depth``: by ``G.sphere``, the sizes of all the spheres up to
+    ``depth`` checked against the budget before any sphere is listed, else
+    by :func:`_bfs`, which checks each element as it meets it."""
+    total = len(dist)
+    for r in range(level + 1, depth + 1):
+        known = G.sphere(r, shell)
         if known is None:
             return _bfs(G, dist, shell, level, depth)
-        size, listing = known
-        level += 1
-        if len(dist) + size > DEFAULT_ELEMENT_BUDGET:
-            raise _over_budget(G, level)
-        shell = listing()
-        dist.update(zip(shell, repeat(level)))
+        total += known[0]
+        if total > DEFAULT_ELEMENT_BUDGET:
+            raise _over_budget(G, r)
+    for r in range(level + 1, depth + 1):
+        shell = G.sphere(r, shell)[1]()
+        dist.update(zip(shell, repeat(r)))
     return dist
 
 
@@ -261,11 +264,12 @@ def greedy_net(W: Window, s: int) -> Net:
 
 
 class PackingResult:
-    def __init__(self, value: int, exact: bool, witness: Optional[list] = None,
-                 nodes: int = 0, note: str = ""):
+    """The packing bound ``value``, exact when ``exact``; ``nodes`` counts
+    the search nodes visited, and ``note`` says why the search gave up."""
+
+    def __init__(self, value: int, exact: bool, nodes: int = 0, note: str = ""):
         self.value = value
         self.exact = exact
-        self.witness = witness
         self.nodes = nodes
         self.note = note
 
@@ -284,10 +288,11 @@ def packing_number(W: Window, separation: int, diam_bound: int) -> PackingResult
     radius diam_bound via branch and bound, with the compatibility graph
     and the branching sets held as integer bitmasks.  It branches in
     increasing index order, so the compatibility rows keep only their
-    upper triangle (:func:`_compat_rows`).  A child
-    that cannot branch (an empty mask, or one too small to beat the best
-    size) is counted and may record a new best without a call; ``nodes``
-    still counts every node.  When the candidate set exceeds
+    upper triangle (:func:`_compat_rows`).  The search keeps only the size
+    of its best set, never its members: ``M`` is read only as a bound.  A
+    child that cannot branch (an empty mask, or one too small to beat the
+    best size) is counted and may raise the best size without a call;
+    ``nodes`` still counts every node.  When the candidate set exceeds
     ``DEFAULT_CANDIDATE_CAP`` or the search exceeds ``DEFAULT_NODE_BUDGET``
     nodes, the volume upper bound is returned with the exactness flag
     cleared; an overestimate is always safe downstream.
@@ -314,21 +319,20 @@ def packing_number(W: Window, separation: int, diam_bound: int) -> PackingResult
         return PackingResult(
             value=ub,
             exact=False,
-            witness=None,
             nodes=0,
             note=f"candidate set of size {len(candidates)} exceeds cap {candidate_cap}",
         )
 
     compat = _compat_rows(W, candidates, separation, diam_bound)
-    best, best_set = 1, [0]
+    best = 1
     nodes = 1  # the root: configurations are translated so candidate 0 (the identity) is a member
 
-    def extend(current: list, allowed: int, room: int) -> bool:
+    def extend(depth: int, allowed: int, room: int) -> bool:
         # branch on the `room` members of `allowed` in increasing index
-        # order; each child is counted here and called only when it can
-        # branch.  True when the node budget ran out.
-        nonlocal best, best_set, nodes
-        depth = len(current) + 1  # of the children
+        # order, each child a set of `depth` members; each child is counted
+        # here and called only when it can branch.  True when the node
+        # budget ran out.
+        nonlocal best, nodes
         while allowed:
             if depth - 1 + room <= best:
                 return False
@@ -340,32 +344,22 @@ def packing_number(W: Window, separation: int, diam_bound: int) -> PackingResult
             if nodes > node_budget:
                 return True
             if depth > best:
-                best, best_set = depth, current + [j]
+                best = depth
             child = allowed & compat[j]
             size = child.bit_count()
-            if depth + size > best:
-                current.append(j)
-                aborted = extend(current, child, size)
-                current.pop()
-                if aborted:
-                    return True
+            if depth + size > best and extend(depth + 1, child, size):
+                return True
         return False
 
-    aborted = nodes > node_budget or extend([0], compat[0], compat[0].bit_count())
+    aborted = nodes > node_budget or extend(2, compat[0], compat[0].bit_count())
     if aborted:
         return PackingResult(
             value=ub,
             exact=False,
-            witness=None,
             nodes=nodes,
             note=f"node budget {node_budget} exceeded",
         )
-    return PackingResult(
-        value=best,
-        exact=True,
-        witness=[candidates[i] for i in best_set],
-        nodes=nodes,
-    )
+    return PackingResult(value=best, exact=True, nodes=nodes)
 
 
 def _compat_rows(W: Window, candidates: list, lo: int, hi: int) -> list:

@@ -291,7 +291,6 @@ def packing_number_lookup(
         return PackingResult(
             value=ub,
             exact=False,
-            witness=None,
             nodes=0,
             note=f"candidate set of size {len(candidates)} exceeds cap {candidate_cap}",
         )
@@ -315,51 +314,42 @@ def packing_number_lookup(
         compat[i] |= row
 
     best = 1 if n else 0
-    best_set = [0] if n else []
     nodes = 0
     aborted = False
 
-    def extend(current: list, allowed: int):
-        # branch on the members of `allowed` in increasing index order
-        nonlocal best, best_set, nodes, aborted
+    def extend(size: int, allowed: int):
+        # branch on the members of `allowed` in increasing index order,
+        # below a set of `size` members
+        nonlocal best, nodes, aborted
         nodes += 1
         if nodes > node_budget:
             aborted = True
             return
-        if len(current) > best:
-            best = len(current)
-            best_set = list(current)
+        if size > best:
+            best = size
         room = allowed.bit_count()
         while allowed:
-            if len(current) + room <= best:
+            if size + room <= best:
                 return
             low = allowed & -allowed
             j = low.bit_length() - 1
             allowed ^= low
             room -= 1
-            current.append(j)
-            extend(current, allowed & compat[j])
-            current.pop()
+            extend(size + 1, allowed & compat[j])
             if aborted:
                 return
 
     if n:
         # configurations are translated so candidate 0 (the identity) is a member
-        extend([0], compat[0])
+        extend(1, compat[0])
     if aborted:
         return PackingResult(
             value=ub,
             exact=False,
-            witness=None,
             nodes=nodes,
             note=f"node budget {node_budget} exceeded",
         )
-    return PackingResult(
-        value=best,
-        exact=True,
-        witness=[candidates[i] for i in best_set],
-        nodes=nodes,
-    )
+    return PackingResult(value=best, exact=True, nodes=nodes)
 
 
 def _weights(d: SparseDensity) -> dict:

@@ -258,7 +258,7 @@ def test_criterion_7_byte_identical_reports():
 def _bumped_packing(*args):
     """packing_number with M -> M+3, flagged inexact: a looser safe bound."""
     res = packing_number(*args)
-    return PackingResult(res.value + 3, False, res.witness, res.nodes, res.note)
+    return PackingResult(res.value + 3, False, res.nodes, res.note)
 
 
 def test_criterion_8_monotone_safety(cert1, monkeypatch):

@@ -303,13 +303,13 @@ def _outcome(res) -> tuple:
     return res.status, res.margin, res.witness, res.population, res.details
 
 
-def test_properness_h_takes_the_first_8_samples_meeting_K(pipeline, monkeypatch):
-    # the zetas are the first 8 samples whose orbit point meets [K, 1/2]; a
-    # sample that misses it is skipped, and with none left the check is
-    # vacuous
-    P, _, m, W_H, W_G, _, psi_of = pipeline
+def _far_first_grid(pipeline, monkeypatch) -> tuple:
+    """(K, grid, expected, taken): a grid whose g runs from the far sphere
+    in, so misses of [K, 1/2] open it; the first 8 of its samples that
+    meet [K, 1/2]; and the list a spy on ``_meeting_K`` fills with the
+    samples it selects."""
+    _, _, _, W_H, W_G, _, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    # g runs from the far sphere in, so misses open the grid
     grid = [(g, h) for h in W_H.ball(2) for g in W_G.ball(8)[::-1]]
     expected = [(g, h) for g, h in grid
                 if act_left(g, psi_of(h)).inner_product(set(K)) >= Fraction(1, 2)][:8]
@@ -318,11 +318,20 @@ def test_properness_h_takes_the_first_8_samples_meeting_K(pipeline, monkeypatch)
     meeting = certify._meeting_K
 
     def spy(*args):
-        for item in meeting(*args):
-            taken.append(item[:2])
-            yield item
+        zetas = meeting(*args)
+        taken.extend(item[:2] for item in zetas)
+        return zetas
 
     monkeypatch.setattr(certify, "_meeting_K", spy)
+    return K, grid, expected, taken
+
+
+def test_properness_h_takes_the_first_8_samples_meeting_K(pipeline, monkeypatch):
+    # the zetas are the first 8 samples whose orbit point meets [K, 1/2]; a
+    # sample that misses it is skipped, and with none left the check is
+    # vacuous
+    P, _, m, _, W_G, _, psi_of = pipeline
+    K, grid, expected, taken = _far_first_grid(pipeline, monkeypatch)
     check = partial(check_properness_h, P, K=K, m=m, W_G=W_G, psi_of=psi_of, diam_K=8,
                     threshold=0)
     res = check(grid)
@@ -334,6 +343,20 @@ def test_properness_h_takes_the_first_8_samples_meeting_K(pipeline, monkeypatch)
     assert _outcome(check([((30,), (0,)), ((0,), (0,))])) == identity
     res = check([((30,), (0,))])
     assert (res.status, res.population) == ("vacuous", 0)
+
+
+def test_g_action_takes_the_first_8_samples_meeting_K(pipeline, monkeypatch):
+    # g_action recentres the zetas properness_h takes, not those of the
+    # grid's first 8 samples, which all miss [K, 1/2]
+    P, _, _, _, W_G, _, psi_of = pipeline
+    K, grid, expected, taken = _far_first_grid(pipeline, monkeypatch)
+    check = partial(check_g_action, P, K_G=K, W_G=W_G, g_candidates=[((30,), 30)],
+                    psi_of=psi_of, tau=2 * P.omega_s1 + 2 + 2 * 8,  # diam K = 8
+                    recenter_bound=4 * P.omega_s1 + 4)
+    res = check(grid)
+    assert taken == expected
+    assert res.details["recenter_population"] == 8
+    assert _outcome(res) == _outcome(check(expected))
 
 
 def test_cocompactness_passes(pipeline):
@@ -815,7 +838,7 @@ def test_monotone_safety_of_m(monkeypatch):
     def bumped_packing(*args):
         # M -> M+3, flagged inexact: a looser bound is still a safe one
         res = exact(*args)
-        return PackingResult(res.value + 3, False, res.witness, res.nodes, res.note)
+        return PackingResult(res.value + 3, False, res.nodes, res.note)
 
     monkeypatch.setattr(coupling, "packing_number", bumped_packing)
     bumped = run_all(cfg)

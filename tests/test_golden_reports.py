@@ -19,7 +19,7 @@ from couplingcert.cli import DEMO_CONFIGS, RunConfig, main, render_report
 
 GOLDEN = {
     "identity-z": "a39985ea66b5301c23c87c5fae70c0449d76a7d573b65f153fe9fec99606105a",
-    "scale2-z": "586027c070a71b711521c105890e3456a445506742993243d69edb6823a2c7fa",
+    "scale2-z": "9c4b9f2201f220dec444fdf59ea9c0149d4c31da9ea71239dfd4173cb2bb86cd",
     "shear-z2": "2310495a6e127524163ac907786d90894aa9dcba2e9a076db4887c2d0075e436",
 }
 

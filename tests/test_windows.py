@@ -150,21 +150,30 @@ def test_budget_error_reports_radius(monkeypatch):
 
 
 def test_a_sphere_over_the_budget_is_refused_before_it_is_listed(monkeypatch):
-    # B(4) of F_3 holds 937 elements, and its radius-5 sphere 3,750 more
-    G = make_group("F_3")
-    listed = []
-    sphere = G.sphere
+    # the sphere sizes are summed before any sphere of the ball is listed.
+    # B(4) of F_3 holds 937 elements, and its radius-5 sphere 3,750 more;
+    # B(5) of F_2 holds 485 elements and B(6) 1,457, so growing a listed
+    # B(3) to B(40) raises at radius 6 as the fresh ball does
+    for desc, budget, grown_from, radius_reached in [("F_3", 4_000, None, 4),
+                                                      ("F_2", 1_000, 3, 5)]:
+        G = make_group(desc)
+        W = None if grown_from is None else build_window(G, grown_from)
+        listed = []
+        sphere = G.sphere
 
-    def spy(r, prev):
-        size, listing = sphere(r, prev)
-        return size, lambda: listed.append(r) or listing()
+        def spy(r, prev):
+            size, listing = sphere(r, prev)
+            return size, lambda: listed.append(r) or listing()
 
-    monkeypatch.setattr(G, "sphere", spy)
-    monkeypatch.setattr(windows, "DEFAULT_ELEMENT_BUDGET", 4_000)
-    with pytest.raises(WindowBudgetError) as exc:
-        build_window(G, 40)
-    assert exc.value.radius_reached == 4
-    assert listed == [1, 2, 3, 4]
+        monkeypatch.setattr(G, "sphere", spy)
+        monkeypatch.setattr(windows, "DEFAULT_ELEMENT_BUDGET", budget)
+        with pytest.raises(WindowBudgetError) as exc:
+            build_window(G, 40) if W is None else ball_window(W, 40)
+        assert str(exc.value) == (f"breadth-first search in {desc} exceeded the "
+                                  f"{budget}-element budget at radius {radius_reached + 1}")
+        assert exc.value.radius_reached == radius_reached
+        assert listed == []
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize(
@@ -443,47 +452,41 @@ def test_non_integer_scales_and_bounds_are_refused():
 
 
 def test_packing_matches_naive_oracle_small():
-    W = build_window(make_group("Z^1"), 6)
-    for sep in (2, 3, 4):
-        for diam in (0, 2, 4, 6):
-            if diam + sep > 2 * W.radius:
-                continue
-            assert packing_number(W, sep, diam).value == packing_number_naive(W, sep, diam)
+    # the exhaustive search shows that each exact value is reached
+    for desc, radius in [("Z^1", 6), ("Z^2", 3), ("Heis", 3), ("F_2", 3), ("C_5 x Z^1", 3)]:
+        W = build_window(make_group(desc), radius)
+        for sep in (2, 3, 4):
+            for diam in range(radius + 1):
+                if diam + sep > 2 * radius:
+                    continue
+                res = packing_number(W, sep, diam)
+                assert res.exact
+                assert res.value == packing_number_naive(W, sep, diam), (desc, sep, diam)
 
 
 # Full PackingResult on a grid of windows, pinned from the list-based
 # branch and bound: a faster search must visit the same nodes in the same
-# order, so value, exact, witness, nodes and note all stay put.  The dict
-# holds the search limits a case patches in ``windows``.
+# order, so value, exact, nodes and note all stay put.  The dict holds the
+# search limits a case patches in ``windows``.
 _PINNED_PACKINGS = [
-    ("Z^2", 12, 3, 6, {}, (6, True, [(0, 0), (3, 0), (1, 2), (-2, -1), (0, -3), (2, -2)],
-                           1984, "")),
-    ("Z^2", 12, 3, 8, {}, (9, True, [(0, 0), (3, 0), (1, 2), (1, -2), (-3, 0), (-2, 2),
-                                     (-2, -2), (0, 4), (0, -4)], 191345, "")),
-    ("Z^2", 30, 3, 12, {}, (73, False, None, 200001, "node budget 200000 exceeded")),
-    ("Z^2", 8, 3, 3, {}, (2, True, [(0, 0), (3, 0)], 12, "")),
-    ("Z^3", 6, 3, 4, {}, (6, True, [(0, 0, 0), (3, 0, 0), (1, 2, 0), (1, -2, 0), (1, 0, 2),
-                                    (1, 0, -2)], 1926, "")),
+    ("Z^2", 12, 3, 6, {}, (6, True, 1984, "")),
+    ("Z^2", 12, 3, 8, {}, (9, True, 191345, "")),
+    ("Z^2", 30, 3, 12, {}, (73, False, 200001, "node budget 200000 exceeded")),
+    ("Z^2", 8, 3, 3, {}, (2, True, 12, "")),
+    ("Z^3", 6, 3, 4, {}, (6, True, 1926, "")),
     ("Z^3", 6, 3, 6, {"DEFAULT_NODE_BUDGET": 20000},
-     (377, False, None, 20001, "node budget 20000 exceeded")),
-    ("Heis", 6, 3, 4, {}, (6, True, [(0, 0, 0), (3, 0, 0), (2, 1, 1), (2, -1, -1),
-                                     (1, 1, 2), (1, -1, -2)], 2829, "")),
-    ("Heis", 6, 2, 3, {}, (6, True, [(0, 0, 0), (2, 0, 0), (1, 1, 1), (2, -1, -1), (0, -1, -1),
-                                     (1, -2, -2)], 190, "")),
+     (377, False, 20001, "node budget 20000 exceeded")),
+    ("Heis", 6, 3, 4, {}, (6, True, 2829, "")),
+    ("Heis", 6, 2, 3, {}, (6, True, 190, "")),
     ("Heis", 6, 3, 6, {"DEFAULT_NODE_BUDGET": 20000},
-     (593, False, None, 20001, "node budget 20000 exceeded")),
-    ("F_2", 6, 3, 4, {}, (4, True, [(), (1, 1, 1), (1, 2, 1), (1, -2, 1)], 1078, "")),
-    ("F_2", 6, 3, 5, {}, (6, True, [(), (1, 1, 1), (1, 2, 1), (1, -2, 1), (1, 1, 2, 1),
-                                    (1, 1, -2, 1)], 68684, "")),
-    ("F_2", 5, 2, 3, {}, (6, True, [(), (1, 1), (1, 2), (1, -2, 1), (1, -2, -1),
-                                    (1, -2, -2)], 87, "")),
-    ("F_2", 6, 3, 6, {}, (1457, False, None, 0, "candidate set of size 1457 exceeds cap 600")),
-    ("Z^1 x C_4", 8, 3, 6, {}, (4, True, [((0,), 0), ((3,), 0), ((1,), 2), ((-3,), 0)],
-                                232, "")),
-    ("Z^1 x C_4", 8, 2, 5, {}, (8, True, [((0,), 0), ((2,), 0), ((1,), 1), ((1,), 3),
-                                          ((-2,), 0), ((-1,), 1), ((-1,), 3), ((0,), 2)],
-                                759, "")),
-    ("Z^1 x C_4", 8, 3, 5, {}, (4, True, [((0,), 0), ((2,), 1), ((-1,), 2), ((3,), 3)], 68, "")),
+     (593, False, 20001, "node budget 20000 exceeded")),
+    ("F_2", 6, 3, 4, {}, (4, True, 1078, "")),
+    ("F_2", 6, 3, 5, {}, (6, True, 68684, "")),
+    ("F_2", 5, 2, 3, {}, (6, True, 87, "")),
+    ("F_2", 6, 3, 6, {}, (1457, False, 0, "candidate set of size 1457 exceeds cap 600")),
+    ("Z^1 x C_4", 8, 3, 6, {}, (4, True, 232, "")),
+    ("Z^1 x C_4", 8, 2, 5, {}, (8, True, 759, "")),
+    ("Z^1 x C_4", 8, 3, 5, {}, (4, True, 68, "")),
 ]
 
 
@@ -493,7 +496,7 @@ def test_packing_result_pinned(monkeypatch, desc, radius, sep, diam, kwargs, pin
     for name, value in kwargs.items():
         monkeypatch.setattr(windows, name, value)
     res = packing_number(W, sep, diam)
-    assert (res.value, res.exact, res.witness, res.nodes, res.note) == pinned
+    assert (res.value, res.exact, res.nodes, res.note) == pinned
 
 
 # radii that keep the lookup oracle's search short on every group
@@ -503,7 +506,7 @@ _PACKING_WINDOWS = {desc: build_window(make_group(desc), r) for desc, r in _PACK
 
 # the whole PackingResult against the lookup-built symmetric masks and the
 # call-per-node search: the same nodes in the same order, the same abort
-# point and the same witness, under node budgets 0, 1, 2, small ones and
+# point and the same value, under node budgets 0, 1, 2, small ones and
 # the default
 @settings(max_examples=80, deadline=None)
 @given(desc=st.sampled_from(sorted(_PACKING_RADII)), diam=st.integers(0, 12),
