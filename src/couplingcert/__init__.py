@@ -39,6 +39,7 @@ from .windows import (
     Window,
     build_window,
     greedy_net,
+    packing_bound,
     packing_number,
 )
 
@@ -68,6 +69,7 @@ __all__ = [
     "make_coarse_map",
     "make_group",
     "orbit_point",
+    "packing_bound",
     "packing_number",
     "psi",
     "run_all",

@@ -789,7 +789,7 @@ def run_all(config) -> Certificate:
         constants = {
             "s": Fraction(s),
             "M": P.M,
-            "M_exact": P.M_exact,
+            "M_exact": False,  # M is the volume bound; kept for the pinned report digests
             "m_slack": 0,  # no slack; kept for the pinned report digests
             "N_empirical": P.N_empirical,
             "N_apriori": P.N_apriori,

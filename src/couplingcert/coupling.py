@@ -36,13 +36,13 @@ from typing import Optional
 
 from .coarse import CoarseMap, Moduli, apply
 from .errors import CouplingCertError, PreconditionError, ResolutionError, require_int
-from .windows import Net, Window, greedy_net, packing_number, pair_extremes
+from .windows import Net, Window, greedy_net, packing_bound, pair_extremes
 
 
 class PartitionOfUnity:
     def __init__(self, scale: int, net: Net, images: list, window_H: Window, inner_radius: int,
                  N_empirical: Fraction, N_apriori: Fraction, overlap_count: int, M: int,
-                 M_exact: bool, omega_s1: int, thetas: dict):
+                 omega_s1: int, thetas: dict):
         self.scale = scale                  # s
         self.net = net                      # Y, subset of the H-window
         self.images = images                # Z = phi[Y], aligned with net.points
@@ -51,8 +51,7 @@ class PartitionOfUnity:
         self.N_empirical = N_empirical
         self.N_apriori = N_apriori
         self.overlap_count = overlap_count  # max net points within s+1 of a window point
-        self.M = M
-        self.M_exact = M_exact
+        self.M = M                          # volume bound on every |Z_h| (packing_bound)
         self.omega_s1 = omega_s1            # omega(s+1)
         self.thetas = thetas                # inner h -> [(net index, theta_y(h) > 0)]
 
@@ -190,7 +189,6 @@ def build_partition(
         N_apriori=Fraction(1 + C * s1),
         overlap_count=C,
         M=0,
-        M_exact=False,
         omega_s1=omega_s1,
         thetas=thetas,
     )
@@ -216,8 +214,7 @@ def build_partition(
                     best_num, best_den = num, den
     P.N_empirical = Fraction(best_num, best_den)
 
-    pk = packing_number(W_G, 3, 2 * omega_s1)
-    P.M, P.M_exact = pk.value, pk.exact
+    P.M = packing_bound(W_G, 3, 2 * omega_s1)
     return P
 
 

@@ -1,5 +1,5 @@
 """Finite balls in a group: exact word-metric distances, greedy maximal
-nets, and packing numbers.
+nets, and packing numbers with their volume bound.
 
 A :class:`Window` is the radius-R ball of the word metric as one table:
 ``dist`` maps each element to its word length, in the breadth-first order
@@ -11,9 +11,12 @@ else searched by :func:`_bfs`, which also builds
 distance fields.  ``d(a, b)`` is ``dist.get(a^-1 b)``, and a lookup miss
 means the distance exceeds the window radius.
 
-The packing search here reads rows of pairwise distances, row ``i``
-holding those from ``points[i]`` to ``points[i+1:]``: :func:`_l1_rows` as
-``bytes`` on ``Z^d`` within the byte limit of :func:`_byte_rows_fit`,
+The pipeline reads the packing constant ``M`` as the disjoint-ball volume
+bound of :func:`packing_bound`, two prefix lengths of a window; only the
+``packing`` subcommand runs the exact search of :func:`packing_number`.
+That search reads rows of pairwise distances, row ``i`` holding those from
+``points[i]`` to ``points[i+1:]``: :func:`_l1_rows` as ``bytes`` on
+``Z^d`` within the byte limit of :func:`_byte_rows_fit`,
 :func:`_lookup_rows` otherwise.  The moduli pair scans of
 :mod:`couplingcert.coarse` read them too: the lane scan reads byte rows on
 both sides, and the row scan reads each side's byte rows within the limit
@@ -38,7 +41,8 @@ from .groups import GroupModel, ZdGroup
 
 DEFAULT_ELEMENT_BUDGET = 5_000_000
 
-# packing search limits; beyond these the volume upper bound is returned
+# limits of the packing search that only the packing subcommand runs;
+# beyond them packing_number returns packing_bound, the pipeline's M
 DEFAULT_NODE_BUDGET = 200_000
 DEFAULT_CANDIDATE_CAP = 600
 
@@ -279,23 +283,17 @@ class PackingResult:
         return self.__dict__ == other.__dict__
 
 
-def packing_number(W: Window, separation: int, diam_bound: int) -> PackingResult:
-    """Maximum size of a subset with pairwise distances >= separation and
-    diameter <= diam_bound.
+def packing_bound(W: Window, separation: int, diam_bound: int) -> int:
+    """The disjoint-ball volume bound on the packing number: at least the
+    size of every subset with pairwise distances >= separation and diameter
+    <= diam_bound, which :func:`packing_number` computes.
 
-    By left-invariance any maximizing configuration translates to one
-    containing the identity, so the search runs over the centered ball of
-    radius diam_bound via branch and bound, with the compatibility graph
-    and the branching sets held as integer bitmasks.  It branches in
-    increasing index order, so the compatibility rows keep only their
-    upper triangle (:func:`_compat_rows`).  The search keeps only the size
-    of its best set, never its members: ``M`` is read only as a bound.  A
-    child that cannot branch (an empty mask, or one too small to beat the
-    best size) is counted and may raise the best size without a call;
-    ``nodes`` still counts every node.  When the candidate set exceeds
-    ``DEFAULT_CANDIDATE_CAP`` or the search exceeds ``DEFAULT_NODE_BUDGET``
-    nodes, the volume upper bound is returned with the exactness flag
-    cleared; an overestimate is always safe downstream.
+    Translated to contain the identity, such a subset lies in the ball of
+    radius diam_bound, and the balls of radius r = (separation-1)//2 about
+    its members are disjoint and lie in the ball of radius diam_bound + r.
+    So it has at most ``|B(diam_bound + r)| // |B(r)|`` members when r >= 1
+    and that ball fits in ``W``, and never more than ``|B(diam_bound)|``.
+    Each ball size is a prefix length of ``W.lengths``.
     """
     require_int("separation", separation)
     require_int("diam_bound", diam_bound)
@@ -311,10 +309,35 @@ def packing_number(W: Window, separation: int, diam_bound: int) -> PackingResult
             f"diam_bound {diam_bound} exceeds the window radius {W.radius}; "
             "build a larger window"
         )
+    n_candidates = bisect_right(W.lengths, diam_bound)
+    r = (separation - 1) // 2
+    big = diam_bound + r
+    if r >= 1 and big <= W.radius:
+        return min(n_candidates, bisect_right(W.lengths, big) // bisect_right(W.lengths, r))
+    return n_candidates
 
+
+def packing_number(W: Window, separation: int, diam_bound: int) -> PackingResult:
+    """Maximum size of a subset with pairwise distances >= separation and
+    diameter <= diam_bound, refused as :func:`packing_bound` refuses it.
+
+    By left-invariance any maximizing configuration translates to one
+    containing the identity, so the search runs over the centered ball of
+    radius diam_bound via branch and bound, with the compatibility graph
+    and the branching sets held as integer bitmasks.  It branches in
+    increasing index order, so the compatibility rows keep only their
+    upper triangle (:func:`_compat_rows`).  The search keeps only the size
+    of its best set, never its members.  A child that cannot branch (an
+    empty mask, or one too small to beat the best size) is counted and may
+    raise the best size without a call; ``nodes`` still counts every node.
+    When the candidate set exceeds ``DEFAULT_CANDIDATE_CAP`` or the search
+    exceeds ``DEFAULT_NODE_BUDGET`` nodes, it returns :func:`packing_bound`
+    with the exactness flag cleared.  Only the ``packing`` subcommand runs
+    this search; the pipeline reads :func:`packing_bound` alone.
+    """
+    ub = packing_bound(W, separation, diam_bound)
     node_budget, candidate_cap = DEFAULT_NODE_BUDGET, DEFAULT_CANDIDATE_CAP
     candidates = W.ball(diam_bound)
-    ub = _volume_upper_bound(W, separation, diam_bound, len(candidates))
     if len(candidates) > candidate_cap:
         return PackingResult(
             value=ub,
@@ -426,15 +449,3 @@ def _lookup_rows(W: Window, points: list):
     dist_get, mul = W.dist.get, W.group.mul
     for i, a in enumerate(points[:-1]):
         yield list(map(dist_get, map(mul, repeat(W.group.inv(a)), points[i + 1:])))
-
-
-def _volume_upper_bound(W: Window, lo: int, hi: int, n_candidates: int) -> int:
-    """Disjoint-ball counting bound for integer bounds lo <= d <= hi; falls
-    back to the candidate count."""
-    r = (lo - 1) // 2
-    big = hi + r
-    if r >= 1 and big <= W.radius:
-        outer = bisect_right(W.lengths, big)
-        inner = bisect_right(W.lengths, r)
-        return min(n_candidates, outer // inner)
-    return n_candidates

@@ -16,7 +16,7 @@ from couplingcert.errors import (CouplingCertError, PreconditionError, Resolutio
 from couplingcert.groups import GroupModel
 from couplingcert.windows import (DEFAULT_CANDIDATE_CAP, DEFAULT_ELEMENT_BUDGET,
                                   DEFAULT_NODE_BUDGET, Net, PackingResult, Window,
-                                  _volume_upper_bound, resolved_distance, set_distance)
+                                  resolved_distance, set_distance)
 
 
 def multiply(G: GroupModel, a, b):
@@ -251,6 +251,35 @@ def packing_number_naive(W: Window, separation, diam_bound) -> int:
     return best[0]
 
 
+def packing_bound(W: Window, separation, diam_bound) -> int:
+    """The disjoint-ball volume bound of ``windows.packing_bound``, its
+    ball sizes counted from fresh breadth-first searches of ``W.group``.
+
+    A packing translated to contain the identity lies in B(diam_bound), and
+    the balls B(r) about its members, r = (separation-1)//2, are disjoint
+    inside B(diam_bound + r); the count of B(diam_bound) caps the bound.
+    """
+    if separation <= 0 or diam_bound < 0:
+        raise PreconditionError("separation must be positive and diam_bound nonnegative")
+    if diam_bound + separation > 2 * W.radius:
+        raise PreconditionError(
+            f"need diam_bound + separation <= 2*radius, got {diam_bound} + "
+            f"{separation} > {2 * W.radius}"
+        )
+    if diam_bound > W.radius:
+        raise PreconditionError(
+            f"diam_bound {diam_bound} exceeds the window radius {W.radius}; "
+            "build a larger window"
+        )
+    G = W.group
+    candidates = len(build_window(G, diam_bound).elements)
+    r = (separation - 1) // 2
+    if r < 1 or diam_bound + r > W.radius:
+        return candidates
+    outer = len(build_window(G, diam_bound + r).elements)
+    return min(candidates, outer // len(build_window(G, r).elements))
+
+
 def packing_number_lookup(
     W: Window,
     separation,
@@ -268,25 +297,12 @@ def packing_number_lookup(
     radius diam_bound via branch and bound, with the compatibility graph
     and the branching sets held as integer bitmasks.  When the candidate
     set or the node budget is exceeded the volume upper bound is returned
-    with the exactness flag cleared; an overestimate is always safe
-    downstream.
+    with the exactness flag cleared: :func:`packing_bound`, refused as it
+    refuses.
     """
-    if separation <= 0 or diam_bound < 0:
-        raise PreconditionError("separation must be positive and diam_bound nonnegative")
-    if diam_bound + separation > 2 * W.radius:
-        raise PreconditionError(
-            f"need diam_bound + separation <= 2*radius, got {diam_bound} + "
-            f"{separation} > {2 * W.radius}"
-        )
-    if diam_bound > W.radius:
-        raise PreconditionError(
-            f"diam_bound {diam_bound} exceeds the window radius {W.radius}; "
-            "build a larger window"
-        )
-
+    ub = packing_bound(W, separation, diam_bound)
     lo, hi = separation, diam_bound
     candidates = W.ball(hi)
-    ub = _volume_upper_bound(W, lo, hi, len(candidates))
     if len(candidates) > candidate_cap:
         return PackingResult(
             value=ub,

@@ -48,7 +48,7 @@ from couplingcert.coupling import (
 )
 from couplingcert.errors import PipelineError, PreconditionError, ResolutionError
 from couplingcert.groups import make_group
-from couplingcert.windows import PackingResult, build_window, distance_field, pair_extremes
+from couplingcert.windows import build_window, distance_field, pair_extremes
 
 import oracles
 
@@ -657,7 +657,7 @@ def test_run_all_reports_every_check_pass():
     assert all(c.status == "pass" for c in cert.checks)
     assert all(c.margin >= 0 for c in cert.checks)
     assert cert.constants["s"] == 3
-    assert cert.constants["M"] == 3
+    assert cert.constants["M"] == 6
 
 
 def test_run_all_is_deterministic():
@@ -833,14 +833,13 @@ def test_scale_stage_error_prints_the_sum():
 def test_monotone_safety_of_m(monkeypatch):
     cfg = RunConfig(radius_H=24, radius_G=40, eval_radius=8, seed=7)
     base = run_all(cfg)
-    exact = windows.packing_number
+    bound = windows.packing_bound
 
-    def bumped_packing(*args):
-        # M -> M+3, flagged inexact: a looser bound is still a safe one
-        res = exact(*args)
-        return PackingResult(res.value + 3, False, res.nodes, res.note)
+    def bumped_bound(*args):
+        # M -> M+3: a looser bound is still a safe one
+        return bound(*args) + 3
 
-    monkeypatch.setattr(coupling, "packing_number", bumped_packing)
+    monkeypatch.setattr(coupling, "packing_bound", bumped_bound)
     bumped = run_all(cfg)
     assert (bumped.constants["M"], bumped.constants["M_exact"]) == (base.constants["M"] + 3,
                                                                      False)

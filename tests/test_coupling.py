@@ -74,7 +74,7 @@ def test_partition_reference_values(z_identity):
 
 def test_partition_constants(z_identity):
     P, *_ = z_identity
-    assert P.M == 3 and P.M_exact
+    assert P.M == 6
     assert P.omega_s1 == 4
     assert P.inner_radius == 20
     assert P.N_empirical == Fraction(7, 30)
@@ -126,7 +126,7 @@ def test_psi_single_block_case():
         scale=3, net=Net(points=[(0,)]),
         images=[(0,)], window_H=W_H, inner_radius=2,
         N_empirical=Fraction(0), N_apriori=Fraction(1), overlap_count=1,
-        M=1, M_exact=True, omega_s1=4, thetas={(0,): [(0, 4)]},
+        M=1, omega_s1=4, thetas={(0,): [(0, 4)]},
     )
     d = psi(P, phi, (0,))
     assert d.block_coefficients() == [((0,), Fraction(1))]

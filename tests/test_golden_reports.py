@@ -18,8 +18,8 @@ from couplingcert.certify import run_all
 from couplingcert.cli import DEMO_CONFIGS, RunConfig, main, render_report
 
 GOLDEN = {
-    "identity-z": "a39985ea66b5301c23c87c5fae70c0449d76a7d573b65f153fe9fec99606105a",
-    "scale2-z": "9c4b9f2201f220dec444fdf59ea9c0149d4c31da9ea71239dfd4173cb2bb86cd",
+    "identity-z": "82304e42e90f39f8cd84c553d193c9f25b9aa6cfbc7b34b8771287af39c18bcb",
+    "scale2-z": "1bac3e60d751b9b2e258f05ee947988190f136edbba3a38fb97387fef6e3c187",
     "shear-z2": "2310495a6e127524163ac907786d90894aa9dcba2e9a076db4887c2d0075e436",
 }
 

@@ -58,7 +58,7 @@ SWAPS = (
     ("windows", "ball_window", oracles.ball_window),
     ("windows", "distance_field", oracles.distance_field),
     ("coarse", "homomorphic_moduli", oracles.homomorphic_moduli),
-    ("windows", "packing_number", oracles.packing_number_lookup),
+    ("windows", "packing_bound", oracles.packing_bound),
 )
 
 # reduced-radius copies of the benchmark workloads (shear-z2 is a demo
@@ -84,30 +84,38 @@ SAMPLED = {
 
 
 @contextmanager
-def slow_paths(calls: Counter):
-    """Every ``SWAPS`` routine replaced by its oracle, counting the oracle
-    calls in ``calls`` by routine name."""
-
-    def counted(name, oracle):
-        def run(*args, **kwargs):
-            calls[name] += 1
-            return oracle(*args, **kwargs)
-        return run
-
-    slow = {getattr(import_module(f"couplingcert.{module}"), name): counted(name, oracle)
-            for module, name, oracle in SWAPS}
+def rebound(replace: dict):
+    """Each function key of ``replace`` rebound to its value in every loaded
+    ``couplingcert`` module that holds it."""
     bound = [(mod, attr, obj)
              for modname, mod in list(sys.modules.items())
              if modname == "couplingcert" or modname.startswith("couplingcert.")
              for attr, obj in list(vars(mod).items())
-             if inspect.isfunction(obj) and obj in slow]
+             if inspect.isfunction(obj) and obj in replace]
     for mod, attr, obj in bound:
-        setattr(mod, attr, slow[obj])
+        setattr(mod, attr, replace[obj])
     try:
         yield
     finally:
         for mod, attr, obj in bound:
             setattr(mod, attr, obj)
+
+
+def counted(name: str, fn, calls: Counter):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def run(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return run
+
+
+@contextmanager
+def slow_paths(calls: Counter):
+    """Every ``SWAPS`` routine replaced by its oracle, counting the oracle
+    calls in ``calls`` by routine name."""
+    with rebound({getattr(import_module(f"couplingcert.{module}"), name):
+                  counted(name, oracle, calls) for module, name, oracle in SWAPS}):
+        yield
 
 
 def twin_reports(cfg: RunConfig, calls: Counter) -> tuple:
@@ -168,6 +176,16 @@ def test_a_sampled_grid_gives_the_same_report_every_run(twins):
 
 def test_every_swap_was_called(twins):
     assert sorted(twins[1]) == sorted(name for _, name, _ in SWAPS)
+
+
+def test_run_all_never_runs_the_packing_search(tmp_path):
+    # the pipeline's M is the volume bound; only the packing subcommand
+    # runs the branch and bound, which spends its whole node budget here
+    calls = Counter()
+    search = import_module("couplingcert.windows").packing_number
+    with rebound({search: counted("packing_number", search, calls)}):
+        run_all(small_config("table-z2", tmp_path))
+    assert not calls
 
 
 def main() -> int:

@@ -22,6 +22,7 @@ from couplingcert.windows import (
     distance_field,
     distances_from,
     greedy_net,
+    packing_bound,
     packing_number,
     pair_extremes,
     resolved_distance,
@@ -412,15 +413,25 @@ def test_packing_budget_paths_give_safe_upper_bounds():
 
 
 def test_packing_preconditions():
+    # the search and the volume bound the pipeline reads refuse alike
     W = build_window(make_group("Z^1"), 5)
-    with pytest.raises(PreconditionError):
-        packing_number(W, 3, 9)  # diam + sep > 2*radius... (9+3 > 10)
-    with pytest.raises(PreconditionError):
-        packing_number(W, 0, 2)
-    # 6 + 3 <= 10, but the candidates B(6) leave the window
-    with pytest.raises(PreconditionError,
-                       match="^diam_bound 6 exceeds the window radius 5; build a larger window$"):
-        packing_number(W, 3, 6)
+    for packing in (packing_number, packing_bound):
+        with pytest.raises(PreconditionError):
+            packing(W, 3, 9)  # diam + sep > 2*radius... (9+3 > 10)
+        with pytest.raises(PreconditionError):
+            packing(W, 0, 2)
+        # 6 + 3 <= 10, but the candidates B(6) leave the window
+        too_wide = "^diam_bound 6 exceeds the window radius 5; build a larger window$"
+        with pytest.raises(PreconditionError, match=too_wide):
+            packing(W, 3, 6)
+        for value in (Fraction(5, 2), Fraction(3), 3.0, True):
+            name = re.escape(repr(value))
+            with pytest.raises(PreconditionError,
+                               match=f"^separation must be an integer, got {name}$"):
+                packing(W, value, 4)
+            with pytest.raises(PreconditionError,
+                               match=f"^diam_bound must be an integer, got {name}$"):
+                packing(W, 3, value)
 
 
 def test_negative_radii_and_net_scales_below_one_are_refused():
@@ -452,7 +463,8 @@ def test_non_integer_scales_and_bounds_are_refused():
 
 
 def test_packing_matches_naive_oracle_small():
-    # the exhaustive search shows that each exact value is reached
+    # the exhaustive search shows that each exact value is reached, and
+    # that the volume bound the pipeline reads as M is never below it
     for desc, radius in [("Z^1", 6), ("Z^2", 3), ("Heis", 3), ("F_2", 3), ("C_5 x Z^1", 3)]:
         W = build_window(make_group(desc), radius)
         for sep in (2, 3, 4):
@@ -460,8 +472,10 @@ def test_packing_matches_naive_oracle_small():
                 if diam + sep > 2 * radius:
                     continue
                 res = packing_number(W, sep, diam)
+                naive = packing_number_naive(W, sep, diam)
                 assert res.exact
-                assert res.value == packing_number_naive(W, sep, diam), (desc, sep, diam)
+                assert res.value == naive, (desc, sep, diam)
+                assert packing_bound(W, sep, diam) >= naive, (desc, sep, diam)
 
 
 # Full PackingResult on a grid of windows, pinned from the list-based
