@@ -44,7 +44,7 @@ from .coupling import (
     PartitionOfUnity,
     act_left,
     build_partition,
-    l1_distance,
+    l1_sum,
     psi,
     support_diameter,
     support_distance,
@@ -217,42 +217,46 @@ class _Worst:
 
 
 def check_membership_x(
-    labeled_points: list,
+    points: list,
     W_G: Window,
     two_omega: int,
+    fmt_point: Callable = str,
 ) -> CheckResult:
     """Each density must be a convex combination of unit-ball blocks over a
     3-discrete center set of diameter <= 2*omega(s+1).  The block weights
     ``alpha_z = n_z*|B|/denominator`` are checked in integers: none is
-    negative, and they sum to 1."""
+    negative, and they sum to 1.  Only a witness formats its point, by ``fmt_point``."""
     worst = _Worst()
     diam_worst = _Worst()
     sep_worst = _Worst()
     fmt = W_G.group.format_element
     size = len(unit_ball(W_G.group))
-    for label, dens in labeled_points:
+
+    def witness(point, reason, **more):  # formats the point only when called
+        return lambda: {"point": fmt_point(point), "reason": reason, **more}
+    for point, dens in points:
         if (any(n < 0 for _, n in dens.blocks)
                 or sum(n for _, n in dens.blocks) * size != dens.denominator):
-            worst.update(-1, {"point": label, "reason": "not a convex combination"})
+            worst.update(-1, witness(point, "not a convex combination"))
             continue
         # an unresolved distance exceeds the window radius >= 3
         least, pair, diam = pair_extremes(W_G, [z for z, _ in dens.blocks])
         if least is not None:
-            sep_worst.update(least - 3, lambda: {"point": label, "pair": [fmt(z) for z in pair],
+            sep_worst.update(least - 3, lambda: {"point": fmt_point(point),
+                                                 "pair": [fmt(z) for z in pair],
                                                  "reason": "center separation"})
         if diam is None:
             diam_worst.update(two_omega - (W_G.radius + 1),
-                              {"point": label, "reason": "diameter exceeds window radius"})
+                              witness(point, "diameter exceeds window radius"))
         else:
-            diam_worst.update(two_omega - diam, {"point": label, "reason": "diameter",
-                                                 "diameter": diam})
-    if not labeled_points:
+            diam_worst.update(two_omega - diam, witness(point, "diameter", diameter=diam))
+    if not points:
         return CheckResult("membership_x", None, None, 0)
     for w in (diam_worst, sep_worst):
         if w.margin is not None:
             worst.update(w.margin, w.witness)
     return CheckResult(
-        "membership_x", worst.witness, worst.margin, len(labeled_points),
+        "membership_x", worst.witness, worst.margin, len(points),
         details={"diameter_bound": two_omega,
                  "worst_diameter_margin": diam_worst.margin,
                  "worst_separation_margin": sep_worst.margin},
@@ -265,13 +269,14 @@ def check_lipschitz(
     psi_of: Callable,
 ) -> CheckResult:
     """L1 increments of psi are bounded by 2*M*N times the source distance,
-    over every unordered pair of inner-window points."""
+    over every unordered pair of inner-window points, compared as the integer
+    pairs of :func:`l1_sum`; only the witness's becomes a ``Fraction``."""
     M, N = P.M, P.N
     coeff = 2 * M * N
     c_num, c_den = coeff.numerator, coeff.denominator
     # rationals are compared as integer pairs by cross-multiplication: the
     # least margin coeff*t - l1 (first one wins ties) and the largest l1/t
-    worst = None  # (margin numerator, margin denominator, f1, f2, t, l1)
+    worst = None  # (margin numerator, margin denominator, f1, f2, t, l1 pair)
     top_num, top_den = 0, 1
     population = 0
     inner = P.inner_elements
@@ -279,20 +284,19 @@ def check_lipschitz(
         d1 = psi_of(f1)
         rest = inner[i + 1:]
         for f2, t in zip(rest, distances_from(pair_window, f1, rest)):
-            val = l1_distance(d1, psi_of(f2))
-            p, r = val.numerator, val.denominator
+            p, r = l1_sum(d1, psi_of(f2))
             m_num, m_den = c_num * t * r - p * c_den, c_den * r
             if worst is None or m_num * worst[1] < worst[0] * m_den:
-                worst = (m_num, m_den, f1, f2, t, val)
+                worst = (m_num, m_den, f1, f2, t, (p, r))
             if p * top_den > top_num * r * t:
                 top_num, top_den = p, r * t
             population += 1
     if population == 0:
         return CheckResult("lipschitz", None, None, 0)
-    m_num, m_den, f1, f2, t, val = worst
+    m_num, m_den, f1, f2, t, l1 = worst
     fmt = P.window_H.group.format_element
     return CheckResult(
-        "lipschitz", {"pair": [fmt(f1), fmt(f2)], "distance": t, "l1": val},
+        "lipschitz", {"pair": [fmt(f1), fmt(f2)], "distance": t, "l1": Fraction(*l1)},
         Fraction(m_num, m_den), population,
         details={"bound_coefficient": coeff,
                  "tightest_constant": Fraction(top_num, top_den), "M": M, "N": N},
@@ -584,16 +588,17 @@ def _g_properness(
         return None, None, False, 0
     dist_get = W_G.dist.get
     reach_K = _reach(dist_get, K_G)
+    atoms_of = [xi_1.atoms for _, _, xi_1 in qualifying]
     # reach(atoms) + reach(K_G) per sample, None when the bound is off
-    reaches = [None if reach_K is None or (r_a := _reach(dist_get, xi_1.atoms)) is None
-               else r_a + reach_K for _, _, xi_1 in qualifying]
+    reaches = [None if reach_K is None or (r_a := _reach(dist_get, atoms)) is None
+               else r_a + reach_K for atoms in atoms_of]
     radius = W_G.radius
     to_K_get = None
     mul = W_G.group.mul
     margin_is_floor = False
     best = None  # (margin, candidate, sample g, sample h, meeting atom)
     for gc, length in g_candidates:
-        for (g, h, xi_1), reach in zip(qualifying, reaches):
+        for (g, h, _), atoms, reach in zip(qualifying, atoms_of, reaches):
             if reach is not None and length - reach > radius:
                 margin, meet, floor = radius, None, True
             else:
@@ -602,7 +607,7 @@ def _g_properness(
                     # the field holds exactly the points of K_G at 0, so a 0
                     # is a meeting point
                     to_K_get = distance_field(W_G, K_G).get
-                margin, meet, floor = _K_margin(to_K_get, mul, gc, xi_1.atoms, radius)
+                margin, meet, floor = _K_margin(to_K_get, mul, gc, atoms, radius)
             margin_is_floor |= floor
             if best is None or margin < best[0]:
                 best = (margin, gc, g, h, meet)
@@ -657,7 +662,7 @@ def check_g_action(
         supp = xi_1.support()
         if not all(map(W_G.dist.__contains__, supp)):
             raise ResolutionError("support of a sample leaves the target window")
-        least = next(a for a in W_G.elements if a in xi_1.atoms)
+        least = next(filter(xi_1.atoms.__contains__, W_G.elements))
         lengths = distances_from(W_G, least, supp)
         m_len = max(lengths)
         # mass of the recentred density inside the recentring ball
@@ -758,8 +763,8 @@ def run_all(config) -> Certificate:
         checks = []
         if "membership_x" in selected:
             stage = "membership_x"
-            pts = [(H.format_element(h), psi_of(h)) for h in P.inner_elements]
-            checks.append(check_membership_x(pts, W_G, 2 * P.omega_s1))
+            pts = [(h, psi_of(h)) for h in P.inner_elements]
+            checks.append(check_membership_x(pts, W_G, 2 * P.omega_s1, H.format_element))
         if "lipschitz" in selected:
             stage = "lipschitz"
             checks.append(check_lipschitz(P, pair_window, psi_of))

@@ -6,22 +6,23 @@ counting measure scaled by 1/|B|, where B is the closed unit ball
 (identity plus generators), so each indicator block ``zB`` has L1 mass
 exactly 1 and every ``psi_h`` is a convex combination of disjointly
 supported blocks.  A :class:`SparseDensity` is held as its blocks
-``[(z, n_z)]``; its atoms are derived from them, and :func:`act_left`
-moves the centres only.
+``[(z, n_z)]`` and derives its atoms only when they are read: :func:`psi`
+builds blocks only, and :func:`act_left` moves the centres only.
 
 The scale s is an integer, as every word length is, so each bump value
 theta_y(h) = s+1 - d(y, h) is a positive integer, and every atom of the
 block zB of ``psi_h``, z = phi(y), carries theta_y(h) over the denominator
 Theta(h)*|B|.  ``build_partition`` finds every theta_y(h) by walking each
 net point's ball y*B(s+1) once; the same walk counts the bump overlap.
-Masses, inner products and L1 distances sum integers and build one
-``Fraction`` per call, at the boundary where a margin or report reads it.
+Masses and inner products sum integers and build one ``Fraction`` per
+call, at the boundary where a margin or report reads it; :func:`l1_sum`
+returns an integer pair, which the Lipschitz check compares as it is.
 
 Distances between two block densities depend only on their block centres:
 the atom pairs of zB x z'B read the window lengths of b^-1 w b' over b, b'
 in B, for w = z^-1 z'.  :func:`support_distance` and
 :func:`support_diameter` read the least and greatest of those, the block
-kernel of w, memoized per target window; :func:`l1_distance` matches the
+kernel of w, memoized per target window; :func:`l1_sum` matches the
 centres the two densities share.
 
 The inner window is the ball of radius ``window_radius - (s+1)``: for h
@@ -108,20 +109,25 @@ class SparseDensity:
     """Finitely supported nonnegative rational density on the target group,
     held as its blocks ``[(z, n_z)]``: each atom of the unit ball ``zB``
     carries the integer numerator ``n_z`` over the one integer
-    ``denominator``.  ``__init__`` derives ``atoms`` from them, as
-    ``{z*b: n_z}`` in block order and then :func:`unit_ball` order, so the
-    L1 mass is ``sum(atoms.values()) / denominator``.  ``psi`` verifies that
-    its blocks are pairwise disjoint; where blocks overlap, the atoms count
-    once.
+    ``denominator``.  The property ``atoms`` is derived from them on its
+    first read (bind it once per call), as ``{z*b: n_z}`` in block order
+    and then :func:`unit_ball` order, so the L1 mass is
+    ``sum(atoms.values()) / denominator``.  The blocks of :func:`psi` are
+    disjoint; where blocks overlap, the atoms count once.
     """
 
     def __init__(self, group, denominator: int, blocks: list):
         self.group = group
         self.denominator = denominator
         self.blocks = blocks
-        mul = group.mul
-        B = unit_ball(group)
-        self.atoms = {mul(z, b): n for z, n in blocks for b in B}
+        self._atoms = None
+
+    @property
+    def atoms(self) -> dict:
+        if self._atoms is None:
+            mul = self.group.mul
+            self._atoms = {mul(z, b): n for z, n in self.blocks for b in unit_ball(self.group)}
+        return self._atoms
 
     def mass(self) -> Fraction:
         return Fraction(sum(self.atoms.values()), self.denominator)
@@ -193,16 +199,18 @@ def build_partition(
         thetas=thetas,
     )
 
-    # empirical constant: worst alpha increment over adjacent inner pairs;
-    # |n1/T1 - n2/T2| is compared as |n1*T2 - n2*T1| over T1*T2
+    # empirical constant: worst alpha increment over the inner edges, each
+    # walked once by one generator of each {g, g^-1} (the increment is
+    # symmetric); |n1/T1 - n2/T2| is compared as |n1*T2 - n2*T1| over T1*T2
     H = W_H.group
+    steps = [g for i, g in enumerate(H.generators) if H.inv(g) not in H.generators[:i]]
     alphas = {}
     for h in P.inner_elements:
         terms, total = P.alpha_terms(h)
         alphas[h] = (dict(terms), total)
     best_num, best_den = 0, 1
     for h, (a_h, t_h) in alphas.items():
-        for g in H.generators:
+        for g in steps:
             hit = alphas.get(H.mul(h, g))
             if hit is None:
                 continue
@@ -245,39 +253,45 @@ def _bump_walk(W: Window, points: list, s: int, inner_radius: int) -> tuple:
 
 
 def psi(P: PartitionOfUnity, phi: CoarseMap, h) -> SparseDensity:
-    """psi_h: the convex combination of indicator blocks zB over Z_h."""
+    """psi_h: the convex combination of indicator blocks zB over Z_h.
+
+    Its blocks are disjoint, so it holds |B| atoms per block and has mass 1
+    with no atom built to check it: zB, z'B meet only if d(z, z') <= 2, and
+    ``build_partition`` refuses images that resolve closer than 3, while an
+    unresolved pair lies beyond W_G.radius >= kappa(s) >= 3 (window kappa)
+    or is kappa(s) >= 3 apart (exact analytic kappa, net points s apart).
+    """
     if not P.is_inner(h):
         raise PreconditionError(
             f"{P.window_H.group.format_element(h)} is outside the inner window "
             f"(radius {P.inner_radius})"
         )
     G = phi.target
-    size = len(unit_ball(G))
     weights, total = P.alpha_terms(h)
     if len(weights) > P.M:
         raise CouplingCertError(
             f"|Z_h| = {len(weights)} exceeds M = {P.M}; the packing bound is broken"
         )
-    d = SparseDensity(group=G, denominator=total * size,
-                      blocks=[(P.images[i], n) for i, n in weights])
-    if len(d.atoms) != size * len(weights):
-        raise CouplingCertError("blocks of psi_h overlap; Z_h is not 3-discrete (internal bug)")
-    # implied by the overlap check; guards the atoms SparseDensity.__init__ derives
-    if sum(d.atoms.values()) != d.denominator:
-        raise CouplingCertError(f"psi mass {d.mass()} != 1")
-    return d
+    return SparseDensity(group=G, denominator=total * len(unit_ball(G)),
+                         blocks=[(P.images[i], n) for i, n in weights])
 
 
 def l1_distance(xi: SparseDensity, eta: SparseDensity) -> Fraction:
-    """Exact L1 distance with respect to Haar measure,
-    sum_a |n_a*D_eta - m_a*D_xi| / (D_xi*D_eta), read off the blocks.
+    """Exact L1 distance with respect to Haar measure, from :func:`l1_sum`."""
+    return Fraction(*l1_sum(xi, eta))
+
+
+def l1_sum(xi: SparseDensity, eta: SparseDensity) -> tuple:
+    """The exact L1 distance as an unreduced integer pair,
+    (sum_a |n_a*D_eta - m_a*D_xi|, D_xi*D_eta), read off the blocks.
 
     The centres of one density are at least 3 apart, so a block on a
     centre both densities share meets no other block and adds
     |B|*|n*D_eta - m*D_xi|; a block on an unshared centre adds its whole
     mass.  Only unshared blocks can overlap partially, and only when the
     densities share more atoms than their shared blocks hold (one count,
-    of the atoms of both) is the sum taken atom by atom instead.
+    of the atoms of both) is the sum taken atom by atom instead.  Atoms
+    are read only when both densities have an unshared block.
     """
     if xi.group.descriptor != eta.group.descriptor:
         raise PreconditionError("densities live on different measured groups")
@@ -295,14 +309,12 @@ def l1_distance(xi: SparseDensity, eta: SparseDensity) -> Fraction:
         if z not in xi_blocks:
             total += m * d_xi
     size = len(xi.group.generators) + 1  # |B|
-    xi_atoms, eta_atoms = xi.atoms, eta.atoms
-    if (shared < len(xi_blocks) and shared < len(eta_blocks)
-            and len(union := xi_atoms | eta_atoms)
-            != len(xi_atoms) + len(eta_atoms) - size * shared):
-        total = sum(abs(xi_atoms.get(a, 0) * d_eta - eta_atoms.get(a, 0) * d_xi) for a in union)
-    else:
-        total *= size
-    return Fraction(total, d_xi * d_eta)
+    if shared < len(xi_blocks) and shared < len(eta_blocks):
+        xi_atoms, eta_atoms = xi.atoms, eta.atoms
+        if len(union := xi_atoms | eta_atoms) != len(xi_atoms) + len(eta_atoms) - size * shared:
+            return (sum(abs(xi_atoms.get(a, 0) * d_eta - eta_atoms.get(a, 0) * d_xi)
+                        for a in union), d_xi * d_eta)
+    return total * size, d_xi * d_eta
 
 
 def support_distance(xi: SparseDensity, eta: SparseDensity, W_G: Window) -> int:
@@ -412,8 +424,8 @@ def serialize_density(d: SparseDensity) -> str:
     G = d.group
     size = len(unit_ball(G))
     lines = []
-    for a in sorted(d.atoms.keys()):
-        w = Fraction(d.atoms[a] * size, d.denominator)
+    for a, n in sorted(d.atoms.items()):
+        w = Fraction(n * size, d.denominator)
         lines.append(f"{G.format_element(a)} {w.numerator}/{w.denominator}")
     lines.append(f"# normalizer 1/{size}")
     for z, a in d.block_coefficients():

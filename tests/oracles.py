@@ -421,6 +421,12 @@ def l1_distance(xi: SparseDensity, eta: SparseDensity) -> Fraction:
     return total
 
 
+def l1_sum(xi: SparseDensity, eta: SparseDensity) -> tuple:
+    """(numerator, denominator) of :func:`l1_distance`, reduced."""
+    val = l1_distance(xi, eta)
+    return val.numerator, val.denominator
+
+
 def support_distance(xi: SparseDensity, eta: SparseDensity, W_G: Window) -> int:
     """``set_distance`` over every pair of atoms; raises ResolutionError
     when no pair resolves."""

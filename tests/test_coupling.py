@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from copy import copy
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -173,16 +174,18 @@ def test_psi_outside_inner_window_rejected(z_identity):
 
 
 def test_psi_refuses_overlapping_blocks(z_identity):
-    # psi_0 has blocks at 0, 3 and -3; moving the image 3 to 2 makes the
-    # blocks at 0 and 2 share the atom 1
-    P, phi, *_ = z_identity
-    moved = copy(P)
-    moved.images = [(2,) if z == (3,) else z for z in P.images]
-    with pytest.raises(CouplingCertError, match="^blocks of psi_h overlap; Z_h is not "
-                                                "3-discrete"):
-        psi(moved, phi, (0,))
+    # psi_0 has blocks at 0, 3 and -3; moving the image 3 to 2 would make
+    # the blocks at 0 and 2 share the atom 1.  build_partition refuses that
+    # layout, so psi never builds it; the atom oracle names the overlap
+    P, phi, W_H, W_G = z_identity
+    moved = table_map(Z, Z, {h: (2,) if h == (3,) else h for h in W_H.elements})
+    m = analytic_moduli(phi, 2 * (24 + 40) + 8)
+    with pytest.raises(CouplingCertError, match="^net images 0 and 2 are only 2 apart"):
+        build_partition(W_H, W_G, moved, m, 3)
+    moved_P = copy(P)
+    moved_P.images = [(2,) if z == (3,) else z for z in P.images]
     with pytest.raises(CouplingCertError, match="^blocks overlap at 1$"):
-        oracles.psi_atoms(moved, phi, (0,))
+        oracles.psi_atoms(moved_P, phi, (0,))
 
 
 def test_z_h_bounded_by_m(z_identity):
@@ -429,6 +432,46 @@ def test_derived_atoms_match_the_per_atom_oracles(oracle_partitions, name, data)
     xi = psi(P, phi, h)
     assert list(xi.atoms.items()) == list(oracles.psi_atoms(P, phi, h).items())
     assert list(act_left(g, xi).atoms.items()) == list(oracles.act_left(g, xi).items())
+
+
+# small configurations for the proof in psi's docstring: (group, map) ->
+# (source radii, target radii).  The shear takes window moduli, the other
+# maps analytic ones
+PROOF_CONFIGS = {
+    ("Z^1", "identity"): (range(6, 17), range(12, 41)),
+    ("Z^1", "scale:3"): (range(6, 17), range(12, 41)),
+    ("Z^2", "identity"): (range(4, 9), range(8, 21)),
+    ("Z^2", "matrix:1,1,0,1"): (range(6, 9), range(24, 29)),
+    ("F_2", "identity"): (range(4, 6), range(8, 9)),
+    ("F_2", "swap"): (range(4, 6), range(8, 9)),
+    ("C_5 x Z^1", "identity"): (range(5, 11), range(8, 17)),
+}
+
+
+@lru_cache(maxsize=None)
+def _proof_window(desc: str, radius: int):
+    return build_window(make_group(desc), radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PROOF_CONFIGS)), st.data())
+def test_lazily_derived_psi_atoms_are_disjoint_blocks_of_mass_one(config, data):
+    # psi builds no atom to check its blocks: every psi_h of a partition
+    # that build_partition accepts holds |B| atoms per block, the ones the
+    # block-by-block oracle builds, and has mass 1
+    (desc, descriptor), (radii_H, radii_G) = config, PROOF_CONFIGS[config]
+    W_H = _proof_window(desc, data.draw(st.sampled_from(radii_H)))
+    W_G = _proof_window(desc, data.draw(st.sampled_from(radii_G)))
+    phi = make_coarse_map(descriptor, W_H.group, W_G.group)
+    m = pipeline_moduli(phi, W_H, W_G)
+    P = build_partition(W_H, W_G, phi, m, choose_scale(m))
+    size = len(unit_ball(W_G.group))
+    for h in P.inner_elements:
+        d = psi(P, phi, h)
+        assert d._atoms is None
+        assert list(d.atoms.items()) == list(oracles.psi_atoms(P, phi, h).items())
+        assert len(d.atoms) == size * len(d.blocks)
+        assert oracles.mass(d) == 1
 
 
 # radius 6 holds every atom of a block centred at most 5 from the identity

@@ -8,12 +8,12 @@ every loaded ``couplingcert`` module that holds the routine, so
 ``from .windows import pair_extremes`` in ``certify`` calls the oracle too.
 
 Run as a script, the file checks the four full-size benchmark workloads of
-``perfbench/workloads.py`` instead, and then the demo configurations that
-are not among them: no full-size workload builds a distance field, while
-the two ``Z^1`` demos each build one in ``check_properness_h`` and one in
-``_g_properness``.  Each line gives the wall
-seconds of the shipped run and of the oracle run beside the verdict.  From
-the checkout root::
+``perfbench/workloads.py`` in place of their reduced copies, then the demo
+configurations that are not among them, then ``FAMILIES``: no full-size
+workload builds a distance field, while the two ``Z^1`` demos each build
+one in ``check_properness_h`` and one in ``_g_properness``.  Each line
+gives the wall seconds of the shipped run and of the oracle run beside the
+verdict.  From the checkout root::
 
     PYTHONPATH=src python tests/test_slow_twin.py
 """
@@ -33,6 +33,7 @@ import pytest
 
 from couplingcert.certify import CHECK_NAMES, run_all
 from couplingcert.cli import DEMO_CONFIGS, RunConfig, render_report
+from couplingcert.groups import make_group
 
 import oracles
 
@@ -43,7 +44,7 @@ import workloads  # noqa: E402
 SWAPS = (
     ("windows", "pair_extremes", oracles.pair_extremes),
     ("windows", "distances_from", oracles.distances_from),
-    ("coupling", "l1_distance", oracles.l1_distance),
+    ("coupling", "l1_sum", oracles.l1_sum),
     ("coupling", "support_distance", oracles.support_distance),
     ("coupling", "support_diameter", oracles.support_diameter),
     ("certify", "_g_properness", oracles.g_properness),
@@ -80,6 +81,18 @@ SAMPLED = {
     "sampled-z4": RunConfig(group_H="Z^4", group_G="Z^4", map_descriptor="identity",
                             radius_H=8, radius_G=16, eval_radius=0,
                             checks=["sandwich", "properness_h", "cocompactness_h"]),
+}
+
+# one configuration of each group family no workload or demo covers: a
+# product with a finite factor, and a non-identity map of a free group.
+# F_2 swap leaves out g_action, whose ball of radius tau+2 is over the
+# element budget.
+FAMILIES = {
+    "c5z-id": RunConfig(group_H="C_5 x Z^1", group_G="C_5 x Z^1", map_descriptor="identity",
+                        radius_H=14, radius_G=24, eval_radius=2),
+    "f2-swap": RunConfig(group_H="F_2", group_G="F_2", map_descriptor="swap",
+                         radius_H=5, radius_G=8, eval_radius=1,
+                         checks=[c for c in CHECK_NAMES if c != "g_action"]),
 }
 
 
@@ -138,14 +151,14 @@ def small_config(name: str, root) -> RunConfig:
     return RunConfig(**values)
 
 
-TWIN_NAMES = [n for n, _ in DEMO_CONFIGS] + sorted(SMALL) + list(SAMPLED)
+TWIN_NAMES = [n for n, _ in DEMO_CONFIGS] + sorted(SMALL) + list(SAMPLED) + list(FAMILIES)
 
 
 @pytest.fixture(scope="module")
 def twins(tmp_path_factory):
     """({name: twin_reports(...)} over every configuration, oracle calls)."""
     calls = Counter()
-    named = {**dict(DEMO_CONFIGS), **SAMPLED}
+    named = {**dict(DEMO_CONFIGS), **SAMPLED, **FAMILIES}
     root = tmp_path_factory.mktemp("twin")
     reports = {name: twin_reports(named[name] if name in named else small_config(name, root),
                                   calls)
@@ -188,6 +201,31 @@ def test_run_all_never_runs_the_packing_search(tmp_path):
     assert not calls
 
 
+def test_membership_x_derives_no_atoms_and_formats_only_witnesses(tmp_path, monkeypatch):
+    # membership_x reads the blocks of the inner densities and derives none
+    # of their atoms (the identity's may be derived earlier, for the set K);
+    # the run formats an element for a witness or the report, not for each
+    # inner point
+    check = import_module("couplingcert.certify").check_membership_x
+    Zd = type(make_group("Z^2"))
+    formats = Counter()
+    monkeypatch.setattr(Zd, "format_element", counted("format", Zd.format_element, formats))
+    seen = {}
+
+    def spy(points, *args):
+        seen["before"] = sum(d._atoms is not None for _, d in points)
+        result = check(points, *args)
+        seen["after"] = sum(d._atoms is not None for _, d in points)
+        seen["points"] = len(points)
+        return result
+
+    with rebound({check: spy}):
+        run_all(RunConfig(**{**vars(small_config("table-z2", tmp_path)),
+                             "checks": ["membership_x"]}))
+    assert seen["after"] == seen["before"] <= 1
+    assert 0 < formats["format"] * 10 < seen["points"]
+
+
 def main() -> int:
     os.chdir(ROOT)  # the table path of table-z2 is relative to the checkout root
     calls = Counter()
@@ -197,6 +235,7 @@ def main() -> int:
         workloads.prepare(name, workloads.DEFAULT_SEED, str(ROOT))
         runs.append((name, RunConfig(**workloads.config(name, workloads.DEFAULT_SEED))))
     runs += [(name, cfg) for name, cfg in DEMO_CONFIGS if name not in workloads.WORKLOADS]
+    runs += list(FAMILIES.items())
     for name, cfg in runs:
         shipped, slow, shipped_s, slow_s = twin_reports(cfg, calls)
         same = slow == shipped
