@@ -372,7 +372,7 @@ def check_sandwich(
 
 def check_properness_h(
     P: PartitionOfUnity,
-    samples: list,
+    zetas: list,
     K: list,
     m: Moduli,
     W_G: Window,
@@ -382,9 +382,9 @@ def check_properness_h(
 ) -> CheckResult:
     """For h with kappa(d(h,1)) above ``threshold``, the h-slice of any
     orbit point meeting [K, 1/2] at the identity has support disjoint from
-    K.  The pipeline's threshold is diam(K) + 2*omega(s+1) + 2.  The zetas
-    are the first 8 samples that meet [K, 1/2] (:func:`_meeting_K`); with
-    none, the check is vacuous.
+    K.  The pipeline's threshold is diam(K) + 2*omega(s+1) + 2.  ``zetas``
+    are (g, h0, g.psi_h0) triples meeting [K, 1/2], the pipeline's from
+    :func:`_meeting_K`; with none, the check is vacuous.
 
     kappa is nondecreasing, so those h are one shell of the source window.
     By left-invariance d(a, g^-1 k) = d(g.a, k): a slice of the sample
@@ -392,7 +392,6 @@ def check_properness_h(
     K, built only when the shell is non-empty.
     """
     H, G = P.window_H.group, W_G.group
-    zetas = _meeting_K(samples, K, psi_of)
     worst = _Worst()
     confinement = _Worst()
     population = 0
@@ -546,8 +545,8 @@ def _K_margin(to_K_get, mul, t, atoms, floor) -> tuple:
 
 def _meeting_K(samples: list, K: list, psi_of: Callable) -> list:
     """(g, h, g.psi_h) for the first 8 samples (g, h), in sample order, whose
-    orbit point puts mass at least :data:`HALF` on K: the zetas of both
-    action checks."""
+    orbit point puts mass at least :data:`HALF` on K: the zetas that
+    ``run_all`` picks once for both action checks."""
     K_set = set(K)
     points = ((g, h, act_left(g, psi_of(h))) for g, h in samples)
     return list(islice((p for p in points if p[2].inner_product(K_set) >= HALF), 8))
@@ -621,7 +620,7 @@ def _g_properness(
 
 def check_g_action(
     P: PartitionOfUnity,
-    samples: list,
+    zetas: list,
     K_G: list,
     W_G: Window,
     g_candidates: list,
@@ -631,9 +630,9 @@ def check_g_action(
 ) -> CheckResult:
     """Properness and cocompactness of the left action.
 
-    Parts (a) and (b) walk the first 8 ``samples`` that meet [K_G, 1/2]
-    (:func:`_meeting_K`), as :func:`check_properness_h` does; when none
-    does, both are empty.
+    Parts (a) and (b) walk ``zetas``, the (g, h, g.psi_h) triples meeting
+    [K_G, 1/2] that :func:`check_properness_h` takes too; with none, both
+    are empty.
 
     (a) properness: translates of [K_G, 1/2] by far g miss it -- supports
     become disjoint from K_G beyond tau = 2*omega(s+1) + 2 + 2*diam(K_G),
@@ -651,14 +650,13 @@ def check_g_action(
     H, G = P.window_H.group, W_G.group
     fmtG = G.format_element
     worst = _Worst()
-    qualifying = _meeting_K(samples, K_G, psi_of)
     margin, witness, margin_is_floor, pop_proper = _g_properness(
-        H, qualifying, K_G, W_G, g_candidates)
+        H, zetas, K_G, W_G, g_candidates)
     if pop_proper:
         worst.update(margin, witness)
 
     pop_recenter = 0
-    for g, h, xi_1 in qualifying:
+    for g, h, xi_1 in zetas:
         supp = xi_1.support()
         if not all(map(W_G.dist.__contains__, supp)):
             raise ResolutionError("support of a sample leaves the target window")
@@ -741,11 +739,11 @@ def run_all(config) -> Certificate:
 
         stage = "samples"
         if selected & {"lipschitz", "sandwich"}:
-            pair_radius = 2 * P.inner_radius
-            pair_window = ball_window(W_H, pair_radius)
+            pair_window = ball_window(W_H, 2 * P.inner_radius)
         psi_of = cache(partial(psi, P, phi))
 
-        h_rad = max(0, min(4, P.inner_radius - config.eval_radius))
+        eval_depth = P.inner_radius - config.eval_radius
+        h_rad = max(0, min(4, eval_depth))
         g_rad = min(core_radius, 4)
         hs = W_H.ball(h_rad)
         samples = [(g, h) for g in W_G.ball(g_rad) for h in hs]
@@ -759,36 +757,36 @@ def run_all(config) -> Certificate:
         tau = supp_bound + 2 * diam_K
         K_radius = R + P.omega_s1 + 1
         recenter_bound = 2 * supp_bound
+        h_cc = min(h_rad, max(0, eval_depth // 3))
+        zetas = (_meeting_K(samples, K_base, psi_of)
+                 if selected & {"properness_h", "g_action"} else [])
 
-        checks = []
-        if "membership_x" in selected:
-            stage = "membership_x"
-            pts = [(h, psi_of(h)) for h in P.inner_elements]
-            checks.append(check_membership_x(pts, W_G, 2 * P.omega_s1, H.format_element))
-        if "lipschitz" in selected:
-            stage = "lipschitz"
-            checks.append(check_lipschitz(P, pair_window, psi_of))
-        if "sandwich" in selected:
-            stage = "sandwich"
-            checks.append(check_sandwich(P, samples, config.eval_radius, m, W_G,
-                                         pair_window, psi_of))
-        if "properness_h" in selected:
-            stage = "properness_h"
-            checks.append(check_properness_h(P, samples, K_base, m, W_G, psi_of,
-                                             diam_K, h_threshold))
-        if "cocompactness_h" in selected:
-            stage = "cocompactness_h"
-            h_cc = min(h_rad, max(0, (P.inner_radius - config.eval_radius) // 3))
-            cc_samples = [(g, h) for g, h in samples
-                          if W_H.dist.get(h) <= h_cc][:64]
-            checks.append(check_cocompactness_h(
-                P, cc_samples, m, R, W_G, psi_of, K_radius))
-        if "g_action" in selected:
-            stage = "g_action"
+        def g_action():
             aux = ball_window(W_G, tau + 2)
             g_candidates = [(gc, aux.dist[gc]) for gc in aux.shell(tau, tau + 2)[:512]]
-            checks.append(check_g_action(
-                P, samples, K_base, W_G, g_candidates, psi_of, tau, recenter_bound))
+            return check_g_action(P, zetas, K_base, W_G, g_candidates, psi_of, tau,
+                                  recenter_bound)
+
+        # one stage per check, run in this order; each check_* name is read
+        # from the module when its stage runs, so a rebound one is called
+        stages = {
+            "membership_x": lambda: check_membership_x(
+                [(h, psi_of(h)) for h in P.inner_elements], W_G, 2 * P.omega_s1,
+                H.format_element),
+            "lipschitz": lambda: check_lipschitz(P, pair_window, psi_of),
+            "sandwich": lambda: check_sandwich(P, samples, config.eval_radius, m, W_G,
+                                               pair_window, psi_of),
+            "properness_h": lambda: check_properness_h(P, zetas, K_base, m, W_G, psi_of,
+                                                       diam_K, h_threshold),
+            "cocompactness_h": lambda: check_cocompactness_h(
+                P, [(g, h) for g, h in samples if W_H.dist.get(h) <= h_cc][:64],
+                m, R, W_G, psi_of, K_radius),
+            "g_action": g_action,
+        }
+        checks = []
+        for stage, run in stages.items():
+            if stage in selected:
+                checks.append(run())
 
         stage = "assemble"
         constants = {

@@ -14,8 +14,8 @@ theta_y(h) = s+1 - d(y, h) is a positive integer, and every atom of the
 block zB of ``psi_h``, z = phi(y), carries theta_y(h) over the denominator
 Theta(h)*|B|.  ``build_partition`` finds every theta_y(h) by walking each
 net point's ball y*B(s+1) once; the same walk counts the bump overlap.
-Masses and inner products sum integers and build one ``Fraction`` per
-call, at the boundary where a margin or report reads it; :func:`l1_sum`
+Inner products sum integers and build one ``Fraction`` per call, at the
+boundary where a margin or report reads it; :func:`l1_sum`
 returns an integer pair, which the Lipschitz check compares as it is.
 
 Distances between two block densities depend only on their block centres:
@@ -128,9 +128,6 @@ class SparseDensity:
             mul = self.group.mul
             self._atoms = {mul(z, b): n for z, n in self.blocks for b in unit_ball(self.group)}
         return self._atoms
-
-    def mass(self) -> Fraction:
-        return Fraction(sum(self.atoms.values()), self.denominator)
 
     def support(self) -> list:
         return list(self.atoms.keys())

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from couplingcert.certify import (
+    _meeting_K,
     check_cocompactness_h,
     check_g_action,
     check_lipschitz,
@@ -38,7 +39,7 @@ from couplingcert.windows import (
     packing_number,
 )
 
-from oracles import distance, is_dense, is_discrete, packing_number_naive
+from oracles import distance, is_dense, is_discrete, mass, packing_number_naive
 
 CONFIG_1 = RunConfig(group_H="Z^1", group_G="Z^1", map_descriptor="identity",
                      radius_H=24, radius_G=40, eval_radius=8, seed=7)
@@ -100,7 +101,7 @@ def test_criterion_1_identity_pipeline(cert1):
     for h in P.inner_elements:
         terms, total = P.alpha_terms(h)
         assert sum(Fraction(n, total) for _, n in terms) == 1
-        assert psi(P, phi, h).mass() == 1
+        assert mass(psi(P, phi, h)) == 1
     ok &= elapsed < 10
     _verdict("1 identity pipeline (s=3, all checks, <10s)", ok,
              f"{elapsed:.2f}s, margins all >= 0")
@@ -231,8 +232,9 @@ def test_criterion_6_checker_liveness():
 
     # properness: threshold hand-shrunk to 0 qualifies adjacent slices
     K = psi_of(Z.identity).support()
+    zetas = _meeting_K([((0,), (0,))], K, psi_of)
     failures["properness_h"] = check_properness_h(
-        P, [((0,), (0,))], K, m, W_G, psi_of, 8, 0).status
+        P, zetas, K, m, W_G, psi_of, 8, 0).status
 
     # cocompactness: an empty target set can never absorb half the mass
     failures["cocompactness_h"] = check_cocompactness_h(
@@ -240,7 +242,7 @@ def test_criterion_6_checker_liveness():
 
     # g-action: recentring ball shrunk to a point
     failures["g_action"] = check_g_action(
-        P, [((0,), (0,))], K, W_G, [], psi_of,
+        P, zetas, K, W_G, [], psi_of,
         2 * P.omega_s1 + 2 + 2 * 8, 0).status
 
     ok = all(status == "fail" for status in failures.values())

@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 from couplingcert import certify, coarse, coupling, windows
 from couplingcert.certify import (
+    CHECK_NAMES,
     _far_shell,
     _g_properness,
     _K_margin,
     _kappa_sublevel_radius,
+    _meeting_K,
     check_cocompactness_h,
     check_g_action,
     check_lipschitz,
@@ -46,7 +48,12 @@ from couplingcert.coupling import (
     psi,
     unit_ball,
 )
-from couplingcert.errors import PipelineError, PreconditionError, ResolutionError
+from couplingcert.errors import (
+    PipelineError,
+    PreconditionError,
+    ResolutionError,
+    WindowBudgetError,
+)
 from couplingcert.groups import make_group
 from couplingcert.windows import build_window, distance_field, pair_extremes
 
@@ -251,7 +258,7 @@ def test_properness_h_passes_nonvacuously(pipeline):
     K = psi_of(Z.identity).support()
     diam_K = pair_extremes(W_G, K)[2]
     assert diam_K == 8
-    res = check_properness_h(P, [((0,), (0,))], K, m, W_G,
+    res = check_properness_h(P, _meeting_K([((0,), (0,))], K, psi_of), K, m, W_G,
                              psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
     assert res.status == "pass"
     assert res.population == 4  # h in {+-19, +-20}: kappa(|h|) > 18
@@ -262,7 +269,8 @@ def test_properness_h_passes_nonvacuously(pipeline):
 def test_properness_h_fails_with_zero_threshold(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_properness_h(P, [((0,), (0,))], K, m, W_G, psi_of, 8, 0)
+    res = check_properness_h(P, _meeting_K([((0,), (0,))], K, psi_of), K, m, W_G,
+                             psi_of, 8, 0)
     assert res.status == "fail"
     assert res.witness["h"] in {"1", "-1"}  # first violators are adjacent slices
 
@@ -272,7 +280,8 @@ def test_properness_h_meeting_point_lies_in_K(pipeline):
     # translate of its atom 5
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_properness_h(P, [((-1,), (0,))], K, m, W_G, psi_of, 8, 6)
+    res = check_properness_h(P, _meeting_K([((-1,), (0,))], K, psi_of), K, m, W_G,
+                             psi_of, 8, 6)
     assert res.status == "fail"
     assert res.witness == {"h": "7", "zeta": ["-1", "0"], "meeting_point": "4"}
     assert Z.parse_element(res.witness["meeting_point"]) in K
@@ -293,7 +302,7 @@ def test_properness_h_vacuous_in_tiny_window():
 
     K = psi_of(Z.identity).support()
     diam_K = pair_extremes(W_G, K)[2]
-    res = check_properness_h(P, [((0,), (0,))], K, m, W_G,
+    res = check_properness_h(P, _meeting_K([((0,), (0,))], K, psi_of), K, m, W_G,
                              psi_of, diam_K, diam_K + 2 * P.omega_s1 + 2)
     assert res.status == "vacuous"
     assert res.population == 0
@@ -303,60 +312,79 @@ def _outcome(res) -> tuple:
     return res.status, res.margin, res.witness, res.population, res.details
 
 
-def _far_first_grid(pipeline, monkeypatch) -> tuple:
-    """(K, grid, expected, taken): a grid whose g runs from the far sphere
-    in, so misses of [K, 1/2] open it; the first 8 of its samples that
-    meet [K, 1/2]; and the list a spy on ``_meeting_K`` fills with the
-    samples it selects."""
+def _far_first_grid(pipeline) -> tuple:
+    """(K, grid, expected): a grid whose g runs from the far sphere in, so
+    misses of [K, 1/2] open it, and the first 8 of its samples that meet
+    [K, 1/2]."""
     _, _, _, W_H, W_G, _, psi_of = pipeline
     K = psi_of(Z.identity).support()
     grid = [(g, h) for h in W_H.ball(2) for g in W_G.ball(8)[::-1]]
     expected = [(g, h) for g, h in grid
                 if act_left(g, psi_of(h)).inner_product(set(K)) >= Fraction(1, 2)][:8]
     assert len(expected) == 8 and grid.index(expected[0]) > 0
-    taken = []
-    meeting = certify._meeting_K
-
-    def spy(*args):
-        zetas = meeting(*args)
-        taken.extend(item[:2] for item in zetas)
-        return zetas
-
-    monkeypatch.setattr(certify, "_meeting_K", spy)
-    return K, grid, expected, taken
+    return K, grid, expected
 
 
-def test_properness_h_takes_the_first_8_samples_meeting_K(pipeline, monkeypatch):
+def test_properness_h_takes_the_first_8_samples_meeting_K(pipeline):
     # the zetas are the first 8 samples whose orbit point meets [K, 1/2]; a
     # sample that misses it is skipped, and with none left the check is
     # vacuous
     P, _, m, _, W_G, _, psi_of = pipeline
-    K, grid, expected, taken = _far_first_grid(pipeline, monkeypatch)
+    K, grid, expected = _far_first_grid(pipeline)
+    zetas = partial(_meeting_K, K=K, psi_of=psi_of)
     check = partial(check_properness_h, P, K=K, m=m, W_G=W_G, psi_of=psi_of, diam_K=8,
                     threshold=0)
-    res = check(grid)
-    assert taken == expected
-    assert _outcome(res) == _outcome(check(expected))
+    assert [zeta[:2] for zeta in zetas(grid)] == expected
+    assert _outcome(check(zetas(grid))) == _outcome(check(zetas(expected)))
     # g = 30 carries the identity's density off K
-    identity = _outcome(check([((0,), (0,))]))
+    identity = _outcome(check(zetas([((0,), (0,))])))
     assert identity[2]["zeta"] == ["0", "0"]
-    assert _outcome(check([((30,), (0,)), ((0,), (0,))])) == identity
-    res = check([((30,), (0,))])
+    assert _outcome(check(zetas([((30,), (0,)), ((0,), (0,))]))) == identity
+    assert zetas([((30,), (0,))]) == []
+    res = check([])
     assert (res.status, res.population) == ("vacuous", 0)
 
 
-def test_g_action_takes_the_first_8_samples_meeting_K(pipeline, monkeypatch):
+def test_g_action_takes_the_first_8_samples_meeting_K(pipeline):
     # g_action recentres the zetas properness_h takes, not those of the
     # grid's first 8 samples, which all miss [K, 1/2]
     P, _, _, _, W_G, _, psi_of = pipeline
-    K, grid, expected, taken = _far_first_grid(pipeline, monkeypatch)
+    K, grid, expected = _far_first_grid(pipeline)
     check = partial(check_g_action, P, K_G=K, W_G=W_G, g_candidates=[((30,), 30)],
                     psi_of=psi_of, tau=2 * P.omega_s1 + 2 + 2 * 8,  # diam K = 8
                     recenter_bound=4 * P.omega_s1 + 4)
-    res = check(grid)
-    assert taken == expected
+    res = check(_meeting_K(grid, K, psi_of))
     assert res.details["recenter_population"] == 8
-    assert _outcome(res) == _outcome(check(expected))
+    assert _outcome(res) == _outcome(check(_meeting_K(expected, K, psi_of)))
+
+
+@pytest.mark.parametrize("checks,runs", [
+    (None, 1),
+    (["membership_x", "lipschitz", "sandwich"], 0),  # f2-id's selection
+    (["properness_h"], 1),
+    (["g_action"], 1),
+], ids=["all", "f2-id", "properness_h", "g_action"])
+def test_run_all_picks_the_zetas_once_for_both_action_checks(monkeypatch, checks, runs):
+    # run_all picks the zetas once, and only for a selection that reads
+    # them; both action checks are handed that one list
+    picked, handed = [], []
+    meeting = certify._meeting_K
+
+    def spy(*args):
+        picked.append(meeting(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(certify, "_meeting_K", spy)
+    for name in ("check_properness_h", "check_g_action"):
+        def marked(P, zetas, *rest, run=getattr(certify, name)):
+            handed.append(zetas)
+            return run(P, zetas, *rest)
+
+        monkeypatch.setattr(certify, name, marked)
+    run_all(RunConfig(radius_H=12, radius_G=24, eval_radius=3, checks=checks))
+    assert len(picked) == runs
+    assert len(handed) == len({"properness_h", "g_action"}.intersection(checks or CHECK_NAMES))
+    assert all(zetas is picked[0] for zetas in handed)
 
 
 def test_cocompactness_passes(pipeline):
@@ -388,7 +416,7 @@ def test_g_action_passes(pipeline):
     K = psi_of(Z.identity).support()
     tau = 2 * P.omega_s1 + 2 + 2 * 8  # diam K = 8
     ring = [(e, l) for e, l in zip(W_G.elements, W_G.lengths) if tau < l <= tau + 2]
-    res = check_g_action(P, [((0,), (0,)), ((2,), (1,))], K,
+    res = check_g_action(P, _meeting_K([((0,), (0,)), ((2,), (1,))], K, psi_of), K,
                          W_G, ring, psi_of, tau, 4 * P.omega_s1 + 4)
     assert res.status == "pass"
     assert res.details["properness_population"] > 0
@@ -398,7 +426,7 @@ def test_g_action_passes(pipeline):
 def test_g_action_fails_with_shrunk_recenter_ball(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_g_action(P, [((0,), (0,))], K, W_G, [],
+    res = check_g_action(P, _meeting_K([((0,), (0,))], K, psi_of), K, W_G, [],
                          psi_of, 2 * P.omega_s1 + 2 + 2 * 8, 0)
     assert res.status == "fail"
 
@@ -408,7 +436,7 @@ def test_g_action_recentring_ball_is_closed(pipeline):
     # of its mass, so the recentring part of the margin is exactly 0
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_g_action(P, [((0,), (0,))], K, W_G, [],
+    res = check_g_action(P, _meeting_K([((0,), (0,))], K, psi_of), K, W_G, [],
                          psi_of, 2 * P.omega_s1 + 2 + 2 * 8, 4)
     assert res.status == "pass"
     assert res.margin == 0
@@ -419,7 +447,7 @@ def test_g_action_vacuous_properness_population(pipeline):
     # sample meets [K, 1/2] for a one-point K
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = [(0,)]
-    res = check_g_action(P, [((0,), (0,))], K, W_G,
+    res = check_g_action(P, _meeting_K([((0,), (0,))], K, psi_of), K, W_G,
                          [((30,), 30)], psi_of, 2 * P.omega_s1 + 2,  # diam K = 0
                          4 * P.omega_s1 + 4)
     assert res.details["properness_population"] == 0
@@ -432,9 +460,10 @@ def test_action_checks_certify_no_sample_off_K(pipeline):
     # a sample it was not handed
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = [(0,)]
-    res = check_properness_h(P, [((0,), (0,))], K, m, W_G, psi_of, 0, 10)
+    assert _meeting_K([((0,), (0,))], K, psi_of) == []
+    res = check_properness_h(P, [], K, m, W_G, psi_of, 0, 10)
     assert (res.status, res.population) == ("vacuous", 0)
-    res = check_g_action(P, [((0,), (0,))], K, W_G,
+    res = check_g_action(P, [], K, W_G,
                          [((30,), 30)], psi_of, 2 * P.omega_s1 + 2,
                          4 * P.omega_s1 + 4)
     assert res.details["recenter_population"] == 0
@@ -444,7 +473,7 @@ def test_action_checks_certify_no_sample_off_K(pipeline):
 def test_g_action_fails_where_a_candidate_translate_meets_k(pipeline):
     P, phi, m, W_H, W_G, pair_window, psi_of = pipeline
     K = psi_of(Z.identity).support()
-    res = check_g_action(P, [((0,), (0,))], K, W_G,
+    res = check_g_action(P, _meeting_K([((0,), (0,))], K, psi_of), K, W_G,
                          [((3,), 3), ((1,), 1)], psi_of, 2 * P.omega_s1 + 2 + 2 * 8,
                          4 * P.omega_s1 + 4)
     assert res.status == "fail"
@@ -710,6 +739,31 @@ def test_run_all_stage_tagged_error_on_constant_map(tmp_path):
     assert exc.value.stage == "scale"
 
 
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_an_error_inside_a_check_is_tagged_with_its_name(monkeypatch, name):
+    # each check runs as its own stage, and run_all calls the check_* it
+    # finds in the module when that stage runs
+    def refuse(*args):
+        raise ResolutionError(f"refused by {name}")
+
+    monkeypatch.setattr(certify, f"check_{name}", refuse)
+    with pytest.raises(PipelineError) as exc:
+        run_all(RunConfig(radius_H=12, radius_G=24, eval_radius=3))
+    assert exc.value.stage == name and str(exc.value) == f"[{name}] refused by {name}"
+
+
+def test_an_over_budget_g_action_candidate_ball_is_a_g_action_error():
+    # F_2 swap passes every stage before g_action, whose candidate ball
+    # B(tau + 2) passes the element budget at radius 14
+    cfg = RunConfig(group_H="F_2", group_G="F_2", map_descriptor="swap",
+                    radius_H=6, radius_G=10, eval_radius=1)
+    with pytest.raises(PipelineError) as exc:
+        run_all(cfg)
+    assert exc.value.stage == "g_action" and type(exc.value.cause) is WindowBudgetError
+    assert str(exc.value) == ("[g_action] breadth-first search in F_2 exceeded the "
+                              "5000000-element budget at radius 14")
+
+
 @pytest.mark.parametrize("field,value", [
     ("radius_H", "10"),
     ("radius_H", 10.5),
@@ -772,7 +826,8 @@ CHECK_REFUSALS = {
     # from K
     "properness-atom-unresolved": (
         lambda P, m, W_G, psi_of, K: check_properness_h(
-            P, [((2,), (0,))], K, m, build_window(Z, 1), psi_of, 0, 1000),
+            P, _meeting_K([((2,), (0,))], K, psi_of), K, m, build_window(Z, 1), psi_of,
+            0, 1000),
         ResolutionError, "support-to-K distance does not resolve"),
     "cocompactness-K-radius": (
         lambda P, m, W_G, psi_of, K: check_cocompactness_h(
@@ -793,13 +848,14 @@ CHECK_REFUSALS = {
     # psi_0 meets K = supp psi_0, so its support is recentred
     "g_action-support-leaves": (
         lambda P, m, W_G, psi_of, K: check_g_action(
-            P, [((0,), (0,))], K, build_window(Z, 1), [], psi_of, 0, 20),
+            P, _meeting_K([((0,), (0,))], K, psi_of), K, build_window(Z, 1), [], psi_of,
+            0, 20),
         ResolutionError, "support of a sample leaves the target window"),
     # psi_1 (diameter 5) recentres within radius 5; psi_0 has diameter 8
     "g_action-inner-diameter": (
         lambda P, m, W_G, psi_of, K: check_g_action(
-            P, [((0,), (1,))], psi_of((1,)).support(), build_window(Z, 5), [],
-            psi_of, 0, 20),
+            P, _meeting_K([((0,), (1,))], psi_of((1,)).support(), psi_of),
+            psi_of((1,)).support(), build_window(Z, 5), [], psi_of, 0, 20),
         ResolutionError, "inner support diameter does not resolve"),
 }
 

@@ -21,11 +21,13 @@ verdict.  From the checkout root::
 from __future__ import annotations
 
 import inspect
+import json
 import os
 import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
@@ -185,6 +187,31 @@ def test_a_sampled_grid_gives_the_same_report_every_run(twins):
         return render_report(cert)
 
     assert report(0) == report(5)
+
+
+# (check, details key, report constant) of each bound a check's details
+# repeat
+REPEATED_BOUNDS = (
+    ("properness_h", "threshold", "properness_h_threshold"),
+    ("g_action", "properness_threshold", "g_properness_threshold"),
+    ("g_action", "recenter_bound", "g_recenter_radius"),
+    ("cocompactness_h", "K_radius", "cocompact_K_radius"),
+    ("cocompactness_h", "R", "R"),
+    ("lipschitz", "bound_coefficient", "lipschitz_bound_2MN"),
+)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in DEMO_CONFIGS] + sorted(SMALL))
+def test_each_bound_a_check_repeats_equals_its_constant(twins, name):
+    report = json.loads(twins[0][name][0])
+    constants = report["constants"]
+    details = {c["name"]: c["details"] for c in report["checks"]}
+    for check, key, constant in REPEATED_BOUNDS:
+        if check in details:
+            assert details[check][key] == constants[constant], (check, key)
+    if "membership_x" in details:
+        assert (Fraction(details["membership_x"]["diameter_bound"])
+                == 2 * Fraction(constants["omega_s_plus_1"]))
 
 
 def test_every_swap_was_called(twins):
